@@ -29,7 +29,7 @@ from .errors import (
     ShapeError,
     UnsupportedValenceError,
 )
-from .fields import PolyExpr, PolyTensorField
+from .fields import PolyTensorField, poly_einsum
 
 DET_FLOOR = 1e-6
 SYMMETRY_TOL = 1e-10
@@ -155,13 +155,8 @@ def lie_bracket(X: PolyTensorField, Y: PolyTensorField) -> PolyTensorField:
         raise ShapeError("lie_bracket expects two vector fields")
     if X.dimension != Y.dimension:
         raise ShapeError("vector fields live on different charts")
-    d = X.dimension
-    out = PolyTensorField.zeros(d, (1, 0))
-    for i in range(d):
-        terms = [X.comps[j] * Y.comps[i].diff(j) for j in range(d)]
-        terms += [-(Y.comps[j] * X.comps[i].diff(j)) for j in range(d)]
-        out.comps[i] = PolyExpr.sum_of(d, terms)
-    return out
+    return (poly_einsum("j,ij->i", X, Y.gradient(), valence=(1, 0))
+            - poly_einsum("j,ij->i", Y, X.gradient(), valence=(1, 0)))
 
 
 def torsion_values(conn: Connection, pts) -> np.ndarray:
@@ -211,8 +206,8 @@ def _covd_11(conn, L, pts):
     lv, lg = L.jets(pts)
     g = conn.gammas(pts)
     # out[n,k,i,j] = d_i L^k_j + gamma^k_{im} L^m_j - gamma^m_{ij} L^k_m
-    # (jets may be cached and single-operand einsum can return a view, so
-    # never accumulate in place on the first term)
+    # (a single-operand einsum can return a view of the jets, so never
+    # accumulate in place on the first term)
     return (
         np.einsum("nkji->nkij", lg)
         + np.einsum("nkim,nmj->nkij", g, lv)

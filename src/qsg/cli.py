@@ -33,6 +33,9 @@ EXIT_NO_WITNESS = 5
 
 WITNESS_TOL = 1e-7
 NO_WITNESS_TOL = 1e-3
+# smallest accepted value of each count option; smaller ones are input
+# errors, not crashes deep in a run
+MINIMUMS = {"samples": 1, "trials": 1, "degree": 0}
 
 
 def _csv(text: str) -> list:
@@ -196,6 +199,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
+    for name, low in MINIMUMS.items():
+        if getattr(args, name, low) < low:
+            print(f"qsg: --{name} must be at least {low}, got {getattr(args, name)}",
+                  file=sys.stderr)
+            return EXIT_INPUT
     start = time.monotonic()
     try:
         if args.command == "check":

@@ -9,11 +9,22 @@ numerical differentiation.
 Index conventions used throughout the package:
 
 * points are arrays of shape ``(n, d)``;
-* a valence ``(p, q)`` field stores one polynomial per index tuple, upper
-  indices first, in a component array of shape ``(d,) * (p + q)``;
+* a valence ``(p, q)`` field has component shape ``(d,) * (p + q)``, upper
+  indices first;
 * ``values(pts)`` returns ``(n, *shape)``; ``jets(pts)`` additionally
   returns the gradient array ``(n, *shape, d)`` with the derivative axis
   last.
+
+Storage layout: a field holds one exponent basis ``E[m, d]``, the sorted
+union of its components' monomials in the canonical term order of
+:class:`PolyExpr`, and one coefficient tensor ``C[m, *shape]`` over that
+basis, so component ``idx`` is ``sum_r C[r, idx] x^E[r]``.  Evaluation
+builds the basis values ``V(pts)`` (n x m) once and multiplies by ``C``;
+jets multiply by ``[C | d_1 C | ... | d_d C]`` in the same single product.
+A product of fields is one einsum over the coefficient tensors followed by a
+scatter-add of the pairwise exponent sums onto their canonical union
+(:func:`poly_einsum`).  :class:`PolyExpr` remains the scalar type at the
+model-file boundary.
 """
 
 from __future__ import annotations
@@ -86,9 +97,7 @@ class PolyExpr:
             raise ShapeError("negative exponents are not polynomials")
         if coefs.size and not np.all(np.isfinite(coefs)):
             raise EvaluationError("non-finite polynomial coefficient")
-        exps, coefs = _normalize_terms(exps, coefs)
-        self.exps = exps
-        self.coefs = coefs
+        self.exps, self.coefs = _canonical_terms(exps, coefs)
         self._diffs = None
 
     # -- constructors -------------------------------------------------
@@ -206,71 +215,120 @@ class PolyExpr:
         return f"PolyExpr(d={self.dimension}, terms={self.terms()})"
 
 
-def _normalize_terms(exps, coefs):
-    t = exps.shape[0]
-    if t == 0:
-        return exps, coefs
-    if t == 1:
-        if coefs[0] == 0.0:
-            return exps[:0], coefs[:0]
-        return exps, coefs
-    if exps.max() < 64 and exps.shape[1] <= 10:
-        # pack each exponent row into one integer key for fast grouping
-        key = exps @ (64 ** np.arange(exps.shape[1], dtype=np.int64))
+def _row_keys(exps: np.ndarray) -> np.ndarray:
+    """One integer per exponent row, increasing in canonical term order
+    (the last axis is the most significant digit)."""
+    d = exps.shape[1]
+    radix = int(exps.max(initial=0)) + 1
+    if radix ** d < 2 ** 63:
+        return exps @ (radix ** np.arange(d, dtype=np.int64))
+    # too wide to pack into one integer: rank the rows instead
+    return np.unique(exps[:, ::-1], axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def _canonical_terms(exps: np.ndarray, coefs: np.ndarray):
+    """Sort exponent rows into canonical order, sum the coefficients of
+    repeated rows (in input order) and drop rows whose coefficients are all
+    exactly zero.  ``coefs`` has one leading row axis; any trailing axes (a
+    field's component shape) are carried along."""
+    if exps.shape[0] > 1:
+        key = _row_keys(exps)
         order = np.argsort(key, kind="stable")
-        key, exps, coefs = key[order], exps[order], coefs[order]
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(key)) + 1])
-        summed = np.add.reduceat(coefs, starts)
-        uniq = exps[starts]
-    else:
-        order = np.lexsort(exps.T[::-1])
-        exps, coefs = exps[order], coefs[order]
-        uniq, inverse = np.unique(exps, axis=0, return_inverse=True)
-        summed = np.zeros(uniq.shape[0])
-        np.add.at(summed, inverse, coefs)
-    keep = summed != 0.0
-    return uniq[keep], summed[keep]
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        exps = exps[order[starts]]
+        coefs = np.add.reduceat(coefs[order], starts, axis=0)
+    keep = np.any(coefs != 0.0, axis=tuple(range(1, coefs.ndim)))
+    return exps[keep], coefs[keep]
+
+
+def _basis_values(exps: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Monomial values ``V[n, r] = prod_k pts[n, k] ** exps[r, k]``, built
+    from one power table per axis (no ``(n, m, d)`` temporary)."""
+    if pts.shape[1] != exps.shape[1]:
+        raise ShapeError("point dimension does not match field")
+    out = np.ones((pts.shape[0], exps.shape[0]))
+    for k, col in enumerate(exps.T):
+        top = int(col.max(initial=0))
+        if top:
+            out *= (pts[:, k, None] ** np.arange(top + 1))[:, col]
+    return out
 
 
 class PolyTensorField:
-    """Dense component array of polynomials with a fixed valence.
-
-    ``comps`` is an object ndarray of shape ``(d,) * (p + q)`` holding one
-    :class:`PolyExpr` per index tuple, upper indices first.  Fields are
-    immutable after construction and evaluation is pure, so concurrent use
-    is safe.
+    """Polynomial tensor field with a fixed valence, stored as a coefficient
+    tensor ``coefs[m, *shape]`` over an exponent basis ``exps[m, d]`` (see
+    the module docstring).  Fields are immutable (``exps`` and ``coefs``
+    are read-only) and evaluation is pure, so concurrent use is safe.
     """
 
-    def __init__(self, dimension: int, valence: tuple[int, int], comps: np.ndarray):
+    def __init__(self, dimension: int, valence: tuple[int, int], comps=None, *,
+                 exps=None, coefs=None):
+        """Build from ``comps``, an object array of :class:`PolyExpr` of
+        shape ``(d,) * (p + q)``, upper indices first; or from the dense
+        form, component ``idx`` being ``sum_r coefs[r, idx] x^exps[r]``.
+
+        Rows may repeat and come in any order: they are summed, sorted into
+        canonical order, and dropped when zero in every component.  A
+        non-finite coefficient raises ``EvaluationError``.
+        """
         self.dimension = int(dimension)
         self.valence = (int(valence[0]), int(valence[1]))
-        rank = self.valence[0] + self.valence[1]
-        comps = np.asarray(comps, dtype=object)
-        if comps.shape != (self.dimension,) * rank:
+        if comps is not None:
+            comps = np.asarray(comps, dtype=object)
+            if comps.shape != self.shape:
+                raise ShapeError(
+                    f"component array shape {comps.shape} does not match "
+                    f"valence {self.valence} in dimension {self.dimension}"
+                )
+            polys = comps.reshape(-1)
+            onehot = np.eye(len(polys))
+            exps = np.vstack([np.zeros((0, self.dimension), dtype=np.int64)]
+                             + [p.exps for p in polys])
+            coefs = np.vstack([onehot[:0]]
+                              + [p.coefs[:, None] * onehot[s] for s, p in enumerate(polys)])
+            coefs = coefs.reshape((-1,) + self.shape)
+        exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.dimension)
+        coefs = np.asarray(coefs, dtype=float)
+        if coefs.shape != (exps.shape[0],) + self.shape:
             raise ShapeError(
-                f"component array shape {comps.shape} does not match "
-                f"valence {self.valence} in dimension {self.dimension}"
+                f"coefficient tensor shape {coefs.shape} does not match {exps.shape[0]} "
+                f"basis rows and valence {self.valence} in dimension {self.dimension}"
             )
-        self.comps = comps
-        self._eval_cache = {}
+        if np.any(exps < 0):
+            raise ShapeError("negative exponents are not polynomials")
+        if not np.all(np.isfinite(coefs)):
+            raise EvaluationError("non-finite polynomial coefficient")
+        exps, coefs = _canonical_terms(exps, coefs)
+        exps.flags.writeable = False
+        coefs.flags.writeable = False
+        self._exps, self._coefs = exps, coefs
+        self._jet_cache = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zeros(cls, dimension: int, valence) -> "PolyTensorField":
         rank = valence[0] + valence[1]
-        comps = np.empty((dimension,) * rank, dtype=object)
-        for idx in np.ndindex(comps.shape):
-            comps[idx] = PolyExpr(dimension)
-        return cls(dimension, valence, comps)
+        return cls(dimension, valence, exps=np.zeros((0, dimension)),
+                   coefs=np.zeros((0,) + (dimension,) * rank))
 
     @classmethod
     def constant(cls, dimension: int, valence, array) -> "PolyTensorField":
-        array = np.asarray(array, dtype=float)
-        f = cls.zeros(dimension, valence)
-        for idx in np.ndindex(f.comps.shape):
-            f.comps[idx] = PolyExpr.constant(dimension, float(array[idx]))
-        return f
+        return cls(dimension, valence, exps=np.zeros((1, dimension)),
+                   coefs=np.asarray(array, dtype=float)[None])
+
+    # -- layout -------------------------------------------------------
+
+    @property
+    def exps(self) -> np.ndarray:
+        """Exponent basis ``(m, d)`` in canonical order (read-only)."""
+        return self._exps
+
+    @property
+    def coefs(self) -> np.ndarray:
+        """Coefficient tensor ``(m, *shape)`` over ``exps`` (read-only)."""
+        return self._coefs
 
     @property
     def rank(self) -> int:
@@ -278,38 +336,66 @@ class PolyTensorField:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.comps.shape
+        return (self.dimension,) * self.rank
+
+    @property
+    def comps(self) -> np.ndarray:
+        """Read-only object array of per-component :class:`PolyExpr`,
+        rebuilt from the coefficient tensor on every access."""
+        out = np.empty(self.shape, dtype=object)
+        for idx in np.ndindex(self.shape):
+            out[idx] = PolyExpr(self.dimension, self._exps, self._coefs[(slice(None),) + idx])
+        out.flags.writeable = False
+        return out
 
     def degree(self) -> int:
-        return max((self.comps[idx].degree for idx in np.ndindex(self.shape)), default=0)
+        return int(self._exps.sum(axis=1).max(initial=0))
 
     # -- evaluation ---------------------------------------------------
 
+    def _jet_terms(self):
+        """Basis closed under one differentiation, with the coefficients of
+        the values and of every first partial over it, as one matrix
+        ``[C | d_1 C | ... | d_d C]`` of shape ``(m', (1 + d) * S)``.
+        Computed once per field."""
+        if self._jet_cache is None:
+            d, m = self.dimension, self._exps.shape[0]
+            flat = self._coefs.reshape(m, d ** self.rank)
+            # block k + 1 holds d_k: row e - e_k with coefficient e_k * C
+            # (rows with e_k = 0 carry zeros and are clipped to stay valid)
+            shifted = np.maximum(self._exps[None] - np.eye(d, dtype=np.int64)[:, None], 0)
+            exps = np.concatenate([self._exps[None], shifted]).reshape(-1, d)
+            weight = np.vstack([np.ones(m), self._exps.T])
+            coefs = np.zeros((d + 1, m, d + 1, flat.shape[1]))
+            coefs[np.arange(d + 1), :, np.arange(d + 1)] = weight[:, :, None] * flat
+            exps, coefs = _canonical_terms(exps, coefs.reshape((d + 1) * m, d + 1, flat.shape[1]))
+            self._jet_cache = (exps, coefs.reshape(exps.shape[0], (d + 1) * flat.shape[1]))
+        return self._jet_cache
+
     def values(self, pts: np.ndarray) -> np.ndarray:
-        return self.jets(pts)[0]
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        flat = self._coefs.reshape(self._exps.shape[0], self.dimension ** self.rank)
+        return (_basis_values(self._exps, pts) @ flat).reshape((pts.shape[0],) + self.shape)
 
     def jets(self, pts: np.ndarray):
-        """Values and gradients, memoized per points array.
+        """Values ``(n, *shape)`` and gradients ``(n, *shape, d)`` from one
+        basis evaluation and one matrix product.  Every call returns fresh
+        arrays."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        exps, table = self._jet_terms()
+        out = (_basis_values(exps, pts) @ table).reshape(
+            (pts.shape[0], self.dimension + 1) + self.shape
+        )
+        return out[:, 0], np.moveaxis(out[:, 1:], 1, -1)
 
-        Callers must treat the returned arrays as read-only; the cache is
-        keyed by array identity, so repeated sweeps over one sample set
-        evaluate each polynomial exactly once.
-        """
-        key = id(pts)
-        hit = self._eval_cache.get(key)
-        if hit is not None and hit[0] is pts:
-            return hit[1], hit[2]
-        pts_arr = np.atleast_2d(np.asarray(pts, dtype=float))
-        vals = np.empty((pts_arr.shape[0],) + self.shape)
-        grads = np.empty((pts_arr.shape[0],) + self.shape + (self.dimension,))
-        for idx in np.ndindex(self.shape):
-            v, g = self.comps[idx].jet(pts_arr)
-            vals[(slice(None),) + idx] = v
-            grads[(slice(None),) + idx] = g
-        if len(self._eval_cache) > 8:
-            self._eval_cache.clear()
-        self._eval_cache[key] = (pts, vals, grads)
-        return vals, grads
+    def gradient(self) -> "PolyTensorField":
+        """The valence ``(p, q + 1)`` field of first partials, derivative
+        index last: ``out[..., k] = d_k self[...]``."""
+        exps, table = self._jet_terms()
+        d = self.dimension
+        partials = table.reshape((exps.shape[0], d + 1) + self.shape)[:, 1:]
+        return PolyTensorField(d, (self.valence[0], self.valence[1] + 1), exps=exps,
+                               coefs=np.moveaxis(partials, 1, -1))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -322,25 +408,21 @@ class PolyTensorField:
                 f"vs {other.valence}@{other.dimension}"
             )
 
+    def _like(self, exps, coefs) -> "PolyTensorField":
+        return PolyTensorField(self.dimension, self.valence, exps=exps, coefs=coefs)
+
     def __add__(self, other):
         self._check_compatible(other)
-        out = np.empty_like(self.comps)
-        for idx in np.ndindex(self.shape):
-            out[idx] = self.comps[idx] + other.comps[idx]
-        return PolyTensorField(self.dimension, self.valence, out)
+        return self._like(np.vstack([self._exps, other._exps]),
+                          np.concatenate([self._coefs, other._coefs]))
 
     def __sub__(self, other):
         self._check_compatible(other)
-        out = np.empty_like(self.comps)
-        for idx in np.ndindex(self.shape):
-            out[idx] = self.comps[idx] - other.comps[idx]
-        return PolyTensorField(self.dimension, self.valence, out)
+        return self._like(np.vstack([self._exps, other._exps]),
+                          np.concatenate([self._coefs, -other._coefs]))
 
     def scale(self, c: float) -> "PolyTensorField":
-        out = np.empty_like(self.comps)
-        for idx in np.ndindex(self.shape):
-            out[idx] = self.comps[idx] * c
-        return PolyTensorField(self.dimension, self.valence, out)
+        return self._like(self._exps, self._coefs * float(c))
 
     def __neg__(self):
         return self.scale(-1.0)
@@ -348,7 +430,7 @@ class PolyTensorField:
     def transpose_02(self) -> "PolyTensorField":
         if self.valence != (0, 2):
             raise ShapeError("transpose_02 expects a (0,2) field")
-        return PolyTensorField(self.dimension, (0, 2), self.comps.T.copy())
+        return self._like(self._exps, np.swapaxes(self._coefs, 1, 2))
 
 
 def field_arith(a: PolyTensorField, b, op: str) -> PolyTensorField:
@@ -382,56 +464,64 @@ def eval_jet(field: PolyTensorField, point, domain: ChartDomain | None = None) -
     return out
 
 
-# -- small polynomial tensor algebra used to assemble structure fields ----
+# -- polynomial tensor algebra used to assemble structure fields ----------
+
+_BASIS_AXES = "ABCDEFGH"
+
+
+def poly_einsum(subscripts: str, *operands, valence) -> PolyTensorField:
+    """Einsum over component indices in which :class:`PolyTensorField`
+    operands multiply as polynomials and array operands act as constants.
+
+    ``subscripts`` names component indices only, in lower-case letters.
+    Each field operand adds its basis axis to one einsum over coefficient
+    tensors; the sums of the basis rows along those axes form the product
+    table, and the result is scatter-added onto its canonical union.  The
+    table has ``m1 * m2 * ...`` rows, so chain binary products instead of
+    multiplying many fields in one call.
+    """
+    inputs, output = subscripts.split("->")
+    specs, arrays, axes = [], [], ""
+    dimension, exps = None, None
+    for spec, op in zip(inputs.split(","), operands):
+        if isinstance(op, PolyTensorField):
+            if dimension is None:
+                dimension, exps = op.dimension, op.exps
+            elif op.dimension != dimension:
+                raise ShapeError("polynomial fields live on different charts")
+            else:
+                exps = (exps[:, None, :] + op.exps[None, :, :]).reshape(-1, dimension)
+            axes += _BASIS_AXES[len(axes)]
+            specs.append(axes[-1] + spec)
+            arrays.append(op.coefs)
+        else:
+            specs.append(spec)
+            arrays.append(np.asarray(op, dtype=float))
+    coefs = np.einsum(",".join(specs) + "->" + axes + output, *arrays)
+    return PolyTensorField(dimension, valence, exps=exps,
+                           coefs=coefs.reshape((exps.shape[0],) + coefs.shape[len(axes):]))
 
 
 def j_apply_vector(J: PolyTensorField, X: PolyTensorField) -> PolyTensorField:
     """(1,1) field applied to a vector field: ``(J X)^k = J^k_j X^j``."""
     if J.valence != (1, 1) or X.valence != (1, 0):
         raise ShapeError("j_apply_vector expects a (1,1) and a (1,0) field")
-    d = J.dimension
-    out = PolyTensorField.zeros(d, (1, 0))
-    for k in range(d):
-        out.comps[k] = PolyExpr.sum_of(d, [J.comps[k, j] * X.comps[j] for j in range(d)])
-    return out
+    return poly_einsum("kj,j->k", J, X, valence=(1, 0))
 
 
 def compose_11(A: PolyTensorField, B: PolyTensorField) -> PolyTensorField:
     """Composition of (1,1) fields: ``(A B)^k_j = A^k_m B^m_j``."""
-    d = A.dimension
-    out = PolyTensorField.zeros(d, (1, 1))
-    for k in range(d):
-        for j in range(d):
-            out.comps[k, j] = PolyExpr.sum_of(
-                d, [A.comps[k, m] * B.comps[m, j] for m in range(d)]
-            )
-    return out
+    return poly_einsum("km,mj->kj", A, B, valence=(1, 1))
 
 
 def bilinear_pullback_first(b: PolyTensorField, J: PolyTensorField) -> PolyTensorField:
     """(0,2) field with the first slot twisted: ``b(J.,.)_{ij} = J^k_i b_{kj}``."""
-    d = b.dimension
-    out = PolyTensorField.zeros(d, (0, 2))
-    for i in range(d):
-        for j in range(d):
-            out.comps[i, j] = PolyExpr.sum_of(
-                d, [J.comps[k, i] * b.comps[k, j] for k in range(d)]
-            )
-    return out
+    return poly_einsum("ki,kj->ij", J, b, valence=(0, 2))
 
 
 def bilinear_pullback_both(b: PolyTensorField, J: PolyTensorField) -> PolyTensorField:
     """(0,2) field with both slots twisted: ``b(J.,J.)_{ij} = J^k_i J^l_j b_{kl}``."""
-    d = b.dimension
-    out = PolyTensorField.zeros(d, (0, 2))
-    for i in range(d):
-        for j in range(d):
-            out.comps[i, j] = PolyExpr.sum_of(
-                d,
-                [J.comps[k, i] * J.comps[l, j] * b.comps[k, l]
-                 for k in range(d) for l in range(d)],
-            )
-    return out
+    return poly_einsum("il,lj->ij", bilinear_pullback_first(b, J), J, valence=(0, 2))
 
 
 def symmetrize_02(b: PolyTensorField) -> PolyTensorField:
@@ -439,7 +529,6 @@ def symmetrize_02(b: PolyTensorField) -> PolyTensorField:
 
 
 def scalar_times_field(f: PolyExpr, t: PolyTensorField) -> PolyTensorField:
-    out = np.empty_like(t.comps)
-    for idx in np.ndindex(t.shape):
-        out[idx] = f * t.comps[idx]
-    return PolyTensorField(t.dimension, t.valence, out)
+    idx = "abcdefgh"[: t.rank]
+    scalar = PolyTensorField(f.dimension, (0, 0), exps=f.exps, coefs=f.coefs)
+    return poly_einsum(f",{idx}->{idx}", scalar, t, valence=t.valence)

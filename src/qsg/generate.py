@@ -37,7 +37,15 @@ from .calculus import (
 )
 from .connections import conjugate_by_bilinear
 from .errors import GenerationError, SynthesisError
-from .fields import ChartDomain, PolyExpr, PolyTensorField, symmetrize_02
+from .fields import (
+    ChartDomain,
+    PolyExpr,
+    PolyTensorField,
+    bilinear_pullback_both,
+    compose_11,
+    poly_einsum,
+    symmetrize_02,
+)
 from .model import ChartModel, neutral_diagonal, standard_structure
 from .structures import (
     AlmostComplexStructure,
@@ -88,53 +96,16 @@ def random_poly(rng, dimension: int, degree: int, bound: float, nonconstant=Fals
 
 
 def random_poly_field(rng, dimension: int, valence, degree: int, bound: float) -> PolyTensorField:
-    out = PolyTensorField.zeros(dimension, valence)
-    for idx in np.ndindex(out.shape):
-        out.comps[idx] = random_poly(rng, dimension, degree, bound)
-    return out
+    """Every component a dense random polynomial; the draws come in the
+    order of one ``random_poly`` call per component, row major."""
+    exps = monomial_exponents(dimension, degree)
+    shape = (dimension,) * (valence[0] + valence[1])
+    coefs = rng.uniform(-bound, bound, size=shape + (exps.shape[0],))
+    return PolyTensorField(dimension, valence, exps=exps, coefs=np.moveaxis(coefs, -1, 0))
 
 
 def random_vector_field(rng, dimension: int, degree: int = 2, bound: float = 1.0) -> PolyTensorField:
     return random_poly_field(rng, dimension, (1, 0), degree, bound)
-
-
-# ---------------------------------------------------------------------------
-# polynomial matrix helpers (object arrays of PolyExpr, shape (d, d))
-
-
-def _poly_mat_const(dimension: int, array) -> np.ndarray:
-    out = np.empty((dimension, dimension), dtype=object)
-    for i in range(dimension):
-        for j in range(dimension):
-            out[i, j] = PolyExpr.constant(dimension, float(array[i, j]))
-    return out
-
-
-def _poly_mat_mul(a, b) -> np.ndarray:
-    d = a.shape[0]
-    out = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = PolyExpr.sum_of(d, [a[i, k] * b[k, j] for k in range(d)])
-    return out
-
-
-def _poly_mat_eye_plus(n_mat, sign=1.0) -> np.ndarray:
-    d = n_mat.shape[0]
-    out = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(d):
-            base = PolyExpr.constant(d, 1.0 if i == j else 0.0)
-            out[i, j] = base + n_mat[i, j] * sign
-    return out
-
-
-def _zero_poly_mat(dimension: int) -> np.ndarray:
-    out = np.empty((dimension, dimension), dtype=object)
-    for i in range(dimension):
-        for j in range(dimension):
-            out[i, j] = PolyExpr(dimension)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -160,28 +131,28 @@ def gen_almost_complex(spec: GenSpec, integrable: bool = False) -> AlmostComplex
     half = d // 2
     axes = rng.permutation(d)
     rows, cols = axes[:half], axes[half:]
-    n_mon = monomial_exponents(d, spec.degree).shape[0]
-    scale = 0.2 / max(1, n_mon)
+    exps = monomial_exponents(d, spec.degree)
+    scale = 0.2 / max(1, exps.shape[0])
 
-    u = _zero_poly_mat(d)
     if integrable:
+        # shear component i depends only on the complementary axes, so its
+        # Jacobian is supported on the (rows, cols) block
+        sub = monomial_exponents(len(cols), spec.degree + 1)
+        shear_exps = np.zeros((sub.shape[0], d), dtype=np.int64)
+        shear_exps[:, cols] = sub
+        shear = np.zeros((sub.shape[0], d))
         for i in rows:
-            # shear component depends only on the complementary axes
-            s = PolyExpr(d)
-            exps = monomial_exponents(len(cols), spec.degree + 1)
-            for e in exps:
-                full = np.zeros(d, dtype=np.int64)
-                full[cols] = e
-                s = s + PolyExpr(d, full[None, :], [rng.uniform(-scale, scale)])
-            for j in cols:
-                u[i, j] = s.diff(int(j))
+            shear[:, i] = rng.uniform(-scale, scale, size=sub.shape[0])
+        u = PolyTensorField(d, (1, 0), exps=shear_exps, coefs=shear).gradient()
     else:
+        coefs = np.zeros((exps.shape[0], d, d))
         for i in rows:
             for j in cols:
-                u[i, j] = random_poly(rng, d, spec.degree, scale)
+                coefs[:, i, j] = rng.uniform(-scale, scale, size=exps.shape[0])
+        u = PolyTensorField(d, (1, 1), exps=exps, coefs=coefs)
 
-    p = _poly_mat_eye_plus(u)
-    pinv = _poly_mat_eye_plus(u, sign=-1.0)
+    eye = PolyTensorField.constant(d, (1, 1), np.eye(d))
+    p, pinv = eye + u, eye - u
 
     # constant conjugation factor, resampled until well conditioned
     j0 = standard_structure(d)
@@ -193,18 +164,14 @@ def gen_almost_complex(spec: GenSpec, integrable: bool = False) -> AlmostComplex
         raise GenerationError("could not draw a well-conditioned constant frame factor")
     m0 = np.linalg.solve(q.T, (q @ j0).T).T  # q j0 q^{-1}
 
-    comps = _poly_mat_mul(_poly_mat_mul(p, _poly_mat_const(d, m0)), pinv)
-    jfield = PolyTensorField(d, (1, 1), comps)
-    structure = AlmostComplexStructure(jfield)
+    jfield = compose_11(poly_einsum("km,mj->kj", p, m0, valence=(1, 1)), pinv)
     # exact polynomial frame C = P Q with polynomial inverse Q^{-1} P^{-1};
     # the produced field satisfies J = C J0 C^{-1}
-    structure.frame = PolyTensorField(
-        d, (1, 1), _poly_mat_mul(p, _poly_mat_const(d, q))
+    return AlmostComplexStructure(
+        jfield,
+        frame=poly_einsum("km,mj->kj", p, q, valence=(1, 1)),
+        frame_inv=poly_einsum("km,mj->kj", np.linalg.inv(q), pinv, valence=(1, 1)),
     )
-    structure.frame_inv = PolyTensorField(
-        d, (1, 1), _poly_mat_mul(_poly_mat_const(d, np.linalg.inv(q)), pinv)
-    )
-    return structure
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +193,22 @@ def gen_hermitian_metric(spec: GenSpec, J: AlmostComplexStructure,
     term controls nondegeneracy).  Averaging over the structure in the
     constant frame keeps polynomial degrees bounded by
     ``spec.degree + 2 deg(frame)``.
+
+    The determinant floor holds on the generator's probe points and on
+    ``probe_pts``, where the caller evaluates (it is not checked elsewhere).
     """
     d = spec.dimension
     rng = sampling.rng(spec.seed, T_G, d)
-    if probe_pts is None:
-        probe_pts = sampling.sample_box([(-0.5, 0.5)] * d, 25, spec.seed, T_G, d, 1)
+    probe = _probe_points(spec, T_G, probe_pts)
     frame_inv = _frame_inv(J)
     j0 = standard_structure(d)
     r = symmetrize_02(random_poly_field(rng, d, (0, 2), spec.degree, 0.3 * spec.coef_bound))
-    pure = _congruent_form_poly(r + _const_pullback_both(r, j0), frame_inv)
+    pure = _congruent_form(r + _const_pullback_both(r, j0), frame_inv)
     base = _congruent_form(2.0 * np.eye(d), frame_inv)
     c = 0.5
     for _ in range(10):
         g = pure + base.scale(c)
-        if _det_floor_ok(g, probe_pts, det_floor):
+        if _det_floor_ok(g, probe, det_floor):
             return MetricField(g, flavor="hermitian")
         c *= 2.0
     raise GenerationError("could not reach a nondegenerate Hermitian metric")
@@ -253,75 +222,48 @@ def gen_norden_metric(spec: GenSpec, J: AlmostComplexStructure,
     polynomial form back through the inverse frame and h0 is the
     alternating-sign diagonal in that frame (the canonical neutral pure
     form, guaranteeing nondegeneracy and the (n, n) signature when S is
-    small enough).
+    small enough).  Probe points as for Hermitian metrics.
     """
     d = spec.dimension
     rng = sampling.rng(spec.seed, T_H, d)
-    if probe_pts is None:
-        probe_pts = sampling.sample_box([(-0.5, 0.5)] * d, 25, spec.seed, T_H, d, 1)
+    probe = _probe_points(spec, T_H, probe_pts)
     frame_inv = _frame_inv(J)
     j0 = standard_structure(d)
     base = _congruent_form(neutral_diagonal(d), frame_inv)
     scale = 0.3 * spec.coef_bound
     for _ in range(10):
         s = symmetrize_02(random_poly_field(rng, d, (0, 2), spec.degree, scale))
-        h = base + _congruent_form_poly(s - _const_pullback_both(s, j0), frame_inv)
-        if _det_floor_ok(h, probe_pts, det_floor) and _neutral_signature(h, probe_pts):
+        h = base + _congruent_form(s - _const_pullback_both(s, j0), frame_inv)
+        if _det_floor_ok(h, probe, det_floor) and _neutral_signature(h, probe):
             return MetricField(h, flavor="norden")
         scale *= 0.5
     raise GenerationError("could not reach a nondegenerate neutral Norden metric")
 
 
+def _probe_points(spec: GenSpec, tag: int, extra) -> np.ndarray:
+    d = spec.dimension
+    probe = sampling.sample_box([(-0.5, 0.5)] * d, 25, spec.seed, tag, d, 1)
+    return probe if extra is None else np.vstack([probe, extra])
+
+
 def _frame_inv(J: AlmostComplexStructure) -> PolyTensorField:
-    frame_inv = getattr(J, "frame_inv", None)
-    if frame_inv is None:
+    if J.frame_inv is None:
         # constant-structure fallback: the identity frame
-        d = J.dimension
-        return PolyTensorField.constant(d, (1, 1), np.eye(d))
-    return frame_inv
+        return PolyTensorField.constant(J.dimension, (1, 1), np.eye(J.dimension))
+    return J.frame_inv
 
 
 def _const_pullback_both(b: PolyTensorField, const_j: np.ndarray) -> PolyTensorField:
     """b(Q., Q.) for a constant matrix Q: cheap, degree-preserving."""
-    d = b.dimension
-    out = PolyTensorField.zeros(d, (0, 2))
-    for i in range(d):
-        for j in range(d):
-            out.comps[i, j] = PolyExpr.sum_of(
-                d,
-                [b.comps[a, c] * (const_j[a, i] * const_j[c, j])
-                 for a in range(d) for c in range(d)
-                 if const_j[a, i] * const_j[c, j] != 0.0],
-            )
-    return out
+    return poly_einsum("ac,ai,cj->ij", b, const_j, const_j, valence=(0, 2))
 
 
-def _congruent_form(const_form: np.ndarray, frame_inv: PolyTensorField) -> PolyTensorField:
-    """(C^{-1})^a_i (C^{-1})^b_j e_{ab} as an exact polynomial field."""
-    d = frame_inv.dimension
-    out = PolyTensorField.zeros(d, (0, 2))
-    for i in range(d):
-        for j in range(d):
-            out.comps[i, j] = PolyExpr.sum_of(
-                d,
-                [frame_inv.comps[a, i] * frame_inv.comps[b, j] * const_form[a, b]
-                 for a in range(d) for b in range(d) if const_form[a, b] != 0.0],
-            )
-    return out
-
-
-def _congruent_form_poly(form: PolyTensorField, frame_inv: PolyTensorField) -> PolyTensorField:
-    """form(C^{-1}., C^{-1}.) for a polynomial form."""
-    d = frame_inv.dimension
-    out = PolyTensorField.zeros(d, (0, 2))
-    for i in range(d):
-        for j in range(d):
-            out.comps[i, j] = PolyExpr.sum_of(
-                d,
-                [frame_inv.comps[a, i] * frame_inv.comps[b, j] * form.comps[a, b]
-                 for a in range(d) for b in range(d) if not form.comps[a, b].is_zero()],
-            )
-    return out
+def _congruent_form(form, frame_inv: PolyTensorField) -> PolyTensorField:
+    """form(C^{-1}., C^{-1}.) = (C^{-1})^a_i (C^{-1})^b_j form_{ab} as an exact
+    polynomial field; ``form`` is a constant matrix or a (0,2) field."""
+    if not isinstance(form, PolyTensorField):
+        form = PolyTensorField.constant(frame_inv.dimension, (0, 2), form)
+    return bilinear_pullback_both(form, frame_inv)
 
 
 def _neutral_signature(h: PolyTensorField, pts) -> bool:
@@ -363,9 +305,11 @@ def gen_constant_structure_model(spec: GenSpec, flavor: str = "hermitian",
     else:
         raise GenerationError(f"unknown flavor {flavor!r}")
     bmat = qinv.T @ b0 @ qinv
-    J = AlmostComplexStructure(PolyTensorField.constant(d, (1, 1), jmat))
-    J.frame = PolyTensorField.constant(d, (1, 1), q)
-    J.frame_inv = PolyTensorField.constant(d, (1, 1), qinv)
+    J = AlmostComplexStructure(
+        PolyTensorField.constant(d, (1, 1), jmat),
+        frame=PolyTensorField.constant(d, (1, 1), q),
+        frame_inv=PolyTensorField.constant(d, (1, 1), qinv),
+    )
     metric = MetricField(PolyTensorField.constant(d, (0, 2), bmat), flavor=flavor)
     return ChartModel(domain=ChartDomain.cube(d, half_width), metric=metric, J=J, conn=None)
 
@@ -387,19 +331,9 @@ def gen_vishnevskii_zero_connection(spec: GenSpec, J: AlmostComplexStructure) ->
     jmat = J.values(np.zeros((1, d)))[0]
     rng = sampling.rng(spec.seed, T_C, d, 3)
     raw = random_poly_field(rng, d, (1, 2), spec.degree, spec.coef_bound)
-    out = PolyTensorField.zeros(d, (1, 2))
     # for each argument index j, project the (k, i)-matrix onto the commutant
-    for j in range(d):
-        for k in range(d):
-            for i in range(d):
-                out.comps[k, i, j] = PolyExpr.sum_of(
-                    d,
-                    [raw.comps[k, i, j] * 0.5]
-                    + [raw.comps[a, b, j] * (-0.5 * jmat[k, a] * jmat[b, i])
-                       for a in range(d) for b in range(d)
-                       if jmat[k, a] * jmat[b, i] != 0.0],
-                )
-    return PolyConnection(out)
+    twisted = poly_einsum("ka,abj,bi->kij", jmat, raw, jmat, valence=(1, 2))
+    return PolyConnection((raw - twisted).scale(0.5))
 
 
 def gen_kahler_model(spec: GenSpec, half_width: float = 0.5) -> ChartModel:
@@ -439,63 +373,23 @@ def gen_kahler_model(spec: GenSpec, half_width: float = 0.5) -> ChartModel:
 def j_conjugate_poly(gamma: PolyTensorField, J: AlmostComplexStructure) -> PolyTensorField:
     """Structure conjugation of polynomial symbols, exactly:
     gamma'^k_{ij} = -J^k_m (d_i J^m_j + gamma^m_{il} J^l_j)."""
-    d = gamma.dimension
     jf = J.field
-    out = PolyTensorField.zeros(d, (1, 2))
-    inner = {}
-    for m in range(d):
-        for i in range(d):
-            for j in range(d):
-                inner[m, i, j] = PolyExpr.sum_of(
-                    d,
-                    [jf.comps[m, j].diff(i)]
-                    + [gamma.comps[m, i, l] * jf.comps[l, j] for l in range(d)],
-                )
-    for k in range(d):
-        for i in range(d):
-            for j in range(d):
-                out.comps[k, i, j] = -PolyExpr.sum_of(
-                    d, [jf.comps[k, m] * inner[m, i, j] for m in range(d)]
-                )
-    return out
+    inner = (poly_einsum("mji->mij", jf.gradient(), valence=(1, 2))
+             + poly_einsum("mil,lj->mij", gamma, jf, valence=(1, 2)))
+    return -poly_einsum("km,mij->kij", jf, inner, valence=(1, 2))
 
 
 def torsion_project_poly(t: PolyTensorField, J: AlmostComplexStructure) -> PolyTensorField:
     """Idempotent projector onto structure-invariant torsions:
     P(T)(X, Y) = (T(X, Y) + T(JX, JY)) / 2."""
-    d = t.dimension
     jf = J.field
-    out = PolyTensorField.zeros(d, (1, 2))
-    for k in range(d):
-        for i in range(d):
-            for j in range(d):
-                out.comps[k, i, j] = PolyExpr.sum_of(
-                    d,
-                    [t.comps[k, i, j]]
-                    + [t.comps[k, a, b] * jf.comps[a, i] * jf.comps[b, j]
-                       for a in range(d) for b in range(d)],
-                ) * 0.5
-    return out
+    first = poly_einsum("kab,ai->kib", t, jf, valence=(1, 2))
+    return (t + poly_einsum("kib,bj->kij", first, jf, valence=(1, 2))).scale(0.5)
 
 
-def _symmetrize_12(t: PolyTensorField) -> PolyTensorField:
-    d = t.dimension
-    out = PolyTensorField.zeros(d, (1, 2))
-    for k in range(d):
-        for i in range(d):
-            for j in range(d):
-                out.comps[k, i, j] = (t.comps[k, i, j] + t.comps[k, j, i]) * 0.5
-    return out
-
-
-def _antisymmetrize_12(t: PolyTensorField) -> PolyTensorField:
-    d = t.dimension
-    out = PolyTensorField.zeros(d, (1, 2))
-    for k in range(d):
-        for i in range(d):
-            for j in range(d):
-                out.comps[k, i, j] = (t.comps[k, i, j] - t.comps[k, j, i]) * 0.5
-    return out
+def _symmetrize_12(t: PolyTensorField, sign: float = 1.0) -> PolyTensorField:
+    """(T_kij + sign T_kji) / 2; ``sign=-1`` antisymmetrizes."""
+    return (t + poly_einsum("kji->kij", t, valence=(1, 2)).scale(sign)).scale(0.5)
 
 
 def gen_connection(spec: GenSpec, J: AlmostComplexStructure | None = None,
@@ -533,7 +427,7 @@ def gen_connection(spec: GenSpec, J: AlmostComplexStructure | None = None,
         return PolyConnection(j_conjugate_poly(_symmetrize_12(raw), J))
     if constraint == "j_invariant_torsion":
         _require(J, "j_invariant_torsion needs an almost complex structure")
-        t = _antisymmetrize_12(raw).scale(2.0)
+        t = _symmetrize_12(raw, -1.0).scale(2.0)
         projected = torsion_project_poly(t, J)
         return PolyConnection(_symmetrize_12(raw) + projected.scale(0.5))
     if constraint in ("quasi_statistical_g", "quasi_statistical_h"):
@@ -707,12 +601,9 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
     delta = _lstsq(rows, rhs - rows @ c0)
     coefs = c0 + delta
 
-    field = PolyTensorField.zeros(d, (1, 2))
-    coefs_shaped = coefs.reshape(r_sym, exps.shape[0])
-    for r in range(r_sym):
-        idx = np.unravel_index(r, (d, d, d))
-        field.comps[idx] = PolyExpr(d, exps, coefs_shaped[r])
-    conn = PolyConnection(field)
+    conn = PolyConnection(PolyTensorField(
+        d, (1, 2), exps=exps, coefs=np.moveaxis(coefs.reshape(d, d, d, k), -1, 0)
+    ))
 
     per = {
         name: float(np.abs(fns[name](conn, pts_out)).max())

@@ -213,11 +213,6 @@ def _slot3(a, jv):
     return np.einsum("nija,nak->nijk", a, jv)
 
 
-def _lower(a, bv):
-    """b(A(x_i, x_j), x_l) for (1,2) arrays."""
-    return np.einsum("nkij,nkl->nijl", a, bv)
-
-
 # ---------------------------------------------------------------------------
 # per-trial cached data
 
@@ -347,7 +342,7 @@ class SectionContext:
         if trial not in self._hermitian:
             spec = self.spec(trial, 1)
             J = gen_almost_complex(spec)
-            g = gen_hermitian_metric(spec, J)
+            g = gen_hermitian_metric(spec, J, probe_pts=self.points(trial))
             conn = PolyConnection(
                 random_poly_field(self.rng(trial, 2), self.dim, (1, 2), self.degree, 1.0)
             )
@@ -362,7 +357,7 @@ class SectionContext:
         if trial not in self._norden:
             spec = self.spec(trial, 3)
             J = gen_almost_complex(spec)
-            h = gen_norden_metric(spec, J)
+            h = gen_norden_metric(spec, J, probe_pts=self.points(trial))
             conn = PolyConnection(
                 random_poly_field(self.rng(trial, 4), self.dim, (1, 2), self.degree, 1.0)
             )
@@ -391,36 +386,53 @@ class SectionContext:
 # entry assembly helpers
 
 
+def _worst(residuals) -> float:
+    """Largest residual, NaN if any is NaN (``max`` skips a NaN or not
+    depending on where it sits in the list); 0.0 for none."""
+    return float(np.max(residuals)) if len(residuals) else 0.0
+
+
 def _identity_entry(prop_id, dim, trials, residuals, tol, notes=""):
-    r = max(residuals) if residuals else 0.0
+    r = _worst(residuals)
     return EntryResult(
         prop_id=prop_id, dim=dim, direction="identity", trials=len(residuals),
-        max_residual=float(r), tolerance=tol,
+        max_residual=r, tolerance=tol,
         status="pass" if r <= tol else "fail", notes=notes,
     )
 
 
 def _witness_entry(prop_id, dim, results, tol, hyp_tol=None, direction="witness", notes=""):
     """results: list of (hyp_residual, conclusion_residual); hypothesis
-    failures downgrade to witness-unavailable instead of fail."""
+    failures downgrade to witness-unavailable instead of fail, but a
+    non-finite residual anywhere fails the entry over all trials."""
     hyp_tol = TOLERANCES["hypothesis"] if hyp_tol is None else hyp_tol
-    usable = [(h, c) for h, c in results if h <= hyp_tol]
-    if not usable:
-        worst_h = max((h for h, _ in results), default=0.0)
+    res = np.asarray(results, dtype=float).reshape(-1, 2)
+    finite = bool(np.all(np.isfinite(res)))
+    usable = res[res[:, 0] <= hyp_tol] if finite else res
+    if not len(usable):
         return EntryResult(
             prop_id=prop_id, dim=dim, direction=direction, trials=len(results),
             max_residual=0.0, tolerance=tol, status="witness-unavailable",
-            hyp_residual=float(worst_h),
+            hyp_residual=_worst(res[:, 0]),
             notes=(notes + " no witness met the hypothesis tolerance").strip(),
         )
-    worst_c = max(c for _, c in usable)
-    worst_h = max(h for h, _ in usable)
+    worst_c = _worst(usable[:, 1])
     return EntryResult(
         prop_id=prop_id, dim=dim, direction=direction, trials=len(results),
-        max_residual=float(worst_c), tolerance=tol,
-        status="pass" if worst_c <= tol else "fail",
-        hyp_residual=float(worst_h), notes=notes,
+        max_residual=worst_c, tolerance=tol,
+        status="pass" if finite and worst_c <= tol else "fail",
+        hyp_residual=_worst(usable[:, 0]),
+        notes=notes if finite else (notes + " non-finite residual").strip(),
     )
+
+
+def _fold_identity(entry: EntryResult, residuals, tol):
+    """Merge identity residuals into a witness entry: the maximum covers
+    both, and a failing or non-finite identity fails the entry."""
+    worst = _worst(residuals)
+    entry.max_residual = _worst([entry.max_residual, worst])
+    if not worst <= tol:
+        entry.status = "fail"
 
 
 def _pro3_correction_h(td: TrialData, ops: tuple):
@@ -660,10 +672,7 @@ def verify_section3(ctx: SectionContext) -> list:
             r_shift_w if k == "v" else r_shift_g)
         base = _witness_entry(f"pro3.{k}", ctx.dim, pro3_results[k],
                               TOLERANCES["conclusion"], notes=labels[k])
-        ident_max = max(ident_part)
-        base.max_residual = max(base.max_residual, ident_max)
-        if ident_max > toli:
-            base.status = "fail"
+        _fold_identity(base, ident_part, toli)
         if k in ("i", "ii"):
             # the hypothesis-on-the-conjugate reading stays O(1) on the
             # same witnesses, so the stated placement is the working one
@@ -753,10 +762,7 @@ def verify_section3(ctx: SectionContext) -> list:
                                     ansatz_degree=2, seed=ctx._sub_seed(0, 23))
         lem3_contra_ok = sr0.residual > TOLERANCES["negative"]
     cyc_entry = _witness_entry("sec3.cyclic", ctx.dim, res_cyc, TOLERANCES["conclusion"])
-    ident_max = max(r_shift_g)
-    cyc_entry.max_residual = max(cyc_entry.max_residual, ident_max)
-    if ident_max > tolk:
-        cyc_entry.status = "fail"
+    _fold_identity(cyc_entry, r_shift_g, tolk)
     out.append(cyc_entry)
     lem3_entry = _witness_entry(
         "lem3", ctx.dim, res_lem3, TOLERANCES["conclusion"],
@@ -937,10 +943,7 @@ def verify_section4(ctx: SectionContext) -> list:
             r_shift_hb if k == "v" else r_shift_h)
         e = _witness_entry(f"antipro3.{k}", ctx.dim, anti_results[k],
                            TOLERANCES["conclusion"])
-        ident_max = max(ident_part)
-        e.max_residual = max(e.max_residual, ident_max)
-        if ident_max > toli:
-            e.status = "fail"
+        _fold_identity(e, ident_part, toli)
         out.append(e)
 
     # pro12: twin/metric structure-conjugation swaps
@@ -1003,10 +1006,7 @@ def verify_section4(ctx: SectionContext) -> list:
         hyp = zero_res(wd.d_metric((), "metric"))
         res_14w.append((hyp, _pro14_conditional_residual(wd)))
     e14 = _witness_entry("pro14", ctx.dim, res_14w, TOLERANCES["strict_conclusion"])
-    ident_max = max(r14)
-    e14.max_residual = max(e14.max_residual, ident_max)
-    if ident_max > toli:
-        e14.status = "fail"
+    _fold_identity(e14, r14, toli)
     out.append(e14)
 
     # teo5: on jointly closed witnesses the holomorphicity operator equals

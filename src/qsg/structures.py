@@ -36,9 +36,16 @@ PURITY_TOL = 1e-8
 
 @dataclass
 class AlmostComplexStructure:
-    """A (1,1) field squaring to minus the identity."""
+    """A (1,1) field squaring to minus the identity.
+
+    Generated structures also carry an exact polynomial frame ``C`` with
+    polynomial inverse, such that ``J = C J0 C^{-1}`` for the constant block
+    structure ``J0``; structures read from model files have none.
+    """
 
     field: PolyTensorField
+    frame: PolyTensorField | None = None
+    frame_inv: PolyTensorField | None = None
 
     def __post_init__(self):
         if self.field.valence != (1, 1):

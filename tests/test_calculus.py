@@ -39,10 +39,9 @@ def test_bracket_hand_example():
     # X = (y, 0), Y = (0, x): [X, Y] = (-x, y)
     x = PolyExpr.coordinate(2, 0)
     y = PolyExpr.coordinate(2, 1)
-    X = PolyTensorField.zeros(2, (1, 0))
-    X.comps[0] = y
-    Y = PolyTensorField.zeros(2, (1, 0))
-    Y.comps[1] = x
+    zero = PolyExpr(2)
+    X = PolyTensorField(2, (1, 0), np.array([y, zero], dtype=object))
+    Y = PolyTensorField(2, (1, 0), np.array([zero, x], dtype=object))
     br = lie_bracket(X, Y)
     p = pts2()
     assert np.allclose(br.values(p), np.stack([-p[:, 0], p[:, 1]], axis=1), atol=0)
@@ -72,11 +71,13 @@ def test_torsion_examples():
     assert np.abs(torsion_values(PolyConnection.zero(2), p)).max() == 0.0
     rng = sampling.rng(12, 0)
     raw = random_poly_field(rng, 2, (1, 2), 2, 1.0)
-    sym = PolyTensorField.zeros(2, (1, 2))
+    raw_comps = raw.comps
+    sym_comps = np.empty((2, 2, 2), dtype=object)
     for k in range(2):
         for i in range(2):
             for j in range(2):
-                sym.comps[k, i, j] = (raw.comps[k, i, j] + raw.comps[k, j, i]) * 0.5
+                sym_comps[k, i, j] = (raw_comps[k, i, j] + raw_comps[k, j, i]) * 0.5
+    sym = PolyTensorField(2, (1, 2), sym_comps)
     assert np.abs(torsion_values(PolyConnection(sym), p)).max() <= 1e-15
     gam = np.zeros((2, 2, 2))
     gam[0, 0, 1] = 1.0
@@ -146,9 +147,10 @@ def test_levi_civita_flat_identity():
 def test_levi_civita_hand_example():
     # b = diag(1 + x^2, 1): the only nonzero symbol is x / (1 + x^2) in the
     # first slot triple
-    b = PolyTensorField.zeros(2, (0, 2))
-    b.comps[0, 0] = PolyExpr.from_terms(2, [([0, 0], 1.0), ([2, 0], 1.0)])
-    b.comps[1, 1] = PolyExpr.constant(2, 1.0)
+    b_comps = PolyTensorField.zeros(2, (0, 2)).comps.copy()
+    b_comps[0, 0] = PolyExpr.from_terms(2, [([0, 0], 1.0), ([2, 0], 1.0)])
+    b_comps[1, 1] = PolyExpr.constant(2, 1.0)
+    b = PolyTensorField(2, (0, 2), b_comps)
     p = pts2()
     gam = levi_civita(b).gammas(p)
     x = p[:, 0]
@@ -165,9 +167,10 @@ def test_levi_civita_requires_symmetric():
 
 
 def test_levi_civita_degenerate_metric_reports_point():
-    b = PolyTensorField.zeros(2, (0, 2))
-    b.comps[0, 0] = PolyExpr.coordinate(2, 0)  # determinant vanishes at x = 0
-    b.comps[1, 1] = PolyExpr.constant(2, 1.0)
+    b_comps = PolyTensorField.zeros(2, (0, 2)).comps.copy()
+    b_comps[0, 0] = PolyExpr.coordinate(2, 0)  # determinant vanishes at x = 0
+    b_comps[1, 1] = PolyExpr.constant(2, 1.0)
+    b = PolyTensorField(2, (0, 2), b_comps)
     with pytest.raises(DegeneracyError) as err:
         levi_civita(b).gammas(np.array([[0.3, 0.1], [0.0, 0.2]]))
     assert err.value.point == (0.0, 0.2)
@@ -197,9 +200,10 @@ def _coordinate_three_form_oracle(w, pts):
 
 
 def test_exterior_d2_componentwise_oracle():
-    w = PolyTensorField.zeros(4, (0, 2))
-    w.comps[0, 1] = PolyExpr.coordinate(4, 2)
-    w.comps[1, 0] = -PolyExpr.coordinate(4, 2)
+    w_comps = PolyTensorField.zeros(4, (0, 2)).comps.copy()
+    w_comps[0, 1] = PolyExpr.coordinate(4, 2)
+    w_comps[1, 0] = -PolyExpr.coordinate(4, 2)
+    w = PolyTensorField(4, (0, 2), w_comps)
     p = pts4()
     got = exterior_d2(w).values(p)
     assert np.allclose(got, _coordinate_three_form_oracle(w, p), atol=1e-14)

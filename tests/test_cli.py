@@ -193,3 +193,17 @@ def test_invalid_threads_env(capsys, monkeypatch, flat_model_path):
     code, _, err = run_cli(capsys, "check", flat_model_path, "--predicates", "kahler")
     assert code == 2
     assert "QSG_THREADS" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["check", "MODEL", "--predicates", "kahler", "--samples", "0"], "--samples"),
+    (["check", "MODEL", "--predicates", "kahler", "--samples", "-3"], "--samples"),
+    (["verify", "--dims", "2", "--trials", "0"], "--trials"),
+    (["synthesize", "MODEL", "--constraints", "torsion_free", "--degree", "-1"], "--degree"),
+], ids=["samples-zero", "samples-negative", "trials-zero", "degree-negative"])
+def test_bad_count_exits_2_with_message(capsys, flat_model_path, argv, option):
+    argv = [flat_model_path if a == "MODEL" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert option in err and "at least" in err
+    assert out == ""

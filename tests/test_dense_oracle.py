@@ -1,0 +1,244 @@
+"""Exact oracle for the dense field kernels.
+
+Inputs are small polynomials with integer coefficients, and evaluation
+points are dyadic rationals, so every float the kernels produce is exactly
+representable: each result must equal the rational-arithmetic value.  The
+expected values are written as explicit loops over sympy polynomials, not
+through the einsum index strings under test.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from qsg import sampling
+from qsg.calculus import lie_bracket
+from qsg.fields import (
+    PolyExpr,
+    PolyTensorField,
+    bilinear_pullback_both,
+    bilinear_pullback_first,
+    compose_11,
+    j_apply_vector,
+    scalar_times_field,
+)
+from qsg.generate import (
+    T_C,
+    GenSpec,
+    _congruent_form,
+    _const_pullback_both,
+    _symmetrize_12,
+    gen_vishnevskii_zero_connection,
+    j_conjugate_poly,
+    monomial_exponents,
+    random_poly_field,
+    torsion_project_poly,
+)
+from qsg.model import standard_structure
+from qsg.structures import AlmostComplexStructure
+
+DIMS = (2, 4)
+
+
+def gens(d):
+    return sympy.symbols(f"x0:{d}")
+
+
+def to_sympy(p: PolyExpr, d):
+    terms = {tuple(e): sympy.Rational(c) for e, c in p.terms()}
+    return sympy.Poly.from_dict(terms or {(0,) * d: 0}, *gens(d), domain="QQ")
+
+
+def int_field(rng, d, valence, degree=2, terms=3):
+    """Random field with small integer coefficients, plus the same
+    components as exact sympy polynomials."""
+    shape = (d,) * (valence[0] + valence[1])
+    basis = monomial_exponents(d, degree)
+    comps = np.empty(shape, dtype=object)
+    exact = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        rows = basis[rng.choice(len(basis), size=terms, replace=False)]
+        comps[idx] = PolyExpr(d, rows, rng.integers(-3, 4, size=terms).astype(float))
+        exact[idx] = to_sympy(comps[idx], d)
+    return PolyTensorField(d, valence, comps), exact
+
+
+def int_matrix(rng, d):
+    return rng.integers(-2, 3, size=(d, d)).astype(float)
+
+
+def const_poly(c, d):
+    return sympy.Poly(sympy.Rational(float(c)), *gens(d), domain="QQ")
+
+
+def assert_exact(field, expected, rel=0.0):
+    """Every coefficient of every component equals the rational one (to
+    ``rel`` relative when the inputs carry non-integer floats)."""
+    assert field.shape == expected.shape
+    comps = field.comps
+    for idx in np.ndindex(field.shape):
+        got = {tuple(e): sympy.Rational(c) for e, c in comps[idx].terms()}
+        want = {m: c for m, c in expected[idx].terms() if c != 0}
+        if rel == 0.0:
+            assert got == want, idx
+        else:
+            for m in set(got) | set(want):
+                g, w = got.get(m, 0), want.get(m, 0)
+                assert abs(float(g - w)) <= rel * abs(float(w)), (idx, m)
+
+
+def zeros_like(shape, d):
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        out[idx] = const_poly(0, d)
+    return out
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_jets_exact_at_dyadic_points(d):
+    rng = np.random.default_rng(10 + d)
+    pts = rng.integers(-4, 5, size=(6, d)) / 8.0
+    for valence in ((1, 0), (1, 1), (0, 2), (1, 2)):
+        field, exact = int_field(rng, d, valence, degree=3, terms=4)
+        vals, grads = field.jets(pts)
+        xs = gens(d)
+        for n, pt in enumerate(pts):
+            at = dict(zip(xs, (sympy.Rational(float(c)) for c in pt)))
+            for idx in np.ndindex(field.shape):
+                poly = exact[idx]
+                assert sympy.Rational(float(vals[(n,) + idx])) == poly.eval(at)
+                for k in range(d):
+                    got = sympy.Rational(float(grads[(n,) + idx + (k,)]))
+                    assert got == poly.diff(xs[k]).eval(at)
+        assert np.array_equal(field.values(pts), vals)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_linear_helpers_exact(d):
+    rng = np.random.default_rng(20 + d)
+    a, ea = int_field(rng, d, (0, 2))
+    b, eb = int_field(rng, d, (0, 2))
+    assert_exact(a + b, ea + eb)
+    assert_exact(a - b, ea - eb)
+    assert_exact(a - a, zeros_like(a.shape, d))
+    half = const_poly(0.5, d)
+    assert_exact(a.scale(0.5), ea * half)
+    assert_exact(a.scale(-3.0), ea * const_poly(-3.0, d))
+    assert_exact(a.transpose_02(), ea.T)
+    f, ef = int_field(rng, d, (0, 0))
+    t, et = int_field(rng, d, (1, 1))
+    assert_exact(scalar_times_field(f.comps[()], t), et * ef[()])
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_matrix_products_exact(d):
+    rng = np.random.default_rng(30 + d)
+    A, eA = int_field(rng, d, (1, 1))
+    B, eB = int_field(rng, d, (1, 1))
+    X, eX = int_field(rng, d, (1, 0))
+    b, eb = int_field(rng, d, (0, 2))
+    r = range(d)
+    comp = zeros_like((d, d), d)
+    first = zeros_like((d, d), d)
+    both = zeros_like((d, d), d)
+    jx = zeros_like((d,), d)
+    for k, j, m in itertools.product(r, r, r):
+        comp[k, j] += eA[k, m] * eB[m, j]
+        first[k, j] += eA[m, k] * eb[m, j]
+    for i, j, k, l in itertools.product(r, r, r, r):
+        both[i, j] += eA[k, i] * eA[l, j] * eb[k, l]
+    for k, j in itertools.product(r, r):
+        jx[k] += eA[k, j] * eX[j]
+    assert_exact(compose_11(A, B), comp)
+    assert_exact(bilinear_pullback_first(b, A), first)
+    assert_exact(bilinear_pullback_both(b, A), both)
+    assert_exact(j_apply_vector(A, X), jx)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_lie_bracket_exact(d):
+    rng = np.random.default_rng(40 + d)
+    X, eX = int_field(rng, d, (1, 0))
+    Y, eY = int_field(rng, d, (1, 0))
+    xs = gens(d)
+    want = zeros_like((d,), d)
+    for i, j in itertools.product(range(d), range(d)):
+        want[i] += eX[j] * eY[i].diff(xs[j]) - eY[j] * eX[i].diff(xs[j])
+    assert_exact(lie_bracket(X, Y), want)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_congruence_helpers_exact(d):
+    rng = np.random.default_rng(50 + d)
+    b, eb = int_field(rng, d, (0, 2))
+    F, eF = int_field(rng, d, (1, 1))
+    q = int_matrix(rng, d)
+    e = int_matrix(rng, d)
+    r = range(d)
+    pull = zeros_like((d, d), d)
+    cong_const = zeros_like((d, d), d)
+    cong_poly = zeros_like((d, d), d)
+    for i, j, a, c in itertools.product(r, r, r, r):
+        pull[i, j] += eb[a, c] * const_poly(q[a, i] * q[c, j], d)
+        cong_const[i, j] += eF[a, i] * eF[c, j] * const_poly(e[a, c], d)
+        cong_poly[i, j] += eF[a, i] * eF[c, j] * eb[a, c]
+    assert_exact(_const_pullback_both(b, q), pull)
+    assert_exact(_congruent_form(e, F), cong_const)
+    assert_exact(_congruent_form(b, F), cong_poly)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_connection_recipes_exact(d):
+    rng = np.random.default_rng(60 + d)
+    g, eg = int_field(rng, d, (1, 2))
+    jf, ej = int_field(rng, d, (1, 1))
+    J = AlmostComplexStructure(jf)
+    xs = gens(d)
+    r = range(d)
+    conj = zeros_like((d, d, d), d)
+    proj = zeros_like((d, d, d), d)
+    sym = zeros_like((d, d, d), d)
+    anti = zeros_like((d, d, d), d)
+    half = const_poly(0.5, d)
+    for k, i, j in itertools.product(r, r, r):
+        for m in r:
+            inner = ej[m, j].diff(xs[i])
+            for l in r:
+                inner += eg[m, i, l] * ej[l, j]
+            conj[k, i, j] -= ej[k, m] * inner
+        proj[k, i, j] += eg[k, i, j]
+        for a, b in itertools.product(r, r):
+            proj[k, i, j] += eg[k, a, b] * ej[a, i] * ej[b, j]
+        proj[k, i, j] *= half
+        sym[k, i, j] = (eg[k, i, j] + eg[k, j, i]) * half
+        anti[k, i, j] = (eg[k, i, j] - eg[k, j, i]) * half
+    assert_exact(j_conjugate_poly(g, J), conj)
+    assert_exact(torsion_project_poly(g, J), proj)
+    assert_exact(_symmetrize_12(g), sym)
+    assert_exact(_symmetrize_12(g, -1.0), anti)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_vishnevskii_projection_exact(d):
+    # the recipe draws its own float symbols; rebuild them from the same
+    # stream and project in rational arithmetic
+    spec = GenSpec(seed=3, dimension=d, degree=1)
+    J = AlmostComplexStructure(PolyTensorField.constant(d, (1, 1), standard_structure(d)))
+    got = gen_vishnevskii_zero_connection(spec, J).field
+    raw = random_poly_field(sampling.rng(spec.seed, T_C, d, 3), d, (1, 2), 1, 1.0)
+    eraw = np.empty(raw.shape, dtype=object)
+    comps = raw.comps
+    for idx in np.ndindex(raw.shape):
+        eraw[idx] = to_sympy(comps[idx], d)
+    jm = standard_structure(d)
+    r = range(d)
+    want = zeros_like((d, d, d), d)
+    for k, i, j in itertools.product(r, r, r):
+        want[k, i, j] += eraw[k, i, j] * const_poly(0.5, d)
+        for a, b in itertools.product(r, r):
+            want[k, i, j] += eraw[a, b, j] * const_poly(-0.5 * jm[k, a] * jm[b, i], d)
+    # float inputs: the subtraction rounds once, within one unit in the last place
+    assert_exact(got, want, rel=2.3e-16)

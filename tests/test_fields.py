@@ -139,3 +139,50 @@ def test_chart_domain_invariants():
         ChartDomain(3, ((-1, 1),) * 3)  # odd dimension
     with pytest.raises(ShapeError):
         ChartDomain(2, ((-1, 1), (1, 1)))  # empty interval
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 4]),
+       st.sampled_from([(1, 0), (1, 1), (0, 2), (1, 2)]), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_dense_jets_match_per_component_reference(seed, d, valence, degree):
+    rng = np.random.default_rng(seed)
+    field = random_poly_field(rng, d, valence, degree, 1.0)
+    pts = rng.uniform(-0.5, 0.5, size=(9, d))
+    vals, grads = field.jets(pts)
+    comps = field.comps
+    for idx in np.ndindex(field.shape):
+        ref_v, ref_g = comps[idx].jet(pts)
+        scale = 1.0 + max(np.abs(ref_v).max(), np.abs(ref_g).max())
+        assert np.abs(vals[(slice(None),) + idx] - ref_v).max() <= 1e-14 * scale
+        assert np.abs(grads[(slice(None),) + idx] - ref_g).max() <= 1e-14 * scale
+
+
+def test_dense_layout_is_read_only_and_round_trips():
+    rng = sampling.rng(8, 1)
+    comps = np.empty((2, 2), dtype=object)
+    for idx in np.ndindex(2, 2):
+        comps[idx] = random_poly(rng, 2, 2, 1.0)
+    f = PolyTensorField(2, (1, 1), comps)
+    back = f.comps
+    assert all(back[idx].terms() == comps[idx].terms() for idx in np.ndindex(2, 2))
+    with pytest.raises(ValueError):
+        back[0, 0] = PolyExpr(2)
+    with pytest.raises(ValueError):
+        f.coefs[0, 0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        f.coefs = np.zeros_like(f.coefs)
+
+
+def test_non_finite_field_coefficient_rejected():
+    exps = np.zeros((1, 2), dtype=np.int64)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(EvaluationError):
+            PolyTensorField(2, (1, 0), exps=exps, coefs=[[bad, 0.0]])
+
+
+def test_canonical_order_for_rows_too_wide_to_pack():
+    # the last axis is the most significant one, also when the exponent
+    # rows are ranked instead of packed into one integer key
+    big = 2 ** 40
+    f = PolyExpr(2, [[0, big], [big, 0], [1, 1], [0, 1], [1, 1]], [1.0, 2.0, 3.0, 4.0, 1.0])
+    assert f.terms() == [([big, 0], 2.0), ([0, 1], 4.0), ([1, 1], 4.0), ([0, big], 1.0)]

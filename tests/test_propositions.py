@@ -1,5 +1,6 @@
 """Suite plumbing: registry completeness, determinism, filtering, smoke."""
 
+import numpy as np
 import pytest
 
 from qsg.errors import QsgError
@@ -10,6 +11,9 @@ from qsg.propositions import (
     SECTION3_IDS,
     SECTION4_IDS,
     SectionContext,
+    _fold_identity,
+    _identity_entry,
+    _witness_entry,
     run_full_suite,
     verify_negative_controls,
     verify_section2,
@@ -99,3 +103,47 @@ def test_entries_sorted_in_report(smoke_report):
     keys = [(e["id"], e["dim"]) for e in d["entries"]]
     assert keys == sorted(keys)
     assert d["pass"] is True
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_non_finite_identity_residual_fails(bad, position):
+    residuals = [1e-12, 2e-12, 3e-12]
+    residuals[position] = bad
+    entry = _identity_entry("x", 2, 3, residuals, 1e-8)
+    assert entry.status == "fail" and not entry.passed
+    assert not np.isfinite(entry.max_residual)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("slot", [0, 1])
+def test_non_finite_witness_residual_fails(bad, slot):
+    results = [(1e-12, 1e-12), (1e-12, 1e-12)]
+    pair = list(results[1])
+    pair[slot] = bad
+    results[1] = tuple(pair)
+    entry = _witness_entry("x", 2, results, 1e-6)
+    assert entry.status == "fail" and not entry.passed
+    # a hypothesis residual that is NaN on every trial is a failure too,
+    # never a witness-unavailable skip
+    entry = _witness_entry("x", 2, [(bad, 1e-12)] * 3, 1e-6)
+    assert entry.status == "fail"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_folded_identity_fails(bad):
+    entry = _witness_entry("x", 2, [(1e-12, 1e-12)], 1e-6)
+    assert entry.status == "pass"
+    _fold_identity(entry, [1e-12, bad], 1e-8)
+    assert entry.status == "fail"
+    assert not np.isfinite(entry.max_residual)
+
+
+def test_trial_metrics_nondegenerate_at_trial_points():
+    # this seed's Hermitian trial 2 metric used to pass the generator's own
+    # probe points yet reach |det| = 8e-7 at a suite point, which aborted
+    # the whole verify run with a degeneracy error
+    ctx = SectionContext(seed=687637279, dim=4, trials=12)
+    for td in (ctx.hermitian(2), ctx.norden(2)):
+        dets = np.linalg.det(td.model.metric.values(td.pts))
+        assert np.abs(dets).min() >= 1e-3

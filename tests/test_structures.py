@@ -222,8 +222,7 @@ def test_vishnevskii_operator_non_tensorial_defect():
     p = pts(2)
     X = PolyTensorField.constant(d, (1, 0), np.eye(d)[0])
     f = PolyExpr.coordinate(d, 0)
-    Y = PolyTensorField.zeros(d, (1, 0))
-    Y.comps[0] = f
+    Y = PolyTensorField(d, (1, 0), np.array([f, PolyExpr(d)], dtype=object))
     got = vishnevskii_on_fields(conn, J, X, Y, p)
     jv = J.values(p)
     jx = np.einsum("nkj,j->nk", jv, np.eye(d)[0])
