@@ -67,15 +67,28 @@ class PolyConnection(Connection):
 
 
 class ConstantConnection(Connection):
-    """Constant symbols; used as probe directions by the synthesizer."""
+    """Constant symbols, or constant symbols per block of points.
+
+    ``array`` is one ``(d, d, d)`` symbol array, or a stack ``(B, d, d, d)``
+    of them: the points are then split into ``B`` equal consecutive blocks
+    and block ``b`` gets ``array[b]``.  The synthesizer evaluates its
+    constraints once on its fit points tiled ``B`` times, with the zero
+    symbols and every one-hot direction stacked as the blocks.
+    """
 
     def __init__(self, array: np.ndarray):
         self.array = np.asarray(array, dtype=float)
-        self.dimension = self.array.shape[0]
+        self.dimension = self.array.shape[-1]
 
     def gammas(self, pts):
         pts = np.atleast_2d(pts)
-        return np.broadcast_to(self.array, (pts.shape[0],) + self.array.shape).copy()
+        blocks = self.array.reshape((-1,) + self.array.shape[-3:])
+        per_block, rest = divmod(pts.shape[0], blocks.shape[0])
+        if rest:
+            raise ShapeError(
+                f"{pts.shape[0]} points do not split into {blocks.shape[0]} equal blocks"
+            )
+        return np.repeat(blocks, per_block, axis=0)
 
 
 class LeviCivitaConnection(Connection):

@@ -2,17 +2,16 @@
 connection synthesis, with JSON or markdown reports.
 
 Exit codes: 0 pass, 1 predicate or suite failure, 2 input error,
-3 degenerate metric, 4 low-quality witness, 5 no witness found.
+3 degenerate metric, 4 low-quality witness, 5 no witness found,
+6 internal error (an unexpected exception, reported on one stderr line).
 Reports go to stdout and are byte-deterministic for fixed inputs; timing
-goes to stderr.  ``QSG_THREADS`` caps worker parallelism (execution is
-sequential, so any cap is honored).
+goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -30,6 +29,7 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_LOW_QUALITY = 4
 EXIT_NO_WITNESS = 5
+EXIT_INTERNAL = 6
 
 WITNESS_TOL = 1e-7
 NO_WITNESS_TOL = 1e-3
@@ -163,9 +163,11 @@ def cmd_synthesize(args) -> int:
         "ansatz_degree": args.degree,
         "residual": result.residual,
         "constraint_residuals": result.constraint_residuals,
-        "iterations": result.iterations,
         "fit_points": result.fit_points,
         "holdout_points": result.holdout_points,
+        "rows": result.rows,
+        "cols": result.cols,
+        "rank": result.rank,
     }
     if result.residual <= WITNESS_TOL:
         status = EXIT_PASS
@@ -186,14 +188,6 @@ def cmd_synthesize(args) -> int:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("QSG_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"qsg: invalid QSG_THREADS value {threads!r}", file=sys.stderr)
-            return EXIT_INPUT
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -224,6 +218,9 @@ def main(argv=None) -> int:
     except QsgError as exc:
         print(f"qsg: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a bug or a numerical breakdown, not a verdict
+        print(f"qsg: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         print(f"qsg: wall time {time.monotonic() - start:.2f}s", file=sys.stderr)
     return code

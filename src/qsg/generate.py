@@ -14,10 +14,13 @@ Structure generation keeps every output an exact polynomial field:
 * Norden metrics antisymmetrize over the structure and add the conjugated
   neutral diagonal base, giving exact purity and neutral signature.
 
-Connection synthesis treats every supported constraint as an affine map of
-the symbol values and probes it numerically, so new constraints need no
-hand-derived matrices; the least-squares solve is deterministic and the
-reported residual is measured on a held-out sample set.
+Connection synthesis treats every supported constraint as a pointwise
+affine map of the symbol values and reads its Jacobian from one evaluation
+with block-constant probe symbols, so new constraints need no hand-derived
+matrices.  Each fit point's Jacobian block is compressed to its numerical
+rank before the monomial (Kronecker) expansion, the compressed system gets
+a deterministic minimum-norm least-squares solve, and the reported residual
+is measured on a held-out sample set.
 """
 
 from __future__ import annotations
@@ -521,25 +524,74 @@ def constraint_functions(model: ChartModel) -> dict:
     return fns
 
 
-def _lstsq(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Deterministic least-squares solve; rank deficiency is fine (the
-    QR-with-pivoting driver returns a basic solution)."""
+def _lstsq(rows: np.ndarray, rhs: np.ndarray):
+    """Deterministic least-squares solve; returns the solution and the
+    numerical rank.  Rank deficiency is fine: the complete orthogonal
+    factorization driver (``gelsy``) returns the minimum-norm solution,
+    which the synthesizer's anchor relies on.  Singular values below
+    ``eps * max(rows.shape)`` times the largest count as zero, the rule
+    ``_compressed_rows`` applies per block; with gelsy's default cut-off of
+    ``eps`` alone, rounding-level singular values of a rank-deficient
+    system count as rank and add O(1) null-space components."""
     from scipy.linalg import lstsq as scipy_lstsq
 
-    sol, _, _, _ = scipy_lstsq(rows, rhs, lapack_driver="gelsy", check_finite=False)
-    return sol
+    cond = np.finfo(float).eps * max(rows.shape)
+    sol, _, rank, _ = scipy_lstsq(rows, rhs, cond=cond, lapack_driver="gelsy",
+                                  check_finite=False)
+    return sol, int(rank)
+
+
+def _probe_jacobian(eval_all, pts: np.ndarray):
+    """Constant term ``(n, m)`` and Jacobian ``(n, m, d^3)`` of a residual
+    that is pointwise affine in the symbol values, from one evaluation:
+    the points are tiled ``d^3 + 1`` times, block 0 gets the zero symbols
+    and block ``r + 1`` the one-hot symbols ``e_r``."""
+    d = pts.shape[1]
+    r_sym = d ** 3
+    probes = np.vstack([np.zeros((1, r_sym)), np.eye(r_sym)]).reshape(r_sym + 1, d, d, d)
+    vals = eval_all(ConstantConnection(probes), np.tile(pts, (r_sym + 1, 1)))
+    vals = vals.reshape(r_sym + 1, pts.shape[0], -1)
+    return vals[0], np.moveaxis(vals[1:] - vals[0], 0, -1)
+
+
+def _compressed_rows(a: np.ndarray, b: np.ndarray, mon: np.ndarray):
+    """Least-squares rows equivalent to ``kron(a[n], mon[n]) x = b[n]``
+    over all points n, without forming that n*m-row system.
+
+    Each block is factored ``a[n] = U S V^T``; singular values at or below
+    ``eps * max(m, d^3) * s_max`` of the block are dropped, so the point
+    contributes ``kron(S V^T, mon[n]) x = U^T b[n]`` with one row per kept
+    value and none when its block is zero.  The dropped part of ``b[n]``
+    is orthogonal to every row, so the objective changes by a constant and
+    the minimizers (and the minimum-norm one) stay the same.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(a.shape[1:]) * s[:, :1]
+    owner = np.nonzero(keep)[0]
+    w = (s[:, :, None] * vt)[keep]  # (rows, d^3)
+    rows = w[:, :, None] * mon[owner][:, None, :]
+    rows = rows.reshape(len(owner), w.shape[1] * mon.shape[1])
+    rhs = np.einsum("nmq,nm->nq", u, b)[keep]
+    return rows, rhs
 
 
 @dataclass
 class SynthesisResult:
-    """Outcome of a least-squares connection fit."""
+    """Outcome of a least-squares connection fit.
+
+    ``rows`` and ``cols`` are the shape of the compressed system that was
+    solved (``cols = d^3 * k`` for k ansatz monomials) and ``rank`` its
+    numerical rank.
+    """
 
     connection: PolyConnection
     residual: float
     constraint_residuals: dict
-    iterations: int
     fit_points: int
     holdout_points: int
+    rows: int
+    cols: int
+    rank: int
     seed: int = 0
 
 
@@ -548,16 +600,20 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
                           n_fit: int | None = None, n_holdout: int = 25) -> SynthesisResult:
     """Fit polynomial symbols to a set of affine constraints.
 
-    Rows are assembled by probing each constraint with one-hot constant
-    symbols (valid because every supported constraint is pointwise affine
-    in the symbol values), solved in the least-squares sense, and scored on
-    a held-out sample set disjoint from the fitting set.  ``anchor_scale``
+    Every supported constraint is pointwise affine in the symbol values, so
+    one evaluation with block-constant probe symbols gives each fit point's
+    Jacobian block (see ``_probe_jacobian``).  The blocks are
+    rank-compressed per point (``_compressed_rows``) and the system is
+    solved for the minimum-norm correction to an anchor, then scored on a
+    held-out sample set disjoint from the fitting set.  ``anchor_scale``
     biases the solution toward a random target inside the solution
     manifold, which keeps witnesses away from the torsion-free corner when
     the constraint set permits.
     """
     d = model.dimension
     fns = constraint_functions(model)
+    if not constraints:
+        raise SynthesisError("no constraints given")
     unknown = [c for c in constraints if c not in fns]
     if unknown:
         raise SynthesisError(f"unknown or unavailable constraints: {unknown}")
@@ -581,24 +637,15 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
     pts_fit = sampling.sample_box(box, n_fit, seed, T_S, 0)
     pts_out = sampling.sample_box(box, n_holdout, seed, T_S, 1)
 
-    base = eval_all(ConstantConnection(np.zeros((d, d, d))), pts_fit)  # (n, m)
-    n, m = base.shape
-    a = np.empty((n, m, r_sym))
-    for r in range(r_sym):
-        e = np.zeros(r_sym)
-        e[r] = 1.0
-        probe = eval_all(ConstantConnection(e.reshape(d, d, d)), pts_fit)
-        a[:, :, r] = probe - base
-
+    base, a = _probe_jacobian(eval_all, pts_fit)
     mon = np.stack([np.prod(pts_fit ** e, axis=1) for e in exps], axis=1)  # (n, k)
-    rows = np.einsum("nmr,nk->nmrk", a, mon).reshape(n * m, r_sym * k)
-    rhs = -base.reshape(n * m)
+    rows, rhs = _compressed_rows(a, -base, mon)
 
     rng = sampling.rng(seed, T_S, 2)
     c0 = np.zeros(r_sym * k)
     if anchor_scale > 0.0:
         c0 = anchor_scale * rng.standard_normal(r_sym * k)
-    delta = _lstsq(rows, rhs - rows @ c0)
+    delta, rank = _lstsq(rows, rhs - rows @ c0)
     coefs = c0 + delta
 
     conn = PolyConnection(PolyTensorField(
@@ -609,13 +656,14 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
         name: float(np.abs(fns[name](conn, pts_out)).max())
         for name in constraints
     }
-    residual = max(per.values()) if per else 0.0
     return SynthesisResult(
         connection=conn,
-        residual=float(residual),
+        residual=max(per.values()),
         constraint_residuals=per,
-        iterations=1,
         fit_points=n_fit,
         holdout_points=n_holdout,
+        rows=rows.shape[0],
+        cols=rows.shape[1],
+        rank=rank,
         seed=seed,
     )

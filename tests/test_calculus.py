@@ -6,6 +6,7 @@ import pytest
 
 from qsg import sampling
 from qsg.calculus import (
+    ConstantConnection,
     PolyConnection,
     covd_values,
     covariant_derivative,
@@ -261,3 +262,13 @@ def test_invert_bilinear_degenerate():
     with pytest.raises(DegeneracyError) as err:
         invert_bilinear(z, [0.0, 0.0])
     assert err.value.det == 0.0
+
+
+def test_block_constant_connection():
+    blocks = np.arange(3 * 8, dtype=float).reshape(3, 2, 2, 2)
+    g = ConstantConnection(blocks).gammas(pts2(n=6))
+    assert np.array_equal(g, np.repeat(blocks, 2, axis=0))
+    single = ConstantConnection(blocks[1]).gammas(pts2(n=4))
+    assert np.array_equal(single, np.broadcast_to(blocks[1], (4, 2, 2, 2)))
+    with pytest.raises(ShapeError):
+        ConstantConnection(blocks).gammas(pts2(n=5))

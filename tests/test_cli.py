@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from qsg import cli
 from qsg.calculus import PolyConnection
 from qsg.cli import main
 from qsg.model import ChartModel, flat_hermitian_model, flat_norden_model
@@ -107,11 +108,9 @@ def test_verify_unknown_id_exits_2(capsys):
     assert "GAD1.i" in err
 
 
-def test_verify_deterministic_output(capsys, monkeypatch):
-    monkeypatch.setenv("QSG_THREADS", "1")
+def test_verify_deterministic_output(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--dims", "2", "--trials", "2",
                              "--only", "lem2,cor4")
-    monkeypatch.setenv("QSG_THREADS", "8")
     code2, out2, _ = run_cli(capsys, "verify", "--dims", "2", "--trials", "2",
                              "--only", "lem2,cor4")
     assert code1 == code2 == 0
@@ -126,6 +125,10 @@ def test_synthesize_flat_writes_zero_witness(capsys, tmp_path, flat_model_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["synthesis"]["residual"] <= 1e-12
+    syn = doc["synthesis"]
+    assert "iterations" not in syn
+    assert syn["cols"] == 2 ** 3 * 3  # d^3 symbols times 3 monomials of degree <= 1
+    assert 0 < syn["rank"] <= min(syn["rows"], syn["cols"])
     witness, _ = load_model(str(out_path))
     pts = np.zeros((1, 2))
     assert np.abs(witness.conn.gammas(pts)).max() <= 1e-9
@@ -188,11 +191,25 @@ def test_norden_model_round_trip():
     assert model_hash(doc) == model_hash(canonical_doc(model, doc))
 
 
-def test_invalid_threads_env(capsys, monkeypatch, flat_model_path):
-    monkeypatch.setenv("QSG_THREADS", "zero")
-    code, _, err = run_cli(capsys, "check", flat_model_path, "--predicates", "kahler")
+def test_unexpected_exception_exits_6(capsys, monkeypatch, flat_model_path):
+    # an exception outside the package's error taxonomy is an internal
+    # error: one stderr line, never exit 1 ("a predicate failed")
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "synthesize_connection", broken)
+    code, out, err = run_cli(capsys, "synthesize", flat_model_path,
+                             "--constraints", "torsion_free")
+    assert code == cli.EXIT_INTERNAL == 6
+    assert out == ""
+    lines = [ln for ln in err.splitlines() if not ln.startswith("qsg: wall time")]
+    assert lines == ["qsg: internal error: LinAlgError('SVD did not converge')"]
+
+
+def test_synthesize_without_constraints_exits_2(capsys, flat_model_path):
+    code, _, err = run_cli(capsys, "synthesize", flat_model_path, "--constraints", ",")
     assert code == 2
-    assert "QSG_THREADS" in err
+    assert "no constraints" in err
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 
 from qsg import sampling
-from qsg.calculus import covd_values, torsion_values
+from qsg.calculus import ConstantConnection, PolyConnection, covd_values, torsion_values
 from qsg.connections import conjugate_by_J
 from qsg.errors import GenerationError
+from qsg.fields import ChartDomain, PolyTensorField
 from qsg.generate import (
+    T_S,
     GenSpec,
+    _compressed_rows,
+    _lstsq,
+    _probe_jacobian,
+    constraint_functions,
     gen_almost_complex,
     gen_connection,
     gen_constant_structure_model,
@@ -295,3 +301,116 @@ def test_conjugation_kind_dispatcher():
         conjugate(conn, "metric")
     with pytest.raises(PreconditionError):
         conjugate(conn, "sideways")
+
+
+# ---------------------------------------------------------------------------
+# synthesis internals against their unbatched, uncompressed references
+
+
+def _paired_model(flavor, dim, seed):
+    spec = GenSpec(seed=seed, dimension=dim, degree=2)
+    J = gen_almost_complex(spec)
+    gen = gen_hermitian_metric if flavor == "hermitian" else gen_norden_metric
+    return ChartModel(domain=ChartDomain.cube(dim, 0.5), metric=gen(spec, J), J=J)
+
+
+def _loop_jacobian(fn, p, d):
+    """One evaluation per one-hot constant symbol direction."""
+    base = fn(ConstantConnection(np.zeros((d, d, d))), p)
+    cols = []
+    for r in range(d ** 3):
+        e = np.zeros(d ** 3)
+        e[r] = 1.0
+        cols.append(fn(ConstantConnection(e.reshape(d, d, d)), p) - base)
+    return base, np.stack(cols, axis=-1)
+
+
+def _dense_min_norm(a, b, mon, c0):
+    """Minimum-norm correction to c0 for the raw n*m-row Kronecker system."""
+    rows = np.einsum("nmr,nk->nmrk", a, mon).reshape(a.shape[0] * a.shape[1], -1)
+    return c0 + np.linalg.pinv(rows, rcond=1e-10) @ (b.reshape(-1) - rows @ c0)
+
+
+def _monomials(p, exps):
+    return np.stack([np.prod(p ** e, axis=1) for e in exps], axis=1)
+
+
+@pytest.mark.parametrize("flavor", ["hermitian", "norden"])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_batched_probe_matches_one_hot_loop(flavor, dim):
+    model = _paired_model(flavor, dim, seed=12)
+    p = pts(dim, 12, n=6)
+    fns = constraint_functions(model)
+    assert len(fns) == 11  # every constraint the paired models support
+    for name, fn in fns.items():
+        base, a = _probe_jacobian(fn, p)
+        ref_base, ref_a = _loop_jacobian(fn, p, dim)
+        scale = max(1.0, np.abs(ref_a).max(), np.abs(ref_base).max())
+        assert np.abs(base - ref_base).max() <= 1e-12 * scale, name
+        assert np.abs(a - ref_a).max() <= 1e-12 * scale, name
+
+
+def _stacked(model, constraints):
+    fns = constraint_functions(model)
+    return lambda conn, q: np.concatenate([fns[c](conn, q) for c in constraints], axis=1)
+
+
+def _relative_gap(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim, constraints, anchor", [
+    (2, ["torsion_free"], 0.3),  # every block rank-deficient, anchored
+    (2, ["quasi_statistical_g", "d_closed_J"], 0.3),
+    (2, ["codazzi_J", "torsion_free"], 0.0),
+    # feasible at d = 4, with kept singular values down to about 0.09 s_max
+    (4, ["conjugate_torsion_sum"], 0.3),
+])
+def test_synthesis_matches_dense_minimum_norm_solution(dim, constraints, anchor):
+    if dim == 2:
+        model = _paired_model("hermitian", dim, seed=13)
+    else:
+        model = gen_constant_structure_model(GenSpec(seed=13, dimension=dim, degree=2), "norden")
+    sr = synthesize_connection(model, constraints, ansatz_degree=1, seed=5,
+                               anchor_scale=anchor)
+    # rebuild the raw system the synthesizer compresses
+    exps = monomial_exponents(dim, 1)
+    fit = sampling.sample_box(model.domain.box, sr.fit_points, 5, T_S, 0)
+    base, a = _loop_jacobian(_stacked(model, constraints), fit, dim)
+    c0 = np.zeros(dim ** 3 * len(exps))
+    if anchor:
+        c0 = anchor * sampling.rng(5, T_S, 2).standard_normal(c0.size)
+    ref = _dense_min_norm(a, -base, _monomials(fit, exps), c0)
+    ref_conn = PolyConnection(PolyTensorField(
+        dim, (1, 2), exps=exps, coefs=np.moveaxis(ref.reshape((dim,) * 3 + (-1,)), -1, 0)))
+    p = pts(dim, 13)
+    assert _relative_gap(sr.connection.gammas(p), ref_conn.gammas(p)) <= 1e-9
+
+
+def test_compressed_solve_with_zero_block():
+    # a point whose block is zero contributes no rows; its right-hand side
+    # is a constant offset of the objective
+    model = _paired_model("hermitian", 2, seed=14)
+    fn = constraint_functions(model)["codazzi_J"]
+    p = pts(2, 14, n=10)
+    base, a = _probe_jacobian(fn, p)
+    a[3] = 0.0
+    mon = _monomials(p, monomial_exponents(2, 1))
+    rows, rhs = _compressed_rows(a, -base, mon)
+    assert rows.shape[0] == sum(np.linalg.matrix_rank(blk) for blk in a)
+    assert _compressed_rows(np.zeros_like(a), -base, mon)[0].shape == (0, rows.shape[1])
+    c0 = 0.3 * sampling.rng(14, 1).standard_normal(rows.shape[1])
+    for anchor in (np.zeros_like(c0), c0):
+        x = anchor + _lstsq(rows, rhs - rows @ anchor)[0]
+        assert _relative_gap(x, _dense_min_norm(a, -base, mon, anchor)) <= 1e-9
+
+
+def test_synthesis_diagnostics():
+    model = _paired_model("norden", 2, seed=15)
+    constraints = ["codazzi_J", "torsion_free"]
+    sr = synthesize_connection(model, constraints, ansatz_degree=1, seed=2)
+    fit = sampling.sample_box(model.domain.box, sr.fit_points, 2, T_S, 0)
+    _, a = _loop_jacobian(_stacked(model, constraints), fit, 2)
+    assert sr.rows == sum(np.linalg.matrix_rank(blk) for blk in a)
+    assert sr.cols == 2 ** 3 * len(monomial_exponents(2, 1))
+    assert 0 < sr.rank <= min(sr.rows, sr.cols)
