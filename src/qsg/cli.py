@@ -133,7 +133,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    dims = tuple(int(d) for d in _csv(args.dims))
+    try:
+        dims = tuple(int(d) for d in _csv(args.dims))
+    except ValueError:
+        raise ConfigError(f"--dims takes comma-separated integers, got {args.dims!r}") from None
     only = tuple(_csv(args.only))
     suite = run_full_suite(seed=args.seed, trials=args.trials, dims=dims,
                            degree=args.degree, only=only)

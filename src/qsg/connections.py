@@ -26,6 +26,7 @@ from .errors import PreconditionError
 from .structures import (
     AlmostComplexStructure,
     MetricField,
+    _as_field,
     fundamental_two_form,
     hermitian_purity_residual,
     norden_purity_residual,
@@ -33,10 +34,6 @@ from .structures import (
 )
 
 SKEW_OR_SYM_TOL = 1e-10
-
-
-def _as_field(b):
-    return b.field if isinstance(b, MetricField) else b
 
 
 class BilinearConjugateConnection(Connection):

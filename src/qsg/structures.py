@@ -101,6 +101,12 @@ class MetricField:
         return self.field.jets(pts)
 
 
+def _as_field(b):
+    """The polynomial field of a metric, or ``b`` itself when it is one
+    already (a partner form)."""
+    return b.field if isinstance(b, MetricField) else b
+
+
 def hermitian_purity_residual(g, J, pts) -> float:
     """max |b(JX, Y) + b(X, JY)| on frame pairs."""
     bv = g.values(pts)
@@ -169,15 +175,15 @@ def nijenhuis_on_fields(J: AlmostComplexStructure, X: PolyTensorField, Y: PolyTe
     return -term1 + term2 + term3 - term4
 
 
-def d_nabla_J_values(conn: Connection, J, pts) -> np.ndarray:
+def d_nabla_J_values(conn: Connection, J: AlmostComplexStructure, pts) -> np.ndarray:
     """(d^D J)^k_{ij} = (D_i J)^k_j - (D_j J)^k_i + J^k_m T^m_{ij}."""
-    dj = covd_values(conn, J.field if isinstance(J, AlmostComplexStructure) else J, pts)
-    jv = (J.field if isinstance(J, AlmostComplexStructure) else J).values(pts)
+    dj = covd_values(conn, J.field, pts)
+    jv = J.values(pts)
     tv = torsion_values(conn, pts)
     return dj - np.swapaxes(dj, 2, 3) + np.einsum("nkm,nmij->nkij", jv, tv)
 
 
-def d_nabla_J(conn: Connection, J) -> DerivedTensorField:
+def d_nabla_J(conn: Connection, J: AlmostComplexStructure) -> DerivedTensorField:
     return DerivedTensorField(conn.dimension, (1, 2), lambda pts: d_nabla_J_values(conn, J, pts))
 
 
@@ -187,7 +193,7 @@ def d_nabla_metric_values(conn: Connection, b, pts) -> np.ndarray:
     Applies to symmetric and antisymmetric b alike; antisymmetric in the
     first two slots.
     """
-    field = b.field if isinstance(b, MetricField) else b
+    field = _as_field(b)
     db = covd_values(conn, field, pts)
     bv = field.values(pts)
     tv = torsion_values(conn, pts)
@@ -198,17 +204,15 @@ def d_nabla_metric(conn: Connection, b) -> DerivedTensorField:
     return DerivedTensorField(conn.dimension, (0, 3), lambda pts: d_nabla_metric_values(conn, b, pts))
 
 
-def tachibana_values(J, h, pts) -> np.ndarray:
+def tachibana_values(J: AlmostComplexStructure, h: MetricField, pts) -> np.ndarray:
     """Holomorphicity operator of a (0,2) field against J, on frames.
 
     ``F[a,b,c] = J^m_a d_m h_{bc} - d_a J^m_b h_{mc} - J^m_b d_a h_{mc}
     + d_b J^m_a h_{mc} + h_{bm} d_c J^m_a``; built from Lie derivatives
     ``(L_X J)Y = [X, JY] - J [X, Y]`` evaluated on frame fields.
     """
-    jfield = J.field if isinstance(J, AlmostComplexStructure) else J
-    hfield = h.field if isinstance(h, MetricField) else h
-    jv, jg = jfield.jets(pts)
-    hv, hg = hfield.jets(pts)
+    jv, jg = J.jets(pts)
+    hv, hg = h.jets(pts)
     out = np.einsum("nma,nbcm->nabc", jv, hg)
     out -= np.einsum("nmba,nmc->nabc", jg, hv)
     out -= np.einsum("nmb,nmca->nabc", jv, hg)
@@ -217,9 +221,8 @@ def tachibana_values(J, h, pts) -> np.ndarray:
     return out
 
 
-def tachibana(J, h) -> DerivedTensorField:
-    dim = (J.field if isinstance(J, AlmostComplexStructure) else J).dimension
-    return DerivedTensorField(dim, (0, 3), lambda pts: tachibana_values(J, h, pts))
+def tachibana(J: AlmostComplexStructure, h: MetricField) -> DerivedTensorField:
+    return DerivedTensorField(J.dimension, (0, 3), lambda pts: tachibana_values(J, h, pts))
 
 
 def cyclic_sum_03(arr: np.ndarray) -> np.ndarray:
@@ -227,32 +230,30 @@ def cyclic_sum_03(arr: np.ndarray) -> np.ndarray:
     return arr + np.einsum("nbca->nabc", arr) + np.einsum("ncab->nabc", arr)
 
 
-def quasi_kahler_norden_sum_values(h: MetricField, J, pts, conn: Connection | None = None) -> np.ndarray:
+def quasi_kahler_norden_sum_values(h: MetricField, J: AlmostComplexStructure, pts, conn: Connection | None = None) -> np.ndarray:
     """Cyclic sum of h((D_a J) x_b, x_c) under the metric's own torsion-free
     metric-parallel connection (or a supplied one)."""
     if conn is None:
         conn = levi_civita(h.field)
-    jfield = J.field if isinstance(J, AlmostComplexStructure) else J
-    dj = covd_values(conn, jfield, pts)  # dj[n,m,a,b] = (D_a J)^m_b
+    dj = covd_values(conn, J.field, pts)  # dj[n,m,a,b] = (D_a J)^m_b
     hv = h.values(pts)
     base = np.einsum("nmab,nmc->nabc", dj, hv)
     return cyclic_sum_03(base)
 
 
-def vishnevskii_frame_values(conn: Connection, J, pts) -> np.ndarray:
+def vishnevskii_frame_values(conn: Connection, J: AlmostComplexStructure, pts) -> np.ndarray:
     """Frame array of the coupling operator: Psi(x_i, x_j)^k for frame pairs.
 
     ``Psi_{J x_i} x_j = D_{J x_i} x_j - J (D_{x_i} x_j)``; not tensorial in
     the second argument, so this array does not determine the operator on
     non-frame arguments.
     """
-    jfield = J.field if isinstance(J, AlmostComplexStructure) else J
-    jv = jfield.values(pts)
+    jv = J.values(pts)
     g = conn.gammas(pts)
     return np.einsum("nli,nklj->nkij", jv, g) - np.einsum("nkm,nmij->nkij", jv, g)
 
 
-def vishnevskii(conn: Connection, J) -> DerivedTensorField:
+def vishnevskii(conn: Connection, J: AlmostComplexStructure) -> DerivedTensorField:
     """Frame array of the structure-coupling operator.
 
     The operator is not function-linear in its second argument, so this
@@ -265,14 +266,13 @@ def vishnevskii(conn: Connection, J) -> DerivedTensorField:
     )
 
 
-def vishnevskii_jframe_values(conn: Connection, J, pts) -> np.ndarray:
+def vishnevskii_jframe_values(conn: Connection, J: AlmostComplexStructure, pts) -> np.ndarray:
     """Psi(x_i, J x_j)^k: the operator on (frame, J-twisted frame) pairs.
 
     Together with the frame array this is exactly the argument set on which
     a vanishing operator forces the torsion-coupling identity.
     """
-    jfield = J.field if isinstance(J, AlmostComplexStructure) else J
-    jv, jg = jfield.jets(pts)
+    jv, jg = J.jets(pts)
     g = conn.gammas(pts)
     # D_{J x_i}(J x_j) = J^l_i (d_l J^k_j + gamma^k_{lm} J^m_j)
     t1 = np.einsum("nli,nkjl->nkij", jv, jg) + np.einsum("nli,nklm,nmj->nkij", jv, g, jv)
@@ -281,12 +281,11 @@ def vishnevskii_jframe_values(conn: Connection, J, pts) -> np.ndarray:
     return t1 - t2
 
 
-def vishnevskii_on_fields(conn: Connection, J, X: PolyTensorField, Y: PolyTensorField, pts) -> np.ndarray:
+def vishnevskii_on_fields(conn: Connection, J: AlmostComplexStructure, X: PolyTensorField, Y: PolyTensorField, pts) -> np.ndarray:
     """Operator evaluation on explicit polynomial fields (first slot is
     tensorial, second is not)."""
-    jfield = J.field if isinstance(J, AlmostComplexStructure) else J
-    JX = j_apply_vector(jfield, X)
-    jv = jfield.values(pts)
+    JX = j_apply_vector(J.field, X)
+    jv = J.values(pts)
     yv, yg = Y.jets(pts)
     jxv = JX.values(pts)
     xv = X.values(pts)
@@ -297,7 +296,6 @@ def vishnevskii_on_fields(conn: Connection, J, X: PolyTensorField, Y: PolyTensor
     return dJX - np.einsum("nkm,nm->nk", jv, dX)
 
 
-def lie_derivative_J_on_fields(J, X: PolyTensorField, Y: PolyTensorField) -> PolyTensorField:
+def lie_derivative_J_on_fields(J: AlmostComplexStructure, X: PolyTensorField, Y: PolyTensorField) -> PolyTensorField:
     """(L_X J) Y = [X, JY] - J [X, Y] for polynomial fields."""
-    jfield = J.field if isinstance(J, AlmostComplexStructure) else J
-    return lie_bracket(X, j_apply_vector(jfield, Y)) - j_apply_vector(jfield, lie_bracket(X, Y))
+    return lie_bracket(X, j_apply_vector(J.field, Y)) - j_apply_vector(J.field, lie_bracket(X, Y))

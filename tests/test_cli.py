@@ -224,3 +224,16 @@ def test_bad_count_exits_2_with_message(capsys, flat_model_path, argv, option):
     assert code == 2
     assert option in err and "at least" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("dims, words", [
+    ("2,2", "more than once"),
+    ("", "no dimension"),
+    (",", "no dimension"),
+    ("x", "--dims"),
+], ids=["repeated", "empty", "comma-only", "not-integer"])
+def test_bad_dims_exits_2_with_message(capsys, dims, words):
+    code, out, err = run_cli(capsys, "verify", "--dims", dims, "--trials", "2")
+    assert code == 2
+    assert words in err
+    assert out == ""

@@ -1,12 +1,19 @@
 """Suite plumbing: registry completeness, determinism, filtering, smoke."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qsg.errors import QsgError
+from qsg import propositions
 from qsg.propositions import (
     ALL_IDS,
+    FAMILIES,
+    HERMITIAN,
     NEGATIVE_IDS,
+    NORDEN,
     SECTION2_IDS,
     SECTION3_IDS,
     SECTION4_IDS,
@@ -144,6 +151,62 @@ def test_trial_metrics_nondegenerate_at_trial_points():
     # probe points yet reach |det| = 8e-7 at a suite point, which aborted
     # the whole verify run with a degeneracy error
     ctx = SectionContext(seed=687637279, dim=4, trials=12)
-    for td in (ctx.hermitian(2), ctx.norden(2)):
+    for td in (ctx.trial(HERMITIAN, 2), ctx.trial(NORDEN, 2)):
         dets = np.linalg.det(td.model.metric.values(td.pts))
         assert np.abs(dets).min() >= 1e-3
+
+
+SELECT = dict(seed=0, trials=2, dims=(2, 4))
+
+
+@pytest.fixture(scope="module")
+def select_report():
+    return {(e.prop_id, e.dim): e.to_dict() for e in run_full_suite(**SELECT).entries}
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=[f.ids[0] for f in FAMILIES])
+def test_only_runs_a_family_alone_with_full_run_results(family, select_report):
+    # a family run on its own reports exactly what the full run does
+    prop_id = family.ids[0]
+    rep = run_full_suite(**SELECT, only=(prop_id,))
+    got = {(e.prop_id, e.dim): e.to_dict() for e in rep.entries}
+    want = {k: v for k, v in select_report.items()
+            if k[0] == prop_id or k[0].startswith(prop_id + ".")}
+    assert got and got == want
+
+
+def test_only_runs_only_the_selected_families(monkeypatch):
+    calls = []
+    real = propositions.synthesize_connection
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(propositions, "synthesize_connection", counting)
+    rep = run_full_suite(seed=0, trials=2, dims=(2,), only=("GAD1",))
+    assert {e.prop_id for e in rep.entries} == {"GAD1.i", "GAD1.ii", "GAD1.iii"}
+    assert calls == []
+    run_full_suite(seed=0, trials=2, dims=(2,), only=("pro3.i",))
+    assert len(calls) == 4  # one Codazzi witness per witness trial
+
+
+def test_benchmark_tracer_sees_every_section():
+    # perfbench/tracing.py wraps the section runners by rebinding module
+    # attributes; the suite must call them through those attributes
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import tracing
+    finally:
+        sys.path.pop(0)
+    tr = tracing.Tracer()
+    restore = tracing.install(tr)
+    try:
+        tr.active = True
+        run_full_suite(seed=0, trials=2, dims=(2,))
+    finally:
+        tr.active = False
+        restore()
+    for name in ("propositions.section2", "propositions.section3",
+                 "propositions.section4", "propositions.negative"):
+        assert tr.calls[name] > 0, name
