@@ -5,20 +5,26 @@ and Hermitian or Norden metrics."""
 
 __version__ = "0.1.0"
 
-from .fields import ChartDomain, Jet1, PolyExpr, PolyTensorField, eval_jet, field_arith
+from .fields import ChartDomain, PolyExpr, PolyTensorField
 from .calculus import (
     Connection,
     PolyConnection,
     LeviCivitaConnection,
     DerivedTensorField,
-    covariant_derivative,
+    covd_values,
     exterior_d2,
     invert_bilinear,
     levi_civita,
     lie_bracket,
-    torsion,
+    torsion_values,
 )
-from .structures import AlmostComplexStructure, MetricField, fundamental_two_form, twin_metric
+from .structures import (
+    AlmostComplexStructure,
+    MetricField,
+    fundamental_two_form,
+    purity_values,
+    twin_metric,
+)
 from .connections import average_connection, conjugate_by_bilinear, conjugate_by_J, klein_table
 from .model import ChartModel, flat_hermitian_model, flat_norden_model
 from .predicates import CheckReport, check
@@ -27,24 +33,22 @@ from .propositions import SuiteReport, run_full_suite
 
 __all__ = [
     "ChartDomain",
-    "Jet1",
     "PolyExpr",
     "PolyTensorField",
-    "eval_jet",
-    "field_arith",
     "Connection",
     "PolyConnection",
     "LeviCivitaConnection",
     "DerivedTensorField",
-    "covariant_derivative",
+    "covd_values",
     "exterior_d2",
     "invert_bilinear",
     "levi_civita",
     "lie_bracket",
-    "torsion",
+    "torsion_values",
     "AlmostComplexStructure",
     "MetricField",
     "fundamental_two_form",
+    "purity_values",
     "twin_metric",
     "average_connection",
     "conjugate_by_bilinear",

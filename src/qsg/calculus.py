@@ -6,8 +6,11 @@ indexed ``[k, i, j]`` with ``k`` the upper index, ``i`` the differentiation
 direction and ``j`` the argument, i.e. the covariant derivative of a frame
 field along a frame field has components ``gamma[k, i, j]``.
 
-Covariant derivative outputs put the new lower (derivative) index first
-among the lower indices:
+``covd_values`` is the one covariant derivative.  For (1,0), (1,1), (0,2)
+and (0,3) fields it evaluates one index formula: the partial ``d_i t``,
+plus ``gamma^a_{im} t^{..m..}`` for each upper slot ``a``, minus
+``gamma^m_{ia} t_{..m..}`` for each lower slot ``a``.  The new lower
+(derivative) index comes first among the lower indices:
 
 * (1,0) -> ``out[k, i]   = (D_i X)^k``
 * (1,1) -> ``out[k, i, j] = (D_i L)^k_j``
@@ -98,23 +101,22 @@ class LeviCivitaConnection(Connection):
     evaluated from the exact jets of ``b``.
     """
 
-    def __init__(self, metric, det_floor: float = DET_FLOOR):
+    def __init__(self, metric):
         self.metric = metric
         self.dimension = metric.dimension
-        self.det_floor = det_floor
 
     def gammas(self, pts):
         bv, bg = self.metric.jets(pts)
         _require_symmetric(bv, pts)
-        binv = _checked_inverse(bv, pts, self.det_floor)
+        binv = _checked_inverse(bv, pts)
         # bg[n,i,j,l] = d_l b_{ij}
         r = np.einsum("njli->nlij", bg) + np.einsum("nilj->nlij", bg) - np.einsum("nijl->nlij", bg)
         return 0.5 * np.einsum("nkl,nlij->nkij", binv, r)
 
 
-def levi_civita(b, det_floor: float = DET_FLOOR) -> LeviCivitaConnection:
+def levi_civita(b) -> LeviCivitaConnection:
     """Torsion-free, metric-parallel connection of a symmetric metric field."""
-    return LeviCivitaConnection(b, det_floor)
+    return LeviCivitaConnection(b)
 
 
 def _require_symmetric(bv, pts):
@@ -123,10 +125,10 @@ def _require_symmetric(bv, pts):
         raise PreconditionError(f"metric is not symmetric (defect {defect:.3e})")
 
 
-def _checked_inverse(bv, pts, det_floor):
+def _checked_inverse(bv, pts):
     dets = np.linalg.det(bv)
     worst = int(np.abs(dets).argmin())
-    if abs(dets[worst]) < det_floor:
+    if abs(dets[worst]) < DET_FLOOR:
         raise DegeneracyError(
             f"bilinear form numerically singular (|det| = {abs(dets[worst]):.3e})",
             point=np.atleast_2d(pts)[worst],
@@ -139,7 +141,7 @@ def invert_bilinear(b, point) -> np.ndarray:
     """Pointwise inverse matrix of a nondegenerate (0,2) field."""
     point = np.asarray(point, dtype=float).reshape(1, -1)
     bv = b.values(point)
-    return _checked_inverse(bv, point, DET_FLOOR)[0]
+    return _checked_inverse(bv, point)[0]
 
 
 class DerivedTensorField:
@@ -178,81 +180,34 @@ def torsion_values(conn: Connection, pts) -> np.ndarray:
     return g - np.swapaxes(g, 2, 3)
 
 
-def torsion(conn: Connection) -> DerivedTensorField:
-    return DerivedTensorField(conn.dimension, (1, 2), lambda pts: torsion_values(conn, pts))
+def covd_values(conn: Connection, t, pts) -> np.ndarray:
+    """Covariant derivative of a (1,0), (1,1), (0,2) or (0,3) field at
+    ``pts``, in the layout of the module docstring.
 
-
-def covariant_derivative(conn: Connection, t) -> DerivedTensorField:
-    """Covariant derivative of a (1,0), (1,1), (0,2) or (0,3) field.
-
-    The standard index formula: one partial term, plus one +gamma
-    contraction per upper index and one -gamma contraction per lower
-    index.  Result valence is (p, q+1) with the derivative index first
-    among the lower indices.
+    One index formula for every valence: the partial term, then one
+    +gamma contraction per upper slot, then one -gamma contraction per
+    lower slot, summed in that order.
     """
     p, q = t.valence
-    if (p, q) == (1, 0):
-        fn = lambda pts: _covd_10(conn, t, pts)
-        out_val = (1, 1)
-    elif (p, q) == (1, 1):
-        fn = lambda pts: _covd_11(conn, t, pts)
-        out_val = (1, 2)
-    elif (p, q) == (0, 2):
-        fn = lambda pts: _covd_02(conn, t, pts)
-        out_val = (0, 3)
-    elif (p, q) == (0, 3):
-        fn = lambda pts: _covd_03(conn, t, pts)
-        out_val = (0, 4)
-    else:
+    if (p, q) not in ((1, 0), (1, 1), (0, 2), (0, 3)):
         raise UnsupportedValenceError(f"covariant derivative unsupported for valence {(p, q)}")
-    return DerivedTensorField(conn.dimension, out_val, fn)
-
-
-def _covd_10(conn, X, pts):
-    xv, xg = X.jets(pts)
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    tv, tg = t.jets(pts)
     g = conn.gammas(pts)
-    # out[n,k,i] = d_i X^k + gamma^k_{ij} X^j
-    return np.einsum("nki->nki", xg) + np.einsum("nkij,nj->nki", g, xv)
-
-
-def _covd_11(conn, L, pts):
-    lv, lg = L.jets(pts)
-    g = conn.gammas(pts)
-    # out[n,k,i,j] = d_i L^k_j + gamma^k_{im} L^m_j - gamma^m_{ij} L^k_m
-    # (a single-operand einsum can return a view of the jets, so never
-    # accumulate in place on the first term)
-    return (
-        np.einsum("nkji->nkij", lg)
-        + np.einsum("nkim,nmj->nkij", g, lv)
-        - np.einsum("nmij,nkm->nkij", g, lv)
-    )
-
-
-def _covd_02(conn, b, pts):
-    bv, bg = b.jets(pts)
-    g = conn.gammas(pts)
-    # out[n,i,j,k] = d_i b_{jk} - gamma^m_{ij} b_{mk} - gamma^m_{ik} b_{jm}
-    return (
-        np.einsum("njki->nijk", bg)
-        - np.einsum("nmij,nmk->nijk", g, bv)
-        - np.einsum("nmik,njm->nijk", g, bv)
-    )
-
-
-def _covd_03(conn, s, pts):
-    sv, sg = s.jets(pts)
-    g = conn.gammas(pts)
-    return (
-        np.einsum("njkli->nijkl", sg)
-        - np.einsum("nmij,nmkl->nijkl", g, sv)
-        - np.einsum("nmik,njml->nijkl", g, sv)
-        - np.einsum("nmil,njkm->nijkl", g, sv)
-    )
-
-
-def covd_values(conn: Connection, t, pts) -> np.ndarray:
-    """Covariant derivative values in one call (same layout as above)."""
-    return covariant_derivative(conn, t).values(pts)
+    idx = "abc"[: p + q]  # t's slots, upper first; "i" is the derivative
+    out = f"n{idx[:p]}i{idx[p:]}"
+    res = np.einsum(f"n{idx}i->{out}", tg)
+    for s, a in enumerate(idx):
+        t_slots = f"n{idx[:s]}m{idx[s + 1:]}"
+        if s < p:
+            op, term = np.add, np.einsum(f"n{a}im,{t_slots}->{out}", g, tv)
+        else:
+            op, term = np.subtract, np.einsum(f"nmi{a},{t_slots}->{out}", g, tv)
+        # sum into the first contraction's array, never into the partial
+        # term (it can be a view of the jets), and free each term once added
+        res = op(res, term, out=term if s == 0 else res)
+        del term
+    return res
 
 
 def exterior_d2(omega) -> DerivedTensorField:

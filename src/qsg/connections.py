@@ -21,15 +21,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .calculus import Connection, _checked_inverse, covd_values, DET_FLOOR
+from .calculus import Connection, _checked_inverse, covd_values
 from .errors import PreconditionError
 from .structures import (
     AlmostComplexStructure,
     MetricField,
     _as_field,
     fundamental_two_form,
-    hermitian_purity_residual,
-    norden_purity_residual,
     twin_metric,
 )
 
@@ -44,14 +42,13 @@ class BilinearConjugateConnection(Connection):
     antisymmetric forms; for symmetric b the two coincide identically.
     """
 
-    def __init__(self, base: Connection, b, slot: str = "second", det_floor: float = DET_FLOOR):
+    def __init__(self, base: Connection, b, slot: str = "second"):
         self.base = base
         self.b = _as_field(b)
         self.dimension = base.dimension
         if slot not in ("first", "second"):
             raise PreconditionError(f"unknown conjugation slot {slot!r}")
         self.slot = slot
-        self.det_floor = det_floor
 
     def gammas(self, pts):
         bv, bg = self.b.jets(pts)
@@ -63,7 +60,7 @@ class BilinearConjugateConnection(Connection):
                 f"(sym defect {sym:.3e}, skew defect {skew:.3e})"
             )
         g = self.base.gammas(pts)
-        binv = _checked_inverse(bv, pts, self.det_floor)
+        binv = _checked_inverse(bv, pts)
         if self.slot == "second":
             # r[n,i,k,j] = d_k b_{ij} - gamma^l_{ki} b_{lj}
             r = np.einsum("nijk->nikj", bg) - np.einsum("nlki,nlj->nikj", g, bv)
@@ -120,27 +117,6 @@ def average_connection(conn: Connection, J: AlmostComplexStructure) -> Combinati
     return CombinationConnection([(0.5, conn), (0.5, conjugate_by_J(conn, J))])
 
 
-CONJUGATION_KINDS = ("metric", "j_conjugate", "average")
-
-
-def conjugate(conn: Connection, kind: str, b=None, J=None) -> Connection:
-    """Dispatch by conjugation kind: metric (needs b), j_conjugate or
-    average (need J)."""
-    if kind == "metric":
-        if b is None:
-            raise PreconditionError("metric conjugation needs a nondegenerate (0,2) field")
-        return conjugate_by_bilinear(conn, b)
-    if kind == "j_conjugate":
-        if J is None:
-            raise PreconditionError("structure conjugation needs an almost complex structure")
-        return conjugate_by_J(conn, J)
-    if kind == "average":
-        if J is None:
-            raise PreconditionError("averaging needs an almost complex structure")
-        return average_connection(conn, J)
-    raise PreconditionError(f"unknown conjugation kind {kind!r}; valid: {CONJUGATION_KINDS}")
-
-
 @dataclass
 class KleinReport:
     """Residuals of the involution and composition identities."""
@@ -163,26 +139,21 @@ def _gamma_residual(a: Connection, b: Connection, pts) -> float:
     return float(np.abs(ga - gb).max() / (1.0 + np.abs(ga).max()))
 
 
-def klein_table(conn: Connection, metric: MetricField, J: AlmostComplexStructure, pts,
-                tolerance: float = 1e-8) -> KleinReport:
+def klein_table(conn: Connection, metric: MetricField, J: AlmostComplexStructure,
+                pts) -> KleinReport:
     """Verify the four-group structure of the three conjugations.
 
     For a Hermitian metric the partners are (metric, 2-form, structure)
     conjugation; for a Norden metric (metric, twin-metric, structure).
-    Checks the three involutions and the six pairwise compositions.
+    Checks the three involutions and the six pairwise compositions; the
+    pair's purity is checked at ``pts`` first.
     """
     if metric.flavor == "hermitian":
-        r = hermitian_purity_residual(metric, J, pts)
-        partner = fundamental_two_form(metric, J)
+        partner = fundamental_two_form(metric, J, check_at=pts)
     elif metric.flavor == "norden":
-        r = norden_purity_residual(metric, J, pts)
-        partner = twin_metric(metric, J)
+        partner = twin_metric(metric, J, check_at=pts)
     else:
         raise PreconditionError("klein_table needs a hermitian or norden metric")
-    if r > 1e-8:
-        raise PreconditionError(
-            f"metric flavor {metric.flavor!r} incompatible with structure (purity {r:.3e})"
-        )
 
     def m(c):  # metric conjugate
         return conjugate_by_bilinear(c, metric)
@@ -193,7 +164,7 @@ def klein_table(conn: Connection, metric: MetricField, J: AlmostComplexStructure
     def j(c):  # structure conjugate
         return conjugate_by_J(c, J)
 
-    report = KleinReport(flavor=metric.flavor, tolerance=tolerance)
+    report = KleinReport(flavor=metric.flavor)
     res = report.residuals
     res["metric_involution"] = _gamma_residual(m(m(conn)), conn, pts)
     res["partner_involution"] = _gamma_residual(w(w(conn)), conn, pts)

@@ -5,10 +5,6 @@ class QsgError(Exception):
     """Base class for all package errors."""
 
 
-class DomainError(QsgError):
-    """A point lies outside the chart domain box."""
-
-
 class ShapeError(QsgError):
     """Valence / dimension mismatch between tensor operands."""
 

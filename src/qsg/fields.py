@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, ShapeError
+from .errors import EvaluationError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -55,23 +55,6 @@ class ChartDomain:
     @classmethod
     def cube(cls, dimension: int, half_width: float = 0.5) -> "ChartDomain":
         return cls(dimension, tuple((-half_width, half_width) for _ in range(dimension)))
-
-    @property
-    def box_array(self) -> np.ndarray:
-        return np.asarray(self.box, dtype=float)
-
-    def contains(self, pts: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        b = self.box_array
-        return np.all((pts >= b[:, 0] - atol) & (pts <= b[:, 1] + atol), axis=1)
-
-
-@dataclass
-class Jet1:
-    """Value and exact first partials of one component at one point."""
-
-    value: float
-    partials: np.ndarray
 
 
 class PolyExpr:
@@ -431,37 +414,6 @@ class PolyTensorField:
         if self.valence != (0, 2):
             raise ShapeError("transpose_02 expects a (0,2) field")
         return self._like(self._exps, np.swapaxes(self._coefs, 1, 2))
-
-
-def field_arith(a: PolyTensorField, b, op: str) -> PolyTensorField:
-    """Componentwise polynomial arithmetic: ``add``, ``sub`` or ``scale``.
-
-    For ``scale``, ``b`` is the scalar factor.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "scale":
-        return a.scale(float(b))
-    raise ShapeError(f"unknown field operation {op!r}")
-
-
-def eval_jet(field: PolyTensorField, point, domain: ChartDomain | None = None) -> np.ndarray:
-    """Exact value + first partials of every component at one point.
-
-    Returns an object array of :class:`Jet1` with the field's component
-    shape.  If ``domain`` is given, the point must lie inside it (boundary
-    included).
-    """
-    point = np.asarray(point, dtype=float).reshape(1, -1)
-    if domain is not None and not bool(domain.contains(point)[0]):
-        raise DomainError(f"point {point[0].tolist()} outside chart domain")
-    vals, grads = field.jets(point)
-    out = np.empty(field.shape, dtype=object)
-    for idx in np.ndindex(field.shape):
-        out[idx] = Jet1(float(vals[(0,) + idx]), grads[(0,) + idx].copy())
-    return out
 
 
 # -- polynomial tensor algebra used to assemble structure fields ----------

@@ -65,6 +65,11 @@ T_H = sampling.tag("gen_norden")
 T_C = sampling.tag("gen_connection")
 T_S = sampling.tag("synthesize")
 
+# least |det| a generated metric must reach where it is checked
+METRIC_DET_FLOOR = 1e-3
+# held-out points that score a synthesized connection
+HOLDOUT_POINTS = 25
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -73,14 +78,13 @@ class GenSpec:
     seed: int
     dimension: int
     degree: int = 2
-    coef_bound: float = 1.0
     constraints: frozenset = frozenset()
 
     def __post_init__(self):
         if self.dimension < 2 or self.dimension % 2 != 0:
             raise GenerationError("dimension must be even and >= 2")
-        if self.degree < 0 or self.coef_bound <= 0:
-            raise GenerationError("degree must be >= 0 and coef_bound positive")
+        if self.degree < 0:
+            raise GenerationError("degree must be >= 0")
 
 
 def monomial_exponents(dimension: int, degree: int) -> np.ndarray:
@@ -90,12 +94,9 @@ def monomial_exponents(dimension: int, degree: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
-def random_poly(rng, dimension: int, degree: int, bound: float, nonconstant=False) -> PolyExpr:
+def random_poly(rng, dimension: int, degree: int, bound: float) -> PolyExpr:
     exps = monomial_exponents(dimension, degree)
-    coefs = rng.uniform(-bound, bound, size=exps.shape[0])
-    if nonconstant and exps.shape[0] > 1:
-        coefs[0] = 0.0
-    return PolyExpr(dimension, exps, coefs)
+    return PolyExpr(dimension, exps, rng.uniform(-bound, bound, size=exps.shape[0]))
 
 
 def random_poly_field(rng, dimension: int, valence, degree: int, bound: float) -> PolyTensorField:
@@ -181,13 +182,13 @@ def gen_almost_complex(spec: GenSpec, integrable: bool = False) -> AlmostComplex
 # metrics
 
 
-def _det_floor_ok(field: PolyTensorField, pts, floor: float) -> bool:
+def _det_floor_ok(field: PolyTensorField, pts) -> bool:
     vals = field.values(pts)
-    return bool(np.abs(np.linalg.det(vals)).min() >= floor)
+    return bool(np.abs(np.linalg.det(vals)).min() >= METRIC_DET_FLOOR)
 
 
 def gen_hermitian_metric(spec: GenSpec, J: AlmostComplexStructure,
-                         probe_pts=None, det_floor: float = 1e-3) -> MetricField:
+                         probe_pts=None) -> MetricField:
     """Random metric with exactly invariant purity: g(JX, JY) = g(X, Y).
 
     Built as A + A(J., J.) + c (E + E(J., J.)) where A pulls a random
@@ -197,28 +198,29 @@ def gen_hermitian_metric(spec: GenSpec, J: AlmostComplexStructure,
     constant frame keeps polynomial degrees bounded by
     ``spec.degree + 2 deg(frame)``.
 
-    The determinant floor holds on the generator's probe points and on
-    ``probe_pts``, where the caller evaluates (it is not checked elsewhere).
+    The determinant floor ``METRIC_DET_FLOOR`` holds on the generator's
+    probe points and on ``probe_pts``, where the caller evaluates (it is
+    not checked elsewhere).
     """
     d = spec.dimension
     rng = sampling.rng(spec.seed, T_G, d)
     probe = _probe_points(spec, T_G, probe_pts)
     frame_inv = _frame_inv(J)
     j0 = standard_structure(d)
-    r = symmetrize_02(random_poly_field(rng, d, (0, 2), spec.degree, 0.3 * spec.coef_bound))
+    r = symmetrize_02(random_poly_field(rng, d, (0, 2), spec.degree, 0.3))
     pure = _congruent_form(r + _const_pullback_both(r, j0), frame_inv)
     base = _congruent_form(2.0 * np.eye(d), frame_inv)
     c = 0.5
     for _ in range(10):
         g = pure + base.scale(c)
-        if _det_floor_ok(g, probe, det_floor):
+        if _det_floor_ok(g, probe):
             return MetricField(g, flavor="hermitian")
         c *= 2.0
     raise GenerationError("could not reach a nondegenerate Hermitian metric")
 
 
 def gen_norden_metric(spec: GenSpec, J: AlmostComplexStructure,
-                      probe_pts=None, det_floor: float = 1e-3) -> MetricField:
+                      probe_pts=None) -> MetricField:
     """Random neutral metric with exact purity: h(JX, Y) = h(X, JY).
 
     Built as h0 + S - S(J., J.) where S pulls a random symmetric
@@ -233,11 +235,11 @@ def gen_norden_metric(spec: GenSpec, J: AlmostComplexStructure,
     frame_inv = _frame_inv(J)
     j0 = standard_structure(d)
     base = _congruent_form(neutral_diagonal(d), frame_inv)
-    scale = 0.3 * spec.coef_bound
+    scale = 0.3
     for _ in range(10):
         s = symmetrize_02(random_poly_field(rng, d, (0, 2), spec.degree, scale))
         h = base + _congruent_form(s - _const_pullback_both(s, j0), frame_inv)
-        if _det_floor_ok(h, probe, det_floor) and _neutral_signature(h, probe):
+        if _det_floor_ok(h, probe) and _neutral_signature(h, probe):
             return MetricField(h, flavor="norden")
         scale *= 0.5
     raise GenerationError("could not reach a nondegenerate neutral Norden metric")
@@ -276,8 +278,7 @@ def _neutral_signature(h: PolyTensorField, pts) -> bool:
     return bool(np.all(signs.sum(axis=1) == 0))
 
 
-def gen_constant_structure_model(spec: GenSpec, flavor: str = "hermitian",
-                                 half_width: float = 0.5) -> ChartModel:
+def gen_constant_structure_model(spec: GenSpec, flavor: str = "hermitian") -> ChartModel:
     """Constant compatible pair (random constant frame), no connection.
 
     With constant structure fields every affine connection constraint has
@@ -303,7 +304,7 @@ def gen_constant_structure_model(spec: GenSpec, flavor: str = "hermitian",
         b0 = r0 + j0.T @ r0 @ j0 + 2.0 * np.eye(d)
     elif flavor == "norden":
         b0 = neutral_diagonal(d) + r0 - j0.T @ r0 @ j0
-        if np.abs(np.linalg.det(qinv.T @ b0 @ qinv)) < 1e-3:
+        if np.abs(np.linalg.det(qinv.T @ b0 @ qinv)) < METRIC_DET_FLOOR:
             b0 = neutral_diagonal(d)
     else:
         raise GenerationError(f"unknown flavor {flavor!r}")
@@ -314,7 +315,7 @@ def gen_constant_structure_model(spec: GenSpec, flavor: str = "hermitian",
         frame_inv=PolyTensorField.constant(d, (1, 1), qinv),
     )
     metric = MetricField(PolyTensorField.constant(d, (0, 2), bmat), flavor=flavor)
-    return ChartModel(domain=ChartDomain.cube(d, half_width), metric=metric, J=J, conn=None)
+    return ChartModel(domain=ChartDomain.cube(d), metric=metric, J=J, conn=None)
 
 
 def gen_vishnevskii_zero_connection(spec: GenSpec, J: AlmostComplexStructure) -> PolyConnection:
@@ -333,13 +334,13 @@ def gen_vishnevskii_zero_connection(spec: GenSpec, J: AlmostComplexStructure) ->
         )
     jmat = J.values(np.zeros((1, d)))[0]
     rng = sampling.rng(spec.seed, T_C, d, 3)
-    raw = random_poly_field(rng, d, (1, 2), spec.degree, spec.coef_bound)
+    raw = random_poly_field(rng, d, (1, 2), spec.degree, 1.0)
     # for each argument index j, project the (k, i)-matrix onto the commutant
     twisted = poly_einsum("ka,abj,bi->kij", jmat, raw, jmat, valence=(1, 2))
     return PolyConnection((raw - twisted).scale(0.5))
 
 
-def gen_kahler_model(spec: GenSpec, half_width: float = 0.5) -> ChartModel:
+def gen_kahler_model(spec: GenSpec) -> ChartModel:
     """A model that is the flat compatible pair in sheared coordinates.
 
     The structure is the integrable pullback variant and the metric pulls a
@@ -353,18 +354,17 @@ def gen_kahler_model(spec: GenSpec, half_width: float = 0.5) -> ChartModel:
     rng = sampling.rng(spec.seed, T_G, d, 7)
     J = gen_almost_complex(spec, integrable=True)
     j0 = standard_structure(d)
-    r0 = rng.uniform(-0.3 * spec.coef_bound, 0.3 * spec.coef_bound, size=(d, d))
+    r0 = rng.uniform(-0.3, 0.3, size=(d, d))
     r0 = 0.5 * (r0 + r0.T)
     b = r0 + j0.T @ r0 @ j0
     c = 0.5
-    probe = sampling.sample_box([(-half_width, half_width)] * d, 25, spec.seed, T_G, d, 8)
+    domain = ChartDomain.cube(d)
+    probe = sampling.sample_box(domain.box, 25, spec.seed, T_G, d, 8)
     for _ in range(10):
         g = _congruent_form(b + 2.0 * c * np.eye(d), J.frame_inv)
-        if _det_floor_ok(g, probe, 1e-3):
+        if _det_floor_ok(g, probe):
             metric = MetricField(g, flavor="hermitian")
-            return ChartModel(
-                domain=ChartDomain.cube(d, half_width), metric=metric, J=J, conn=None
-            )
+            return ChartModel(domain=domain, metric=metric, J=J, conn=None)
         c *= 2.0
     raise GenerationError("could not build a nondegenerate pulled-back compatible model")
 
@@ -414,7 +414,7 @@ def gen_connection(spec: GenSpec, J: AlmostComplexStructure | None = None,
     cons = frozenset(spec.constraints)
     d = spec.dimension
     rng = sampling.rng(spec.seed, T_C, d)
-    raw = random_poly_field(rng, d, (1, 2), spec.degree, spec.coef_bound)
+    raw = random_poly_field(rng, d, (1, 2), spec.degree, 1.0)
     if len(cons) == 0:
         return PolyConnection(raw)
     if len(cons) > 1:
@@ -596,8 +596,7 @@ class SynthesisResult:
 
 
 def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1,
-                          seed: int = 0, anchor_scale: float = 0.0,
-                          n_fit: int | None = None, n_holdout: int = 25) -> SynthesisResult:
+                          seed: int = 0, anchor_scale: float = 0.0) -> SynthesisResult:
     """Fit polynomial symbols to a set of affine constraints.
 
     Every supported constraint is pointwise affine in the symbol values, so
@@ -627,15 +626,14 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
     def eval_all(conn, pts):
         return np.concatenate([f(conn, pts) for f in active], axis=1)
 
-    if n_fit is None:
-        # enough rows that a spurious interpolant cannot fit the ansatz
-        m_probe = eval_all(
-            ConstantConnection(np.zeros((d, d, d))),
-            sampling.sample_box(box, 1, seed, T_S, 3),
-        ).shape[1]
-        n_fit = int(min(120, max(16, np.ceil(2.5 * r_sym * k / m_probe))))
+    # enough rows that a spurious interpolant cannot fit the ansatz
+    m_probe = eval_all(
+        ConstantConnection(np.zeros((d, d, d))),
+        sampling.sample_box(box, 1, seed, T_S, 3),
+    ).shape[1]
+    n_fit = int(min(120, max(16, np.ceil(2.5 * r_sym * k / m_probe))))
     pts_fit = sampling.sample_box(box, n_fit, seed, T_S, 0)
-    pts_out = sampling.sample_box(box, n_holdout, seed, T_S, 1)
+    pts_out = sampling.sample_box(box, HOLDOUT_POINTS, seed, T_S, 1)
 
     base, a = _probe_jacobian(eval_all, pts_fit)
     mon = np.stack([np.prod(pts_fit ** e, axis=1) for e in exps], axis=1)  # (n, k)
@@ -661,7 +659,7 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
         residual=max(per.values()),
         constraint_residuals=per,
         fit_points=n_fit,
-        holdout_points=n_holdout,
+        holdout_points=HOLDOUT_POINTS,
         rows=rows.shape[0],
         cols=rows.shape[1],
         rank=rank,

@@ -66,9 +66,9 @@ def neutral_diagonal(dimension: int) -> np.ndarray:
     return np.diag([1.0 if i % 2 == 0 else -1.0 for i in range(dimension)])
 
 
-def flat_hermitian_model(dimension: int, half_width: float = 0.5) -> ChartModel:
+def flat_hermitian_model(dimension: int) -> ChartModel:
     """Identity metric, constant standard structure, zero symbols."""
-    domain = ChartDomain.cube(dimension, half_width)
+    domain = ChartDomain.cube(dimension)
     g = MetricField(
         PolyTensorField.constant(dimension, (0, 2), np.eye(dimension)), flavor="hermitian"
     )
@@ -78,9 +78,9 @@ def flat_hermitian_model(dimension: int, half_width: float = 0.5) -> ChartModel:
     return ChartModel(domain=domain, metric=g, J=J, conn=PolyConnection.zero(dimension))
 
 
-def flat_norden_model(dimension: int, half_width: float = 0.5) -> ChartModel:
+def flat_norden_model(dimension: int) -> ChartModel:
     """Neutral diagonal metric, constant standard structure, zero symbols."""
-    domain = ChartDomain.cube(dimension, half_width)
+    domain = ChartDomain.cube(dimension)
     h = MetricField(
         PolyTensorField.constant(dimension, (0, 2), neutral_diagonal(dimension)), flavor="norden"
     )

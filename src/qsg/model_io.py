@@ -11,7 +11,7 @@ Layout::
         "J":     {"components": [[poly, ...], ...]},
         "Gamma": {"components": [[[poly, ...], ...], ...]}
       },
-      "genspec": {...}          # optional, forwarded to generators
+      "genspec": {...}          # optional, copied unchanged; nothing reads it
     }
 
 where ``poly`` is a list of terms ``{"exp": [e1, ..., ed], "coef": c}``.

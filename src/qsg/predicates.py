@@ -20,9 +20,8 @@ from .model import ChartModel
 from .structures import (
     d_nabla_J_values,
     d_nabla_metric_values,
-    hermitian_purity_residual,
     nijenhuis,
-    norden_purity_residual,
+    purity_values,
     quasi_kahler_norden_sum_values,
     tachibana_values,
 )
@@ -68,16 +67,12 @@ def _almost_complex(model, pts):
 
 def _hermitian(model, pts):
     metric, J = _needs(model, "metric", "J")
-    bv = metric.values(pts)
-    jv = J.values(pts)
-    return np.einsum("nki,nkj->nij", jv, bv) + np.einsum("nkj,nik->nij", jv, bv)
+    return purity_values(metric, J, pts, 1.0)
 
 
 def _norden(model, pts):
     metric, J = _needs(model, "metric", "J")
-    bv = metric.values(pts)
-    jv = J.values(pts)
-    return np.einsum("nki,nkj->nij", jv, bv) - np.einsum("nkj,nik->nij", jv, bv)
+    return purity_values(metric, J, pts, -1.0)
 
 
 def _quasi_statistical(model, pts):

@@ -42,8 +42,8 @@ from .calculus import (
     torsion_values,
 )
 from .connections import (
-    CombinationConnection,
     _as_field,
+    average_connection,
     conjugate_by_bilinear,
     conjugate_by_J,
     klein_table,
@@ -90,6 +90,8 @@ TOLERANCES = {
 
 _T_TRIAL = sampling.tag("suite_trial")
 _T_PTS = sampling.tag("suite_points")
+# sample points per trial
+_N_PTS = 25
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +339,7 @@ class TrialData:
             elif op == "jconj":
                 c = conjugate_by_J(base, self.model.J)
             elif op == "avg":
-                c = CombinationConnection(
-                    [(0.5, base), (0.5, conjugate_by_J(base, self.model.J))]
-                )
+                c = average_connection(base, self.model.J)
             else:
                 raise QsgError(f"unknown connection op {op!r}")
             self._conns[ops] = c
@@ -389,8 +389,6 @@ class SectionContext:
     dim: int
     trials: int
     degree: int = 2
-    n_pts: int = 25
-    half_width: float = 0.5
 
     def __post_init__(self):
         self.witness_trials = max(4, self.trials // 3)
@@ -408,8 +406,7 @@ class SectionContext:
     def points(self, trial: int) -> np.ndarray:
         if trial not in self._points:
             self._points[trial] = sampling.sample_box(
-                [(-self.half_width, self.half_width)] * self.dim,
-                self.n_pts, self.seed, _T_PTS, self.dim, trial,
+                ChartDomain.cube(self.dim).box, _N_PTS, self.seed, _T_PTS, self.dim, trial,
             )
         return self._points[trial]
 
@@ -433,21 +430,20 @@ class SectionContext:
             conn = PolyConnection(
                 random_poly_field(self.rng(trial, fl.tags[1]), self.dim, (1, 2), self.degree, 1.0)
             )
-            model = ChartModel(domain=ChartDomain.cube(self.dim, self.half_width),
+            model = ChartModel(domain=ChartDomain.cube(self.dim),
                                metric=metric, J=J, conn=conn)
             self._trials[key] = TrialData(model, self.points(trial))
         return self._trials[key]
 
     def kahler(self, trial: int) -> ChartModel:
         if trial not in self._kahler:
-            self._kahler[trial] = gen_kahler_model(self.spec(trial, 5), self.half_width)
+            self._kahler[trial] = gen_kahler_model(self.spec(trial, 5))
         return self._kahler[trial]
 
     def constant(self, trial: int) -> ChartModel:
         """Constant-structure Hermitian model of one witness trial."""
         if trial not in self._const:
-            self._const[trial] = gen_constant_structure_model(
-                self.spec(trial, 6), "hermitian", self.half_width)
+            self._const[trial] = gen_constant_structure_model(self.spec(trial, 6), "hermitian")
         return self._const[trial]
 
 
@@ -464,7 +460,7 @@ def _worst(residuals) -> float:
 def _identity_entry(prop_id, dim, trials, residuals, tol, notes=""):
     r = _worst(residuals)
     return EntryResult(
-        prop_id=prop_id, dim=dim, direction="identity", trials=len(residuals),
+        prop_id=prop_id, dim=dim, direction="identity", trials=trials,
         max_residual=r, tolerance=tol,
         status="pass" if r <= tol else "fail", notes=notes,
     )
@@ -833,7 +829,7 @@ def _cyclic(ctx):
 def _teo2(ctx):
     # flat model, torsion-bearing synthesized witnesses, sheared model
     res_teo2, torsions = [], []
-    flat = flat_hermitian_model(ctx.dim, ctx.half_width)
+    flat = flat_hermitian_model(ctx.dim)
     rep = predicate_check(flat, "kahler", tol=TOLERANCES["conclusion"], seed=ctx.seed)
     res_teo2.append((0.0, rep.max_residual))
     for t in range(ctx.witness_trials):

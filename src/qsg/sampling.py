@@ -14,6 +14,9 @@ import zlib
 import numpy as np
 from scipy.stats import qmc
 
+# fraction of each box side kept clear of sample points, at both ends
+MARGIN = 0.05
+
 
 def tag(name: str) -> int:
     """Stable 32-bit tag for a purpose string (never Python ``hash``)."""
@@ -29,8 +32,8 @@ def rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed_sequence(seed, *path)))
 
 
-def sample_box(box, n: int, seed: int, *path: int, margin: float = 0.05) -> np.ndarray:
-    """Quasi-random points inside a box, shrunk by ``margin`` per side.
+def sample_box(box, n: int, seed: int, *path: int) -> np.ndarray:
+    """Quasi-random points inside a box, shrunk by ``MARGIN`` per side.
 
     Uses a scrambled Halton sequence seeded from the stream, so the same
     (seed, path) always yields the same point set.
@@ -41,4 +44,4 @@ def sample_box(box, n: int, seed: int, *path: int, margin: float = 0.05) -> np.n
     u = sampler.random(n)
     lo, hi = box[:, 0], box[:, 1]
     width = hi - lo
-    return lo + width * (margin + (1.0 - 2.0 * margin) * u)
+    return lo + width * (MARGIN + (1.0 - 2.0 * MARGIN) * u)

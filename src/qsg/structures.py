@@ -107,22 +107,26 @@ def _as_field(b):
     return b.field if isinstance(b, MetricField) else b
 
 
-def hermitian_purity_residual(g, J, pts) -> float:
-    """max |b(JX, Y) + b(X, JY)| on frame pairs."""
-    bv = g.values(pts)
+def purity_values(b, J: AlmostComplexStructure, pts, sign: float) -> np.ndarray:
+    """b(J x_i, x_j) + sign * b(x_i, J x_j) on frame pairs.
+
+    ``sign = +1`` gives the Hermitian purity defect and ``sign = -1`` the
+    Norden one; each vanishes on pairs of its flavor.
+    """
+    bv = b.values(pts)
     jv = J.values(pts)
-    lhs = np.einsum("nki,nkj->nij", jv, bv)
-    rhs = np.einsum("nkj,nik->nij", jv, bv)
-    return float(np.abs(lhs + rhs).max())
+    return np.einsum("nki,nkj->nij", jv, bv) + sign * np.einsum("nkj,nik->nij", jv, bv)
 
 
-def norden_purity_residual(h, J, pts) -> float:
-    """max |b(JX, Y) - b(X, JY)| on frame pairs."""
-    bv = h.values(pts)
-    jv = J.values(pts)
-    lhs = np.einsum("nki,nkj->nij", jv, bv)
-    rhs = np.einsum("nkj,nik->nij", jv, bv)
-    return float(np.abs(lhs - rhs).max())
+def _pullback_of_pure(b: MetricField, J: AlmostComplexStructure, check_at, sign: float,
+                      flavor: str) -> PolyTensorField:
+    """b(J., .) as an exact polynomial field, after checking the ``sign``
+    purity at ``check_at`` when points are given."""
+    if check_at is not None:
+        r = float(np.abs(purity_values(b, J, check_at, sign)).max())
+        if r > PURITY_TOL:
+            raise PreconditionError(f"metric is not {flavor} for this structure (purity {r:.3e})")
+    return bilinear_pullback_first(b.field, J.field)
 
 
 def fundamental_two_form(g: MetricField, J: AlmostComplexStructure, check_at=None) -> PolyTensorField:
@@ -131,20 +135,13 @@ def fundamental_two_form(g: MetricField, J: AlmostComplexStructure, check_at=Non
     The result is an exact polynomial field.  When sample points are given,
     Hermitian purity is verified first.
     """
-    if check_at is not None:
-        r = hermitian_purity_residual(g, J, check_at)
-        if r > PURITY_TOL:
-            raise PreconditionError(f"metric is not Hermitian for this structure (purity {r:.3e})")
-    return bilinear_pullback_first(g.field, J.field)
+    return _pullback_of_pure(g, J, check_at, 1.0, "Hermitian")
 
 
 def twin_metric(h: MetricField, J: AlmostComplexStructure, check_at=None) -> PolyTensorField:
-    """Twin metric hbar(X, Y) = h(JX, Y); symmetric for a Norden pair."""
-    if check_at is not None:
-        r = norden_purity_residual(h, J, check_at)
-        if r > PURITY_TOL:
-            raise PreconditionError(f"metric is not Norden for this structure (purity {r:.3e})")
-    return bilinear_pullback_first(h.field, J.field)
+    """Twin metric hbar(X, Y) = h(JX, Y); symmetric for a Norden pair.
+    When sample points are given, Norden purity is verified first."""
+    return _pullback_of_pure(h, J, check_at, -1.0, "Norden")
 
 
 def nijenhuis(J: AlmostComplexStructure) -> DerivedTensorField:
@@ -183,10 +180,6 @@ def d_nabla_J_values(conn: Connection, J: AlmostComplexStructure, pts) -> np.nda
     return dj - np.swapaxes(dj, 2, 3) + np.einsum("nkm,nmij->nkij", jv, tv)
 
 
-def d_nabla_J(conn: Connection, J: AlmostComplexStructure) -> DerivedTensorField:
-    return DerivedTensorField(conn.dimension, (1, 2), lambda pts: d_nabla_J_values(conn, J, pts))
-
-
 def d_nabla_metric_values(conn: Connection, b, pts) -> np.ndarray:
     """(d^D b)_{ijk} = (D_i b)_{jk} - (D_j b)_{ik} + b(T(x_i, x_j), x_k).
 
@@ -198,10 +191,6 @@ def d_nabla_metric_values(conn: Connection, b, pts) -> np.ndarray:
     bv = field.values(pts)
     tv = torsion_values(conn, pts)
     return db - np.swapaxes(db, 1, 2) + np.einsum("nmij,nmk->nijk", tv, bv)
-
-
-def d_nabla_metric(conn: Connection, b) -> DerivedTensorField:
-    return DerivedTensorField(conn.dimension, (0, 3), lambda pts: d_nabla_metric_values(conn, b, pts))
 
 
 def tachibana_values(J: AlmostComplexStructure, h: MetricField, pts) -> np.ndarray:
@@ -219,10 +208,6 @@ def tachibana_values(J: AlmostComplexStructure, h: MetricField, pts) -> np.ndarr
     out += np.einsum("nmab,nmc->nabc", jg, hv)
     out += np.einsum("nbm,nmac->nabc", hv, jg)
     return out
-
-
-def tachibana(J: AlmostComplexStructure, h: MetricField) -> DerivedTensorField:
-    return DerivedTensorField(J.dimension, (0, 3), lambda pts: tachibana_values(J, h, pts))
 
 
 def cyclic_sum_03(arr: np.ndarray) -> np.ndarray:
@@ -246,24 +231,13 @@ def vishnevskii_frame_values(conn: Connection, J: AlmostComplexStructure, pts) -
 
     ``Psi_{J x_i} x_j = D_{J x_i} x_j - J (D_{x_i} x_j)``; not tensorial in
     the second argument, so this array does not determine the operator on
-    non-frame arguments.
+    non-frame arguments: ``vishnevskii_on_fields`` takes explicit
+    polynomial arguments and ``vishnevskii_jframe_values`` the
+    structure-twisted frame set.
     """
     jv = J.values(pts)
     g = conn.gammas(pts)
     return np.einsum("nli,nklj->nkij", jv, g) - np.einsum("nkm,nmij->nkij", jv, g)
-
-
-def vishnevskii(conn: Connection, J: AlmostComplexStructure) -> DerivedTensorField:
-    """Frame array of the structure-coupling operator.
-
-    The operator is not function-linear in its second argument, so this
-    array is meaningful for frame arguments only; use
-    ``vishnevskii_on_fields`` for explicit polynomial arguments and
-    ``vishnevskii_jframe_values`` for the structure-twisted frame set.
-    """
-    return DerivedTensorField(
-        conn.dimension, (1, 2), lambda pts: vishnevskii_frame_values(conn, J, pts)
-    )
 
 
 def vishnevskii_jframe_values(conn: Connection, J: AlmostComplexStructure, pts) -> np.ndarray:

@@ -1,10 +1,12 @@
-"""Exact oracle for the dense field kernels.
+"""Exact oracle for the dense field kernels and the calculus kernels.
 
 Inputs are small polynomials with integer coefficients, and evaluation
 points are dyadic rationals, so every float the kernels produce is exactly
 representable: each result must equal the rational-arithmetic value.  The
 expected values are written as explicit loops over sympy polynomials, not
-through the einsum index strings under test.
+through the einsum index strings under test.  Kernels that invert a matrix
+(Levi-Civita, bilinear conjugation) round, so they are compared with the
+exact rational values to a relative 1e-12.
 """
 
 import itertools
@@ -15,7 +17,15 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from qsg import sampling
-from qsg.calculus import lie_bracket
+from qsg.calculus import (
+    PolyConnection,
+    covd_values,
+    exterior_d2,
+    levi_civita,
+    lie_bracket,
+    torsion_values,
+)
+from qsg.connections import JConjugateConnection, conjugate_by_bilinear
 from qsg.fields import (
     PolyExpr,
     PolyTensorField,
@@ -38,7 +48,7 @@ from qsg.generate import (
     torsion_project_poly,
 )
 from qsg.model import standard_structure
-from qsg.structures import AlmostComplexStructure
+from qsg.structures import AlmostComplexStructure, d_nabla_J_values, nijenhuis
 
 DIMS = (2, 4)
 
@@ -242,3 +252,190 @@ def test_vishnevskii_projection_exact(d):
             want[k, i, j] += eraw[a, b, j] * const_poly(-0.5 * jm[k, a] * jm[b, i], d)
     # float inputs: the subtraction rounds once, within one unit in the last place
     assert_exact(got, want, rel=2.3e-16)
+
+
+# ---------------------------------------------------------------------------
+# calculus kernels at dyadic points
+
+
+def dyadic_points(rng, d, n=4):
+    return rng.integers(-4, 5, size=(n, d)) / 8.0
+
+
+def exact_jets(exact, pts, d):
+    """Exact values ``(n, *shape)`` and partials ``(n, *shape, d)`` of sympy
+    components at the points, as object arrays of rationals."""
+    xs = gens(d)
+    vals = np.empty((len(pts),) + exact.shape, dtype=object)
+    grads = np.empty((len(pts),) + exact.shape + (d,), dtype=object)
+    for n, pt in enumerate(pts):
+        at = dict(zip(xs, (sympy.Rational(float(c)) for c in pt)))
+        for idx in np.ndindex(exact.shape):
+            vals[(n,) + idx] = exact[idx].eval(at)
+            for k in range(d):
+                grads[(n,) + idx + (k,)] = exact[idx].diff(xs[k]).eval(at)
+    return vals, grads
+
+
+def assert_equal_exact(got, want):
+    assert got.shape == want.shape
+    for idx in np.ndindex(want.shape):
+        assert sympy.Rational(float(got[idx])) == want[idx], idx
+
+
+def assert_close_exact(got, want, rel=1e-12):
+    """Normwise relative agreement with exact rational values."""
+    assert got.shape == want.shape
+    scale = max(abs(float(w)) for w in want.flat)
+    worst = max(abs(float(sympy.Rational(float(g)) - w)) for g, w in zip(got.flat, want.flat))
+    assert worst <= rel * scale, (worst, scale)
+
+
+def exact_covd(G, tv, tg, valence, d):
+    """Textbook covariant derivative at every point, one formula per
+    valence, derivative index first among the lower indices."""
+    r = range(d)
+    n = tv.shape[0]
+    shape = (n,) + (d,) * (sum(valence) + 1)
+    out = np.empty(shape, dtype=object)
+    for p in range(n):
+        g, v, dv = G[p], tv[p], tg[p]
+        if valence == (1, 0):
+            for k, i in itertools.product(r, r):
+                out[p, k, i] = dv[k, i] + sum(g[k, i, j] * v[j] for j in r)
+        elif valence == (1, 1):
+            for k, i, j in itertools.product(r, r, r):
+                out[p, k, i, j] = (dv[k, j, i] + sum(g[k, i, m] * v[m, j] for m in r)
+                                   - sum(g[m, i, j] * v[k, m] for m in r))
+        elif valence == (0, 2):
+            for i, j, k in itertools.product(r, r, r):
+                out[p, i, j, k] = (dv[j, k, i] - sum(g[m, i, j] * v[m, k] for m in r)
+                                   - sum(g[m, i, k] * v[j, m] for m in r))
+        else:
+            for i, j, k, l in itertools.product(r, r, r, r):
+                out[p, i, j, k, l] = (dv[j, k, l, i] - sum(g[m, i, j] * v[m, k, l] for m in r)
+                                      - sum(g[m, i, k] * v[j, m, l] for m in r)
+                                      - sum(g[m, i, l] * v[j, k, m] for m in r))
+    return out
+
+
+def exact_torsion(G, d):
+    out = np.empty(G.shape, dtype=object)
+    for p, k, i, j in itertools.product(range(G.shape[0]), range(d), range(d), range(d)):
+        out[p, k, i, j] = G[p, k, i, j] - G[p, k, j, i]
+    return out
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_covd_and_torsion_exact(d):
+    rng = np.random.default_rng(70 + d)
+    pts = dyadic_points(rng, d)
+    gamma, eg = int_field(rng, d, (1, 2))
+    conn = PolyConnection(gamma)
+    G, _ = exact_jets(eg, pts, d)
+    assert_equal_exact(torsion_values(conn, pts), exact_torsion(G, d))
+    for valence in ((1, 0), (1, 1), (0, 2), (0, 3)):
+        t, et = int_field(rng, d, valence)
+        tv, tg = exact_jets(et, pts, d)
+        assert_equal_exact(covd_values(conn, t, pts), exact_covd(G, tv, tg, valence, d))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_structure_kernels_exact(d):
+    # J is any integer (1,1) field: the kernels are formulas in J and its
+    # partials and do not use J^2 = -1
+    rng = np.random.default_rng(80 + d)
+    pts = dyadic_points(rng, d)
+    gamma, eg = int_field(rng, d, (1, 2))
+    jf, ej = int_field(rng, d, (1, 1))
+    J = AlmostComplexStructure(jf)
+    conn = PolyConnection(gamma)
+    G, _ = exact_jets(eg, pts, d)
+    jv, jg = exact_jets(ej, pts, d)
+    r = range(d)
+    conj = np.empty(G.shape, dtype=object)
+    closed = np.empty(G.shape, dtype=object)
+    nij = np.empty(G.shape, dtype=object)
+    dj = exact_covd(G, jv, jg, (1, 1), d)
+    tor = exact_torsion(G, d)
+    for p, k, i, j in itertools.product(range(len(pts)), r, r, r):
+        conj[p, k, i, j] = -sum(
+            jv[p, k, m] * (jg[p, m, j, i] + sum(G[p, m, i, l] * jv[p, l, j] for l in r))
+            for m in r)
+        closed[p, k, i, j] = (dj[p, k, i, j] - dj[p, k, j, i]
+                              + sum(jv[p, k, m] * tor[p, m, i, j] for m in r))
+        nij[p, k, i, j] = (sum(jv[p, k, m] * (jg[p, m, j, i] - jg[p, m, i, j]) for m in r)
+                           - sum(jv[p, l, i] * jg[p, k, j, l] for l in r)
+                           + sum(jv[p, l, j] * jg[p, k, i, l] for l in r))
+    assert_equal_exact(JConjugateConnection(conn, J).gammas(pts), conj)
+    assert_equal_exact(d_nabla_J_values(conn, J, pts), closed)
+    assert_equal_exact(nijenhuis(J).values(pts), nij)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_exterior_d2_exact(d):
+    rng = np.random.default_rng(90 + d)
+    pts = dyadic_points(rng, d)
+    a, ea = int_field(rng, d, (0, 2))
+    w = a - a.transpose_02()
+    _, wg = exact_jets(ea - ea.T, pts, d)
+    r = range(d)
+    want = np.empty((len(pts), d, d, d), dtype=object)
+    for p, i, j, k in itertools.product(range(len(pts)), r, r, r):
+        want[p, i, j, k] = wg[p, j, k, i] - wg[p, i, k, j] + wg[p, i, j, k]
+    assert_equal_exact(exterior_d2(w).values(pts), want)
+
+
+def dominant_form(rng, d, sign):
+    """Integer (0,2) field ``128 B0 + (A + sign A^T)``: symmetric with
+    ``B0 = I`` for sign +1, antisymmetric with ``B0`` the standard block
+    structure for sign -1.  Entries of A are at most 9 in size on the box
+    [-1/2, 1/2]^d, so the 128 B0 term dominates and the form is
+    nondegenerate there."""
+    a, ea = int_field(rng, d, (0, 2))
+    base = np.eye(d) if sign > 0 else standard_structure(d)
+    b = PolyTensorField.constant(d, (0, 2), 128.0 * base) + a + a.transpose_02().scale(sign)
+    eb = ea + ea.T * const_poly(sign, d)
+    for idx in np.ndindex(eb.shape):
+        eb[idx] += const_poly(128.0 * base[idx], d)
+    return b, eb
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_levi_civita_close_to_exact(d):
+    rng = np.random.default_rng(100 + d)
+    pts = dyadic_points(rng, d)
+    b, eb = dominant_form(rng, d, 1.0)
+    bv, bg = exact_jets(eb, pts, d)
+    r = range(d)
+    want = np.empty((len(pts), d, d, d), dtype=object)
+    for p in range(len(pts)):
+        inv = sympy.Matrix(d, d, lambda i, j: bv[p, i, j]).inv()
+        for k, i, j in itertools.product(r, r, r):
+            want[p, k, i, j] = sympy.Rational(1, 2) * sum(
+                inv[k, l] * (bg[p, j, l, i] + bg[p, i, l, j] - bg[p, i, j, l]) for l in r)
+    assert_close_exact(levi_civita(b).gammas(pts), want)
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_bilinear_conjugate_close_to_exact(d, sign):
+    # second slot: b_{im} gamma'^m_{kj} = d_k b_{ij} - gamma^l_{ki} b_{lj},
+    # solved for gamma' point by point
+    rng = np.random.default_rng(110 + d)
+    pts = dyadic_points(rng, d)
+    gamma, eg = int_field(rng, d, (1, 2))
+    b, eb = dominant_form(rng, d, sign)
+    G, _ = exact_jets(eg, pts, d)
+    bv, bg = exact_jets(eb, pts, d)
+    r = range(d)
+    want = np.empty((len(pts), d, d, d), dtype=object)
+    for p in range(len(pts)):
+        mat = sympy.Matrix(d, d, lambda i, m: bv[p, i, m])
+        for k, j in itertools.product(r, r):
+            rhs = sympy.Matrix([bg[p, i, j, k] - sum(G[p, l, k, i] * bv[p, l, j] for l in r)
+                                for i in r])
+            sol = mat.LUsolve(rhs)
+            for m in r:
+                want[p, m, k, j] = sol[m]
+    assert_close_exact(conjugate_by_bilinear(PolyConnection(gamma), b).gammas(pts), want)

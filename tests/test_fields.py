@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsg import sampling
-from qsg.errors import DomainError, EvaluationError, ShapeError
+from qsg.errors import EvaluationError, ShapeError
 from qsg.fields import (
     ChartDomain,
     PolyExpr,
     PolyTensorField,
-    eval_jet,
-    field_arith,
 )
 from qsg.generate import random_poly, random_poly_field
 
@@ -103,30 +101,21 @@ def test_field_arith_identities():
     g = random_poly_field(rng, 2, (0, 2), 2, 1.0)
     zero = PolyTensorField.zeros(2, (0, 2))
     pts = sampling.sample_box([(-0.5, 0.5)] * 2, 20, 7, 2)
-    assert np.allclose(field_arith(f, zero, "add").values(pts), f.values(pts), atol=0)
-    assert np.abs(field_arith(f, f, "sub").values(pts)).max() == 0.0
+    assert np.allclose((f + zero).values(pts), f.values(pts), atol=0)
+    assert np.abs((f - f).values(pts)).max() == 0.0
     assert np.allclose(
-        field_arith(f, g, "add").values(pts), f.values(pts) + g.values(pts), atol=1e-14
+        (f + g).values(pts), f.values(pts) + g.values(pts), atol=1e-14
     )
-    assert np.allclose(field_arith(f, 2.5, "scale").values(pts), 2.5 * f.values(pts), atol=0)
+    assert np.allclose(f.scale(2.5).values(pts), 2.5 * f.values(pts), atol=0)
 
 
 def test_field_arith_shape_error():
     f = PolyTensorField.zeros(2, (0, 2))
     g = PolyTensorField.zeros(2, (1, 1))
     with pytest.raises(ShapeError):
-        field_arith(f, g, "add")
+        f + g
     with pytest.raises(ShapeError):
-        field_arith(f, PolyTensorField.zeros(4, (0, 2)), "sub")
-
-
-def test_eval_jet_domain_error():
-    dom = ChartDomain.cube(2)
-    f = PolyTensorField.constant(2, (0, 2), np.eye(2))
-    jets = eval_jet(f, [0.1, 0.2], dom)
-    assert jets[0, 0].value == 1.0
-    with pytest.raises(DomainError):
-        eval_jet(f, [0.9, 0.0], dom)
+        f - PolyTensorField.zeros(4, (0, 2))
 
 
 def test_non_finite_coefficient_rejected():

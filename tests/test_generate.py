@@ -31,9 +31,8 @@ from qsg.model import ChartModel, flat_hermitian_model
 from qsg.structures import (
     d_nabla_J_values,
     d_nabla_metric_values,
-    hermitian_purity_residual,
     nijenhuis,
-    norden_purity_residual,
+    purity_values,
     twin_metric,
 )
 
@@ -73,7 +72,7 @@ def test_hermitian_metric_sweep(dim):
         J = gen_almost_complex(spec)
         g = gen_hermitian_metric(spec, J)
         p = pts(dim, seed)
-        assert hermitian_purity_residual(g, J, p) <= 1e-10
+        assert np.abs(purity_values(g, J, p, 1.0)).max() <= 1e-10
         assert np.abs(np.linalg.det(g.values(p))).min() >= 1e-3
         # invariance form of purity
         jv, gv = J.values(p), g.values(p)
@@ -88,7 +87,7 @@ def test_norden_metric_sweep(dim):
         J = gen_almost_complex(spec)
         h = gen_norden_metric(spec, J)
         p = pts(dim, seed)
-        assert norden_purity_residual(h, J, p) <= 1e-10
+        assert np.abs(purity_values(h, J, p, -1.0)).max() <= 1e-10
         assert np.abs(np.linalg.det(h.values(p))).min() >= 1e-3
         tw = twin_metric(h, J)
         tv = tw.values(p)
@@ -261,7 +260,7 @@ def test_norden_base_form_path_with_constant_structure():
     J = AlmostComplexStructure(PolyTensorField.constant(2, (1, 1), standard_structure(2)))
     h = gen_norden_metric(GenSpec(seed=11, dimension=2, degree=2), J)
     p = pts(2, 11)
-    assert norden_purity_residual(h, J, p) <= 1e-10
+    assert np.abs(purity_values(h, J, p, -1.0)).max() <= 1e-10
     assert np.abs(np.linalg.det(h.values(p))).min() >= 1e-3
 
 
@@ -276,31 +275,6 @@ def test_synthesis_matches_recipe_quality():
     recipe_res = np.abs(d_nabla_J_values(recipe, model.J, p)).max()
     sr = synthesize_connection(model, ["d_closed_J"], ansatz_degree=2, seed=8)
     assert sr.residual <= recipe_res + 1e-12
-
-
-def test_conjugation_kind_dispatcher():
-    from qsg.connections import conjugate, CONJUGATION_KINDS
-    from qsg.errors import PreconditionError
-    from qsg.calculus import PolyConnection
-
-    spec = GenSpec(seed=9, dimension=2, degree=2)
-    J = gen_almost_complex(spec)
-    g = gen_hermitian_metric(spec, J)
-    conn = gen_connection(GenSpec(seed=9, dimension=2, degree=2))
-    p = pts(2, 9)
-    assert set(CONJUGATION_KINDS) == {"metric", "j_conjugate", "average"}
-    from qsg.connections import average_connection, conjugate_by_bilinear, conjugate_by_J
-
-    assert np.array_equal(conjugate(conn, "metric", b=g).gammas(p),
-                          conjugate_by_bilinear(conn, g).gammas(p))
-    assert np.array_equal(conjugate(conn, "j_conjugate", J=J).gammas(p),
-                          conjugate_by_J(conn, J).gammas(p))
-    assert np.array_equal(conjugate(conn, "average", J=J).gammas(p),
-                          average_connection(conn, J).gammas(p))
-    with pytest.raises(PreconditionError):
-        conjugate(conn, "metric")
-    with pytest.raises(PreconditionError):
-        conjugate(conn, "sideways")
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,14 @@ def test_section_runners_report_every_id():
     assert idsn == set(NEGATIVE_IDS)
 
 
+def test_identity_entries_report_the_trial_count(smoke_report):
+    # sec2.compat_equiv collects two residuals per trial; the entry still
+    # counts trials, not residuals
+    identities = [e for e in smoke_report.entries if e.direction == "identity"]
+    assert identities
+    assert {e.prop_id: e.trials for e in identities} == {e.prop_id: 3 for e in identities}
+
+
 def test_determinism_identical_reports(smoke_report):
     again = run_full_suite(**SMOKE)
     assert again.to_dict() == smoke_report.to_dict()
@@ -207,6 +215,9 @@ def test_benchmark_tracer_sees_every_section():
     finally:
         tr.active = False
         restore()
+    # the layer spans too: a call routed around a wrapped name reads 0
     for name in ("propositions.section2", "propositions.section3",
-                 "propositions.section4", "propositions.negative"):
+                 "propositions.section4", "propositions.negative",
+                 "calculus.covd", "calculus.torsion", "calculus.levi_civita",
+                 "connections.conjugate", "structures.ops"):
         assert tr.calls[name] > 0, name
