@@ -12,7 +12,7 @@ from .calculus import (
     LeviCivitaConnection,
     DerivedTensorField,
     covd_values,
-    exterior_d2,
+    exterior_d2_values,
     invert_bilinear,
     levi_civita,
     lie_bracket,
@@ -40,7 +40,7 @@ __all__ = [
     "LeviCivitaConnection",
     "DerivedTensorField",
     "covd_values",
-    "exterior_d2",
+    "exterior_d2_values",
     "invert_bilinear",
     "levi_civita",
     "lie_bracket",

@@ -145,7 +145,8 @@ def invert_bilinear(b, point) -> np.ndarray:
 
 
 class DerivedTensorField:
-    """Evaluation-backed tensor field defined by a closure over points.
+    """Evaluation-backed tensor field defined by a closure over points; the
+    return type of ``structures.nijenhuis``.
 
     Exact values on demand; no polynomial representation, hence no jets.
     """
@@ -210,8 +211,9 @@ def covd_values(conn: Connection, t, pts) -> np.ndarray:
     return res
 
 
-def exterior_d2(omega) -> DerivedTensorField:
-    """Coordinate exterior derivative of an antisymmetric (0,2) field.
+def exterior_d2_values(omega, pts) -> np.ndarray:
+    """Coordinate exterior derivative of an antisymmetric (0,2) field at
+    ``pts``.
 
     ``(dw)_{abc} = d_a w_{bc} - d_b w_{ac} + d_c w_{ab}``; the result is
     totally antisymmetric and, for any chart connection, agrees with the
@@ -219,19 +221,15 @@ def exterior_d2(omega) -> DerivedTensorField:
     connection expansion (a connection-independence property pinned by
     tests).
     """
-
-    def fn(pts):
-        wv, wg = omega.jets(pts)
-        defect = np.abs(wv + np.swapaxes(wv, 1, 2)).max()
-        if defect > SYMMETRY_TOL:
-            raise PreconditionError(f"2-form is not antisymmetric (defect {defect:.3e})")
-        return (
-            np.einsum("nbca->nabc", wg)
-            - np.einsum("nacb->nabc", wg)
-            + np.einsum("nabc->nabc", wg)
-        )
-
-    return DerivedTensorField(omega.dimension, (0, 3), fn)
+    wv, wg = omega.jets(np.atleast_2d(np.asarray(pts, dtype=float)))
+    defect = np.abs(wv + np.swapaxes(wv, 1, 2)).max()
+    if defect > SYMMETRY_TOL:
+        raise PreconditionError(f"2-form is not antisymmetric (defect {defect:.3e})")
+    return (
+        np.einsum("nbca->nabc", wg)
+        - np.einsum("nacb->nabc", wg)
+        + np.einsum("nabc->nabc", wg)
+    )
 
 
 def exterior_d2_connection_expansion(omega, conn: Connection, pts) -> np.ndarray:

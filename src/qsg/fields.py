@@ -53,8 +53,8 @@ class ChartDomain:
                 raise ShapeError(f"degenerate chart interval ({lo}, {hi})")
 
     @classmethod
-    def cube(cls, dimension: int, half_width: float = 0.5) -> "ChartDomain":
-        return cls(dimension, tuple((-half_width, half_width) for _ in range(dimension)))
+    def cube(cls, dimension: int) -> "ChartDomain":
+        return cls(dimension, tuple((-0.5, 0.5) for _ in range(dimension)))
 
 
 class PolyExpr:

@@ -25,7 +25,7 @@ is measured on a held-out sample set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -53,8 +53,11 @@ from .model import ChartModel, neutral_diagonal, standard_structure
 from .structures import (
     AlmostComplexStructure,
     MetricField,
+    codazzi_defect,
     d_nabla_J_values,
     d_nabla_metric_values,
+    j_invariance_defect,
+    torsion_compat,
     vishnevskii_frame_values,
     vishnevskii_jframe_values,
 )
@@ -169,12 +172,10 @@ def gen_almost_complex(spec: GenSpec, integrable: bool = False) -> AlmostComplex
     m0 = np.linalg.solve(q.T, (q @ j0).T).T  # q j0 q^{-1}
 
     jfield = compose_11(poly_einsum("km,mj->kj", p, m0, valence=(1, 1)), pinv)
-    # exact polynomial frame C = P Q with polynomial inverse Q^{-1} P^{-1};
-    # the produced field satisfies J = C J0 C^{-1}
+    # the exact polynomial frame C = P Q has the polynomial inverse
+    # Q^{-1} P^{-1}, and the produced field satisfies J = C J0 C^{-1}
     return AlmostComplexStructure(
-        jfield,
-        frame=poly_einsum("km,mj->kj", p, q, valence=(1, 1)),
-        frame_inv=poly_einsum("km,mj->kj", np.linalg.inv(q), pinv, valence=(1, 1)),
+        jfield, frame_inv=poly_einsum("km,mj->kj", np.linalg.inv(q), pinv, valence=(1, 1)),
     )
 
 
@@ -309,11 +310,8 @@ def gen_constant_structure_model(spec: GenSpec, flavor: str = "hermitian") -> Ch
     else:
         raise GenerationError(f"unknown flavor {flavor!r}")
     bmat = qinv.T @ b0 @ qinv
-    J = AlmostComplexStructure(
-        PolyTensorField.constant(d, (1, 1), jmat),
-        frame=PolyTensorField.constant(d, (1, 1), q),
-        frame_inv=PolyTensorField.constant(d, (1, 1), qinv),
-    )
+    J = AlmostComplexStructure(PolyTensorField.constant(d, (1, 1), jmat),
+                               frame_inv=PolyTensorField.constant(d, (1, 1), qinv))
     metric = MetricField(PolyTensorField.constant(d, (0, 2), bmat), flavor=flavor)
     return ChartModel(domain=ChartDomain.cube(d), metric=metric, J=J, conn=None)
 
@@ -471,28 +469,13 @@ def constraint_functions(model: ChartModel) -> dict:
     if J is not None:
         jf = J.field
 
-        def j_invariant(conn, pts):
-            tv = torsion_values(conn, pts)
-            jv = jf.values(pts)
-            return _flatten(np.einsum("nkab,nai,nbj->nkij", tv, jv, jv) - tv)
-
-        def torsion_compat(conn, pts):
-            tv = torsion_values(conn, pts)
-            jv = jf.values(pts)
-            return _flatten(
-                np.einsum("nkaj,nai->nkij", tv, jv) + np.einsum("nkia,naj->nkij", tv, jv)
-            )
-
-        fns["j_invariant_torsion"] = j_invariant
-        fns["torsion_compatible"] = torsion_compat
+        fns["j_invariant_torsion"] = lambda conn, pts: _flatten(
+            j_invariance_defect(torsion_values(conn, pts), jf.values(pts)))
+        fns["torsion_compatible"] = lambda conn, pts: _flatten(
+            torsion_compat(torsion_values(conn, pts), jf.values(pts)))
         fns["d_closed_J"] = lambda conn, pts: _flatten(d_nabla_J_values(conn, J, pts))
         fns["complex_connection"] = lambda conn, pts: _flatten(covd_values(conn, jf, pts))
-
-        def codazzi(conn, pts):
-            dj = covd_values(conn, jf, pts)
-            return _flatten(dj - np.swapaxes(dj, 2, 3))
-
-        fns["codazzi_J"] = codazzi
+        fns["codazzi_J"] = lambda conn, pts: _flatten(codazzi_defect(covd_values(conn, jf, pts)))
         fns["vishnevskii_zero"] = lambda conn, pts: np.concatenate(
             [
                 _flatten(vishnevskii_frame_values(conn, J, pts)),
@@ -615,7 +598,8 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
         raise SynthesisError("no constraints given")
     unknown = [c for c in constraints if c not in fns]
     if unknown:
-        raise SynthesisError(f"unknown or unavailable constraints: {unknown}")
+        raise SynthesisError(f"unknown or unavailable constraints: {unknown}; "
+                             f"valid here: {sorted(fns)}")
     box = model.domain.box
     exps = monomial_exponents(d, ansatz_degree)
     k = exps.shape[0]

@@ -9,21 +9,23 @@ resolve near machine precision, so pass/fail margins are wide).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import sampling
-from .calculus import covd_values, exterior_d2, levi_civita, torsion_values
+from .calculus import covd_values, exterior_d2_values, torsion_values
 from .errors import ConfigError, PreconditionError
 from .model import ChartModel
 from .structures import (
+    codazzi_defect,
     d_nabla_J_values,
     d_nabla_metric_values,
     nijenhuis,
     purity_values,
     quasi_kahler_norden_sum_values,
     tachibana_values,
+    torsion_compat,
 )
 
 DEFAULT_TOL = 1e-8
@@ -92,15 +94,12 @@ def _statistical(model, pts):
 
 def _codazzi_J(model, pts):
     J, conn = _needs(model, "J", "Gamma")
-    dj = covd_values(conn, J.field, pts)
-    return dj - np.swapaxes(dj, 2, 3)
+    return codazzi_defect(covd_values(conn, J.field, pts))
 
 
 def _torsion_compatible(model, pts):
     J, conn = _needs(model, "J", "Gamma")
-    tv = torsion_values(conn, pts)
-    jv = J.values(pts)
-    return np.einsum("nkaj,nai->nkij", tv, jv) + np.einsum("nkia,naj->nkij", tv, jv)
+    return torsion_compat(torsion_values(conn, pts), J.values(pts))
 
 
 def _integrable(model, pts):
@@ -118,7 +117,7 @@ def _kahler(model, pts):
     if metric.flavor != "hermitian":
         raise PreconditionError("kahler needs a hermitian-flavored metric")
     n_res = nijenhuis(J).values(pts)
-    domega = exterior_d2(model.partner_form()).values(pts)
+    domega = exterior_d2_values(model.partner_form(), pts)
     return np.concatenate(
         [n_res.reshape(pts.shape[0], -1), domega.reshape(pts.shape[0], -1)], axis=1
     )

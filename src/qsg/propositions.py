@@ -21,11 +21,21 @@ data, sign and ids from the ``Flavor`` ``fl`` and is decorated with
 ``@twin(lambda fl: ids)``, registering it once per flavor.  Families share
 only ``SectionContext`` caches, so ``run_full_suite(only=...)`` can run just
 the families owning a selected id and report what a full run does.
+
+A family body is a map from a trial to residuals.  ``_identities`` runs
+``td -> {id: residual}`` over the random trials and ``_witnesses`` runs
+``t -> {id: (hyp, concl)}`` over the witness trials; what is particular to
+one result (a folded identity, a vanish-together flag, a note) follows the
+call.  Every array a body reads comes from ``TrialData``, one model at a
+trial's points: it memoizes torsions and derivatives per connection
+op-tuple, and the connection-independent arrays (structure, metric and
+partner values, the Nijenhuis and holomorphicity operators) in a memo that
+its ``with_conn`` copies share.  Memoized arrays are read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -36,8 +46,8 @@ from .calculus import (
     Connection,
     PolyConnection,
     covd_values,
-    exterior_d2,
     exterior_d2_connection_expansion,
+    exterior_d2_values,
     levi_civita,
     torsion_values,
 )
@@ -66,12 +76,15 @@ from .generate import (
 from .model import ChartModel, flat_hermitian_model
 from .predicates import check as predicate_check
 from .structures import (
+    codazzi_defect,
     cyclic_sum_03,
     d_nabla_J_values,
     d_nabla_metric_values,
+    j_invariance_defect,
     nijenhuis,
     quasi_kahler_norden_sum_values,
     tachibana_values,
+    torsion_compat,
     vishnevskii_frame_values,
     vishnevskii_jframe_values,
     vishnevskii_on_fields,
@@ -273,19 +286,6 @@ def zero_res(arr: np.ndarray) -> float:
     return float(np.abs(arr).max())
 
 
-def _j1(a, jv):
-    """A(J x_i, x_j) for (1,2)-indexed arrays a[n,k,i,j]."""
-    return np.einsum("nkaj,nai->nkij", a, jv)
-
-
-def _j2(a, jv):
-    return np.einsum("nkia,naj->nkij", a, jv)
-
-
-def _jboth(a, jv):
-    return np.einsum("nkab,nai,nbj->nkij", a, jv, jv)
-
-
 def _jout(jv, a):
     """J applied to the upper slot of a (1,2) array."""
     return np.einsum("nkm,nmij->nkij", jv, a)
@@ -306,27 +306,64 @@ def _slot3(a, jv):
 
 
 class TrialData:
-    """One model plus memoized derived arrays at the trial's sample points.
+    """One model at a trial's sample points, with every derived array the
+    families read memoized and marked read-only.
 
-    Connections are addressed by op-tuples applied left to right, e.g.
-    ``("star", "jconj")`` is the structure conjugate of the metric
-    conjugate of the base connection.
+    ``conn`` replaces the model's connection.  Connections are addressed by
+    op-tuples applied left to right, e.g. ``("star", "jconj")`` is the
+    structure conjugate of the metric conjugate of the base connection.
+    What does not depend on the connection (the partner form, the values
+    of the structure, metric and partner, the Nijenhuis and holomorphicity
+    operators) is computed on first use, so models with only a structure
+    fit too, and is shared with every ``with_conn`` copy.
     """
 
-    def __init__(self, model: ChartModel, pts: np.ndarray):
-        self.model = model
+    def __init__(self, model: ChartModel, pts: np.ndarray, conn: Connection | None = None):
+        self.model = model if conn is None else replace(model, conn=conn)
         self.pts = pts
-        self.partner = model.partner_form()
-        self.jv = model.J.values(pts)
-        self.bv = model.metric.values(pts)
-        self.pv = self.partner.values(pts)
-        self._conns = {(): model.conn}
-        self._cache = {}
+        self._conns = {(): self.model.conn}
+        self._cache = {}  # connection-dependent
+        self._fixed = {}  # connection-independent, shared with with_conn copies
 
-    def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
+    def with_conn(self, conn: Connection) -> "TrialData":
+        """The same metric, structure and points under ``conn``."""
+        td = TrialData(self.model, self.pts, conn)
+        td._fixed = self._fixed
+        return td
+
+    def _memo(self, key, fn, shared: bool = False):
+        store = self._fixed if shared else self._cache
+        if key not in store:
+            value = fn()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            store[key] = value
+        return store[key]
+
+    @property
+    def partner(self):
+        return self._memo("partner", self.model.partner_form, shared=True)
+
+    @property
+    def jv(self):
+        return self._memo("J", lambda: self.model.J.values(self.pts), shared=True)
+
+    @property
+    def bv(self):
+        return self._memo("b", lambda: self.model.metric.values(self.pts), shared=True)
+
+    @property
+    def pv(self):
+        return self._memo("p", lambda: self.partner.values(self.pts), shared=True)
+
+    @property
+    def nijenhuis(self):
+        return self._memo("N", lambda: nijenhuis(self.model.J).values(self.pts), shared=True)
+
+    @property
+    def tachibana(self):
+        return self._memo("F", lambda: tachibana_values(self.model.J, self.model.metric, self.pts),
+                          shared=True)
 
     def conn(self, ops: tuple = ()) -> Connection:
         if ops not in self._conns:
@@ -371,15 +408,6 @@ class TrialData:
             ("cB", ops, which), lambda: covd_values(self.conn(ops), f, self.pts)
         )
 
-    def nijenhuis(self):
-        return self._memo(("N",), lambda: nijenhuis(self.model.J).values(self.pts))
-
-
-def _with_conn(model: ChartModel, conn: Connection, pts) -> TrialData:
-    """Trial data for ``model``'s metric and structure under ``conn``."""
-    return TrialData(ChartModel(domain=model.domain, metric=model.metric, J=model.J,
-                                conn=conn), pts)
-
 
 @dataclass
 class SectionContext:
@@ -395,9 +423,7 @@ class SectionContext:
         # on constant-structure models every ansatz degree admits exact
         # witnesses, so higher dimensions use the cheaper linear ansatz
         self.witness_degree = 2 if self.dim == 2 else 1
-        self._trials = {}
-        self._kahler = {}
-        self._const = {}
+        self._data = {}
         self._points = {}
 
     def _sub_seed(self, *path) -> int:
@@ -417,10 +443,14 @@ class SectionContext:
     def rng(self, trial: int, tag: int):
         return sampling.rng(self.seed, _T_TRIAL, self.dim, trial, tag)
 
+    def _trial_data(self, kind: str, trial: int, make_model) -> TrialData:
+        if (kind, trial) not in self._data:
+            self._data[kind, trial] = TrialData(make_model(), self.points(trial))
+        return self._data[kind, trial]
+
     def trial(self, fl: Flavor, trial: int) -> TrialData:
         """Random structure, ``fl`` metric and symbols of one trial."""
-        key = (fl.name, trial)
-        if key not in self._trials:
+        def make():
             spec = self.spec(trial, fl.tags[0])
             J = gen_almost_complex(spec)
             # chosen by global name at each call, so wrappers installed on
@@ -430,21 +460,18 @@ class SectionContext:
             conn = PolyConnection(
                 random_poly_field(self.rng(trial, fl.tags[1]), self.dim, (1, 2), self.degree, 1.0)
             )
-            model = ChartModel(domain=ChartDomain.cube(self.dim),
-                               metric=metric, J=J, conn=conn)
-            self._trials[key] = TrialData(model, self.points(trial))
-        return self._trials[key]
+            return ChartModel(domain=ChartDomain.cube(self.dim), metric=metric, J=J, conn=conn)
+        return self._trial_data(fl.name, trial, make)
 
-    def kahler(self, trial: int) -> ChartModel:
-        if trial not in self._kahler:
-            self._kahler[trial] = gen_kahler_model(self.spec(trial, 5))
-        return self._kahler[trial]
+    def kahler(self, trial: int) -> TrialData:
+        """Sheared Kahler model of one witness trial, without symbols."""
+        return self._trial_data("kahler", trial, lambda: gen_kahler_model(self.spec(trial, 5)))
 
-    def constant(self, trial: int) -> ChartModel:
-        """Constant-structure Hermitian model of one witness trial."""
-        if trial not in self._const:
-            self._const[trial] = gen_constant_structure_model(self.spec(trial, 6), "hermitian")
-        return self._const[trial]
+    def constant(self, trial: int) -> TrialData:
+        """Constant-structure Hermitian model of one witness trial, without
+        symbols."""
+        return self._trial_data("constant", trial, lambda: gen_constant_structure_model(
+            self.spec(trial, 6), "hermitian"))
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +493,20 @@ def _identity_entry(prop_id, dim, trials, residuals, tol, notes=""):
     )
 
 
+def _collect(n: int, rows_of) -> dict:
+    """{id: rows} over trials ``0..n-1`` of ``rows_of(t) -> {id: row}``,
+    where a row may also be a list of rows."""
+    per_id = {}
+    for t in range(n):
+        for prop_id, r in rows_of(t).items():
+            per_id.setdefault(prop_id, []).extend(r if isinstance(r, list) else [r])
+    return per_id
+
+
 def _identities(ctx: SectionContext, fl: Flavor, tol: float, residuals) -> list:
     """Identity entries from ``residuals(td) -> {id: residual}`` over the
     ``fl`` trials."""
-    per_id = {}
-    for t in range(ctx.trials):
-        for prop_id, r in residuals(ctx.trial(fl, t)).items():
-            per_id.setdefault(prop_id, []).append(r)
+    per_id = _collect(ctx.trials, lambda t: residuals(ctx.trial(fl, t)))
     return [_identity_entry(i, ctx.dim, ctx.trials, rs, tol) for i, rs in per_id.items()]
 
 
@@ -498,6 +532,20 @@ def _witness_entry(prop_id, dim, results, tol, notes=""):
         hyp_residual=_worst(usable[:, 0]),
         notes=notes if finite else (notes + " non-finite residual").strip(),
     )
+
+
+def _witnesses(ctx: SectionContext, tol, pairs) -> list:
+    """Witness entries from ``pairs(t) -> {id: (hyp, concl)}`` (or a list
+    of such pairs) over the witness trials; ``tol`` is one tolerance or a
+    dict of them by id."""
+    per_id = _collect(ctx.witness_trials, pairs)
+    return [_witness_entry(i, ctx.dim, rs, tol[i] if isinstance(tol, dict) else tol)
+            for i, rs in per_id.items()]
+
+
+def _lead_note(entry: EntryResult, text: str):
+    """Put ``text`` before the notes the entry assembly wrote."""
+    entry.notes = f"{text} {entry.notes}".strip()
 
 
 def _fold_identity(entry: EntryResult, residuals, tol):
@@ -534,6 +582,16 @@ def _jshift_residual(td: TrialData, which: str) -> float:
                      td.d_metric((), which) - _jshift_correction(td, which))
 
 
+def _synth(ctx: SectionContext, base: TrialData, constraints: list, trial: int, tag: int,
+           degree: int | None = None, anchor: float = 0.3):
+    """Witness symbols fitted to ``constraints`` on ``base``'s metric and
+    structure, and the trial data of ``base`` under them."""
+    sr = synthesize_connection(base.model, constraints, seed=ctx._sub_seed(trial, tag),
+                               ansatz_degree=ctx.witness_degree if degree is None else degree,
+                               anchor_scale=anchor)
+    return sr, base.with_conn(sr.connection)
+
+
 # ---------------------------------------------------------------------------
 # entry families
 #
@@ -543,13 +601,13 @@ def _jshift_residual(td: TrialData, which: str) -> float:
 @family("verify_section2", "GAD1.i", "GAD1.ii", "GAD1.iii", "sec2.closing")
 def _gad1(ctx):
     def residuals(td):
-        jv, cd, tv = td.jv, td.covd_J(()), td.torsion(())
-        closing = _j1(td.d_J(()), jv) + _j2(td.d_J(()), jv)
+        jv, tv = td.jv, td.torsion()
         return {
-            "GAD1.i": ident_res(td.d_J(()), _jout(jv, td.torsion(("jconj",)))),
+            "GAD1.i": ident_res(td.d_J(), _jout(jv, td.torsion(("jconj",)))),
             "GAD1.ii": ident_res(td.d_J(("jconj",)), _jout(jv, tv)),
-            "GAD1.iii": ident_res(td.d_J(()) - td.d_J(("jconj",)), cd - np.swapaxes(cd, 2, 3)),
-            "sec2.closing": ident_res(closing, _jboth(tv, jv) - tv - td.nijenhuis()),
+            "GAD1.iii": ident_res(td.d_J() - td.d_J(("jconj",)), codazzi_defect(td.covd_J())),
+            "sec2.closing": ident_res(torsion_compat(td.d_J(), jv),
+                                      j_invariance_defect(tv, jv) - td.nijenhuis),
         }
     return _identities(ctx, HERMITIAN, TOLERANCES["kernel_identity"], residuals)
 
@@ -558,61 +616,53 @@ def _gad1(ctx):
 def _lem1(ctx):
     # on d-closed witnesses the integrability obstruction reduces to the
     # structure-twisted torsion combination
-    res_lem1 = []
-    for t in range(ctx.witness_trials):
+    def pairs(t):
         td = ctx.trial(HERMITIAN, t)
-        w = conjugate_by_J(gen_connection(ctx.spec(t, 10, "torsion_free")), td.model.J)
-        jv = td.jv
-        hyp = zero_res(d_nabla_J_values(w, td.model.J, td.pts))
-        tw = torsion_values(w, td.pts)
-        mix = _j2(tw, jv) + _j1(tw, jv)
-        concl = ident_res(td.nijenhuis(), -_jout(jv, mix))
-        res_lem1.append((hyp, concl))
-    return [_witness_entry("lem1", ctx.dim, res_lem1, TOLERANCES["identity"])]
+        wd = td.with_conn(conjugate_by_J(gen_connection(ctx.spec(t, 10, "torsion_free")),
+                                         td.model.J))
+        mix = torsion_compat(wd.torsion(), wd.jv)
+        return {"lem1": (zero_res(wd.d_J()), ident_res(wd.nijenhuis, -_jout(wd.jv, mix)))}
+    return _witnesses(ctx, TOLERANCES["identity"], pairs)
 
 
 @family("verify_section2", "pro2", "sec2.cor3")
 def _pro2(ctx):
     # witnesses carry exactly closed structures with compatible torsion, so
     # the obstruction must vanish
-    res_pro2, res_cor3 = [], []
-    for t in range(ctx.witness_trials):
-        J = gen_almost_complex(ctx.spec(t, 11)) if ctx.dim == 2 else ctx.kahler(t).J
-        pts = ctx.points(t)
-        jv = J.values(pts)
-        w = conjugate_by_J(gen_connection(ctx.spec(t, 12, "torsion_free")), J)
-        tw = torsion_values(w, pts)
-        compat = zero_res(_j1(tw, jv) + _j2(tw, jv))
-        closed = zero_res(d_nabla_J_values(w, J, pts))
-        n_res = zero_res(nijenhuis(J).values(pts))
-        res_pro2.append((max(compat, closed), n_res))
-        res_cor3.append((max(compat, zero_res(torsion_values(conjugate_by_J(w, J), pts))), n_res))
-    return [_witness_entry("pro2", ctx.dim, res_pro2, TOLERANCES["conclusion"]),
-            _witness_entry("sec2.cor3", ctx.dim, res_cor3, TOLERANCES["conclusion"])]
+    def pairs(t):
+        if ctx.dim == 2:
+            base = TrialData(ChartModel(domain=ChartDomain.cube(2),
+                                        J=gen_almost_complex(ctx.spec(t, 11))), ctx.points(t))
+        else:
+            base = ctx.kahler(t)
+        wd = base.with_conn(conjugate_by_J(gen_connection(ctx.spec(t, 12, "torsion_free")),
+                                           base.model.J))
+        compat = zero_res(torsion_compat(wd.torsion(), wd.jv))
+        n_res = zero_res(wd.nijenhuis)
+        return {"pro2": (max(compat, zero_res(wd.d_J())), n_res),
+                "sec2.cor3": (max(compat, zero_res(wd.torsion(("jconj",)))), n_res)}
+    return _witnesses(ctx, TOLERANCES["conclusion"], pairs)
 
 
 @family("verify_section2", "sec2.compat_equiv")
 def _compat_equiv(ctx):
     # projected torsions satisfy both forms; generic torsions violate both
     # together
-    proj_res, agree = [], True
-    for t in range(ctx.trials):
+    tol, agree = TOLERANCES["identity"], []
+
+    def residuals(t):
         td = ctx.trial(HERMITIAN, t)
-        jv = td.jv
-        wp = gen_connection(ctx.spec(t, 13, "j_invariant_torsion"), J=td.model.J)
-        tp = torsion_values(wp, td.pts)
-        f1 = zero_res(_j1(tp, jv) + _j2(tp, jv))
-        f2 = zero_res(_jboth(tp, jv) - tp)
-        proj_res.extend([f1, f2])
-        tr = td.torsion(())
-        g1 = zero_res(_j1(tr, jv) + _j2(tr, jv))
-        g2 = zero_res(_jboth(tr, jv) - tr)
-        tol = TOLERANCES["identity"]
-        agree = agree and ((g1 <= tol) == (g2 <= tol))
-    entry = _identity_entry("sec2.compat_equiv", ctx.dim, ctx.trials, proj_res,
-                            TOLERANCES["kernel_identity"],
-                            notes="projected torsions satisfy both equivalent forms")
-    if not agree:
+        tp = td.with_conn(gen_connection(ctx.spec(t, 13, "j_invariant_torsion"),
+                                         J=td.model.J)).torsion()
+        tr = td.torsion()
+        agree.append((zero_res(torsion_compat(tr, td.jv)) <= tol)
+                     == (zero_res(j_invariance_defect(tr, td.jv)) <= tol))
+        return {"sec2.compat_equiv": [zero_res(torsion_compat(tp, td.jv)),
+                                      zero_res(j_invariance_defect(tp, td.jv))]}
+    (entry,) = [_identity_entry(i, ctx.dim, ctx.trials, rs, TOLERANCES["kernel_identity"],
+                                notes="projected torsions satisfy both equivalent forms")
+                for i, rs in _collect(ctx.trials, residuals).items()]
+    if not all(agree):
         entry.status = "fail"
         entry.notes += "; the two forms disagreed on a random torsion"
     return [entry]
@@ -623,24 +673,21 @@ def _vishnevskii(ctx):
     # vanishing coupling operator forces the twisted-closedness identity;
     # witnesses need a constant structure (nonconstant ones obstruct the
     # twisted-frame conditions for every connection)
-    res_vish = []
-    for t in range(ctx.witness_trials):
+    def pairs(t):
         cm = ctx.constant(t)
-        pts = ctx.points(t)
-        w = gen_vishnevskii_zero_connection(ctx.spec(t, 14), cm.J)
-        jv = cm.J.values(pts)
-        hyp = max(zero_res(vishnevskii_frame_values(w, cm.J, pts)),
-                  zero_res(vishnevskii_jframe_values(w, cm.J, pts)))
+        J, pts = cm.model.J, cm.pts
+        wd = cm.with_conn(gen_vishnevskii_zero_connection(ctx.spec(t, 14), J))
+        w = wd.conn()
+        hyp = max(zero_res(vishnevskii_frame_values(w, J, pts)),
+                  zero_res(vishnevskii_jframe_values(w, J, pts)))
         # tensorial first slot: random-field arguments add no freedom
         x_rand = random_vector_field(ctx.rng(t, 15), ctx.dim, ctx.degree, 1.0)
         frames = PolyTensorField.constant(ctx.dim, (1, 0), np.eye(ctx.dim)[0])
-        hyp = max(hyp, zero_res(vishnevskii_on_fields(w, cm.J, x_rand, frames, pts)))
-        dj = d_nabla_J_values(w, cm.J, pts)
-        tw = torsion_values(w, pts)
-        lhs = _j1(dj, jv) + _j2(dj, jv)
-        rhs = _jout(jv, _j1(tw, jv) + _j2(tw, jv))
-        res_vish.append((hyp, ident_res(lhs, rhs)))
-    return [_witness_entry("sec2.vishnevskii", ctx.dim, res_vish, TOLERANCES["conclusion"])]
+        hyp = max(hyp, zero_res(vishnevskii_on_fields(w, J, x_rand, frames, pts)))
+        lhs = torsion_compat(wd.d_J(), wd.jv)
+        rhs = _jout(wd.jv, torsion_compat(wd.torsion(), wd.jv))
+        return {"sec2.vishnevskii": (hyp, ident_res(lhs, rhs))}
+    return _witnesses(ctx, TOLERANCES["conclusion"], pairs)
 
 
 # section 3 (Hermitian pairs) and the Norden twins of its results
@@ -656,19 +703,9 @@ def _lem2(ctx):
         w = (w - w.transpose_02()).scale(0.5)
         conn = PolyConnection(random_poly_field(rng, ctx.dim, (1, 2), ctx.degree, 1.0))
         pts = ctx.points(t)
-        r_lem2.append(ident_res(exterior_d2(w).values(pts),
+        r_lem2.append(ident_res(exterior_d2_values(w, pts),
                                 exterior_d2_connection_expansion(w, conn, pts)))
     return [_identity_entry("lem2", ctx.dim, ctx.trials, r_lem2, TOLERANCES["kernel_identity"])]
-
-
-def _synth(ctx: SectionContext, model: ChartModel, constraints: list, trial: int, tag: int,
-           degree: int | None = None):
-    """Witness symbols fitted to ``constraints`` on ``model``'s metric and
-    structure, and their trial data at the trial's points."""
-    sr = synthesize_connection(model, constraints, seed=ctx._sub_seed(trial, tag),
-                               ansatz_degree=ctx.witness_degree if degree is None else degree,
-                               anchor_scale=0.3)
-    return sr, _with_conn(model, sr.connection, ctx.points(trial))
 
 
 PRO3_ITEMS = ("i", "ii", "iii", "iv", "v", "vi")
@@ -678,27 +715,32 @@ PRO3_ITEMS = ("i", "ii", "iii", "iv", "v", "vi")
 def _pro3(ctx, fl):
     # pro3 / antipro3: one unconditional correction identity plus the
     # per-item collapse on Codazzi-coupled witnesses
-    r_corr, r_shift = [], {"v": [], "vi": []}
-    for t in range(ctx.trials):
+    def identities(t):
         td = ctx.trial(fl, t)
-        for ops in ((), ("star",)):
-            rhs = fl.sign * (_slot3(td.d_metric(ops, "metric"), td.jv) + _pro3_correction(td, ops))
-            r_corr.append(ident_res(td.d_metric(ops, "partner"), rhs))
-        r_shift["v"].append(_jshift_residual(td, "partner"))
-        r_shift["vi"].append(_jshift_residual(td, "metric"))
+        corr = [ident_res(td.d_metric(ops, "partner"), fl.sign * (
+            _slot3(td.d_metric(ops, "metric"), td.jv) + _pro3_correction(td, ops)))
+            for ops in ((), ("star",))]
+        return {"corr": corr, "v": _jshift_residual(td, "partner"),
+                "vi": _jshift_residual(td, "metric")}
+    ident = _collect(ctx.trials, identities)
 
     # witnesses: D Codazzi-coupled to J; the statement connection is D or a
     # conjugate of D depending on where each item places the hypothesis
-    results = {k: [] for k in PRO3_ITEMS}
-    alt = 0.0
-    for t in range(ctx.witness_trials):
-        td = ctx.trial(fl, t)
-        sr, wd = _synth(ctx, td.model, ["codazzi_J"], t, fl.tags[2], degree=1)
+    alt = []
+
+    def pairs(t):
+        sr, wd = _synth(ctx, ctx.trial(fl, t), ["codazzi_J"], t, fl.tags[2], degree=1)
 
         def collapse(ops):
             return ident_res(wd.d_metric(ops, "partner"),
                              fl.sign * _slot3(wd.d_metric(ops, "metric"), wd.jv))
 
+        if fl.pro3_notes:
+            # alternate placement for item (i): hypothesis moved onto the
+            # conjugate pair makes the statement connection the witness
+            # itself, whose coupling is generically broken, so this should
+            # stay large
+            alt.append(collapse(()))
         # stated placements; items (iii)-(vi) put the hypothesis on a
         # conjugate, so their statement connection is the matching
         # conjugate of the coupled witness
@@ -710,25 +752,16 @@ def _pro3(ctx, fl):
             "vi": ident_res(wd.d_metric(("star", "jconj"), "metric"),
                             wd.d_metric(("star",), "metric")),
         }
-        for k in PRO3_ITEMS:
-            results[k].append((sr.residual, concl[k]))
-        if fl.pro3_notes:
-            # alternate placement for item (i): hypothesis moved onto the
-            # conjugate pair makes the statement connection the witness
-            # itself, whose coupling is generically broken, so this should
-            # stay large
-            alt = max(alt, collapse(()))
+        return {fl.id("pro3", k): (sr.residual, concl[k]) for k in PRO3_ITEMS}
 
-    out = []
-    for k in PRO3_ITEMS:
-        e = _witness_entry(fl.id("pro3", k), ctx.dim, results[k], TOLERANCES["conclusion"],
-                           notes=fl.pro3_notes.get(k, ""))
-        _fold_identity(e, r_shift.get(k, r_corr), TOLERANCES["identity"])
+    out = _witnesses(ctx, TOLERANCES["conclusion"], pairs)
+    for k, e in zip(PRO3_ITEMS, out):
+        _lead_note(e, fl.pro3_notes.get(k, ""))
+        _fold_identity(e, ident.get(k, ident["corr"]), TOLERANCES["identity"])
         if fl.pro3_notes and k in ("i", "ii"):
             # the hypothesis-on-the-conjugate reading stays O(1) on the
             # same witnesses, so the stated placement is the working one
-            e.notes += f"; alternate hypothesis placement residual {alt:.2e}"
-        out.append(e)
+            e.notes += f"; alternate hypothesis placement residual {max([0.0, *alt]):.2e}"
     return out
 
 
@@ -764,8 +797,7 @@ def _chains(ctx, fl):
         for k, b in PRO5_BASES.items():
             lowered = _tb(td.torsion(b + ("dagger",)), td.pv)
             a1 = ident_res(td.d_metric(b, "partner"), lowered)
-            star_dj = d_nabla_J_values(td.conn(b + ("star",)), td.model.J, td.pts)
-            a2 = ident_res(np.einsum("nkij,nkl->nijl", star_dj, td.bv), lowered)
+            a2 = ident_res(np.einsum("nkij,nkl->nijl", td.d_J(b + ("star",)), td.bv), lowered)
             a3 = ident_res(td.d_metric(b, "partner"),
                            fl.sign * _slot3(td.d_metric(b + ("jconj",), "metric"), td.jv))
             out[fl.id("pro5", k)] = max(a1, a2, a3)
@@ -776,81 +808,70 @@ def _chains(ctx, fl):
 @family("verify_section3", "sec3.cyclic", "lem3", "sec3.two_of_three")
 def _cyclic(ctx):
     # cyclic-sum relation on jointly flat-and-closed witnesses; the same
-    # witnesses serve lem3 and the first pairing of two-of-three
-    res_cyc, res_lem3, res_23 = [], [], []
-    for t in range(ctx.witness_trials):
-        model = ctx.constant(t) if ctx.dim > 2 else ctx.kahler(t)
-        pts = ctx.points(t)
-        sr, wd = _synth(ctx, model, ["quasi_statistical_g", "d_closed_J"], t, 22)
-        hyp = sr.residual
+    # witnesses serve lem3 and the first pairing of two-of-three, whose
+    # other two pairings get witnesses of their own
+    def pairs(t):
+        base = ctx.constant(t) if ctx.dim > 2 else ctx.kahler(t)
+        sr, wd = _synth(ctx, base, ["quasi_statistical_g", "d_closed_J"], t, 22)
         lhs = cyclic_sum_03(wd.d_metric(("jconj",), "metric"))
-        tv, gv = wd.torsion(()), wd.bv
+        tv, gv = wd.torsion(), wd.bv
         rhs = (np.einsum("nbm,nmac->nabc", gv, tv)
                + np.einsum("ncm,nmba->nabc", gv, tv)
                + np.einsum("nam,nmcb->nabc", gv, tv))
-        res_cyc.append((hyp, ident_res(lhs, rhs)))
-        res_lem3.append((hyp, zero_res(exterior_d2(wd.partner).values(pts))))
-        res_23.append((hyp, zero_res(covd_values(wd.conn(("star",)), wd.partner, pts))))
+        srb, wdb = _synth(ctx, base, ["d_closed_J", "conjugate_partner_parallel"], t, 24)
+        src, wdc = _synth(ctx, base, ["quasi_statistical_g", "conjugate_partner_parallel"], t, 25)
+        return {"sec3.cyclic": (sr.residual, ident_res(lhs, rhs)),
+                "lem3": (sr.residual, zero_res(exterior_d2_values(wd.partner, wd.pts))),
+                "sec3.two_of_three": [
+                    (sr.residual, zero_res(wd.covd_metric(("star",), "partner"))),
+                    (srb.residual, zero_res(wdb.d_metric())),
+                    (src.residual, zero_res(wdc.d_J()))]}
+
+    tol = TOLERANCES["conclusion"]
+    cyc, lem3, two_of_three = _witnesses(ctx, {
+        "sec3.cyclic": tol, "lem3": tol, "sec3.two_of_three": TOLERANCES["strict_conclusion"],
+    }, pairs)
+    _fold_identity(cyc, [_jshift_residual(ctx.trial(HERMITIAN, t), "metric")
+                         for t in range(ctx.trials)], TOLERANCES["kernel_identity"])
+    _lead_note(two_of_three, "all three pairings tested")
     # contrapositive: on a generic model (2-form not closed) the same
     # constraint set admits no witness
-    lem3_contra_ok = True
+    _lead_note(lem3, "contrapositive: no witness exists when the 2-form is not closed")
     td0 = ctx.trial(HERMITIAN, 0)
-    dw0 = zero_res(exterior_d2(td0.partner).values(td0.pts))
-    if dw0 > 1e-4:
+    if zero_res(exterior_d2_values(td0.partner, td0.pts)) > 1e-4:
         sr0 = synthesize_connection(td0.model, ["quasi_statistical_g", "d_closed_J"],
                                     ansatz_degree=2, seed=ctx._sub_seed(0, 23))
-        lem3_contra_ok = sr0.residual > TOLERANCES["negative"]
-    cyc_entry = _witness_entry("sec3.cyclic", ctx.dim, res_cyc, TOLERANCES["conclusion"])
-    r_shift = [_jshift_residual(ctx.trial(HERMITIAN, t), "metric") for t in range(ctx.trials)]
-    _fold_identity(cyc_entry, r_shift, TOLERANCES["kernel_identity"])
-    lem3_entry = _witness_entry(
-        "lem3", ctx.dim, res_lem3, TOLERANCES["conclusion"],
-        notes="contrapositive: no witness exists when the 2-form is not closed",
-    )
-    if not lem3_contra_ok:
-        lem3_entry.status = "fail"
-        lem3_entry.notes += "; contrapositive check failed"
-
-    # two-of-three: each pair of conditions forces the third
-    res_b, res_c = [], []
-    for t in range(ctx.witness_trials):
-        model = ctx.constant(t) if ctx.dim > 2 else ctx.kahler(t)
-        srb, wdb = _synth(ctx, model, ["d_closed_J", "conjugate_partner_parallel"], t, 24)
-        res_b.append((srb.residual, zero_res(wdb.d_metric((), "metric"))))
-        src, wdc = _synth(ctx, model, ["quasi_statistical_g", "conjugate_partner_parallel"], t, 25)
-        res_c.append((src.residual, zero_res(wdc.d_J(()))))
-    two_of_three = _witness_entry("sec3.two_of_three", ctx.dim, res_23 + res_b + res_c,
-                                  TOLERANCES["strict_conclusion"],
-                                  notes="all three pairings tested")
-    return [cyc_entry, lem3_entry, two_of_three]
+        if not sr0.residual > TOLERANCES["negative"]:
+            lem3.status = "fail"
+            lem3.notes += "; contrapositive check failed"
+    return [cyc, lem3, two_of_three]
 
 
 @family("verify_section3", "teo2")
 def _teo2(ctx):
     # flat model, torsion-bearing synthesized witnesses, sheared model
-    res_teo2, torsions = [], []
-    flat = flat_hermitian_model(ctx.dim)
-    rep = predicate_check(flat, "kahler", tol=TOLERANCES["conclusion"], seed=ctx.seed)
-    res_teo2.append((0.0, rep.max_residual))
-    for t in range(ctx.witness_trials):
+    flat = predicate_check(flat_hermitian_model(ctx.dim), "kahler",
+                           tol=TOLERANCES["conclusion"], seed=ctx.seed).max_residual
+    torsions = []
+
+    def pairs(t):
+        rows = [(0.0, flat)] if t == 0 else []
         # a constant-structure model, then the sheared Kahler model
-        for model, tag, anchor in ((ctx.constant(t), 26, 0.3),
-                                   (ctx.kahler(t), 27, 0.3 if ctx.dim == 2 else 0.0)):
-            sr = synthesize_connection(
-                model, ["quasi_statistical_g", "d_closed_J", "j_invariant_torsion"],
-                ansatz_degree=ctx.witness_degree, seed=ctx._sub_seed(t, tag), anchor_scale=anchor)
-            m2 = ChartModel(domain=model.domain, metric=model.metric, J=model.J,
-                            conn=sr.connection)
-            rep = predicate_check(m2, "kahler", tol=TOLERANCES["conclusion"], seed=ctx.seed)
-            res_teo2.append((sr.residual, rep.max_residual))
-            torsions.append(zero_res(torsion_values(sr.connection, ctx.points(t))))
-    notes = f"max witness torsion {max(torsions):.2e}" if torsions else ""
-    teo2_entry = _witness_entry("teo2", ctx.dim, res_teo2, TOLERANCES["conclusion"],
-                                notes=notes)
-    if teo2_entry.status == "pass" and torsions and max(torsions) < 1e-6:
-        teo2_entry.status = "inconclusive-witness"
-        teo2_entry.notes += "; only torsion-free witnesses found"
-    return [teo2_entry]
+        for base, tag, anchor in ((ctx.constant(t), 26, 0.3),
+                                  (ctx.kahler(t), 27, 0.3 if ctx.dim == 2 else 0.0)):
+            sr, wd = _synth(ctx, base, ["quasi_statistical_g", "d_closed_J", "j_invariant_torsion"],
+                            t, tag, anchor=anchor)
+            rep = predicate_check(wd.model, "kahler", tol=TOLERANCES["conclusion"], seed=ctx.seed)
+            rows.append((sr.residual, rep.max_residual))
+            torsions.append(zero_res(wd.torsion()))
+        return {"teo2": rows}
+
+    (teo2,) = _witnesses(ctx, TOLERANCES["conclusion"], pairs)
+    _lead_note(teo2, f"max witness torsion {max(torsions):.2e}")
+    if teo2.status == "pass" and max(torsions) < 1e-6:
+        teo2.status = "inconclusive-witness"
+        teo2.notes += "; only torsion-free witnesses found"
+    return [teo2]
 
 
 @family("verify_section3", "GAD15", "GAD16", "GAD17")
@@ -863,12 +884,7 @@ def _averaged(ctx):
 
     def residuals(td):
         sum_t = td.torsion(("star",)) + td.torsion(("dagger",))
-        lhs = np.einsum(
-            "nkij,nkl->nijl",
-            d_nabla_J_values(td.conn(("star",)), td.model.J, td.pts)
-            + d_nabla_J_values(td.conn(("dagger",)), td.model.J, td.pts),
-            td.bv,
-        )
+        lhs = np.einsum("nkij,nkl->nijl", td.d_J(("star",)) + td.d_J(("dagger",)), td.bv)
         return {"GAD16": ident_res(td.d_metric(("avg",), "metric"), 0.5 * _tb(sum_t, td.bv)),
                 "GAD17": ident_res(lhs, _tb(sum_t, td.pv))}
     return gad15 + _identities(ctx, HERMITIAN, TOLERANCES["identity"], residuals)
@@ -876,48 +892,42 @@ def _averaged(ctx):
 
 @family("verify_section3", "GAD15.cor")
 def _gad15_cor(ctx):
-    # coupled torsion-free witnesses make the average flat
-    res_15c = []
-    for t in range(ctx.witness_trials):
-        model = ctx.constant(t) if ctx.dim > 2 else ctx.kahler(t)
-        pts = ctx.points(t)
-        sr = synthesize_connection(model, ["codazzi_J", "torsion_free"],
-                                   ansatz_degree=ctx.witness_degree,
-                                   seed=ctx._sub_seed(t, 28), anchor_scale=0.3)
-        wd = _with_conn(model, conjugate_by_bilinear(sr.connection, model.metric), pts)
+    # coupled torsion-free witnesses make the average of their metric
+    # conjugate flat
+    def pairs(t):
+        sr, wd = _synth(ctx, ctx.constant(t) if ctx.dim > 2 else ctx.kahler(t),
+                        ["codazzi_J", "torsion_free"], t, 28)
+        sd = wd.with_conn(wd.conn(("star",)))
         concl = max(
-            zero_res(wd.torsion(("star",))),
-            zero_res(wd.torsion(("dagger",))),
-            zero_res(wd.d_metric(("avg",), "metric")),
+            zero_res(sd.torsion(("star",))),
+            zero_res(sd.torsion(("dagger",))),
+            zero_res(sd.d_metric(("avg",), "metric")),
         )
-        res_15c.append((sr.residual, concl))
-    return [_witness_entry("GAD15.cor", ctx.dim, res_15c, TOLERANCES["conclusion"])]
+        return {"GAD15.cor": (sr.residual, concl)}
+    return _witnesses(ctx, TOLERANCES["conclusion"], pairs)
 
 
 @family("verify_section3", "sec3.cor_final")
 def _cor_final(ctx):
     # opposite conjugate torsions, flat average, paired closures vanish
     # together
-    res_cf = []
-    for t in range(ctx.witness_trials):
-        model = ctx.constant(t)
-        pts = ctx.points(t)
-        sr, wd = _synth(ctx, model, ["conjugate_torsion_sum"], t, 29)
-        paired = (d_nabla_J_values(wd.conn(("star",)), model.J, pts)
-                  + d_nabla_J_values(wd.conn(("dagger",)), model.J, pts))
-        concl = max(zero_res(wd.d_metric(("avg",), "metric")), zero_res(paired))
-        res_cf.append((sr.residual, concl))
-    return [_witness_entry("sec3.cor_final", ctx.dim, res_cf, TOLERANCES["conclusion"])]
+    def pairs(t):
+        sr, wd = _synth(ctx, ctx.constant(t), ["conjugate_torsion_sum"], t, 29)
+        paired = wd.d_J(("star",)) + wd.d_J(("dagger",))
+        return {"sec3.cor_final": (sr.residual, max(zero_res(wd.d_metric(("avg",), "metric")),
+                                                    zero_res(paired)))}
+    return _witnesses(ctx, TOLERANCES["conclusion"], pairs)
 
 
 # section 4: Norden-only results
 
 
-def _quasi_statistical_witness(ctx: SectionContext, td: TrialData, trial: int, tag: int):
-    """Metric conjugate of a torsion-free connection, and its
-    quasi-statistical hypothesis residual."""
+def _quasi_statistical_witness(ctx: SectionContext, trial: int, tag: int):
+    """The Norden trial under the metric conjugate of a torsion-free
+    connection, and its quasi-statistical hypothesis residual."""
+    td = ctx.trial(NORDEN, trial)
     d0 = gen_connection(ctx.spec(trial, tag, "torsion_free"))
-    wd = _with_conn(td.model, conjugate_by_bilinear(d0, td.model.metric), td.pts)
+    wd = td.with_conn(conjugate_by_bilinear(d0, td.model.metric))
     return wd, zero_res(wd.d_metric((), "metric"))
 
 
@@ -926,11 +936,11 @@ def _pro14(ctx):
     # unconditional torsion expansion of the holomorphicity operator, then
     # the flat-derivative collapse on quasi-statistical witnesses
     r14 = [_pro14_unconditional_residual(ctx.trial(NORDEN, t)) for t in range(ctx.trials)]
-    res_14w = []
-    for t in range(ctx.witness_trials):
-        wd, hyp = _quasi_statistical_witness(ctx, ctx.trial(NORDEN, t), t, 32)
-        res_14w.append((hyp, _pro14_conditional_residual(wd)))
-    e14 = _witness_entry("pro14", ctx.dim, res_14w, TOLERANCES["strict_conclusion"])
+
+    def pairs(t):
+        wd, hyp = _quasi_statistical_witness(ctx, t, 32)
+        return {"pro14": (hyp, _pro14_conditional_residual(wd))}
+    (e14,) = _witnesses(ctx, TOLERANCES["strict_conclusion"], pairs)
     _fold_identity(e14, r14, TOLERANCES["identity"])
     return [e14]
 
@@ -940,24 +950,20 @@ def _teo5(ctx):
     # on jointly closed witnesses the holomorphicity operator equals the
     # lowered-torsion / structure-derivative combination, so the two sides
     # vanish together
-    res_t5, coupling_ok = [], True
-    tol_c = TOLERANCES["conclusion"]
-    for t in range(ctx.witness_trials):
+    tol_c, coupled = TOLERANCES["conclusion"], []
+
+    def pairs(t):
         td = ctx.trial(NORDEN, t)
-        w = conjugate_by_bilinear(levi_civita(td.partner), td.model.metric)
-        wd = _with_conn(td.model, w, td.pts)
-        hyp = max(zero_res(wd.d_metric((), "metric")), zero_res(wd.d_J(())))
-        phi = tachibana_values(td.model.J, td.model.metric, td.pts)
-        tv, djc = wd.torsion(()), wd.covd_J(())
-        t_h = np.einsum("nmec,nea,nbm->nabc", tv, td.jv, td.bv)
-        b_t = np.einsum("nmbc,nma->nabc", djc, td.bv)
-        res_t5.append((hyp, ident_res(phi, t_h + b_t)))
-        coupling_ok = coupling_ok and (
-            (zero_res(phi) <= tol_c) == (zero_res(t_h + b_t) <= tol_c)
-        )
-    e5 = _witness_entry("teo5", ctx.dim, res_t5, tol_c,
-                        notes="witness: metric conjugate of the twin-metric parallel connection")
-    if not coupling_ok and e5.status == "pass":
+        wd = td.with_conn(conjugate_by_bilinear(levi_civita(td.partner), td.model.metric))
+        hyp = max(zero_res(wd.d_metric((), "metric")), zero_res(wd.d_J()))
+        phi = wd.tachibana
+        t_h = np.einsum("nmec,nea,nbm->nabc", wd.torsion(), wd.jv, wd.bv)
+        b_t = np.einsum("nmbc,nma->nabc", wd.covd_J(), wd.bv)
+        coupled.append((zero_res(phi) <= tol_c) == (zero_res(t_h + b_t) <= tol_c))
+        return {"teo5": (hyp, ident_res(phi, t_h + b_t))}
+    (e5,) = _witnesses(ctx, tol_c, pairs)
+    _lead_note(e5, "witness: metric conjugate of the twin-metric parallel connection")
+    if not all(coupled) and e5.status == "pass":
         e5.status = "fail"
         e5.notes += "; vanish-together coupling violated"
     return [e5]
@@ -967,46 +973,40 @@ def _teo5(ctx):
 def _cor8(ctx):
     # cyclic holomorphicity sum against the torsion / derivative combination
     # on quasi-statistical witnesses
-    res_c8 = []
-    for t in range(ctx.witness_trials):
-        td = ctx.trial(NORDEN, t)
-        wd, hyp = _quasi_statistical_witness(ctx, td, t, 33)
-        phi = tachibana_values(td.model.J, td.model.metric, td.pts)
-        lhs = cyclic_sum_03(phi)
-        tv, djc, hv, jv = wd.torsion(()), wd.covd_J(()), td.bv, td.jv
+    def pairs(t):
+        wd, hyp = _quasi_statistical_witness(ctx, t, 33)
+        tv, djc, hv, jv = wd.torsion(), wd.covd_J(), wd.bv, wd.jv
         rhs = (np.einsum("nmec,nea,nbm->nabc", tv, jv, hv)
                + np.einsum("nmea,neb,ncm->nabc", tv, jv, hv)
                + np.einsum("nmeb,nec,nam->nabc", tv, jv, hv)
                + np.einsum("nmca,nbm->nabc", djc, hv)
                + np.einsum("nmab,ncm->nabc", djc, hv)
                + np.einsum("nmbc,nam->nabc", djc, hv))
-        res_c8.append((hyp, ident_res(lhs, rhs)))
-    return [_witness_entry("cor8", ctx.dim, res_c8, TOLERANCES["conclusion"])]
+        return {"cor8": (hyp, ident_res(cyclic_sum_03(wd.tachibana), rhs))}
+    return _witnesses(ctx, TOLERANCES["conclusion"], pairs)
 
 
 @family("verify_section4", "theolast")
 def _theolast(ctx):
     # the cyclic holomorphicity sum and the defining cyclic sum vanish
     # together (and in fact agree) under the metric's own connection
-    r_tl, couple_ok = [], True
-    tol = TOLERANCES["coupling"]
-    for t in range(ctx.trials):
-        td = ctx.trial(NORDEN, t)
-        s_phi = cyclic_sum_03(tachibana_values(td.model.J, td.model.metric, td.pts))
+    tol, coupled = TOLERANCES["coupling"], []
+
+    def residuals(td):
+        s_phi = cyclic_sum_03(td.tachibana)
         s_def = quasi_kahler_norden_sum_values(td.model.metric, td.model.J, td.pts)
-        r_tl.append(ident_res(s_phi, s_def))
         a, b = zero_res(s_phi), zero_res(s_def)
-        couple_ok = couple_ok and ((a <= tol and b <= tol) or (a >= 10 * tol and b >= 10 * tol))
-    e_tl = _identity_entry("theolast", ctx.dim, ctx.trials, r_tl, TOLERANCES["identity"],
-                           notes="sums also agree termwise under the metric connection")
-    if not couple_ok:
+        coupled.append((a <= tol and b <= tol) or (a >= 10 * tol and b >= 10 * tol))
+        return {"theolast": ident_res(s_phi, s_def)}
+    (e_tl,) = _identities(ctx, NORDEN, TOLERANCES["identity"], residuals)
+    _lead_note(e_tl, "sums also agree termwise under the metric connection")
+    if not all(coupled):
         e_tl.status = "fail"
         e_tl.notes += "; vanish-together coupling violated"
     return [e_tl]
 
 
 def _pro14_unconditional_residual(td: TrialData) -> float:
-    phi = tachibana_values(td.model.J, td.model.metric, td.pts)
     hv, jv = td.bv, td.jv
     dh = td.covd_metric((), "metric")
     djc = td.covd_J(())
@@ -1021,11 +1021,10 @@ def _pro14_unconditional_residual(td: TrialData) -> float:
     term8 = (np.einsum("nmec,nea,nbm->nabc", tv, jv, hv)
              - np.einsum("nme,neac,nbm->nabc", jv, tv, hv))
     rhs = t1 - t2 + term3 - term4 + term5 + term6 - term7 + term8
-    return ident_res(phi, rhs)
+    return ident_res(td.tachibana, rhs)
 
 
 def _pro14_conditional_residual(wd: TrialData) -> float:
-    phi = tachibana_values(wd.model.J, wd.model.metric, wd.pts)
     hv, jv = wd.bv, wd.jv
     dh = wd.covd_metric((), "metric")
     djc = wd.covd_J(())
@@ -1038,7 +1037,7 @@ def _pro14_conditional_residual(wd: TrialData) -> float:
     p5 = (np.einsum("nmec,nea,nbm->nabc", tv, jv, hv)
           - np.einsum("nme,neac,nbm->nabc", jv, tv, hv))
     rhs = p1 + p2 + p3 - p4 + p5
-    return ident_res(phi, rhs)
+    return ident_res(wd.tachibana, rhs)
 
 
 # negative controls
@@ -1072,9 +1071,8 @@ def _neg_hermitian(ctx):
         )]
 
     def unprojected(td):
-        tv, jv = td.torsion(()), td.jv
-        return (zero_res(_j1(tv, jv) + _j2(tv, jv)) >= thresh
-                and zero_res(td.nijenhuis()) >= thresh)
+        return (zero_res(torsion_compat(td.torsion(), td.jv)) >= thresh
+                and zero_res(td.nijenhuis) >= thresh)
     return out + [_control(ctx, HERMITIAN, "neg.pro2",
                            "unprojected torsion with a generic structure", unprojected)]
 

@@ -30,7 +30,6 @@ from .fields import (
     j_apply_vector,
 )
 
-INVOLUTION_TOL = 1e-10
 PURITY_TOL = 1e-8
 
 
@@ -38,13 +37,12 @@ PURITY_TOL = 1e-8
 class AlmostComplexStructure:
     """A (1,1) field squaring to minus the identity.
 
-    Generated structures also carry an exact polynomial frame ``C`` with
-    polynomial inverse, such that ``J = C J0 C^{-1}`` for the constant block
-    structure ``J0``; structures read from model files have none.
+    Generated structures also carry the polynomial inverse ``C^{-1}`` of an
+    exact polynomial frame ``C`` with ``J = C J0 C^{-1}`` for the constant
+    block structure ``J0``; structures read from model files have none.
     """
 
     field: PolyTensorField
-    frame: PolyTensorField | None = None
     frame_inv: PolyTensorField | None = None
 
     def __post_init__(self):
@@ -66,11 +64,6 @@ class AlmostComplexStructure:
         jv = self.values(pts)
         eye = np.eye(self.dimension)
         return float(np.abs(np.einsum("nkm,nmj->nkj", jv, jv) + eye).max())
-
-    def require_involution(self, pts, tol: float = INVOLUTION_TOL):
-        r = self.involution_residual(pts)
-        if r > tol:
-            raise PreconditionError(f"structure does not square to -id (residual {r:.3e})")
 
 
 @dataclass
@@ -172,12 +165,33 @@ def nijenhuis_on_fields(J: AlmostComplexStructure, X: PolyTensorField, Y: PolyTe
     return -term1 + term2 + term3 - term4
 
 
+def torsion_compat(a: np.ndarray, jv: np.ndarray) -> np.ndarray:
+    """A(J x_i, x_j) + A(x_i, J x_j) for (1,2) arrays ``a[n, k, i, j]``.
+
+    On a torsion this is the torsion-compatibility operator; the
+    structure-compatible torsions are its zeros.
+    """
+    return np.einsum("nkaj,nai->nkij", a, jv) + np.einsum("nkia,naj->nkij", a, jv)
+
+
+def j_invariance_defect(a: np.ndarray, jv: np.ndarray) -> np.ndarray:
+    """A(J x_i, J x_j) - A(x_i, x_j) for (1,2) arrays; on a torsion it
+    vanishes exactly where ``torsion_compat`` does."""
+    return np.einsum("nkab,nai,nbj->nkij", a, jv, jv) - a
+
+
+def codazzi_defect(dl: np.ndarray) -> np.ndarray:
+    """(D_i L)^k_j - (D_j L)^k_i from a (1,1) covariant-derivative array
+    ``dl[n, k, i, j] = (D_i L)^k_j``; zero when L is Codazzi-coupled."""
+    return dl - np.swapaxes(dl, 2, 3)
+
+
 def d_nabla_J_values(conn: Connection, J: AlmostComplexStructure, pts) -> np.ndarray:
     """(d^D J)^k_{ij} = (D_i J)^k_j - (D_j J)^k_i + J^k_m T^m_{ij}."""
     dj = covd_values(conn, J.field, pts)
     jv = J.values(pts)
     tv = torsion_values(conn, pts)
-    return dj - np.swapaxes(dj, 2, 3) + np.einsum("nkm,nmij->nkij", jv, tv)
+    return codazzi_defect(dj) + np.einsum("nkm,nmij->nkij", jv, tv)
 
 
 def d_nabla_metric_values(conn: Connection, b, pts) -> np.ndarray:
@@ -215,12 +229,10 @@ def cyclic_sum_03(arr: np.ndarray) -> np.ndarray:
     return arr + np.einsum("nbca->nabc", arr) + np.einsum("ncab->nabc", arr)
 
 
-def quasi_kahler_norden_sum_values(h: MetricField, J: AlmostComplexStructure, pts, conn: Connection | None = None) -> np.ndarray:
+def quasi_kahler_norden_sum_values(h: MetricField, J: AlmostComplexStructure, pts) -> np.ndarray:
     """Cyclic sum of h((D_a J) x_b, x_c) under the metric's own torsion-free
-    metric-parallel connection (or a supplied one)."""
-    if conn is None:
-        conn = levi_civita(h.field)
-    dj = covd_values(conn, J.field, pts)  # dj[n,m,a,b] = (D_a J)^m_b
+    metric-parallel connection."""
+    dj = covd_values(levi_civita(h.field), J.field, pts)  # dj[n,m,a,b] = (D_a J)^m_b
     hv = h.values(pts)
     base = np.einsum("nmab,nmc->nabc", dj, hv)
     return cyclic_sum_03(base)

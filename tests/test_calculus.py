@@ -9,7 +9,7 @@ from qsg.calculus import (
     ConstantConnection,
     PolyConnection,
     covd_values,
-    exterior_d2,
+    exterior_d2_values,
     exterior_d2_connection_expansion,
     invert_bilinear,
     levi_civita,
@@ -180,7 +180,7 @@ def test_exterior_d2_two_dimensional_top():
     rng = sampling.rng(17, 0)
     w = random_poly_field(rng, 2, (0, 2), 2, 1.0)
     w = (w - w.transpose_02()).scale(0.5)
-    assert np.abs(exterior_d2(w).values(pts2())).max() <= 1e-15
+    assert np.abs(exterior_d2_values(w, pts2())).max() <= 1e-15
 
 
 def _coordinate_three_form_oracle(w, pts):
@@ -205,7 +205,7 @@ def test_exterior_d2_componentwise_oracle():
     w_comps[1, 0] = -PolyExpr.coordinate(4, 2)
     w = PolyTensorField(4, (0, 2), w_comps)
     p = pts4()
-    got = exterior_d2(w).values(p)
+    got = exterior_d2_values(w, p)
     assert np.allclose(got, _coordinate_three_form_oracle(w, p), atol=1e-14)
     # the only nonzero pattern mixes the dependence axis with the form axes
     assert got[0, 2, 0, 1] == pytest.approx(1.0)
@@ -213,7 +213,7 @@ def test_exterior_d2_componentwise_oracle():
     w2 = random_poly_field(rng, 4, (0, 2), 2, 1.0)
     w2 = (w2 - w2.transpose_02()).scale(0.5)
     assert np.allclose(
-        exterior_d2(w2).values(p), _coordinate_three_form_oracle(w2, p), atol=1e-13
+        exterior_d2_values(w2, p), _coordinate_three_form_oracle(w2, p), atol=1e-13
     )
 
 
@@ -221,7 +221,7 @@ def test_exterior_d2_total_antisymmetry():
     rng = sampling.rng(19, 0)
     w = random_poly_field(rng, 4, (0, 2), 2, 1.0)
     w = (w - w.transpose_02()).scale(0.5)
-    dv = exterior_d2(w).values(pts4())
+    dv = exterior_d2_values(w, pts4())
     assert np.abs(dv + np.einsum("nbac->nabc", dv)).max() <= 1e-13
     assert np.abs(dv + np.einsum("nacb->nabc", dv)).max() <= 1e-13
 
@@ -233,7 +233,7 @@ def test_exterior_d2_connection_independence():
         w = random_poly_field(rng, 4, (0, 2), 2, 1.0)
         w = (w - w.transpose_02()).scale(0.5)
         conn = PolyConnection(random_poly_field(rng, 4, (1, 2), 2, 1.0))
-        lhs = exterior_d2(w).values(p)
+        lhs = exterior_d2_values(w, p)
         rhs = exterior_d2_connection_expansion(w, conn, p)
         assert np.abs(lhs - rhs).max() / (1 + np.abs(lhs).max()) <= 1e-9
 
@@ -241,7 +241,7 @@ def test_exterior_d2_connection_independence():
 def test_exterior_d2_rejects_non_antisymmetric():
     g = PolyTensorField.constant(2, (0, 2), np.eye(2))
     with pytest.raises(PreconditionError):
-        exterior_d2(g).values(pts2())
+        exterior_d2_values(g, pts2())
 
 
 def test_invert_bilinear():

@@ -20,7 +20,7 @@ from qsg import sampling
 from qsg.calculus import (
     PolyConnection,
     covd_values,
-    exterior_d2,
+    exterior_d2_values,
     levi_civita,
     lie_bracket,
     torsion_values,
@@ -383,7 +383,7 @@ def test_exterior_d2_exact(d):
     want = np.empty((len(pts), d, d, d), dtype=object)
     for p, i, j, k in itertools.product(range(len(pts)), r, r, r):
         want[p, i, j, k] = wg[p, j, k, i] - wg[p, i, k, j] + wg[p, i, j, k]
-    assert_equal_exact(exterior_d2(w).values(pts), want)
+    assert_equal_exact(exterior_d2_values(w, pts), want)
 
 
 def dominant_form(rng, d, sign):
