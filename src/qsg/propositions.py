@@ -59,7 +59,7 @@ from .connections import (
     klein_table,
 )
 from .errors import QsgError
-from .fields import ChartDomain, PolyTensorField
+from .fields import ChartDomain, PolyTensorField, j_apply_vector
 from .generate import (
     GenSpec,
     gen_almost_complex,
@@ -687,7 +687,23 @@ def _vishnevskii(ctx):
         lhs = torsion_compat(wd.d_J(), wd.jv)
         rhs = _jout(wd.jv, torsion_compat(wd.torsion(), wd.jv))
         return {"sec2.vishnevskii": (hyp, ident_res(lhs, rhs))}
-    return _witnesses(ctx, TOLERANCES["conclusion"], pairs)
+    (entry,) = _witnesses(ctx, TOLERANCES["conclusion"], pairs)
+    # the twisted-frame array the hypothesis reads is the operator on
+    # (x_i, J x_j): checked where the structure is not constant
+    _fold_identity(entry, [_jframe_residual(ctx.trial(HERMITIAN, t)) for t in range(ctx.trials)],
+                   TOLERANCES["kernel_identity"])
+    return [entry]
+
+
+def _jframe_residual(td: TrialData) -> float:
+    """``vishnevskii_jframe_values`` against ``vishnevskii_on_fields`` on
+    each pair of a frame field and a structure-twisted frame field."""
+    J, conn, d = td.model.J, td.model.conn, td.model.dimension
+    frames = [PolyTensorField.constant(d, (1, 0), e) for e in np.eye(d)]
+    twisted = [j_apply_vector(J.field, x) for x in frames]
+    on_fields = np.stack([np.stack([vishnevskii_on_fields(conn, J, x, y, td.pts) for y in twisted],
+                                   axis=-1) for x in frames], axis=-2)
+    return ident_res(vishnevskii_jframe_values(conn, J, td.pts), on_fields)
 
 
 # section 3 (Hermitian pairs) and the Norden twins of its results

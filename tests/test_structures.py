@@ -33,6 +33,7 @@ from qsg.structures import (
     tachibana_values,
     twin_metric,
     vishnevskii_frame_values,
+    vishnevskii_jframe_values,
     vishnevskii_on_fields,
 )
 
@@ -228,6 +229,24 @@ def test_vishnevskii_operator_non_tensorial_defect():
     jx = np.einsum("nkj,j->nk", jv, np.eye(d)[0])
     defect = jx[:, 0][:, None] * np.eye(d)[0] - 1.0 * jv[:, :, 0]
     assert np.abs(got - defect).max() <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_vishnevskii_jframe_is_operator_on_twisted_frames(dim):
+    # Psi(x_i, J x_j) from the frame array must equal the operator on the
+    # explicit field J x_j; with a nonconstant J this needs the dJ terms
+    spec = GenSpec(seed=5, dimension=dim, degree=2)
+    J = gen_almost_complex(spec)
+    assert J.field.degree() > 0
+    conn = PolyConnection(random_poly_field(sampling.rng(5, 1), dim, (1, 2), 2, 1.0))
+    p = pts(dim, 5)
+    got = vishnevskii_jframe_values(conn, J, p)
+    for i in range(dim):
+        x = PolyTensorField.constant(dim, (1, 0), np.eye(dim)[i])
+        for j in range(dim):
+            jx = j_apply_vector(J.field, PolyTensorField.constant(dim, (1, 0), np.eye(dim)[j]))
+            want = vishnevskii_on_fields(conn, J, x, jx, p)
+            assert np.abs(got[:, :, i, j] - want).max() <= 1e-12
 
 
 def test_nijenhuis_from_torsion_when_closed():
