@@ -1,0 +1,61 @@
+#!/usr/bin/env python3
+"""Compare two ``qsg verify --format json`` reports entry by entry.
+
+Usage: ``python3 scripts/diff_reports.py A.json B.json``
+
+Prints one line per (id, dim) whose ``status``, ``trials``,
+``max_residual`` or ``hyp_residual`` differs, with the absolute and
+relative move of the residuals.  Exits 1 when any status changes (an entry
+present in only one report counts as a status change) and 0 otherwise; on
+identical reports it prints nothing.  Unreadable input exits 2.
+"""
+
+import json
+import sys
+
+FIELDS = ("status", "trials", "max_residual", "hyp_residual")
+
+
+def entries(path: str) -> dict:
+    with open(path) as f:
+        doc = json.load(f)
+    return {(e["id"], e["dim"]): e for e in doc.get("suite", doc)["entries"]}
+
+
+def describe(name: str, a, b) -> str:
+    text = f"{name} {a!r} -> {b!r}"
+    if isinstance(a, float) and isinstance(b, float):
+        rel = (b - a) / abs(a) if a else float("inf")
+        text += f" (abs {b - a:+.3e}, rel {rel:+.3e})"
+    return text
+
+
+def diff(a: dict, b: dict) -> tuple:
+    """Lines describing every difference, and whether a status changed."""
+    lines, status_changed = [], False
+    for key in sorted(set(a) | set(b)):
+        ea, eb = a.get(key, {}), b.get(key, {})
+        moves = [describe(f, ea.get(f), eb.get(f)) for f in FIELDS if ea.get(f) != eb.get(f)]
+        if moves:
+            status_changed |= ea.get("status") != eb.get("status")
+            lines.append(f"{key[0]} dim {key[1]}: " + "; ".join(moves))
+    return lines, status_changed
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print("usage: diff_reports.py A.json B.json", file=sys.stderr)
+        return 2
+    try:
+        a, b = (entries(p) for p in argv)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"diff_reports: cannot read report: {exc!r}", file=sys.stderr)
+        return 2
+    lines, status_changed = diff(a, b)
+    for line in lines:
+        print(line)
+    return 1 if status_changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

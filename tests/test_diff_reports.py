@@ -1,0 +1,53 @@
+"""scripts/diff_reports.py on hand-built reports."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "diff_reports.py"
+
+
+def _entry(prop_id, dim, status="pass", trials=4, max_residual=1e-12, hyp_residual=None):
+    return {"id": prop_id, "dim": dim, "direction": "identity", "trials": trials,
+            "max_residual": max_residual, "tolerance": 1e-8, "status": status,
+            "pass": status != "fail", "hyp_residual": hyp_residual, "notes": ""}
+
+
+def _write(path, entries):
+    path.write_text(json.dumps({"suite": {"entries": entries}, "exit_status": 0}))
+    return str(path)
+
+
+def _run(a, b):
+    proc = subprocess.run([sys.executable, str(SCRIPT), a, b], capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+BASE = [_entry("GAD1.i", 2), _entry("teo5", 4, max_residual=2e-10, hyp_residual=1e-15)]
+
+
+def test_identical_reports_print_nothing(tmp_path):
+    a = _write(tmp_path / "a.json", BASE)
+    b = _write(tmp_path / "b.json", list(reversed(BASE)))
+    assert _run(a, b) == (0, "")
+
+
+def test_residual_moves_are_listed_with_their_size(tmp_path):
+    moved = [BASE[0], _entry("teo5", 4, max_residual=3e-10, hyp_residual=1e-15)]
+    code, out = _run(_write(tmp_path / "a.json", BASE), _write(tmp_path / "b.json", moved))
+    assert code == 0
+    assert out.splitlines() == [
+        "teo5 dim 4: max_residual 2e-10 -> 3e-10 (abs +1.000e-10, rel +5.000e-01)"]
+
+
+def test_status_changes_exit_1(tmp_path):
+    changed = [_entry("GAD1.i", 2, status="fail", max_residual=1.0), BASE[1],
+               _entry("lem2", 2)]
+    code, out = _run(_write(tmp_path / "a.json", BASE), _write(tmp_path / "b.json", changed))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("GAD1.i dim 2: status 'pass' -> 'fail'; max_residual 1e-12 -> 1.0")
+    # an entry present in only one report is a status change too
+    assert lines[1].startswith("lem2 dim 2: status None -> 'pass'")
+    assert len(lines) == 2
