@@ -657,11 +657,11 @@ def _compat_equiv(ctx):
         tr = td.torsion()
         agree.append((zero_res(torsion_compat(tr, td.jv)) <= tol)
                      == (zero_res(j_invariance_defect(tr, td.jv)) <= tol))
-        return {"sec2.compat_equiv": [zero_res(torsion_compat(tp, td.jv)),
-                                      zero_res(j_invariance_defect(tp, td.jv))]}
-    (entry,) = [_identity_entry(i, ctx.dim, ctx.trials, rs, TOLERANCES["kernel_identity"],
-                                notes="projected torsions satisfy both equivalent forms")
-                for i, rs in _collect(ctx.trials, residuals).items()]
+        return [zero_res(torsion_compat(tp, td.jv)), zero_res(j_invariance_defect(tp, td.jv))]
+    entry = _identity_entry("sec2.compat_equiv", ctx.dim, ctx.trials,
+                            [r for t in range(ctx.trials) for r in residuals(t)],
+                            TOLERANCES["kernel_identity"],
+                            notes="projected torsions satisfy both equivalent forms")
     if not all(agree):
         entry.status = "fail"
         entry.notes += "; the two forms disagreed on a random torsion"
@@ -1025,35 +1025,34 @@ def _theolast(ctx):
 def _pro14_unconditional_residual(td: TrialData) -> float:
     hv, jv = td.bv, td.jv
     dh = td.covd_metric((), "metric")
-    djc = td.covd_J(())
     tv = td.torsion(())
     t1 = np.einsum("nma,nmbc->nabc", jv, dh)
     t2 = np.einsum("nabm,nmc->nabc", dh, jv)
     term3 = np.einsum("nmab,nai,nmc->nibc", tv, jv, hv)
     term4 = np.einsum("nmab,nmd,ndc->nabc", tv, hv, jv)
-    term5 = np.einsum("nmba,nmc->nabc", djc, hv)
-    term6 = np.einsum("nmca,nbm->nabc", djc, hv)
-    term7 = np.einsum("nmac,nbm->nabc", djc, hv)
-    term8 = (np.einsum("nmec,nea,nbm->nabc", tv, jv, hv)
-             - np.einsum("nme,neac,nbm->nabc", jv, tv, hv))
+    term5, term6, term7, term8 = _pro14_common_terms(td)
     rhs = t1 - t2 + term3 - term4 + term5 + term6 - term7 + term8
     return ident_res(td.tachibana, rhs)
 
 
 def _pro14_conditional_residual(wd: TrialData) -> float:
-    hv, jv = wd.bv, wd.jv
-    dh = wd.covd_metric((), "metric")
-    djc = wd.covd_J(())
-    tv = wd.torsion(())
+    dh, jv = wd.covd_metric((), "metric"), wd.jv
     # (D_{x2}h)(J x1, x3) - (D_{x2}h)(x1, J x3)
     p1 = np.einsum("nbmc,nma->nabc", dh, jv) - np.einsum("nbam,nmc->nabc", dh, jv)
-    p2 = np.einsum("nmba,nmc->nabc", djc, hv)
-    p3 = np.einsum("nmca,nbm->nabc", djc, hv)
-    p4 = np.einsum("nmac,nbm->nabc", djc, hv)
-    p5 = (np.einsum("nmec,nea,nbm->nabc", tv, jv, hv)
-          - np.einsum("nme,neac,nbm->nabc", jv, tv, hv))
+    p2, p3, p4, p5 = _pro14_common_terms(wd)
     rhs = p1 + p2 + p3 - p4 + p5
     return ident_res(wd.tachibana, rhs)
+
+
+def _pro14_common_terms(td: TrialData) -> tuple:
+    """The structure-derivative and torsion terms both pro14 expansions
+    share, signs not applied."""
+    hv, jv, djc, tv = td.bv, td.jv, td.covd_J(()), td.torsion(())
+    return (np.einsum("nmba,nmc->nabc", djc, hv),
+            np.einsum("nmca,nbm->nabc", djc, hv),
+            np.einsum("nmac,nbm->nabc", djc, hv),
+            np.einsum("nmec,nea,nbm->nabc", tv, jv, hv)
+            - np.einsum("nme,neac,nbm->nabc", jv, tv, hv))
 
 
 # negative controls

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from qsg.errors import QsgError
+from qsg.fields import ChartDomain
+from qsg.model import ChartModel
 from qsg import propositions
 from qsg.propositions import (
     ALL_IDS,
@@ -18,6 +20,7 @@ from qsg.propositions import (
     SECTION3_IDS,
     SECTION4_IDS,
     SectionContext,
+    TrialData,
     _fold_identity,
     _identity_entry,
     _witness_entry,
@@ -162,6 +165,21 @@ def test_trial_metrics_nondegenerate_at_trial_points():
     for td in (ctx.trial(HERMITIAN, 2), ctx.trial(NORDEN, 2)):
         dets = np.linalg.det(td.model.metric.values(td.pts))
         assert np.abs(dets).min() >= 1e-3
+
+
+def test_trial_data_memo_is_read_only_and_shared_with_conn_copies():
+    ctx = SectionContext(seed=0, dim=2, trials=1)
+    td = ctx.trial(HERMITIAN, 0)
+    wd = td.with_conn(td.conn(("star",)))
+    # connection-independent arrays are computed once per trial
+    assert wd.jv is td.jv and wd.pv is td.pv and wd.nijenhuis is td.nijenhuis
+    assert wd.torsion() is not td.torsion()
+    for arr in (td.jv, td.pv, td.torsion(), wd.d_J(), wd.d_metric(("jconj",), "partner")):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+    # the partner form is built on first use, so a structure-only model fits
+    j_only = TrialData(ChartModel(domain=ChartDomain.cube(2), J=td.model.J), td.pts)
+    assert np.abs(j_only.nijenhuis).max() <= 1e-12
 
 
 SELECT = dict(seed=0, trials=2, dims=(2, 4))
