@@ -172,8 +172,8 @@ def gen_almost_complex(spec: GenSpec, integrable: bool = False) -> AlmostComplex
     m0 = np.linalg.solve(q.T, (q @ j0).T).T  # q j0 q^{-1}
 
     jfield = compose_11(poly_einsum("km,mj->kj", p, m0, valence=(1, 1)), pinv)
-    # the exact polynomial frame C = P Q has the polynomial inverse
-    # Q^{-1} P^{-1}, and the produced field satisfies J = C J0 C^{-1}
+    # exact polynomial frame C = P Q with polynomial inverse Q^{-1} P^{-1};
+    # the produced field satisfies J = C J0 C^{-1}
     return AlmostComplexStructure(
         jfield, frame_inv=poly_einsum("km,mj->kj", np.linalg.inv(q), pinv, valence=(1, 1)),
     )

@@ -484,12 +484,11 @@ def _worst(residuals) -> float:
     return float(np.max(residuals)) if len(residuals) else 0.0
 
 
-def _identity_entry(prop_id, dim, trials, residuals, tol, notes=""):
+def _identity_entry(prop_id, dim, trials, residuals, tol):
     r = _worst(residuals)
     return EntryResult(
         prop_id=prop_id, dim=dim, direction="identity", trials=trials,
-        max_residual=r, tolerance=tol,
-        status="pass" if r <= tol else "fail", notes=notes,
+        max_residual=r, tolerance=tol, status="pass" if r <= tol else "fail",
     )
 
 
@@ -510,7 +509,7 @@ def _identities(ctx: SectionContext, fl: Flavor, tol: float, residuals) -> list:
     return [_identity_entry(i, ctx.dim, ctx.trials, rs, tol) for i, rs in per_id.items()]
 
 
-def _witness_entry(prop_id, dim, results, tol, notes=""):
+def _witness_entry(prop_id, dim, results, tol):
     """results: list of (hyp_residual, conclusion_residual); hypothesis
     failures downgrade to witness-unavailable instead of fail, but a
     non-finite residual anywhere fails the entry over all trials."""
@@ -522,7 +521,7 @@ def _witness_entry(prop_id, dim, results, tol, notes=""):
             prop_id=prop_id, dim=dim, direction="witness", trials=len(results),
             max_residual=0.0, tolerance=tol, status="witness-unavailable",
             hyp_residual=_worst(res[:, 0]),
-            notes=(notes + " no witness met the hypothesis tolerance").strip(),
+            notes="no witness met the hypothesis tolerance",
         )
     worst_c = _worst(usable[:, 1])
     return EntryResult(
@@ -530,7 +529,7 @@ def _witness_entry(prop_id, dim, results, tol, notes=""):
         max_residual=worst_c, tolerance=tol,
         status="pass" if finite and worst_c <= tol else "fail",
         hyp_residual=_worst(usable[:, 0]),
-        notes=notes if finite else (notes + " non-finite residual").strip(),
+        notes="" if finite else "non-finite residual",
     )
 
 
@@ -544,7 +543,8 @@ def _witnesses(ctx: SectionContext, tol, pairs) -> list:
 
 
 def _lead_note(entry: EntryResult, text: str):
-    """Put ``text`` before the notes the entry assembly wrote."""
+    """Put ``text`` before the notes the entry assembly wrote (the status
+    notes of a witness entry)."""
     entry.notes = f"{text} {entry.notes}".strip()
 
 
@@ -660,8 +660,8 @@ def _compat_equiv(ctx):
         return [zero_res(torsion_compat(tp, td.jv)), zero_res(j_invariance_defect(tp, td.jv))]
     entry = _identity_entry("sec2.compat_equiv", ctx.dim, ctx.trials,
                             [r for t in range(ctx.trials) for r in residuals(t)],
-                            TOLERANCES["kernel_identity"],
-                            notes="projected torsions satisfy both equivalent forms")
+                            TOLERANCES["kernel_identity"])
+    _lead_note(entry, "projected torsions satisfy both equivalent forms")
     if not all(agree):
         entry.status = "fail"
         entry.notes += "; the two forms disagreed on a random torsion"
