@@ -557,23 +557,19 @@ def _fold_identity(entry: EntryResult, residuals, tol):
         entry.status = "fail"
 
 
+def _swap_lower(bv, a):
+    """b(x_j, A_i x_k) - b(x_i, A_j x_k) for ``a[n, m, i, k] = (A_i)^m_k``."""
+    return np.einsum("njm,nmik->nijk", bv, a) - np.einsum("nim,nmjk->nijk", bv, a)
+
+
 def _pro3_correction(td: TrialData, ops: tuple):
     """b(x_j, (B_{x_i} J) x_k) - b(x_i, (B_{x_j} J) x_k) for B = conn(ops)."""
-    dj = td.covd_J(ops)
-    bv = td.bv
-    c1 = np.einsum("njm,nmik->nijk", bv, dj)
-    c2 = np.einsum("nim,nmjk->nijk", bv, dj)
-    return c1 - c2
+    return _swap_lower(td.bv, td.covd_J(ops))
 
 
 def _jshift_correction(td: TrialData, which: str):
     """b(x_j, J^{-1}(D_{x_i} J) x_k) - b(x_i, J^{-1}(D_{x_j} J) x_k)."""
-    dj = td.covd_J(())
-    jinv_dj = -_jout(td.jv, dj)
-    bv = td.bv if which == "metric" else td.pv
-    c1 = np.einsum("njm,nmik->nijk", bv, jinv_dj)
-    c2 = np.einsum("nim,nmjk->nijk", bv, jinv_dj)
-    return c1 - c2
+    return _swap_lower(td.bv if which == "metric" else td.pv, -_jout(td.jv, td.covd_J(())))
 
 
 def _jshift_residual(td: TrialData, which: str) -> float:
