@@ -17,10 +17,18 @@ Structure generation keeps every output an exact polynomial field:
 Connection synthesis treats every supported constraint as a pointwise
 affine map of the symbol values and reads its Jacobian from one evaluation
 with block-constant probe symbols, so new constraints need no hand-derived
-matrices.  Each fit point's Jacobian block is compressed to its numerical
-rank before the monomial (Kronecker) expansion, the compressed system gets
-a deterministic minimum-norm least-squares solve, and the reported residual
-is measured on a held-out sample set.
+matrices.  The fit is a deterministic minimum-norm least-squares solve by
+one of two paths, chosen by the probed blocks:
+
+* when every fit point's Jacobian block is bitwise identical (any
+  point-independent constraint, and every constraint on constant-structure
+  models), the system is ``kron(A, M)`` for the block A and the monomial
+  matrix M, and it is solved with one SVD per factor;
+* otherwise each point's block is compressed to its numerical rank before
+  the monomial (Kronecker) expansion, and the compressed system is solved
+  with ``gelsy``.
+
+The reported residual is measured on a held-out sample set.
 """
 
 from __future__ import annotations
@@ -558,13 +566,55 @@ def _compressed_rows(a: np.ndarray, b: np.ndarray, mon: np.ndarray):
     return rows, rhs
 
 
+def _pinv(mat: np.ndarray):
+    """Pseudo-inverse and numerical rank from one SVD; singular values at or
+    below ``eps * max(mat.shape) * s_max`` count as zero, the cut-off of
+    ``_compressed_rows`` and ``_lstsq``."""
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(mat.shape) * s[:1]
+    return (vt[keep].T / s[keep]) @ u[:, keep].T, int(keep.sum())
+
+
+def _kronecker_solve(a0: np.ndarray, b: np.ndarray, mon: np.ndarray, c0: np.ndarray):
+    """``_solve`` when every point shares the block ``a0``.  The system is
+    then ``kron(a0, mon) x = b`` (rows ordered by component, then point),
+    whose pseudo-inverse is ``kron(pinv(a0), pinv(mon))``, so the
+    minimum-norm correction to the anchor X0 (``c0`` as a ``(d^3, k)``
+    matrix) is ``pinv(a0) (b^T - a0 X0 mon^T) pinv(mon)^T``.  ``rows`` is
+    what ``_compressed_rows`` would keep, ``n * rank(a0)``, and the rank is
+    ``rank(a0) * rank(mon)``."""
+    pa, rank_a = _pinv(a0)
+    pm, rank_m = _pinv(mon)
+    x0 = c0.reshape(a0.shape[1], mon.shape[1])
+    delta = pa @ (b.T - a0 @ x0 @ mon.T) @ pm.T
+    return c0 + delta.reshape(-1), mon.shape[0] * rank_a, c0.size, rank_a * rank_m
+
+
+def _solve(a: np.ndarray, b: np.ndarray, mon: np.ndarray, c0: np.ndarray):
+    """Least-squares solution of ``kron(a[n], mon[n]) x = b[n]`` over all
+    points n that is nearest ``c0``; returns it with the ``rows``, ``cols``
+    and ``rank`` of the system solved.  Blocks that are bitwise identical
+    at every point (any point-independent constraint) take
+    ``_kronecker_solve``; otherwise the blocks are compressed per point and
+    solved with ``_lstsq``."""
+    if np.all(a == a[:1]):
+        return _kronecker_solve(a[0], b, mon, c0)
+    rows, rhs = _compressed_rows(a, b, mon)
+    delta, rank = _lstsq(rows, rhs - rows @ c0)
+    return c0 + delta, rows.shape[0], rows.shape[1], rank
+
+
 @dataclass
 class SynthesisResult:
     """Outcome of a least-squares connection fit.
 
-    ``rows`` and ``cols`` are the shape of the compressed system that was
-    solved (``cols = d^3 * k`` for k ansatz monomials) and ``rank`` its
-    numerical rank.
+    ``rows`` and ``cols`` are the shape of the compressed system
+    (``cols = d^3 * k`` for k ansatz monomials): one row per kept singular
+    value of each fit point's block.  ``rank`` is the numerical rank of the
+    system.  On the Kronecker path (identical blocks A at all n points) no
+    rows are formed; ``rows`` is then ``n * rank(A)``, the count the
+    compressed path would solve, and ``rank`` is ``rank(A) * rank(M)`` for
+    the monomial matrix M.
     """
 
     connection: PolyConnection
@@ -584,10 +634,11 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
 
     Every supported constraint is pointwise affine in the symbol values, so
     one evaluation with block-constant probe symbols gives each fit point's
-    Jacobian block (see ``_probe_jacobian``).  The blocks are
-    rank-compressed per point (``_compressed_rows``) and the system is
-    solved for the minimum-norm correction to an anchor, then scored on a
-    held-out sample set disjoint from the fitting set.  ``anchor_scale``
+    Jacobian block (see ``_probe_jacobian``).  The system is solved for the
+    minimum-norm correction to an anchor (``_solve``: one Kronecker solve
+    when the blocks are identical at every point, per-point rank
+    compression otherwise), then scored on a held-out sample set disjoint
+    from the fitting set.  ``anchor_scale``
     biases the solution toward a random target inside the solution
     manifold, which keeps witnesses away from the torsion-free corner when
     the constraint set permits.
@@ -621,14 +672,12 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
 
     base, a = _probe_jacobian(eval_all, pts_fit)
     mon = np.stack([np.prod(pts_fit ** e, axis=1) for e in exps], axis=1)  # (n, k)
-    rows, rhs = _compressed_rows(a, -base, mon)
 
     rng = sampling.rng(seed, T_S, 2)
     c0 = np.zeros(r_sym * k)
     if anchor_scale > 0.0:
         c0 = anchor_scale * rng.standard_normal(r_sym * k)
-    delta, rank = _lstsq(rows, rhs - rows @ c0)
-    coefs = c0 + delta
+    coefs, n_rows, n_cols, rank = _solve(a, -base, mon, c0)
 
     conn = PolyConnection(PolyTensorField(
         d, (1, 2), exps=exps, coefs=np.moveaxis(coefs.reshape(d, d, d, k), -1, 0)
@@ -644,8 +693,8 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
         constraint_residuals=per,
         fit_points=n_fit,
         holdout_points=HOLDOUT_POINTS,
-        rows=rows.shape[0],
-        cols=rows.shape[1],
+        rows=n_rows,
+        cols=n_cols,
         rank=rank,
         seed=seed,
     )

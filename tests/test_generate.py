@@ -4,7 +4,7 @@ recipes, determinism, feasibility certificates."""
 import numpy as np
 import pytest
 
-from qsg import sampling
+from qsg import generate, sampling
 from qsg.calculus import ConstantConnection, PolyConnection, covd_values, torsion_values
 from qsg.connections import conjugate_by_J
 from qsg.errors import GenerationError
@@ -13,8 +13,10 @@ from qsg.generate import (
     T_S,
     GenSpec,
     _compressed_rows,
+    _kronecker_solve,
     _lstsq,
     _probe_jacobian,
+    _solve,
     constraint_functions,
     gen_almost_complex,
     gen_connection,
@@ -379,12 +381,82 @@ def test_compressed_solve_with_zero_block():
         assert _relative_gap(x, _dense_min_norm(a, -base, mon, anchor)) <= 1e-9
 
 
-def test_synthesis_diagnostics():
-    model = _paired_model("norden", 2, seed=15)
+@pytest.mark.parametrize("constant", [False, True], ids=["paired", "constant"])
+def test_synthesis_diagnostics(constant):
     constraints = ["codazzi_J", "torsion_free"]
+    if constant:
+        model = gen_constant_structure_model(GenSpec(seed=15, dimension=2, degree=2), "norden")
+    else:
+        model = _paired_model("norden", 2, seed=15)
     sr = synthesize_connection(model, constraints, ansatz_degree=1, seed=2)
     fit = sampling.sample_box(model.domain.box, sr.fit_points, 2, T_S, 0)
     _, a = _loop_jacobian(_stacked(model, constraints), fit, 2)
     assert sr.rows == sum(np.linalg.matrix_rank(blk) for blk in a)
     assert sr.cols == 2 ** 3 * len(monomial_exponents(2, 1))
     assert 0 < sr.rank <= min(sr.rows, sr.cols)
+    if constant:
+        mon = _monomials(fit, monomial_exponents(2, 1))
+        assert sr.rank == np.linalg.matrix_rank(a[0]) * np.linalg.matrix_rank(mon)
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker solve for blocks shared by every point
+
+
+def _constant_fit(flavor, dim, degree, constraints, seed=16):
+    """Probed blocks, a random right-hand side (the probed one is zero on
+    constant models) and the monomial matrix at 2k fit points."""
+    model = gen_constant_structure_model(GenSpec(seed=seed, dimension=dim, degree=2), flavor)
+    exps = monomial_exponents(dim, degree)
+    p = sampling.sample_box(model.domain.box, 2 * len(exps), seed, T_S, 0)
+    _, a = _probe_jacobian(_stacked(model, constraints), p)
+    b = sampling.rng(seed, 1).standard_normal(a.shape[:2])
+    return a, b, _monomials(p, exps)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("flavor, constraints", [
+    ("hermitian", ["quasi_statistical_g", "d_closed_J"]),
+    ("norden", ["conjugate_torsion_sum", "torsion_free"]),
+])
+def test_kronecker_solve_matches_compressed_solve(flavor, constraints, dim, degree):
+    a, b, mon = _constant_fit(flavor, dim, degree, constraints)
+    assert np.all(a == a[:1])
+    rows, rhs = _compressed_rows(a, b, mon)
+    for anchor in (0.0, 0.3):
+        c0 = anchor * sampling.rng(16, 2).standard_normal(rows.shape[1])
+        delta, rank = _lstsq(rows, rhs - rows @ c0)
+        x, n_rows, n_cols, kron_rank = _kronecker_solve(a[0], b, mon, c0)
+        assert (n_rows, n_cols, kron_rank) == (rows.shape[0], rows.shape[1], rank)
+        assert _relative_gap(x, c0 + delta) <= 1e-12
+
+
+def test_blocks_one_ulp_apart_take_the_compressed_path(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(generate, "_lstsq", counted("lstsq", _lstsq))
+    monkeypatch.setattr(generate, "_kronecker_solve", counted("kronecker", _kronecker_solve))
+    a, b, mon = _constant_fit("hermitian", 2, 1, ["d_closed_J"])
+    c0 = np.zeros(a.shape[2] * mon.shape[1])
+    _solve(a, b, mon, c0)
+    assert calls == ["kronecker"]
+    a = a.copy()
+    i = np.argmax(np.abs(a[3]))
+    a[3].flat[i] = np.nextafter(a[3].flat[i], np.inf)
+    _solve(a, b, mon, c0)
+    assert calls == ["kronecker", "lstsq"]
+
+
+def test_kronecker_solve_with_zero_blocks():
+    a, b, mon = _constant_fit("norden", 2, 1, ["torsion_free"])
+    c0 = 0.3 * sampling.rng(16, 2).standard_normal(a.shape[2] * mon.shape[1])
+    x, rows, cols, rank = _solve(np.zeros_like(a), b, mon, c0)
+    assert (rows, cols, rank) == (0, c0.size, 0)
+    assert np.array_equal(x, c0)
