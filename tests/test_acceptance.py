@@ -16,7 +16,6 @@ import pytest
 from qsg import sampling
 from qsg.calculus import levi_civita, torsion_values, covd_values, PolyConnection
 from qsg.connections import klein_table
-from qsg.fields import PolyTensorField
 from qsg.generate import (
     GenSpec,
     gen_almost_complex,

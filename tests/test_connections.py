@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsg import sampling
-from qsg.calculus import PolyConnection, covd_values, levi_civita, torsion_values
+from qsg.calculus import PolyConnection, covd_values, levi_civita
 from qsg.connections import (
     average_connection,
     conjugate_by_bilinear,
@@ -23,8 +23,8 @@ from qsg.generate import (
     random_poly_field,
     random_vector_field,
 )
-from qsg.model import flat_hermitian_model, standard_structure
-from qsg.structures import AlmostComplexStructure, MetricField, fundamental_two_form
+from qsg.model import flat_hermitian_model
+from qsg.structures import MetricField, fundamental_two_form
 
 
 def _hermitian_setup(seed, dim=2):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsg import sampling
-from qsg.calculus import PolyConnection, covd_values, levi_civita, torsion_values
+from qsg.calculus import PolyConnection, levi_civita, torsion_values
 from qsg.connections import conjugate_by_J
 from qsg.errors import PreconditionError
 from qsg.fields import PolyExpr, PolyTensorField, j_apply_vector, scalar_times_field
@@ -168,7 +168,6 @@ def test_tachibana_flat_cases():
 
 def test_tachibana_via_lie_brackets():
     """Frame assembly against the bracket-based operator definition."""
-    from qsg.calculus import lie_bracket
     from qsg.structures import lie_derivative_J_on_fields
 
     spec = GenSpec(seed=5, dimension=2, degree=2)
