@@ -20,7 +20,7 @@ from .errors import ConfigError, DegeneracyError, ModelFileError, QsgError
 from .generate import synthesize_connection
 from .model import ChartModel
 from .model_io import canonical_doc, load_model, model_hash, write_model
-from .predicates import DEFAULT_SAMPLES, DEFAULT_TOL, PREDICATES, check
+from .predicates import DEFAULT_SAMPLES, DEFAULT_TOL, PREDICATES, check_many
 from .propositions import run_full_suite
 
 EXIT_PASS = 0
@@ -118,10 +118,8 @@ def cmd_check(args) -> int:
     names = _csv(args.predicates)
     report = _base_report(args.seed)
     report["model_hash"] = model_hash(doc)
-    checks = []
-    for name in names:
-        checks.append(check(model, name, tol=args.tol, seed=args.seed,
-                            samples=args.samples).to_dict())
+    checks = [r.to_dict() for r in check_many(model, names, tol=args.tol, seed=args.seed,
+                                              samples=args.samples)]
     report["checks"] = checks
     ok = all(c["pass"] for c in checks)
     report["exit_status"] = EXIT_PASS if ok else EXIT_FAIL

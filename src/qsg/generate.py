@@ -661,14 +661,11 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
     def eval_all(conn, pts):
         return np.concatenate([f(conn, pts) for f in active], axis=1)
 
+    pts_out = sampling.sample_box(box, HOLDOUT_POINTS, seed, T_S, 1)
     # enough rows that a spurious interpolant cannot fit the ansatz
-    m_probe = eval_all(
-        ConstantConnection(np.zeros((d, d, d))),
-        sampling.sample_box(box, 1, seed, T_S, 3),
-    ).shape[1]
+    m_probe = eval_all(ConstantConnection(np.zeros((d, d, d))), pts_out[:1]).shape[1]
     n_fit = int(min(120, max(16, np.ceil(2.5 * r_sym * k / m_probe))))
     pts_fit = sampling.sample_box(box, n_fit, seed, T_S, 0)
-    pts_out = sampling.sample_box(box, HOLDOUT_POINTS, seed, T_S, 1)
 
     base, a = _probe_jacobian(eval_all, pts_fit)
     mon = np.stack([np.prod(pts_fit ** e, axis=1) for e in exps], axis=1)  # (n, k)

@@ -159,19 +159,8 @@ PREDICATES = {
 }
 
 
-def check(model: ChartModel, predicate: str, tol: float = DEFAULT_TOL,
-          seed: int = 0, samples: int = DEFAULT_SAMPLES) -> CheckReport:
-    """Sweep one predicate over a seeded quasi-random sample of the chart.
-
-    Deterministic: identical (model, predicate, tol, seed, samples) yield
-    an identical report.
-    """
-    if predicate not in PREDICATES:
-        raise ConfigError(
-            f"unknown predicate {predicate!r}; valid: {sorted(PREDICATES)}"
-        )
-    pts = sampling.sample_box(model.domain.box, samples, seed, _PTS_TAG)
-    values = PREDICATES[predicate](model, pts)
+def _report(name: str, values: np.ndarray, pts: np.ndarray, tol: float,
+            samples: int) -> CheckReport:
     flat = np.abs(values.reshape(values.shape[0], -1))
     n_idx = int(flat.argmax())
     worst_n, worst_flat = divmod(n_idx, flat.shape[1])
@@ -181,7 +170,7 @@ def check(model: ChartModel, predicate: str, tol: float = DEFAULT_TOL,
         worst_idx = ()
     max_residual = float(flat.max()) if flat.size else 0.0
     return CheckReport(
-        name=predicate,
+        name=name,
         max_residual=max_residual,
         worst_point=tuple(float(x) for x in pts[worst_n]),
         worst_indices=worst_idx,
@@ -189,3 +178,29 @@ def check(model: ChartModel, predicate: str, tol: float = DEFAULT_TOL,
         tolerance=float(tol),
         samples=int(samples),
     )
+
+
+def check_many(model: ChartModel, predicates, tol: float = DEFAULT_TOL,
+               seed: int = 0, samples: int = DEFAULT_SAMPLES) -> list:
+    """Sweep several predicates over one seeded quasi-random sample of the
+    chart; one ``CheckReport`` per name, in order.
+
+    The sample depends only on the box, ``samples`` and ``seed``, so it is
+    drawn once and shared.  Every name is validated before any sweep runs.
+    Deterministic: identical (model, predicates, tol, seed, samples) yield
+    identical reports.
+    """
+    unknown = [p for p in predicates if p not in PREDICATES]
+    if unknown:
+        raise ConfigError(
+            f"unknown predicate {unknown[0]!r}; valid: {sorted(PREDICATES)}"
+        )
+    pts = sampling.sample_box(model.domain.box, samples, seed, _PTS_TAG)
+    return [_report(name, PREDICATES[name](model, pts), pts, tol, samples)
+            for name in predicates]
+
+
+def check(model: ChartModel, predicate: str, tol: float = DEFAULT_TOL,
+          seed: int = 0, samples: int = DEFAULT_SAMPLES) -> CheckReport:
+    """Sweep one predicate (see ``check_many``)."""
+    return check_many(model, [predicate], tol=tol, seed=seed, samples=samples)[0]

@@ -74,6 +74,34 @@ def test_check_unknown_predicate_exits_2(capsys, flat_model_path):
     code, _, err = run_cli(capsys, "check", flat_model_path, "--predicates", "bogus")
     assert code == 2
     assert "bogus" in err
+    code, out, err = run_cli(capsys, "check", flat_model_path, "--predicates",
+                             "kahler,integrable,bogus")
+    assert code == 2
+    assert out == ""
+    assert "bogus" in err
+
+
+def test_check_reports_each_predicate_as_alone(capsys, tmp_path):
+    from qsg.generate import GenSpec, gen_almost_complex, gen_hermitian_metric, random_poly_field
+    from qsg.predicates import check
+    from qsg.sampling import rng
+
+    spec = GenSpec(seed=3, dimension=4, degree=2)
+    J = gen_almost_complex(spec)
+    model = ChartModel(domain=flat_hermitian_model(4).domain, metric=gen_hermitian_metric(spec, J),
+                       J=J, conn=PolyConnection(random_poly_field(rng(3, 1), 4, (1, 2), 2, 1.0)))
+    path = tmp_path / "hermitian4.json"
+    write_model(canonical_doc(model), path)
+    model, _ = load_model(str(path))
+    # one point set for the whole command; a repeated name is swept twice
+    names = ["almost_complex", "hermitian", "quasi_statistical", "statistical", "codazzi_J",
+             "torsion_compatible", "integrable", "d_closed_J", "kahler", "complex_connection",
+             "integrable"]
+    code, out, _ = run_cli(capsys, "check", str(path), "--predicates", ",".join(names),
+                           "--samples", "40", "--seed", "11", "--tol", "1e-6")
+    want = [check(model, n, tol=1e-6, seed=11, samples=40).to_dict() for n in names]
+    assert json.loads(out)["checks"] == json.loads(json.dumps(want))
+    assert code == (0 if all(w["pass"] for w in want) else 1)
 
 
 def test_model_round_trip_hash(tmp_path, flat_model_path):

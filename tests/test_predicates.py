@@ -8,7 +8,7 @@ from qsg.calculus import PolyConnection
 from qsg.errors import ConfigError, PreconditionError
 from qsg.generate import GenSpec, gen_almost_complex
 from qsg.model import ChartModel, flat_hermitian_model, flat_norden_model
-from qsg.predicates import PREDICATES, check
+from qsg.predicates import PREDICATES, check, check_many
 
 
 def test_flat_hermitian_kahler_zero():
@@ -92,6 +92,8 @@ def test_flavor_mismatch_errors():
 def test_unknown_predicate():
     with pytest.raises(ConfigError):
         check(flat_hermitian_model(2), "nope")
+    with pytest.raises(ConfigError, match="nope"):
+        check_many(flat_hermitian_model(2), ["kahler", "integrable", "nope"])
 
 
 def test_kahler_decomposes_into_integrability_and_closedness():
