@@ -23,8 +23,8 @@ builds the basis values ``V(pts)`` (n x m) once and multiplies by ``C``;
 jets multiply by ``[C | d_1 C | ... | d_d C]`` in the same single product.
 A product of fields is one einsum over the coefficient tensors followed by a
 scatter-add of the pairwise exponent sums onto their canonical union
-(:func:`poly_einsum`).  :class:`PolyExpr` remains the scalar type at the
-model-file boundary.
+(:func:`poly_einsum`).  Model files are read and written in this form too;
+:class:`PolyExpr` serves the tests as an oracle and ``generate.random_poly``.
 """
 
 from __future__ import annotations
