@@ -21,6 +21,10 @@ union of its components' monomials in the canonical term order of
 basis, so component ``idx`` is ``sum_r C[r, idx] x^E[r]``.  Evaluation
 builds the basis values ``V(pts)`` (n x m) once and multiplies by ``C``;
 jets multiply by ``[C | d_1 C | ... | d_d C]`` in the same single product.
+At a frozen point array (read-only and owning its data) a field keeps its
+last values and jets and returns them, read-only, while called with that
+same array again; the suite freezes its trial points, ``check`` and
+``synthesize`` do not.
 A product of fields is one einsum over the coefficient tensors followed by a
 scatter-add of the pairwise exponent sums onto their canonical union
 (:func:`poly_einsum`).  Model files are read and written in this form too;
@@ -30,6 +34,7 @@ scatter-add of the pairwise exponent sums onto their canonical union
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -238,11 +243,38 @@ def _basis_values(exps: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _memo_frozen(method):
+    """Memoize ``method(self, pts)`` on the field for the last point array
+    it was called with, when that array is frozen: read-only and owning its
+    data.  No view can write into such an array, and while the memo holds
+    it, it cannot be freed and its id reused, so its identity names its
+    values.  Results there are read-only and shared by every caller; other
+    arrays are evaluated afresh."""
+    name = method.__name__
+
+    @wraps(method)
+    def memoized(self, pts):
+        if not (isinstance(pts, np.ndarray) and not pts.flags.writeable and pts.flags.owndata):
+            return method(self, pts)
+        hit = self._memo.get(name)
+        if hit is not None and hit[0] is pts:
+            return hit[1]
+        out = method(self, pts)
+        for arr in out if isinstance(out, tuple) else (out,):
+            arr.flags.writeable = False
+        self._memo[name] = (pts, out)
+        return out
+
+    return memoized
+
+
 class PolyTensorField:
     """Polynomial tensor field with a fixed valence, stored as a coefficient
     tensor ``coefs[m, *shape]`` over an exponent basis ``exps[m, d]`` (see
     the module docstring).  Fields are immutable (``exps`` and ``coefs``
-    are read-only) and evaluation is pure, so concurrent use is safe.
+    are read-only).  Evaluation is pure except for the memo of ``values``
+    and ``jets`` at frozen points, which a call replaces by writing one dict
+    entry, so concurrent use is safe.
     """
 
     def __init__(self, dimension: int, valence: tuple[int, int], comps=None, *,
@@ -287,6 +319,7 @@ class PolyTensorField:
         coefs.flags.writeable = False
         self._exps, self._coefs = exps, coefs
         self._jet_cache = None
+        self._memo = {}  # method name -> (frozen points, read-only result)
 
     # -- constructors -------------------------------------------------
 
@@ -355,15 +388,20 @@ class PolyTensorField:
             self._jet_cache = (exps, coefs.reshape(exps.shape[0], (d + 1) * flat.shape[1]))
         return self._jet_cache
 
+    @_memo_frozen
     def values(self, pts: np.ndarray) -> np.ndarray:
+        """Values ``(n, *shape)``, memoized at frozen points like :meth:`jets`."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         flat = self._coefs.reshape(self._exps.shape[0], self.dimension ** self.rank)
         return (_basis_values(self._exps, pts) @ flat).reshape((pts.shape[0],) + self.shape)
 
+    @_memo_frozen
     def jets(self, pts: np.ndarray):
         """Values ``(n, *shape)`` and gradients ``(n, *shape, d)`` from one
         basis evaluation and one matrix product.  Every call returns fresh
-        arrays."""
+        arrays, except at a frozen point array (read-only and owning its
+        data): called again with the same one, the field returns the same
+        read-only arrays (``_memo_frozen``)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         exps, table = self._jet_terms()
         out = (_basis_values(exps, pts) @ table).reshape(

@@ -312,10 +312,11 @@ class TrialData:
     ``conn`` replaces the model's connection.  Connections are addressed by
     op-tuples applied left to right, e.g. ``("star", "jconj")`` is the
     structure conjugate of the metric conjugate of the base connection.
-    What does not depend on the connection (the partner form, the values
-    of the structure, metric and partner, the Nijenhuis and holomorphicity
-    operators) is computed on first use, so models with only a structure
-    fit too, and is shared with every ``with_conn`` copy.
+    What does not depend on the connection (the partner form, the Nijenhuis
+    and holomorphicity operators) is computed on first use, so models with
+    only a structure fit too, and is shared with every ``with_conn`` copy.
+    The values of the structure, metric and partner are plain field calls:
+    at the section's frozen points the fields memoize them themselves.
     """
 
     def __init__(self, model: ChartModel, pts: np.ndarray, conn: Connection | None = None):
@@ -346,15 +347,15 @@ class TrialData:
 
     @property
     def jv(self):
-        return self._memo("J", lambda: self.model.J.values(self.pts), shared=True)
+        return self.model.J.values(self.pts)
 
     @property
     def bv(self):
-        return self._memo("b", lambda: self.model.metric.values(self.pts), shared=True)
+        return self.model.metric.values(self.pts)
 
     @property
     def pv(self):
-        return self._memo("p", lambda: self.partner.values(self.pts), shared=True)
+        return self.partner.values(self.pts)
 
     @property
     def nijenhuis(self):
@@ -430,10 +431,14 @@ class SectionContext:
         return int(sampling.rng(self.seed, _T_TRIAL, self.dim, *path).integers(2 ** 62))
 
     def points(self, trial: int) -> np.ndarray:
+        """The trial's sample points, frozen (read-only): they live for the
+        whole section and are never written, so every field evaluated at
+        them keeps its values and jets there (``fields._memo_frozen``)."""
         if trial not in self._points:
             self._points[trial] = sampling.sample_box(
                 ChartDomain.cube(self.dim).box, _N_PTS, self.seed, _T_PTS, self.dim, trial,
             )
+            self._points[trial].flags.writeable = False
         return self._points[trial]
 
     def spec(self, trial: int, tag: int, *constraints: str) -> GenSpec:

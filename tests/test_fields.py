@@ -175,3 +175,41 @@ def test_canonical_order_for_rows_too_wide_to_pack():
     big = 2 ** 40
     f = PolyExpr(2, [[0, big], [big, 0], [1, 1], [0, 1], [1, 1]], [1.0, 2.0, 3.0, 4.0, 1.0])
     assert f.terms() == [([big, 0], 2.0), ([0, 1], 4.0), ([1, 1], 4.0), ([0, big], 1.0)]
+
+
+def _arrays(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+@pytest.mark.parametrize("method", ["jets", "values"])
+@pytest.mark.parametrize("valence", [(1, 1), (0, 2), (1, 2)])
+def test_memo_at_frozen_points(valence, method):
+    field = random_poly_field(sampling.rng(9, 1), 4, valence, 2, 1.0)
+    frozen = sampling.sample_box([(-0.5, 0.5)] * 4, 25, 9, 2)
+    frozen.flags.writeable = False
+    call = getattr(field, method)
+    first = _arrays(call(frozen))
+    # a frozen array (read-only, owning its data) gets the same arrays back
+    assert all(a is b for a, b in zip(first, _arrays(call(frozen))))
+    assert not any(a.flags.writeable for a in first)
+    for a in first:
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    # bit for bit what an evaluation at a writeable copy gives
+    writeable = frozen.copy(order="K")
+    fresh = _arrays(call(writeable))
+    assert all(a.tobytes() == b.tobytes() and a.shape == b.shape for a, b in zip(first, fresh))
+    # writeable arrays, and read-only views of them, bypass the memo
+    view = writeable[:]
+    view.flags.writeable = False
+    for pts in (writeable, view):
+        one, two = _arrays(call(pts)), _arrays(call(pts))
+        for a, b in zip(one, two):
+            assert a.flags.writeable and b.flags.writeable
+            assert not np.shares_memory(a, b) and not np.shares_memory(a, first[0])
+    # only the last frozen array is kept
+    other = sampling.sample_box([(-0.5, 0.5)] * 4, 25, 9, 3)
+    other.flags.writeable = False
+    call(other)
+    again = _arrays(call(frozen))
+    assert all(a is not b and a.tobytes() == b.tobytes() for a, b in zip(first, again))

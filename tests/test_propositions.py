@@ -190,6 +190,17 @@ def select_report():
     return {(e.prop_id, e.dim): e.to_dict() for e in run_full_suite(**SELECT).entries}
 
 
+def test_frozen_point_memo_changes_no_result(select_report, monkeypatch):
+    # writeable copies of the trial points switch the fields' memo off; a
+    # consumer that wrote into a shared array would make the runs differ
+    frozen = SectionContext.points
+    monkeypatch.setattr(SectionContext, "points",
+                        lambda self, trial: frozen(self, trial).copy(order="K"))
+    assert SectionContext(seed=0, dim=2, trials=1).points(0).flags.writeable
+    rep = run_full_suite(**SELECT)
+    assert {(e.prop_id, e.dim): e.to_dict() for e in rep.entries} == select_report
+
+
 @pytest.mark.parametrize("family", FAMILIES, ids=[f.ids[0] for f in FAMILIES])
 def test_only_runs_a_family_alone_with_full_run_results(family, select_report):
     # a family run on its own reports exactly what the full run does
