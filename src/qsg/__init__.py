@@ -5,6 +5,9 @@ and Hermitian or Norden metrics."""
 
 __version__ = "0.1.0"
 
+import numpy
+
+from .blas import pin_one_thread
 from .fields import ChartDomain, PolyExpr, PolyTensorField
 from .calculus import (
     Connection,
@@ -30,6 +33,8 @@ from .model import ChartModel, flat_hermitian_model, flat_norden_model
 from .predicates import CheckReport, check
 from .generate import GenSpec, SynthesisResult, synthesize_connection
 from .propositions import SuiteReport, run_full_suite
+
+pin_one_thread(numpy)
 
 __all__ = [
     "ChartDomain",

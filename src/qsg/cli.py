@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -33,9 +34,9 @@ EXIT_INTERNAL = 6
 
 WITNESS_TOL = 1e-7
 NO_WITNESS_TOL = 1e-3
-# smallest accepted value of each count option; smaller ones are input
-# errors, not crashes deep in a run
-MINIMUMS = {"samples": 1, "trials": 1, "degree": 0}
+# smallest accepted value of each numeric option; smaller, NaN or infinite
+# ones are input errors, not crashes deep in a run or a failed predicate
+MINIMUMS = {"samples": 1, "trials": 1, "degree": 0, "seed": 0, "tol": 0.0}
 
 
 def _csv(text: str) -> list:
@@ -165,7 +166,10 @@ def cmd_synthesize(args) -> int:
         if args.out:
             out_model = ChartModel(domain=model.domain, metric=model.metric,
                                    J=model.J, conn=result.connection)
-            write_model(canonical_doc(out_model), args.out)
+            try:
+                write_model(canonical_doc(out_model), args.out)
+            except OSError as exc:
+                raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}") from None
             report["synthesis"]["written"] = args.out
     elif result.residual <= NO_WITNESS_TOL:
         status = EXIT_LOW_QUALITY
@@ -185,8 +189,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     for name, low in MINIMUMS.items():
-        if getattr(args, name, low) < low:
-            print(f"qsg: --{name} must be at least {low}, got {getattr(args, name)}",
+        value = getattr(args, name, low)
+        if not low <= value < math.inf:
+            print(f"qsg: --{name} must be finite and at least {low}, got {value}",
                   file=sys.stderr)
             return EXIT_INPUT
     start = time.monotonic()

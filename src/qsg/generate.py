@@ -39,6 +39,7 @@ from itertools import product
 import numpy as np
 
 from . import sampling
+from .blas import pin_one_thread
 from .calculus import (
     Connection,
     ConstantConnection,
@@ -523,8 +524,13 @@ def _lstsq(rows: np.ndarray, rhs: np.ndarray):
     ``eps * max(rows.shape)`` times the largest count as zero, the rule
     ``_compressed_rows`` applies per block; with gelsy's default cut-off of
     ``eps`` alone, rounding-level singular values of a rank-deficient
-    system count as rank and add O(1) null-space components."""
+    system count as rank and add O(1) null-space components.  scipy loads
+    here, on the first solve, and its OpenBLAS is then pinned to one thread
+    like numpy's."""
+    import scipy
     from scipy.linalg import lstsq as scipy_lstsq
+
+    pin_one_thread(scipy)
 
     cond = np.finfo(float).eps * max(rows.shape)
     sol, _, rank, _ = scipy_lstsq(rows, rhs, cond=cond, lapack_driver="gelsy",

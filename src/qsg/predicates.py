@@ -9,6 +9,7 @@ resolve near machine precision, so pass/fail margins are wide).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,85 +62,126 @@ def _needs(model: ChartModel, *names):
     return [model.require(n) for n in names]
 
 
-def _almost_complex(model, pts):
-    (J,) = _needs(model, "J")
-    jv = J.values(pts)
-    return np.einsum("nkm,nmj->nkj", jv, jv) + np.eye(model.dimension)
+# The kernels that more than one predicate reads, by predicate.  A call
+# sweeps the readers of a kernel one after another and keeps the kernel only
+# while one of them is still to run, so the table decides memory and speed,
+# never a value.
+_READS = {
+    "statistical": ("torsion",),
+    "torsion_compatible": ("torsion",),
+    "codazzi_J": ("covd_J",),
+    "complex_connection": ("covd_J",),
+    "d_closed_J": ("covd_J",),
+    "integrable": ("nijenhuis",),
+    "kahler": ("nijenhuis",),
+}
 
 
-def _hermitian(model, pts):
-    metric, J = _needs(model, "metric", "J")
-    return purity_values(metric, J, pts, 1.0)
+class _Sweep:
+    """One model at the points of one ``check_many`` call.  Each shared
+    kernel (the covariant derivative of J, the torsion, the Nijenhuis
+    tensor) is computed once per call and dropped after its last reader."""
+
+    def __init__(self, model: ChartModel, pts: np.ndarray, predicates):
+        self.model = model
+        self.pts = pts
+        self._reads = Counter(k for name in predicates for k in _READS.get(name, ()))
+        self._kept = {}
+
+    def _shared(self, key, compute):
+        value = self._kept.pop(key, None)
+        if value is None:
+            value = compute()
+        self._reads[key] -= 1
+        if self._reads[key] > 0:
+            self._kept[key] = value
+        return value
+
+    def covd_J(self):
+        J, conn = _needs(self.model, "J", "Gamma")
+        return self._shared("covd_J", lambda: covd_values(conn, J.field, self.pts))
+
+    def torsion(self):
+        (conn,) = _needs(self.model, "Gamma")
+        return self._shared("torsion", lambda: torsion_values(conn, self.pts))
+
+    def nijenhuis(self):
+        (J,) = _needs(self.model, "J")
+        return self._shared("nijenhuis", lambda: nijenhuis(J).values(self.pts))
 
 
-def _norden(model, pts):
-    metric, J = _needs(model, "metric", "J")
-    return purity_values(metric, J, pts, -1.0)
+def _almost_complex(s: _Sweep):
+    (J,) = _needs(s.model, "J")
+    jv = J.values(s.pts)
+    return np.einsum("nkm,nmj->nkj", jv, jv) + np.eye(s.model.dimension)
 
 
-def _quasi_statistical(model, pts):
-    metric, conn = _needs(model, "metric", "Gamma")
-    return d_nabla_metric_values(conn, metric, pts)
+def _hermitian(s: _Sweep):
+    metric, J = _needs(s.model, "metric", "J")
+    return purity_values(metric, J, s.pts, 1.0)
 
 
-def _statistical(model, pts):
-    metric, conn = _needs(model, "metric", "Gamma")
-    db = covd_values(conn, metric.field, pts)
+def _norden(s: _Sweep):
+    metric, J = _needs(s.model, "metric", "J")
+    return purity_values(metric, J, s.pts, -1.0)
+
+
+def _quasi_statistical(s: _Sweep):
+    metric, conn = _needs(s.model, "metric", "Gamma")
+    return d_nabla_metric_values(conn, metric, s.pts)
+
+
+def _statistical(s: _Sweep):
+    metric, conn = _needs(s.model, "metric", "Gamma")
+    db = covd_values(conn, metric.field, s.pts)
     codazzi_defect = db - np.swapaxes(db, 1, 2)
-    torsion = torsion_values(conn, pts)
-    return np.concatenate(
-        [codazzi_defect.reshape(pts.shape[0], -1), torsion.reshape(pts.shape[0], -1)], axis=1
-    )
+    n = s.pts.shape[0]
+    return np.concatenate([codazzi_defect.reshape(n, -1), s.torsion().reshape(n, -1)], axis=1)
 
 
-def _codazzi_J(model, pts):
-    J, conn = _needs(model, "J", "Gamma")
-    return codazzi_defect(covd_values(conn, J.field, pts))
+def _codazzi_J(s: _Sweep):
+    return codazzi_defect(s.covd_J())
 
 
-def _torsion_compatible(model, pts):
-    J, conn = _needs(model, "J", "Gamma")
-    return torsion_compat(torsion_values(conn, pts), J.values(pts))
+def _torsion_compatible(s: _Sweep):
+    (J,) = _needs(s.model, "J")
+    return torsion_compat(s.torsion(), J.values(s.pts))
 
 
-def _integrable(model, pts):
-    (J,) = _needs(model, "J")
-    return nijenhuis(J).values(pts)
+def _integrable(s: _Sweep):
+    return s.nijenhuis()
 
 
-def _d_closed_J(model, pts):
-    J, conn = _needs(model, "J", "Gamma")
-    return d_nabla_J_values(conn, J, pts)
+def _d_closed_J(s: _Sweep):
+    J, conn = _needs(s.model, "J", "Gamma")
+    return d_nabla_J_values(conn, J, s.pts, s.covd_J())
 
 
-def _kahler(model, pts):
-    metric, J = _needs(model, "metric", "J")
+def _kahler(s: _Sweep):
+    metric, _ = _needs(s.model, "metric", "J")
     if metric.flavor != "hermitian":
         raise PreconditionError("kahler needs a hermitian-flavored metric")
-    n_res = nijenhuis(J).values(pts)
-    domega = exterior_d2_values(model.partner_form(), pts)
-    return np.concatenate(
-        [n_res.reshape(pts.shape[0], -1), domega.reshape(pts.shape[0], -1)], axis=1
-    )
+    domega = exterior_d2_values(s.model.partner_form(), s.pts)
+    n = s.pts.shape[0]
+    return np.concatenate([s.nijenhuis().reshape(n, -1), domega.reshape(n, -1)], axis=1)
 
 
-def _anti_kahler(model, pts):
-    metric, J = _needs(model, "metric", "J")
+def _anti_kahler(s: _Sweep):
+    metric, J = _needs(s.model, "metric", "J")
     if metric.flavor != "norden":
         raise PreconditionError("anti_kahler needs a norden-flavored metric")
-    return tachibana_values(J, metric, pts)
+    return tachibana_values(J, metric, s.pts)
 
 
-def _quasi_kahler_norden(model, pts):
-    metric, J = _needs(model, "metric", "J")
+def _quasi_kahler_norden(s: _Sweep):
+    metric, J = _needs(s.model, "metric", "J")
     if metric.flavor != "norden":
         raise PreconditionError("quasi_kahler_norden needs a norden-flavored metric")
-    return quasi_kahler_norden_sum_values(metric, J, pts)
+    return quasi_kahler_norden_sum_values(metric, J, s.pts)
 
 
-def _complex_connection(model, pts):
-    J, conn = _needs(model, "J", "Gamma")
-    return covd_values(conn, J.field, pts)
+def _complex_connection(s: _Sweep):
+    return s.covd_J()
 
 
 PREDICATES = {
@@ -157,6 +199,19 @@ PREDICATES = {
     "quasi_kahler_norden": _quasi_kahler_norden,
     "complex_connection": _complex_connection,
 }
+
+
+def _run_order(predicates) -> list:
+    """Indices of ``predicates`` in the order they are swept: as given,
+    except that the later readers of a shared kernel run right after its
+    first reader, so the kernel is held only while its own readers run."""
+    first = {}
+    for i, name in enumerate(predicates):
+        for kernel in _READS.get(name, ()):
+            first.setdefault(kernel, i)
+    lead = [min((first[k] for k in _READS.get(name, ())), default=i)
+            for i, name in enumerate(predicates)]
+    return sorted(range(len(predicates)), key=lambda i: (lead[i], i))
 
 
 def _report(name: str, values: np.ndarray, pts: np.ndarray, tol: float,
@@ -186,18 +241,34 @@ def check_many(model: ChartModel, predicates, tol: float = DEFAULT_TOL,
     chart; one ``CheckReport`` per name, in order.
 
     The sample depends only on the box, ``samples`` and ``seed``, so it is
-    drawn once and shared.  Every name is validated before any sweep runs.
+    drawn once and shared, and so are the kernels that several predicates
+    read (``_Sweep``); their readers are swept one after another
+    (``_run_order``).  Every name is validated before any sweep runs, and a
+    failing sweep raises only once every earlier name has passed.
     Deterministic: identical (model, predicates, tol, seed, samples) yield
     identical reports.
     """
+    if not predicates:
+        raise ConfigError("no predicates given")
     unknown = [p for p in predicates if p not in PREDICATES]
     if unknown:
         raise ConfigError(
             f"unknown predicate {unknown[0]!r}; valid: {sorted(PREDICATES)}"
         )
     pts = sampling.sample_box(model.domain.box, samples, seed, _PTS_TAG)
-    return [_report(name, PREDICATES[name](model, pts), pts, tol, samples)
-            for name in predicates]
+    sweep = _Sweep(model, pts, predicates)
+    done, first_error = {}, len(predicates)
+    for i in _run_order(predicates):
+        if i > first_error:
+            continue  # the call already fails at an earlier name
+        try:
+            done[i] = _report(predicates[i], PREDICATES[predicates[i]](sweep), pts, tol, samples)
+        except Exception as exc:
+            done[i], first_error = exc, min(first_error, i)
+    # the error of the first name that fails, as if swept in the given order
+    if first_error < len(predicates):
+        raise done[first_error]
+    return [done[i] for i in range(len(predicates))]
 
 
 def check(model: ChartModel, predicate: str, tol: float = DEFAULT_TOL,

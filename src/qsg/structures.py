@@ -186,9 +186,12 @@ def codazzi_defect(dl: np.ndarray) -> np.ndarray:
     return dl - np.swapaxes(dl, 2, 3)
 
 
-def d_nabla_J_values(conn: Connection, J: AlmostComplexStructure, pts) -> np.ndarray:
-    """(d^D J)^k_{ij} = (D_i J)^k_j - (D_j J)^k_i + J^k_m T^m_{ij}."""
-    dj = covd_values(conn, J.field, pts)
+def d_nabla_J_values(conn: Connection, J: AlmostComplexStructure, pts,
+                     dj: np.ndarray | None = None) -> np.ndarray:
+    """(d^D J)^k_{ij} = (D_i J)^k_j - (D_j J)^k_i + J^k_m T^m_{ij}; ``dj``
+    is ``covd_values(conn, J.field, pts)`` when the caller already has it."""
+    if dj is None:
+        dj = covd_values(conn, J.field, pts)
     jv = J.values(pts)
     tv = torsion_values(conn, pts)
     return codazzi_defect(dj) + np.einsum("nkm,nmij->nkij", jv, tv)

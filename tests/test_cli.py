@@ -240,12 +240,40 @@ def test_synthesize_without_constraints_exits_2(capsys, flat_model_path):
     assert "no constraints" in err
 
 
+def test_check_without_predicates_exits_2(capsys, flat_model_path):
+    # no names would be a vacuous pass
+    code, out, err = run_cli(capsys, "check", flat_model_path, "--predicates", ",")
+    assert code == 2
+    assert "no predicates" in err
+    assert out == ""
+
+
+def test_synthesize_unwritable_out_exits_2(capsys, tmp_path, flat_model_path):
+    out_path = tmp_path / "missing" / "witness.json"
+    code, out, err = run_cli(capsys, "synthesize", flat_model_path, "--constraints",
+                             "torsion_free", "--degree", "1", "--out", str(out_path))
+    assert code == 2
+    assert f"cannot write --out {out_path}" in err
+    assert "internal error" not in err
+    assert out == ""
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("argv, option", [
     (["check", "MODEL", "--predicates", "kahler", "--samples", "0"], "--samples"),
     (["check", "MODEL", "--predicates", "kahler", "--samples", "-3"], "--samples"),
     (["verify", "--dims", "2", "--trials", "0"], "--trials"),
     (["synthesize", "MODEL", "--constraints", "torsion_free", "--degree", "-1"], "--degree"),
-], ids=["samples-zero", "samples-negative", "trials-zero", "degree-negative"])
+    (["check", "MODEL", "--predicates", "kahler", "--seed", "-1"], "--seed"),
+    (["verify", "--dims", "2", "--trials", "2", "--seed", "-1"], "--seed"),
+    (["synthesize", "MODEL", "--constraints", "torsion_free", "--seed", "-1"], "--seed"),
+    # a bad tolerance is an input error, not a failed predicate (exit 1)
+    (["check", "MODEL", "--predicates", "kahler", "--tol", "-1"], "--tol"),
+    (["check", "MODEL", "--predicates", "kahler", "--tol", "nan"], "--tol"),
+    (["check", "MODEL", "--predicates", "kahler", "--tol", "inf"], "--tol"),
+], ids=["samples-zero", "samples-negative", "trials-zero", "degree-negative",
+        "check-seed-negative", "verify-seed-negative", "synthesize-seed-negative",
+        "tol-negative", "tol-nan", "tol-inf"])
 def test_bad_count_exits_2_with_message(capsys, flat_model_path, argv, option):
     argv = [flat_model_path if a == "MODEL" else a for a in argv]
     code, out, err = run_cli(capsys, *argv)

@@ -114,3 +114,72 @@ def test_all_predicates_registered():
         "codazzi_J", "torsion_compatible", "integrable", "d_closed_J", "kahler",
         "anti_kahler", "quasi_kahler_norden", "complex_connection",
     }
+
+
+def _hermitian_4d():
+    from qsg.generate import gen_hermitian_metric, random_poly_field
+    from qsg.sampling import rng
+
+    spec = GenSpec(seed=3, dimension=4, degree=2)
+    J = gen_almost_complex(spec)
+    return ChartModel(domain=flat_hermitian_model(4).domain, metric=gen_hermitian_metric(spec, J),
+                      J=J, conn=PolyConnection(random_poly_field(rng(3, 1), 4, (1, 2), 2, 1.0)))
+
+
+def test_shared_kernel_table_names_every_read(monkeypatch):
+    # the table only sizes the memo, so a stale entry would fail no value test
+    from qsg import predicates
+
+    hermitian = _hermitian_4d()
+    norden = ChartModel(domain=hermitian.domain, metric=flat_norden_model(4).metric,
+                        J=hermitian.J, conn=hermitian.conn)
+    reads = []
+    shared = predicates._Sweep._shared
+    monkeypatch.setattr(predicates._Sweep, "_shared",
+                        lambda self, key, compute: reads.append(key) or shared(self, key, compute))
+    for name in PREDICATES:
+        reads.clear()
+        model = norden if name in ("anti_kahler", "quasi_kahler_norden") else hermitian
+        check_many(model, [name], samples=8)
+        assert reads == list(predicates._READS.get(name, ())), name
+
+
+def test_shared_kernels_run_once_per_call(monkeypatch):
+    from qsg import predicates
+
+    model = _hermitian_4d()
+    names = ["almost_complex", "quasi_statistical", "statistical", "codazzi_J",
+             "torsion_compatible", "integrable", "d_closed_J", "complex_connection",
+             "hermitian", "kahler"]
+    alone = [check(model, n, seed=5, samples=30).to_dict() for n in names]
+    calls, sweeps = [], []
+    for fn in ("covd_values", "torsion_values", "nijenhuis"):
+        original = getattr(predicates, fn)
+        monkeypatch.setattr(predicates, fn, lambda *a, _f=original, _n=fn: calls.append(
+            (_n, a[1] is model.J.field if _n == "covd_values" else None)) or _f(*a))
+    sweep_cls = predicates._Sweep
+    monkeypatch.setattr(predicates, "_Sweep", lambda *a: sweeps.append(sweep_cls(*a)) or sweeps[-1])
+    together = [r.to_dict() for r in check_many(model, names, seed=5, samples=30)]
+    assert together == alone
+    # covd of the metric (statistical) is not shared; the J one is read three times
+    assert sorted(calls) == [("covd_values", False), ("covd_values", True),
+                             ("nijenhuis", None), ("torsion_values", None)]
+    assert sweeps[0]._kept == {}  # each kernel dropped after its last reader
+
+
+def test_readers_of_a_kernel_run_together_and_errors_keep_the_given_order():
+    from qsg.predicates import _run_order
+
+    names = ["almost_complex", "statistical", "codazzi_J", "torsion_compatible", "integrable",
+             "d_closed_J", "complex_connection", "hermitian", "kahler"]
+    assert [names[i] for i in _run_order(names)] == [
+        "almost_complex", "statistical", "torsion_compatible", "codazzi_J", "d_closed_J",
+        "complex_connection", "integrable", "kahler", "hermitian"]
+    # kahler is swept right after integrable, before codazzi_J, yet the
+    # error raised is that of the first failing name as given
+    model = flat_norden_model(2)
+    model.conn = None
+    with pytest.raises(ConfigError, match="Gamma"):
+        check_many(model, ["integrable", "codazzi_J", "kahler"])
+    with pytest.raises(PreconditionError, match="kahler"):
+        check_many(model, ["integrable", "kahler", "codazzi_J"])
