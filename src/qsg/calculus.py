@@ -32,6 +32,7 @@ from .errors import (
     ShapeError,
     UnsupportedValenceError,
 )
+from .contraction import contract
 from .fields import PolyTensorField, poly_einsum
 
 DET_FLOOR = 1e-6
@@ -111,7 +112,7 @@ class LeviCivitaConnection(Connection):
         binv = _checked_inverse(bv, pts)
         # bg[n,i,j,l] = d_l b_{ij}
         r = np.einsum("njli->nlij", bg) + np.einsum("nilj->nlij", bg) - np.einsum("nijl->nlij", bg)
-        return 0.5 * np.einsum("nkl,nlij->nkij", binv, r)
+        return 0.5 * contract("nkl,nlij->nkij", binv, r)
 
 
 def levi_civita(b) -> LeviCivitaConnection:
@@ -201,9 +202,9 @@ def covd_values(conn: Connection, t, pts) -> np.ndarray:
     for s, a in enumerate(idx):
         t_slots = f"n{idx[:s]}m{idx[s + 1:]}"
         if s < p:
-            op, term = np.add, np.einsum(f"n{a}im,{t_slots}->{out}", g, tv)
+            op, term = np.add, contract(f"n{a}im,{t_slots}->{out}", g, tv)
         else:
-            op, term = np.subtract, np.einsum(f"nmi{a},{t_slots}->{out}", g, tv)
+            op, term = np.subtract, contract(f"nmi{a},{t_slots}->{out}", g, tv)
         # sum into the first contraction's array, never into the partial
         # term (it can be a view of the jets), and free each term once added
         res = op(res, term, out=term if s == 0 else res)
@@ -242,7 +243,7 @@ def exterior_d2_connection_expansion(omega, conn: Connection, pts) -> np.ndarray
     wv = omega.values(pts)
     tv = torsion_values(conn, pts)
     out = np.einsum("ncab->nabc", dw) + np.einsum("nabc->nabc", dw) + np.einsum("nbca->nabc", dw)
-    out += np.einsum("nmab,nmc->nabc", tv, wv)
-    out += np.einsum("nmbc,nma->nabc", tv, wv)
-    out += np.einsum("nmca,nmb->nabc", tv, wv)
+    out += contract("nmab,nmc->nabc", tv, wv)
+    out += contract("nmbc,nma->nabc", tv, wv)
+    out += contract("nmca,nmb->nabc", tv, wv)
     return out

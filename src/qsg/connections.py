@@ -22,6 +22,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .calculus import Connection, _checked_inverse, covd_values
+from .contraction import contract
 from .errors import PreconditionError
 from .structures import (
     AlmostComplexStructure,
@@ -63,12 +64,12 @@ class BilinearConjugateConnection(Connection):
         binv = _checked_inverse(bv, pts)
         if self.slot == "second":
             # r[n,i,k,j] = d_k b_{ij} - gamma^l_{ki} b_{lj}
-            r = np.einsum("nijk->nikj", bg) - np.einsum("nlki,nlj->nikj", g, bv)
-            return np.einsum("nmi,nikj->nmkj", binv, r)
+            r = np.einsum("nijk->nikj", bg) - contract("nlki,nlj->nikj", g, bv)
+            return contract("nmi,nikj->nmkj", binv, r)
         # first slot: b_{lj} gamma'^l_{ki} = d_k b_{ij} - b_{il} gamma^l_{kj};
         # the contraction runs over b's first index, so solve with b^{-T}
-        r = np.einsum("nijk->njki", bg) - np.einsum("nil,nlkj->njki", bv, g)
-        return np.einsum("njm,njki->nmki", binv, r)
+        r = np.einsum("nijk->njki", bg) - contract("nil,nlkj->njki", bv, g)
+        return contract("njm,njki->nmki", binv, r)
 
 
 class JConjugateConnection(Connection):
@@ -82,8 +83,8 @@ class JConjugateConnection(Connection):
     def gammas(self, pts):
         jv, jg = self.J.jets(pts)
         g = self.base.gammas(pts)
-        inner = np.einsum("nmji->nmij", jg) + np.einsum("nmil,nlj->nmij", g, jv)
-        return -np.einsum("nkm,nmij->nkij", jv, inner)
+        inner = np.einsum("nmji->nmij", jg) + contract("nmil,nlj->nmij", g, jv)
+        return -contract("nkm,nmij->nkij", jv, inner)
 
 
 class CombinationConnection(Connection):

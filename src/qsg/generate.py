@@ -48,6 +48,7 @@ from .calculus import (
     torsion_values,
 )
 from .connections import conjugate_by_bilinear
+from .contraction import contract
 from .errors import GenerationError, SynthesisError
 from .fields import (
     ChartDomain,
@@ -568,7 +569,7 @@ def _compressed_rows(a: np.ndarray, b: np.ndarray, mon: np.ndarray):
     w = (s[:, :, None] * vt)[keep]  # (rows, d^3)
     rows = w[:, :, None] * mon[owner][:, None, :]
     rows = rows.reshape(len(owner), w.shape[1] * mon.shape[1])
-    rhs = np.einsum("nmq,nm->nq", u, b)[keep]
+    rhs = contract("nmq,nm->nq", u, b)[keep]
     return rows, rhs
 
 
@@ -657,6 +658,9 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
     if unknown:
         raise SynthesisError(f"unknown or unavailable constraints: {unknown}; "
                              f"valid here: {sorted(fns)}")
+    repeated = [c for i, c in enumerate(constraints) if c in constraints[:i]]
+    if repeated:
+        raise SynthesisError(f"constraint {repeated[0]!r} is listed more than once")
     box = model.domain.box
     exps = monomial_exponents(d, ansatz_degree)
     k = exps.shape[0]

@@ -252,5 +252,4 @@ def model_hash(doc: dict) -> str:
 
 def write_model(doc: dict, path: str):
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, indent=1)
-        f.write("\n")
+        f.write(canonical_json(doc) + "\n")

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import sampling
 from .calculus import covd_values, exterior_d2_values, torsion_values
+from .contraction import contract
 from .errors import ConfigError, PreconditionError
 from .model import ChartModel
 from .structures import (
@@ -113,7 +114,7 @@ class _Sweep:
 def _almost_complex(s: _Sweep):
     (J,) = _needs(s.model, "J")
     jv = J.values(s.pts)
-    return np.einsum("nkm,nmj->nkj", jv, jv) + np.eye(s.model.dimension)
+    return contract("nkm,nmj->nkj", jv, jv) + np.eye(s.model.dimension)
 
 
 def _hermitian(s: _Sweep):
@@ -216,19 +217,19 @@ def _run_order(predicates) -> list:
 
 def _report(name: str, values: np.ndarray, pts: np.ndarray, tol: float,
             samples: int) -> CheckReport:
-    flat = np.abs(values.reshape(values.shape[0], -1))
-    n_idx = int(flat.argmax())
-    worst_n, worst_flat = divmod(n_idx, flat.shape[1])
-    if values.ndim > 1 and values.shape[1:]:
-        worst_idx = tuple(int(i) for i in np.unravel_index(worst_flat, values.shape[1:]))
-    else:
-        worst_idx = ()
-    max_residual = float(flat.max()) if flat.size else 0.0
+    # the first largest |value|, from the extremes of the signed values
+    # rather than a copy of their absolute values; a NaN is both extremes
+    # at its first position, so it is found and reported as the worst
+    hi, lo = int(values.argmax()), int(values.argmin())
+    top, bottom = values.flat[hi], -values.flat[lo]
+    worst = hi if top > bottom else lo if bottom > top else min(hi, lo)
+    max_residual = float(abs(values.flat[worst]))
+    worst_n, *worst_idx = np.unravel_index(worst, values.shape)
     return CheckReport(
         name=name,
         max_residual=max_residual,
         worst_point=tuple(float(x) for x in pts[worst_n]),
-        worst_indices=worst_idx,
+        worst_indices=tuple(int(i) for i in worst_idx),
         passed=bool(max_residual <= tol),
         tolerance=float(tol),
         samples=int(samples),
@@ -255,6 +256,9 @@ def check_many(model: ChartModel, predicates, tol: float = DEFAULT_TOL,
         raise ConfigError(
             f"unknown predicate {unknown[0]!r}; valid: {sorted(PREDICATES)}"
         )
+    repeated = [p for i, p in enumerate(predicates) if p in predicates[:i]]
+    if repeated:
+        raise ConfigError(f"predicate {repeated[0]!r} is listed more than once")
     pts = sampling.sample_box(model.domain.box, samples, seed, _PTS_TAG)
     sweep = _Sweep(model, pts, predicates)
     done, first_error = {}, len(predicates)

@@ -58,6 +58,7 @@ from .connections import (
     conjugate_by_J,
     klein_table,
 )
+from .contraction import contract
 from .errors import QsgError
 from .fields import ChartDomain, PolyTensorField, j_apply_vector
 from .generate import (
@@ -288,17 +289,27 @@ def zero_res(arr: np.ndarray) -> float:
 
 def _jout(jv, a):
     """J applied to the upper slot of a (1,2) array."""
-    return np.einsum("nkm,nmij->nkij", jv, a)
+    return contract("nkm,nmij->nkij", jv, a)
+
+
+def _jfirst(a, jv):
+    """A(J x_i, x_j) for (1,2) arrays."""
+    return contract("nkaj,nai->nkij", a, jv)
 
 
 def _tb(t, bv):
     """b(T(x_i, x_j), x_k)."""
-    return np.einsum("nmij,nmk->nijk", t, bv)
+    return contract("nmij,nmk->nijk", t, bv)
+
+
+def _bt(bv, t):
+    """b(x_b, T(x_a, x_c)) at ``[n, a, b, c]``."""
+    return contract("nmac,nbm->nabc", t, bv)
 
 
 def _slot3(a, jv):
     """A(x_i, x_j, J x_k) for (0,3) arrays."""
-    return np.einsum("nija,nak->nijk", a, jv)
+    return contract("nija,nak->nijk", a, jv)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +575,8 @@ def _fold_identity(entry: EntryResult, residuals, tol):
 
 def _swap_lower(bv, a):
     """b(x_j, A_i x_k) - b(x_i, A_j x_k) for ``a[n, m, i, k] = (A_i)^m_k``."""
-    return np.einsum("njm,nmik->nijk", bv, a) - np.einsum("nim,nmjk->nijk", bv, a)
+    x = contract("njm,nmik->nijk", bv, a)
+    return x - np.swapaxes(x, 1, 2)
 
 
 def _pro3_correction(td: TrialData, ops: tuple):
@@ -814,7 +826,7 @@ def _chains(ctx, fl):
         for k, b in PRO5_BASES.items():
             lowered = _tb(td.torsion(b + ("dagger",)), td.pv)
             a1 = ident_res(td.d_metric(b, "partner"), lowered)
-            a2 = ident_res(np.einsum("nkij,nkl->nijl", td.d_J(b + ("star",)), td.bv), lowered)
+            a2 = ident_res(_tb(td.d_J(b + ("star",)), td.bv), lowered)
             a3 = ident_res(td.d_metric(b, "partner"),
                            fl.sign * _slot3(td.d_metric(b + ("jconj",), "metric"), td.jv))
             out[fl.id("pro5", k)] = max(a1, a2, a3)
@@ -831,10 +843,7 @@ def _cyclic(ctx):
         base = ctx.constant(t) if ctx.dim > 2 else ctx.kahler(t)
         sr, wd = _synth(ctx, base, ["quasi_statistical_g", "d_closed_J"], t, 22)
         lhs = cyclic_sum_03(wd.d_metric(("jconj",), "metric"))
-        tv, gv = wd.torsion(), wd.bv
-        rhs = (np.einsum("nbm,nmac->nabc", gv, tv)
-               + np.einsum("ncm,nmba->nabc", gv, tv)
-               + np.einsum("nam,nmcb->nabc", gv, tv))
+        rhs = cyclic_sum_03(_bt(wd.bv, wd.torsion()))
         srb, wdb = _synth(ctx, base, ["d_closed_J", "conjugate_partner_parallel"], t, 24)
         src, wdc = _synth(ctx, base, ["quasi_statistical_g", "conjugate_partner_parallel"], t, 25)
         return {"sec3.cyclic": (sr.residual, ident_res(lhs, rhs)),
@@ -901,7 +910,7 @@ def _averaged(ctx):
 
     def residuals(td):
         sum_t = td.torsion(("star",)) + td.torsion(("dagger",))
-        lhs = np.einsum("nkij,nkl->nijl", td.d_J(("star",)) + td.d_J(("dagger",)), td.bv)
+        lhs = _tb(td.d_J(("star",)) + td.d_J(("dagger",)), td.bv)
         return {"GAD16": ident_res(td.d_metric(("avg",), "metric"), 0.5 * _tb(sum_t, td.bv)),
                 "GAD17": ident_res(lhs, _tb(sum_t, td.pv))}
     return gad15 + _identities(ctx, HERMITIAN, TOLERANCES["identity"], residuals)
@@ -974,8 +983,8 @@ def _teo5(ctx):
         wd = td.with_conn(conjugate_by_bilinear(levi_civita(td.partner), td.model.metric))
         hyp = max(zero_res(wd.d_metric((), "metric")), zero_res(wd.d_J()))
         phi = wd.tachibana
-        t_h = np.einsum("nmec,nea,nbm->nabc", wd.torsion(), wd.jv, wd.bv)
-        b_t = np.einsum("nmbc,nma->nabc", wd.covd_J(), wd.bv)
+        t_h = _bt(wd.bv, _jfirst(wd.torsion(), wd.jv))
+        b_t = contract("nmbc,nma->nabc", wd.covd_J(), wd.bv)
         coupled.append((zero_res(phi) <= tol_c) == (zero_res(t_h + b_t) <= tol_c))
         return {"teo5": (hyp, ident_res(phi, t_h + b_t))}
     (e5,) = _witnesses(ctx, tol_c, pairs)
@@ -993,12 +1002,7 @@ def _cor8(ctx):
     def pairs(t):
         wd, hyp = _quasi_statistical_witness(ctx, t, 33)
         tv, djc, hv, jv = wd.torsion(), wd.covd_J(), wd.bv, wd.jv
-        rhs = (np.einsum("nmec,nea,nbm->nabc", tv, jv, hv)
-               + np.einsum("nmea,neb,ncm->nabc", tv, jv, hv)
-               + np.einsum("nmeb,nec,nam->nabc", tv, jv, hv)
-               + np.einsum("nmca,nbm->nabc", djc, hv)
-               + np.einsum("nmab,ncm->nabc", djc, hv)
-               + np.einsum("nmbc,nam->nabc", djc, hv))
+        rhs = cyclic_sum_03(_bt(hv, _jfirst(tv, jv) + np.swapaxes(djc, 2, 3)))
         return {"cor8": (hyp, ident_res(cyclic_sum_03(wd.tachibana), rhs))}
     return _witnesses(ctx, TOLERANCES["conclusion"], pairs)
 
@@ -1027,10 +1031,11 @@ def _pro14_unconditional_residual(td: TrialData) -> float:
     hv, jv = td.bv, td.jv
     dh = td.covd_metric((), "metric")
     tv = td.torsion(())
-    t1 = np.einsum("nma,nmbc->nabc", jv, dh)
-    t2 = np.einsum("nabm,nmc->nabc", dh, jv)
-    term3 = np.einsum("nmab,nai,nmc->nibc", tv, jv, hv)
-    term4 = np.einsum("nmab,nmd,ndc->nabc", tv, hv, jv)
+    tb = _tb(tv, hv)
+    t1 = contract("nma,nmbc->nabc", jv, dh)
+    t2 = _slot3(dh, jv)
+    term3 = contract("nma,nmbc->nabc", jv, tb)
+    term4 = _slot3(tb, jv)
     term5, term6, term7, term8 = _pro14_common_terms(td)
     rhs = t1 - t2 + term3 - term4 + term5 + term6 - term7 + term8
     return ident_res(td.tachibana, rhs)
@@ -1039,7 +1044,7 @@ def _pro14_unconditional_residual(td: TrialData) -> float:
 def _pro14_conditional_residual(wd: TrialData) -> float:
     dh, jv = wd.covd_metric((), "metric"), wd.jv
     # (D_{x2}h)(J x1, x3) - (D_{x2}h)(x1, J x3)
-    p1 = np.einsum("nbmc,nma->nabc", dh, jv) - np.einsum("nbam,nmc->nabc", dh, jv)
+    p1 = contract("nbmc,nma->nabc", dh, jv) - contract("nbam,nmc->nabc", dh, jv)
     p2, p3, p4, p5 = _pro14_common_terms(wd)
     rhs = p1 + p2 + p3 - p4 + p5
     return ident_res(wd.tachibana, rhs)
@@ -1049,11 +1054,10 @@ def _pro14_common_terms(td: TrialData) -> tuple:
     """The structure-derivative and torsion terms both pro14 expansions
     share, signs not applied."""
     hv, jv, djc, tv = td.bv, td.jv, td.covd_J(()), td.torsion(())
-    return (np.einsum("nmba,nmc->nabc", djc, hv),
-            np.einsum("nmca,nbm->nabc", djc, hv),
-            np.einsum("nmac,nbm->nabc", djc, hv),
-            np.einsum("nmec,nea,nbm->nabc", tv, jv, hv)
-            - np.einsum("nme,neac,nbm->nabc", jv, tv, hv))
+    return (contract("nmba,nmc->nabc", djc, hv),
+            _bt(hv, np.swapaxes(djc, 2, 3)),
+            _bt(hv, djc),
+            _bt(hv, _jfirst(tv, jv) - _jout(jv, tv)))
 
 
 # negative controls

@@ -23,6 +23,7 @@ from .calculus import (
     lie_bracket,
     torsion_values,
 )
+from .contraction import contract
 from .errors import PreconditionError, ShapeError
 from .fields import (
     PolyTensorField,
@@ -63,7 +64,7 @@ class AlmostComplexStructure:
         """max |J J + id| over the sample points."""
         jv = self.values(pts)
         eye = np.eye(self.dimension)
-        return float(np.abs(np.einsum("nkm,nmj->nkj", jv, jv) + eye).max())
+        return float(np.abs(contract("nkm,nmj->nkj", jv, jv) + eye).max())
 
 
 @dataclass
@@ -108,7 +109,7 @@ def purity_values(b, J: AlmostComplexStructure, pts, sign: float) -> np.ndarray:
     """
     bv = b.values(pts)
     jv = J.values(pts)
-    return np.einsum("nki,nkj->nij", jv, bv) + sign * np.einsum("nkj,nik->nij", jv, bv)
+    return contract("nki,nkj->nij", jv, bv) + sign * contract("nkj,nik->nij", jv, bv)
 
 
 def _pullback_of_pure(b: MetricField, J: AlmostComplexStructure, check_at, sign: float,
@@ -147,9 +148,10 @@ def nijenhuis(J: AlmostComplexStructure) -> DerivedTensorField:
 
     def fn(pts):
         jv, jg = J.jets(pts)
-        t1 = np.einsum("nkm,nmji->nkij", jv, jg) - np.einsum("nkm,nmij->nkij", jv, jg)
-        t2 = np.einsum("nli,nkjl->nkij", jv, jg) - np.einsum("nlj,nkil->nkij", jv, jg)
-        return t1 - t2
+        # c[k, i, j] = J^k_m d_j J^m_i + J^l_i d_l J^k_j, and N = c^T - c
+        c = contract("nkm,nmij->nkij", jv, jg)
+        c += contract("nli,nkjl->nkij", jv, jg)
+        return np.swapaxes(c, 2, 3) - c
 
     return DerivedTensorField(J.dimension, (1, 2), fn)
 
@@ -171,13 +173,13 @@ def torsion_compat(a: np.ndarray, jv: np.ndarray) -> np.ndarray:
     On a torsion this is the torsion-compatibility operator; the
     structure-compatible torsions are its zeros.
     """
-    return np.einsum("nkaj,nai->nkij", a, jv) + np.einsum("nkia,naj->nkij", a, jv)
+    return contract("nkaj,nai->nkij", a, jv) + contract("nkia,naj->nkij", a, jv)
 
 
 def j_invariance_defect(a: np.ndarray, jv: np.ndarray) -> np.ndarray:
     """A(J x_i, J x_j) - A(x_i, x_j) for (1,2) arrays; on a torsion it
     vanishes exactly where ``torsion_compat`` does."""
-    return np.einsum("nkab,nai,nbj->nkij", a, jv, jv) - a
+    return contract("nkib,nbj->nkij", contract("nkab,nai->nkib", a, jv), jv) - a
 
 
 def codazzi_defect(dl: np.ndarray) -> np.ndarray:
@@ -194,7 +196,7 @@ def d_nabla_J_values(conn: Connection, J: AlmostComplexStructure, pts,
         dj = covd_values(conn, J.field, pts)
     jv = J.values(pts)
     tv = torsion_values(conn, pts)
-    return codazzi_defect(dj) + np.einsum("nkm,nmij->nkij", jv, tv)
+    return codazzi_defect(dj) + contract("nkm,nmij->nkij", jv, tv)
 
 
 def d_nabla_metric_values(conn: Connection, b, pts) -> np.ndarray:
@@ -207,7 +209,7 @@ def d_nabla_metric_values(conn: Connection, b, pts) -> np.ndarray:
     db = covd_values(conn, field, pts)
     bv = field.values(pts)
     tv = torsion_values(conn, pts)
-    return db - np.swapaxes(db, 1, 2) + np.einsum("nmij,nmk->nijk", tv, bv)
+    return db - np.swapaxes(db, 1, 2) + contract("nmij,nmk->nijk", tv, bv)
 
 
 def tachibana_values(J: AlmostComplexStructure, h: MetricField, pts) -> np.ndarray:
@@ -219,11 +221,11 @@ def tachibana_values(J: AlmostComplexStructure, h: MetricField, pts) -> np.ndarr
     """
     jv, jg = J.jets(pts)
     hv, hg = h.jets(pts)
-    out = np.einsum("nma,nbcm->nabc", jv, hg)
-    out -= np.einsum("nmba,nmc->nabc", jg, hv)
-    out -= np.einsum("nmb,nmca->nabc", jv, hg)
-    out += np.einsum("nmab,nmc->nabc", jg, hv)
-    out += np.einsum("nbm,nmac->nabc", hv, jg)
+    out = contract("nma,nbcm->nabc", jv, hg)
+    out -= contract("nmba,nmc->nabc", jg, hv)
+    out -= contract("nmb,nmca->nabc", jv, hg)
+    out += contract("nmab,nmc->nabc", jg, hv)
+    out += contract("nbm,nmac->nabc", hv, jg)
     return out
 
 
@@ -237,7 +239,7 @@ def quasi_kahler_norden_sum_values(h: MetricField, J: AlmostComplexStructure, pt
     metric-parallel connection."""
     dj = covd_values(levi_civita(h.field), J.field, pts)  # dj[n,m,a,b] = (D_a J)^m_b
     hv = h.values(pts)
-    base = np.einsum("nmab,nmc->nabc", dj, hv)
+    base = contract("nmab,nmc->nabc", dj, hv)
     return cyclic_sum_03(base)
 
 
@@ -252,7 +254,7 @@ def vishnevskii_frame_values(conn: Connection, J: AlmostComplexStructure, pts) -
     """
     jv = J.values(pts)
     g = conn.gammas(pts)
-    return np.einsum("nli,nklj->nkij", jv, g) - np.einsum("nkm,nmij->nkij", jv, g)
+    return contract("nli,nklj->nkij", jv, g) - contract("nkm,nmij->nkij", jv, g)
 
 
 def vishnevskii_jframe_values(conn: Connection, J: AlmostComplexStructure, pts) -> np.ndarray:
@@ -264,9 +266,9 @@ def vishnevskii_jframe_values(conn: Connection, J: AlmostComplexStructure, pts) 
     jv, jg = J.jets(pts)
     g = conn.gammas(pts)
     # D_{J x_i}(J x_j) = J^l_i (d_l J^k_j + gamma^k_{lm} J^m_j)
-    t1 = np.einsum("nli,nkjl->nkij", jv, jg) + np.einsum("nli,nklm,nmj->nkij", jv, g, jv)
+    t1 = contract("nli,nkjl->nkij", jv, jg + contract("nklm,nmj->nkjl", g, jv))
     # J (D_{x_i}(J x_j)) = J^k_m (d_i J^m_j + gamma^m_{il} J^l_j)
-    t2 = np.einsum("nkm,nmji->nkij", jv, jg) + np.einsum("nkm,nmil,nlj->nkij", jv, g, jv)
+    t2 = contract("nkm,nmij->nkij", jv, np.swapaxes(jg, 2, 3) + contract("nmil,nlj->nmij", g, jv))
     return t1 - t2
 
 
@@ -280,9 +282,9 @@ def vishnevskii_on_fields(conn: Connection, J: AlmostComplexStructure, X: PolyTe
     xv = X.values(pts)
     g = conn.gammas(pts)
     # D_Z Y = Z^i (d_i Y^k + gamma^k_{ij} Y^j)
-    dJX = np.einsum("ni,nki->nk", jxv, yg) + np.einsum("ni,nkij,nj->nk", jxv, g, yv)
-    dX = np.einsum("ni,nki->nk", xv, yg) + np.einsum("ni,nkij,nj->nk", xv, g, yv)
-    return dJX - np.einsum("nkm,nm->nk", jv, dX)
+    dy = yg + contract("nkij,nj->nki", g, yv)  # dy[n, k, i] = (D_i Y)^k
+    d_x = contract("ni,nki->nk", xv, dy)
+    return contract("ni,nki->nk", jxv, dy) - contract("nkm,nm->nk", jv, d_x)
 
 
 def lie_derivative_J_on_fields(J: AlmostComplexStructure, X: PolyTensorField, Y: PolyTensorField) -> PolyTensorField:

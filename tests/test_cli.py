@@ -93,10 +93,9 @@ def test_check_reports_each_predicate_as_alone(capsys, tmp_path):
     path = tmp_path / "hermitian4.json"
     write_model(canonical_doc(model), path)
     model, _ = load_model(str(path))
-    # one point set for the whole command; a repeated name is swept twice
+    # one point set for the whole command
     names = ["almost_complex", "hermitian", "quasi_statistical", "statistical", "codazzi_J",
-             "torsion_compatible", "integrable", "d_closed_J", "kahler", "complex_connection",
-             "integrable"]
+             "torsion_compatible", "integrable", "d_closed_J", "kahler", "complex_connection"]
     code, out, _ = run_cli(capsys, "check", str(path), "--predicates", ",".join(names),
                            "--samples", "40", "--seed", "11", "--tol", "1e-6")
     want = [check(model, n, tol=1e-6, seed=11, samples=40).to_dict() for n in names]
@@ -292,4 +291,19 @@ def test_bad_dims_exits_2_with_message(capsys, dims, words):
     code, out, err = run_cli(capsys, "verify", "--dims", dims, "--trials", "2")
     assert code == 2
     assert words in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["check", "MODEL", "--predicates", "kahler,kahler"], "predicate 'kahler'"),
+    (["check", "MODEL", "--predicates", "hermitian,kahler,hermitian"], "predicate 'hermitian'"),
+    (["synthesize", "MODEL", "--constraints", "codazzi_J,codazzi_J"], "constraint 'codazzi_J'"),
+    (["synthesize", "MODEL", "--constraints", "torsion_free,codazzi_J,torsion_free"],
+     "constraint 'torsion_free'"),
+], ids=["check-adjacent", "check-apart", "synthesize-adjacent", "synthesize-apart"])
+def test_repeated_name_exits_2_with_message(capsys, flat_model_path, argv, words):
+    argv = [flat_model_path if a == "MODEL" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert words in err and "more than once" in err
     assert out == ""

@@ -3,6 +3,7 @@ term, the dense loader against per-component ``PolyExpr`` oracles, and
 hashes that survive write -> load -> write."""
 
 import copy
+import hashlib
 import json
 import random
 import runpy
@@ -220,6 +221,10 @@ def _assert_rewrite_keeps_hash_and_bytes(path, tmp_path):
     _, doc2 = load_model(str(again))
     assert model_hash(doc2) == model_hash(doc) == model_hash(json.loads(path.read_text()))
     assert again.read_bytes() == path.read_bytes()
+    # the file is one line: the bytes that model_hash hashes, then a newline
+    body, end = path.read_bytes()[:-1], path.read_bytes()[-1:]
+    assert end == b"\n" and b"\n" not in body
+    assert model_hash(doc) == "sha256:" + hashlib.sha256(body).hexdigest()
 
 
 def test_example_models_keep_hash_and_bytes(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsg import predicates
 from qsg.calculus import PolyConnection
 from qsg.errors import ConfigError, PreconditionError
 from qsg.generate import GenSpec, gen_almost_complex
@@ -183,3 +184,43 @@ def test_readers_of_a_kernel_run_together_and_errors_keep_the_given_order():
         check_many(model, ["integrable", "codazzi_J", "kahler"])
     with pytest.raises(PreconditionError, match="kahler"):
         check_many(model, ["integrable", "kahler", "codazzi_J"])
+
+
+def _report_by_abs_copy(values, pts, tol):
+    """The worst point by the first arg-maximum of a copy of |values|."""
+    flat = np.abs(values.reshape(values.shape[0], -1))
+    worst_n, worst_flat = divmod(int(flat.argmax()), flat.shape[1])
+    idx = tuple(int(i) for i in np.unravel_index(worst_flat, values.shape[1:]))
+    top = float(flat.max())
+    return top, tuple(float(x) for x in pts[worst_n]), idx, bool(top <= tol)
+
+
+@pytest.mark.parametrize("case", ["random", "ties", "signed-ties", "nan", "nan-and-inf",
+                                  "zeros", "transposed", "one-point"])
+def test_report_finds_the_first_largest_magnitude(case):
+    rng = np.random.default_rng(7)
+    n = 1 if case == "one-point" else 6
+    values = rng.standard_normal((n, 3, 3, 3))
+    if case == "ties":
+        values = np.round(values)  # many equal magnitudes
+    elif case == "signed-ties":
+        values[:] = 0.0
+        values[4, 1, 2, 0], values[2, 0, 1, 1] = 5.0, -5.0
+    elif case == "nan":
+        values[3, 2, 1, 0] = values[4, 0, 0, 1] = np.nan
+        values[0, 0, 0, 0] = np.inf
+    elif case == "nan-and-inf":
+        values[5, 2, 2, 2] = -np.inf
+        values[2, 1, 1, 1] = np.nan
+    elif case == "zeros":
+        values[:] = -0.0
+    elif case == "transposed":
+        values = np.swapaxes(values, 1, 3)
+    pts = rng.standard_normal((n, 4))
+    rep = predicates._report("p", values, pts, 1e-8, n)
+    got = (rep.max_residual, rep.worst_point, rep.worst_indices, rep.passed)
+    want = _report_by_abs_copy(values, pts, 1e-8)
+    if case.startswith("nan"):
+        assert np.isnan(rep.max_residual) and not rep.passed
+        got, want = got[1:], want[1:]
+    assert got == want
