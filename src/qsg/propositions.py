@@ -60,7 +60,7 @@ from .connections import (
 )
 from .contraction import contract
 from .errors import QsgError
-from .fields import ChartDomain, PolyTensorField, j_apply_vector
+from .fields import ChartDomain, PolyTensorField
 from .generate import (
     GenSpec,
     gen_almost_complex,
@@ -713,7 +713,9 @@ def _jframe_residual(td: TrialData) -> float:
     each pair of a frame field and a structure-twisted frame field."""
     J, conn, d = td.model.J, td.model.conn, td.model.dimension
     frames = [PolyTensorField.constant(d, (1, 0), e) for e in np.eye(d)]
-    twisted = [j_apply_vector(J.field, x) for x in frames]
+    # J e_j is J's j-th coefficient column
+    twisted = [PolyTensorField(d, (1, 0), exps=J.field.exps, coefs=J.field.coefs[:, :, j])
+               for j in range(d)]
     on_fields = np.stack([np.stack([vishnevskii_on_fields(conn, J, x, y, td.pts) for y in twisted],
                                    axis=-1) for x in frames], axis=-2)
     return ident_res(vishnevskii_jframe_values(conn, J, td.pts), on_fields)
