@@ -13,7 +13,9 @@ in output order.  For the small per-point matrices of a chart this is
 several times faster than the generic einsum loop.
 
 Products of polynomial fields (``fields.poly_einsum``) are not point
-batched and keep ``np.einsum``.
+batched: they multiply over basis axes, as one matrix product batched over
+one factor's basis rows, with the other factor's basis rows among the
+matrix rows.
 """
 
 from __future__ import annotations

@@ -25,10 +25,15 @@ At a frozen point array (read-only and owning its data) a field keeps its
 last values and jets and returns them, read-only, while called with that
 same array again; the suite freezes its trial points, ``check`` and
 ``synthesize`` do not.
-A product of fields is one einsum over the coefficient tensors followed by a
-scatter-add of the pairwise exponent sums onto their canonical union
-(:func:`poly_einsum`).  Model files are read and written in this form too;
-:class:`PolyExpr` serves the tests as an oracle and ``generate.random_poly``.
+A product of two fields (:func:`poly_einsum`) contracts their component
+indices in one matrix product, batched over the basis rows of the shorter
+factor and with the other factor's basis rows among the matrix rows; the
+pairwise exponent sums are keyed and made unique, and the product table is
+scatter-added onto that canonical union one row of the shorter factor at a
+time, so it is never sorted or copied.  A product of one
+field with constant arrays keeps that field's basis.  Model files are read
+and written in this form too; :class:`PolyExpr` serves the tests as an
+oracle and ``generate.random_poly``.
 """
 
 from __future__ import annotations
@@ -218,9 +223,11 @@ def _canonical_terms(exps: np.ndarray, coefs: np.ndarray):
     """Sort exponent rows into canonical order, sum the coefficients of
     repeated rows (in input order) and drop rows whose coefficients are all
     exactly zero.  ``coefs`` has one leading row axis; any trailing axes (a
-    field's component shape) are carried along."""
-    if exps.shape[0] > 1:
-        key = _row_keys(exps)
+    field's component shape) are carried along.  Rows that already come in
+    strictly increasing order, such as a product's union basis, are not
+    sorted again."""
+    key = _row_keys(exps)
+    if np.any(key[1:] <= key[:-1]):
         order = np.argsort(key, kind="stable")
         key = key[order]
         starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
@@ -456,40 +463,74 @@ class PolyTensorField:
 
 # -- polynomial tensor algebra used to assemble structure fields ----------
 
-_BASIS_AXES = "ABCDEFGH"
-
-
 def poly_einsum(subscripts: str, *operands, valence) -> PolyTensorField:
     """Einsum over component indices in which :class:`PolyTensorField`
     operands multiply as polynomials and array operands act as constants.
 
-    ``subscripts`` names component indices only, in lower-case letters.
-    Each field operand adds its basis axis to one einsum over coefficient
-    tensors; the sums of the basis rows along those axes form the product
-    table, and the result is scatter-added onto its canonical union.  The
-    table has ``m1 * m2 * ...`` rows, so chain binary products instead of
-    multiplying many fields in one call.
+    ``subscripts`` names component indices only, in lower-case letters.  A
+    product of one field with constant arrays keeps that field's basis: it
+    is one einsum over its coefficient tensor.  A product of two fields
+    takes no other operand, and its spec must be a plain contraction: no
+    index repeats within a term, and the indices of the output are exactly
+    those of one factor only (see :func:`_field_product`).  More than two
+    fields raise ``ShapeError``; chain binary products instead.
     """
     inputs, output = subscripts.split("->")
-    specs, arrays, axes = [], [], ""
-    dimension, exps = None, None
-    for spec, op in zip(inputs.split(","), operands):
-        if isinstance(op, PolyTensorField):
-            if dimension is None:
-                dimension, exps = op.dimension, op.exps
-            elif op.dimension != dimension:
-                raise ShapeError("polynomial fields live on different charts")
-            else:
-                exps = (exps[:, None, :] + op.exps[None, :, :]).reshape(-1, dimension)
-            axes += _BASIS_AXES[len(axes)]
-            specs.append(axes[-1] + spec)
-            arrays.append(op.coefs)
-        else:
-            specs.append(spec)
-            arrays.append(np.asarray(op, dtype=float))
-    coefs = np.einsum(",".join(specs) + "->" + axes + output, *arrays)
-    return PolyTensorField(dimension, valence, exps=exps,
-                           coefs=coefs.reshape((exps.shape[0],) + coefs.shape[len(axes):]))
+    specs = inputs.split(",")
+    fields = [k for k, op in enumerate(operands) if isinstance(op, PolyTensorField)]
+    if len(fields) == 2 and len(operands) == 2:
+        return _field_product(specs[0], operands[0], specs[1], operands[1], output, valence)
+    if len(fields) != 1:
+        raise ShapeError(
+            f"poly_einsum multiplies one field by constant arrays or two fields alone, "
+            f"not {len(fields)} fields among {len(operands)} operands"
+        )
+    (k,) = fields
+    field = operands[k]
+    specs[k] = "A" + specs[k]
+    arrays = [field.coefs if op is field else np.asarray(op, dtype=float) for op in operands]
+    coefs = np.einsum(",".join(specs) + "->A" + output, *arrays)
+    return PolyTensorField(field.dimension, valence, exps=field.exps, coefs=coefs)
+
+
+def _field_product(s1: str, f1: PolyTensorField, s2: str, f2: PolyTensorField, output: str,
+                   valence) -> PolyTensorField:
+    """The product ``s1,s2->output`` of two fields.
+
+    One matrix product contracts the component indices, batched over the
+    rows ``a`` of the shorter factor and with the other factor's basis rows
+    ``b`` among the matrix rows: ``table[a, b, cols, rows]`` multiplies row
+    ``a`` of the one with row ``b`` of the other.  The summed exponent rows
+    are keyed and made unique, and the table is scatter-added onto that
+    canonical union one row ``a`` at a time; it is never sorted or copied.
+    """
+    if f1.dimension != f2.dimension:
+        raise ShapeError("polynomial fields live on different charts")
+    if (len(set(s1)) < len(s1) or len(set(s2)) < len(s2) or len(set(output)) < len(output)
+            or set(output) != set(s1) ^ set(s2)):
+        raise ShapeError(f"not a plain contraction of two fields: {s1},{s2}->{output}")
+    if f2.exps.shape[0] < f1.exps.shape[0]:
+        s1, f1, s2, f2 = s2, f2, s1, f1
+    d, m1, m2 = f1.dimension, f1.exps.shape[0], f2.exps.shape[0]
+    rows = [i for i in s1 if i not in s2]
+    summed = [i for i in s1 if i in s2]
+    cols = [i for i in s2 if i not in s1]
+    size = d ** len(summed)
+    left = f1.coefs.transpose([0] + [1 + s1.index(i) for i in summed + rows])
+    right = f2.coefs.transpose([0] + [1 + s2.index(i) for i in cols + summed])
+    table = right.reshape(-1, size) @ left.reshape(m1, size, d ** len(rows))
+    table = table.reshape(m1, m2, d ** (len(cols) + len(rows)))
+    sums = (f1.exps[:, None, :] + f2.exps[None, :, :]).reshape(m1 * m2, d)
+    keys, first, pos = np.unique(_row_keys(sums), return_index=True, return_inverse=True)
+    pos = pos.reshape(m1, m2)
+    coefs = np.zeros((len(keys), table.shape[2]))
+    for a in range(m1):
+        # the rows b of one factor are distinct, so their sums with row a
+        # land on distinct positions and the fancy-indexed add is exact
+        coefs[pos[a]] += table[a]
+    coefs = coefs.reshape((len(keys),) + (d,) * len(output))
+    coefs = coefs.transpose([0] + [1 + (cols + rows).index(i) for i in output])
+    return PolyTensorField(d, valence, exps=sums[first], coefs=coefs)
 
 
 def j_apply_vector(J: PolyTensorField, X: PolyTensorField) -> PolyTensorField:

@@ -10,6 +10,7 @@ exact rational values to a relative 1e-12.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,9 @@ from qsg.fields import (
     bilinear_pullback_both,
     bilinear_pullback_first,
     compose_11,
+    _row_keys,
     j_apply_vector,
+    poly_einsum,
     scalar_times_field,
 )
 from qsg.generate import (
@@ -166,6 +169,89 @@ def test_matrix_products_exact(d):
     assert_exact(bilinear_pullback_first(b, A), first)
     assert_exact(bilinear_pullback_both(b, A), both)
     assert_exact(j_apply_vector(A, X), jx)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_two_field_products_exact(d):
+    # an outer product with no summed index, and an output that interleaves
+    # the two factors' indices, with either factor first in the spec
+    rng = np.random.default_rng(120 + d)
+    X, eX = int_field(rng, d, (1, 0))
+    Y, eY = int_field(rng, d, (1, 0), degree=1, terms=1)
+    t, et = int_field(rng, d, (1, 2))
+    F, eF = int_field(rng, d, (1, 1), degree=1, terms=2)
+    f, ef = int_field(rng, d, (0, 0))
+    r = range(d)
+    outer = zeros_like((d, d), d)
+    inter = zeros_like((d, d, d), d)
+    for i, j in itertools.product(r, r):
+        outer[j, i] += eX[i] * eY[j]
+    for k, i, b, a in itertools.product(r, r, r, r):
+        inter[k, i, b] += et[k, a, b] * eF[a, i]
+    assert_exact(poly_einsum("i,j->ji", X, Y, valence=(2, 0)), outer)
+    assert_exact(poly_einsum("j,i->ji", Y, X, valence=(2, 0)), outer)
+    assert_exact(poly_einsum("kab,ai->kib", t, F, valence=(1, 2)), inter)
+    assert_exact(poly_einsum("ai,kab->kib", F, t, valence=(1, 2)), inter)
+    assert_exact(scalar_times_field(f.comps[()], t), et * ef[()])
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_zero_row_factor_gives_zero_product(d):
+    rng = np.random.default_rng(130 + d)
+    F, _ = int_field(rng, d, (1, 1))
+    t, _ = int_field(rng, d, (1, 2))
+    zero = PolyTensorField.zeros(d, (1, 1))
+    for out in (compose_11(zero, F), compose_11(F, zero),
+                poly_einsum("kab,ai->kib", t, zero, valence=(1, 2)),
+                scalar_times_field(PolyExpr(d), t)):
+        assert out.exps.shape == (0, d)
+        assert out.coefs.shape == (0,) + out.shape
+
+
+def assert_canonical(field):
+    keys = _row_keys(field.exps)
+    assert np.all(keys[1:] > keys[:-1])
+    assert np.all(np.any(field.coefs.reshape(len(keys), -1) != 0.0, axis=1))
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_product_basis_is_canonical(d):
+    rng = np.random.default_rng(140 + d)
+    t, _ = int_field(rng, d, (1, 2), degree=3, terms=4)
+    F, _ = int_field(rng, d, (1, 1))
+    assert_canonical(poly_einsum("kab,ai->kib", t, F, valence=(1, 2)))
+    assert_canonical(poly_einsum("ai,kab->kib", F, t, valence=(1, 2)))
+    # (a + b)(a - b) = a^2 - b^2: the cross terms cancel to an exact zero
+    # row, which is dropped; the second pair is too wide to pack into one
+    # integer key, so its rows are ranked instead
+    for p in (1, 2 ** 40):
+        a, b = np.zeros((2, d), dtype=np.int64)
+        a[0] = b[-1] = p
+        plus = PolyTensorField(d, (0, 0), exps=[a, b], coefs=[1.0, 1.0])
+        minus = PolyTensorField(d, (0, 0), exps=[a, b], coefs=[1.0, -1.0])
+        out = poly_einsum(",->", plus, minus, valence=(0, 0))
+        assert_canonical(out)
+        assert out.exps.tolist() == [list(2 * a), list(2 * b)]
+        assert out.coefs.tolist() == [1.0, -1.0]
+
+
+def test_product_peak_memory_stays_near_its_table():
+    # 210 x 70 basis rows at d = 4, as in torsion_project_poly: the product
+    # table is never sorted or copied, so the peak stays well below two tables
+    rng = np.random.default_rng(150)
+    e6, e4 = monomial_exponents(4, 6), monomial_exponents(4, 4)
+    t = PolyTensorField(4, (1, 2), exps=e6, coefs=rng.integers(1, 4, size=(len(e6), 4, 4, 4)))
+    F = PolyTensorField(4, (1, 1), exps=e4, coefs=rng.integers(1, 4, size=(len(e4), 4, 4)))
+    table_bytes = len(e6) * len(e4) * 4 ** 3 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = poly_einsum("kab,ai->kib", t, F, valence=(1, 2))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.exps.shape == (len(monomial_exponents(4, 10)), 4)
+    assert peak < 1.5 * table_bytes, (peak, table_bytes)
 
 
 @pytest.mark.parametrize("d", DIMS)

@@ -10,6 +10,7 @@ from qsg.fields import (
     ChartDomain,
     PolyExpr,
     PolyTensorField,
+    poly_einsum,
 )
 from qsg.generate import random_poly, random_poly_field
 
@@ -116,6 +117,22 @@ def test_field_arith_shape_error():
         f + g
     with pytest.raises(ShapeError):
         f - PolyTensorField.zeros(4, (0, 2))
+
+
+@pytest.mark.parametrize("spec, operands", [
+    ("ij,jk,kl->il", "fff"),  # three fields: chain binary products
+    ("ij,jk,kl->il", "ffc"),  # two fields and a constant
+    ("ij,jk->ik", "cc"),  # no field
+    ("ii,ij->j", "ff"),  # repeated index within a term
+    ("ij,jk->i", "ff"),  # k summed within one factor
+    ("ij,jk->ijk", "ff"),  # a shared index kept in the output
+])
+def test_poly_einsum_rejects_what_it_does_not_multiply(spec, operands):
+    f = PolyTensorField.constant(2, (1, 1), np.eye(2))
+    args = [f if kind == "f" else np.eye(2) for kind in operands]
+    rank = len(spec.split("->")[1])
+    with pytest.raises(ShapeError, match="fields|contraction"):
+        poly_einsum(spec, *args, valence=(1, rank - 1))
 
 
 def test_non_finite_coefficient_rejected():
