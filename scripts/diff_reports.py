@@ -5,21 +5,49 @@ Usage: ``python3 scripts/diff_reports.py A.json B.json``
 
 Prints one line per (id, dim) whose ``status``, ``trials``,
 ``max_residual`` or ``hyp_residual`` differs, with the absolute and
-relative move of the residuals.  Exits 1 when any status changes (an entry
-present in only one report counts as a status change) and 0 otherwise; on
-identical reports it prints nothing.  Unreadable input exits 2.
+relative move of the residuals, then one line with each report's smallest
+margins in decades: the conclusion margin log10(tolerance / max_residual)
+and the hypothesis margin log10(tolerances.hypothesis / hyp_residual), over
+passing entries that are not negative controls, each with its (id, dim).
+Exits 1 when any status changes (an entry present in only one report counts
+as a status change) and 0 otherwise; on identical reports it prints
+nothing.  Unreadable input exits 2.
 """
 
 import json
+import math
 import sys
 
 FIELDS = ("status", "trials", "max_residual", "hyp_residual")
 
 
-def entries(path: str) -> dict:
+def load(path: str) -> dict:
     with open(path) as f:
         doc = json.load(f)
-    return {(e["id"], e["dim"]): e for e in doc.get("suite", doc)["entries"]}
+    return doc.get("suite", doc)
+
+
+def entries(suite: dict) -> dict:
+    return {(e["id"], e["dim"]): e for e in suite["entries"]}
+
+
+def margins(suite: dict) -> str:
+    """The smallest conclusion and hypothesis margins of one report."""
+    passing = [e for e in suite["entries"]
+               if e["status"] == "pass" and e["direction"] != "negative-control"]
+    hyp_tol = suite["tolerances"]["hypothesis"]
+    conclusion = [(math.log10(e["tolerance"] / e["max_residual"]), e["id"], e["dim"])
+                  for e in passing if e["max_residual"] > 0]
+    hypothesis = [(math.log10(hyp_tol / e["hyp_residual"]), e["id"], e["dim"])
+                  for e in passing if e["hyp_residual"]]
+    return f"{smallest('conclusion', conclusion)}, {smallest('hypothesis', hypothesis)}"
+
+
+def smallest(name: str, found: list) -> str:
+    if not found:
+        return f"{name} none"
+    margin, prop_id, dim = min(found)
+    return f"{name} {margin:.2f} ({prop_id}, {dim})"
 
 
 def describe(name: str, a, b) -> str:
@@ -47,11 +75,13 @@ def main(argv) -> int:
         print("usage: diff_reports.py A.json B.json", file=sys.stderr)
         return 2
     try:
-        a, b = (entries(p) for p in argv)
+        a, b = (load(p) for p in argv)
+        lines, status_changed = diff(entries(a), entries(b))
+        if lines:
+            lines.append(f"smallest margins: A {margins(a)}; B {margins(b)}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"diff_reports: cannot read report: {exc!r}", file=sys.stderr)
         return 2
-    lines, status_changed = diff(a, b)
     for line in lines:
         print(line)
     return 1 if status_changed else 0
