@@ -30,10 +30,10 @@ indices in one matrix product, batched over the basis rows of the shorter
 factor and with the other factor's basis rows among the matrix rows; the
 pairwise exponent sums are keyed and made unique, and the product table is
 scatter-added onto that canonical union one row of the shorter factor at a
-time, so it is never sorted or copied.  A product of one
-field with constant arrays keeps that field's basis.  Model files are read
-and written in this form too; :class:`PolyExpr` serves the tests as an
-oracle and ``generate.random_poly``.
+time, so it is never sorted or copied.  A product of one field with
+constant arrays keeps that field's basis.  Model files are read and written
+in this form too; :class:`PolyExpr` serves the tests as an oracle and
+``generate.random_poly``.
 """
 
 from __future__ import annotations
