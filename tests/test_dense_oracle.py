@@ -30,10 +30,10 @@ from qsg.connections import JConjugateConnection, conjugate_by_bilinear
 from qsg.fields import (
     PolyExpr,
     PolyTensorField,
+    _row_keys,
     bilinear_pullback_both,
     bilinear_pullback_first,
     compose_11,
-    _row_keys,
     j_apply_vector,
     poly_einsum,
     scalar_times_field,
