@@ -8,17 +8,14 @@ __version__ = "0.1.0"
 import numpy
 
 from .blas import pin_one_thread
-from .fields import ChartDomain, PolyExpr, PolyTensorField
+from .fields import ChartDomain, PolyTensorField
 from .calculus import (
     Connection,
     PolyConnection,
     LeviCivitaConnection,
-    DerivedTensorField,
     covd_values,
     exterior_d2_values,
-    invert_bilinear,
     levi_civita,
-    lie_bracket,
     torsion_values,
 )
 from .structures import (
@@ -38,17 +35,13 @@ pin_one_thread(numpy)
 
 __all__ = [
     "ChartDomain",
-    "PolyExpr",
     "PolyTensorField",
     "Connection",
     "PolyConnection",
     "LeviCivitaConnection",
-    "DerivedTensorField",
     "covd_values",
     "exterior_d2_values",
-    "invert_bilinear",
     "levi_civita",
-    "lie_bracket",
     "torsion_values",
     "AlmostComplexStructure",
     "MetricField",

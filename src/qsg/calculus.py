@@ -1,5 +1,5 @@
-"""Differential-geometric kernel: brackets, covariant derivatives, torsion,
-coordinate exterior derivative of 2-forms, metric inversion.
+"""Differential-geometric kernel: covariant derivatives, torsion and the
+coordinate exterior derivative of 2-forms.
 
 Connection conventions: ``gammas(pts)`` returns ``(n, d, d, d)`` arrays
 indexed ``[k, i, j]`` with ``k`` the upper index, ``i`` the differentiation
@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedValenceError,
 )
 from .contraction import contract
-from .fields import PolyTensorField, poly_einsum
+from .fields import PolyTensorField
 
 DET_FLOOR = 1e-6
 SYMMETRY_TOL = 1e-10
@@ -60,11 +60,6 @@ class PolyConnection(Connection):
     @classmethod
     def zero(cls, dimension: int) -> "PolyConnection":
         return cls(PolyTensorField.zeros(dimension, (1, 2)))
-
-    @classmethod
-    def constant(cls, array: np.ndarray) -> "PolyConnection":
-        array = np.asarray(array, dtype=float)
-        return cls(PolyTensorField.constant(array.shape[0], (1, 2), array))
 
     def gammas(self, pts):
         return self.field.values(pts)
@@ -138,13 +133,6 @@ def _checked_inverse(bv, pts):
     return np.linalg.inv(bv)
 
 
-def invert_bilinear(b, point) -> np.ndarray:
-    """Pointwise inverse matrix of a nondegenerate (0,2) field."""
-    point = np.asarray(point, dtype=float).reshape(1, -1)
-    bv = b.values(point)
-    return _checked_inverse(bv, point)[0]
-
-
 class DerivedTensorField:
     """Evaluation-backed tensor field defined by a closure over points; the
     return type of ``structures.nijenhuis``.
@@ -164,16 +152,6 @@ class DerivedTensorField:
         raise UnsupportedValenceError(
             "derived fields expose values only; jets require a polynomial field"
         )
-
-
-def lie_bracket(X: PolyTensorField, Y: PolyTensorField) -> PolyTensorField:
-    """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i, exact polynomial result."""
-    if X.valence != (1, 0) or Y.valence != (1, 0):
-        raise ShapeError("lie_bracket expects two vector fields")
-    if X.dimension != Y.dimension:
-        raise ShapeError("vector fields live on different charts")
-    return (poly_einsum("j,ij->i", X, Y.gradient(), valence=(1, 0))
-            - poly_einsum("j,ij->i", Y, X.gradient(), valence=(1, 0)))
 
 
 def torsion_values(conn: Connection, pts) -> np.ndarray:

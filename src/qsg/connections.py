@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .calculus import Connection, _checked_inverse, covd_values
+from .calculus import Connection, _checked_inverse
 from .contraction import contract
 from .errors import PreconditionError
 from .structures import (
@@ -36,20 +36,15 @@ SKEW_OR_SYM_TOL = 1e-10
 
 
 class BilinearConjugateConnection(Connection):
-    """Conjugate of a connection with respect to a nondegenerate (0,2) field.
-
-    Second-slot convention: ``b_{im} gamma'^m_{kj} = d_k b_{ij} - gamma^l_{ki} b_{lj}``.
-    The first-slot variant is available for the slot-invariance property of
-    antisymmetric forms; for symmetric b the two coincide identically.
+    """Conjugate of a connection with respect to a nondegenerate (0,2) field,
+    through its second slot:
+    ``b_{im} gamma'^m_{kj} = d_k b_{ij} - gamma^l_{ki} b_{lj}``.
     """
 
-    def __init__(self, base: Connection, b, slot: str = "second"):
+    def __init__(self, base: Connection, b):
         self.base = base
         self.b = _as_field(b)
         self.dimension = base.dimension
-        if slot not in ("first", "second"):
-            raise PreconditionError(f"unknown conjugation slot {slot!r}")
-        self.slot = slot
 
     def gammas(self, pts):
         bv, bg = self.b.jets(pts)
@@ -62,14 +57,9 @@ class BilinearConjugateConnection(Connection):
             )
         g = self.base.gammas(pts)
         binv = _checked_inverse(bv, pts)
-        if self.slot == "second":
-            # r[n,i,k,j] = d_k b_{ij} - gamma^l_{ki} b_{lj}
-            r = np.einsum("nijk->nikj", bg) - contract("nlki,nlj->nikj", g, bv)
-            return contract("nmi,nikj->nmkj", binv, r)
-        # first slot: b_{lj} gamma'^l_{ki} = d_k b_{ij} - b_{il} gamma^l_{kj};
-        # the contraction runs over b's first index, so solve with b^{-T}
-        r = np.einsum("nijk->njki", bg) - contract("nil,nlkj->njki", bv, g)
-        return contract("njm,njki->nmki", binv, r)
+        # r[n,i,k,j] = d_k b_{ij} - gamma^l_{ki} b_{lj}
+        r = np.einsum("nijk->nikj", bg) - contract("nlki,nlj->nikj", g, bv)
+        return contract("nmi,nikj->nmkj", binv, r)
 
 
 class JConjugateConnection(Connection):
@@ -105,8 +95,8 @@ class CombinationConnection(Connection):
         return out
 
 
-def conjugate_by_bilinear(conn: Connection, b, slot: str = "second") -> BilinearConjugateConnection:
-    return BilinearConjugateConnection(conn, b, slot=slot)
+def conjugate_by_bilinear(conn: Connection, b) -> BilinearConjugateConnection:
+    return BilinearConjugateConnection(conn, b)
 
 
 def conjugate_by_J(conn: Connection, J: AlmostComplexStructure) -> JConjugateConnection:
@@ -128,7 +118,7 @@ class KleinReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        return float(np.max(list(self.residuals.values())))
 
     @property
     def passed(self) -> bool:
@@ -177,11 +167,3 @@ def klein_table(conn: Connection, metric: MetricField, J: AlmostComplexStructure
     res["structure_eq_metric_then_partner"] = _gamma_residual(j(conn), w(m(conn)), pts)
     res["structure_eq_partner_then_metric"] = _gamma_residual(j(conn), m(w(conn)), pts)
     return report
-
-
-def metric_derivative_duality_residual(conn: Connection, metric: MetricField, pts) -> float:
-    """max |(D'g) + (Dg)| for the metric conjugate D' of D (normalized)."""
-    star = conjugate_by_bilinear(conn, metric)
-    a = covd_values(conn, metric.field, pts)
-    b = covd_values(star, metric.field, pts)
-    return float(np.abs(a + b).max() / (1.0 + np.abs(a).max()))

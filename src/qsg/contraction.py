@@ -12,10 +12,10 @@ its stack of matrices, so the product comes out C-contiguous and already
 in output order.  For the small per-point matrices of a chart this is
 several times faster than the generic einsum loop.
 
-Products of polynomial fields (``fields.poly_einsum``) are not point
-batched: they multiply over basis axes, as one matrix product batched over
-one factor's basis rows, with the other factor's basis rows among the
-matrix rows.
+Products of polynomial fields (``fields.poly_einsum``) go through the same
+planner with basis axes in place of points: ``A`` indexes the shorter
+factor's basis rows and is the batch axis, and ``B`` indexes the other
+factor's, which sit among the matrix rows.
 """
 
 from __future__ import annotations
@@ -88,7 +88,9 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     nb = p.batch
     rows, summed = left.shape[nb:nb + p.rows], left.shape[nb + p.rows:]
     cols = right.shape[nb + p.summed:]
-    batch = tuple(map(max, left.shape[:nb], right.shape[:nb]))
+    batch = left.shape[:nb]
+    if batch != right.shape[:nb]:  # an operand lacks a batch index
+        batch = np.broadcast_shapes(batch, right.shape[:nb])
     # the product is written into an array that owns its memory, so numpy
     # can reuse it in place as the temporary of a following expression
     out = np.empty(batch + rows + cols)

@@ -26,14 +26,15 @@ last values and jets and returns them, read-only, while called with that
 same array again; the suite freezes its trial points, ``check`` and
 ``synthesize`` do not.
 A product of two fields (:func:`poly_einsum`) contracts their component
-indices in one matrix product, batched over the basis rows of the shorter
-factor and with the other factor's basis rows among the matrix rows; the
-pairwise exponent sums are keyed and made unique, and the product table is
-scatter-added onto that canonical union one row of the shorter factor at a
-time, so it is never sorted or copied.  A product of one field with
-constant arrays keeps that field's basis.  Model files are read and written
-in this form too; :class:`PolyExpr` serves the tests as an oracle and
-``generate.random_poly``.
+indices in one ``contraction.contract`` call, batched over the basis rows
+of the shorter factor and with the other factor's basis rows among the
+matrix rows; the pairwise exponent sums are keyed and made unique, and the
+product table is scatter-added onto that canonical union one row of the
+shorter factor at a time, so it is never sorted or copied.  A product of
+one field with constant arrays keeps that field's basis.  Model files are
+read and written in this form too.  :class:`PolyExpr`, one polynomial in
+the same canonical term order, is kept for the tests, which use it as an
+oracle.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from functools import wraps
 
 import numpy as np
 
+from .contraction import contract
 from .errors import EvaluationError, ShapeError
 
 
@@ -68,11 +70,12 @@ class ChartDomain:
 
 
 class PolyExpr:
-    """A multivariate polynomial: exponent rows plus coefficients.
+    """A multivariate polynomial: exponent rows plus coefficients; the
+    tests' per-component oracle.
 
     Terms are normalized on construction: duplicate exponent rows are
     combined, exact zeros dropped, rows sorted so equal polynomials have
-    identical term lists (serialization and hashing depend on this).
+    identical term lists.
     """
 
     __slots__ = ("dimension", "exps", "coefs", "_diffs")
@@ -93,39 +96,6 @@ class PolyExpr:
         self.exps, self.coefs = _canonical_terms(exps, coefs)
         self._diffs = None
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def constant(cls, dimension: int, c: float) -> "PolyExpr":
-        if c == 0.0:
-            return cls(dimension)
-        return cls(dimension, np.zeros((1, dimension), dtype=np.int64), [c])
-
-    @classmethod
-    def from_terms(cls, dimension: int, terms) -> "PolyExpr":
-        """terms: iterable of (exponent sequence, coefficient)."""
-        exps = [t[0] for t in terms]
-        coefs = [t[1] for t in terms]
-        return cls(dimension, exps, coefs)
-
-    @classmethod
-    def coordinate(cls, dimension: int, axis: int) -> "PolyExpr":
-        e = np.zeros((1, dimension), dtype=np.int64)
-        e[0, axis] = 1
-        return cls(dimension, e, [1.0])
-
-    @classmethod
-    def sum_of(cls, dimension: int, polys) -> "PolyExpr":
-        """Sum many polynomials with a single normalization pass."""
-        polys = [p for p in polys if p.exps.shape[0]]
-        if not polys:
-            return cls(dimension)
-        return cls(
-            dimension,
-            np.vstack([p.exps for p in polys]),
-            np.concatenate([p.coefs for p in polys]),
-        )
-
     # -- algebra ------------------------------------------------------
 
     def __add__(self, other):
@@ -135,9 +105,6 @@ class PolyExpr:
             np.vstack([self.exps, other.exps]),
             np.concatenate([self.coefs, other.coefs]),
         )
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
 
     def __neg__(self):
         return PolyExpr(self.dimension, self.exps, -self.coefs)
@@ -159,18 +126,7 @@ class PolyExpr:
             if other.dimension != self.dimension:
                 raise ShapeError("polynomial dimensions differ")
             return other
-        if np.isscalar(other):
-            return PolyExpr.constant(self.dimension, float(other))
         raise ShapeError(f"cannot combine PolyExpr with {type(other)!r}")
-
-    @property
-    def degree(self) -> int:
-        if self.exps.shape[0] == 0:
-            return 0
-        return int(self.exps.sum(axis=1).max())
-
-    def is_zero(self) -> bool:
-        return self.exps.shape[0] == 0
 
     def diff(self, axis: int) -> "PolyExpr":
         mask = self.exps[:, axis] > 0
@@ -284,11 +240,9 @@ class PolyTensorField:
     entry, so concurrent use is safe.
     """
 
-    def __init__(self, dimension: int, valence: tuple[int, int], comps=None, *,
-                 exps=None, coefs=None):
-        """Build from ``comps``, an object array of :class:`PolyExpr` of
-        shape ``(d,) * (p + q)``, upper indices first; or from the dense
-        form, component ``idx`` being ``sum_r coefs[r, idx] x^exps[r]``.
+    def __init__(self, dimension: int, valence: tuple[int, int], *, exps, coefs):
+        """Build from the dense form: component ``idx`` is
+        ``sum_r coefs[r, idx] x^exps[r]``.
 
         Rows may repeat and come in any order: they are summed, sorted into
         canonical order, and dropped when zero in every component.  A
@@ -296,20 +250,6 @@ class PolyTensorField:
         """
         self.dimension = int(dimension)
         self.valence = (int(valence[0]), int(valence[1]))
-        if comps is not None:
-            comps = np.asarray(comps, dtype=object)
-            if comps.shape != self.shape:
-                raise ShapeError(
-                    f"component array shape {comps.shape} does not match "
-                    f"valence {self.valence} in dimension {self.dimension}"
-                )
-            polys = comps.reshape(-1)
-            onehot = np.eye(len(polys))
-            exps = np.vstack([np.zeros((0, self.dimension), dtype=np.int64)]
-                             + [p.exps for p in polys])
-            coefs = np.vstack([onehot[:0]]
-                              + [p.coefs[:, None] * onehot[s] for s, p in enumerate(polys)])
-            coefs = coefs.reshape((-1,) + self.shape)
         exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.dimension)
         coefs = np.asarray(coefs, dtype=float)
         if coefs.shape != (exps.shape[0],) + self.shape:
@@ -360,16 +300,6 @@ class PolyTensorField:
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.dimension,) * self.rank
-
-    @property
-    def comps(self) -> np.ndarray:
-        """Read-only object array of per-component :class:`PolyExpr`,
-        rebuilt from the coefficient tensor on every access."""
-        out = np.empty(self.shape, dtype=object)
-        for idx in np.ndindex(self.shape):
-            out[idx] = PolyExpr(self.dimension, self._exps, self._coefs[(slice(None),) + idx])
-        out.flags.writeable = False
-        return out
 
     def degree(self) -> int:
         return int(self._exps.sum(axis=1).max(initial=0))
@@ -497,9 +427,9 @@ def _field_product(s1: str, f1: PolyTensorField, s2: str, f2: PolyTensorField, o
                    valence) -> PolyTensorField:
     """The product ``s1,s2->output`` of two fields.
 
-    One matrix product contracts the component indices, batched over the
-    rows ``a`` of the shorter factor and with the other factor's basis rows
-    ``b`` among the matrix rows: ``table[a, b, cols, rows]`` multiplies row
+    One ``contract`` call contracts the component indices, batched over the
+    rows ``A`` of the shorter factor and with the other factor's basis rows
+    ``B`` among the matrix rows: ``table[a, b, cols, rows]`` multiplies row
     ``a`` of the one with row ``b`` of the other.  The summed exponent rows
     are keyed and made unique, and the table is scatter-added onto that
     canonical union one row ``a`` at a time; it is never sorted or copied.
@@ -512,18 +442,14 @@ def _field_product(s1: str, f1: PolyTensorField, s2: str, f2: PolyTensorField, o
     if f2.exps.shape[0] < f1.exps.shape[0]:
         s1, f1, s2, f2 = s2, f2, s1, f1
     d, m1, m2 = f1.dimension, f1.exps.shape[0], f2.exps.shape[0]
-    rows = [i for i in s1 if i not in s2]
-    summed = [i for i in s1 if i in s2]
-    cols = [i for i in s2 if i not in s1]
-    size = d ** len(summed)
-    left = f1.coefs.transpose([0] + [1 + s1.index(i) for i in summed + rows])
-    right = f2.coefs.transpose([0] + [1 + s2.index(i) for i in cols + summed])
-    table = right.reshape(-1, size) @ left.reshape(m1, size, d ** len(rows))
-    table = table.reshape(m1, m2, d ** (len(cols) + len(rows)))
+    rows = "".join(i for i in s1 if i not in s2)
+    cols = "".join(i for i in s2 if i not in s1)
+    table = contract(f"A{s1},B{s2}->AB{cols}{rows}", f1.coefs, f2.coefs)
+    table = table.reshape(m1, m2, d ** len(output))
     sums = (f1.exps[:, None, :] + f2.exps[None, :, :]).reshape(m1 * m2, d)
     keys, first, pos = np.unique(_row_keys(sums), return_index=True, return_inverse=True)
     pos = pos.reshape(m1, m2)
-    coefs = np.zeros((len(keys), table.shape[2]))
+    coefs = np.zeros((len(keys), d ** len(output)))
     for a in range(m1):
         # the rows b of one factor are distinct, so their sums with row a
         # land on distinct positions and the fancy-indexed add is exact
@@ -557,9 +483,3 @@ def bilinear_pullback_both(b: PolyTensorField, J: PolyTensorField) -> PolyTensor
 
 def symmetrize_02(b: PolyTensorField) -> PolyTensorField:
     return (b + b.transpose_02()).scale(0.5)
-
-
-def scalar_times_field(f: PolyExpr, t: PolyTensorField) -> PolyTensorField:
-    idx = "abcdefgh"[: t.rank]
-    scalar = PolyTensorField(f.dimension, (0, 0), exps=f.exps, coefs=f.coefs)
-    return poly_einsum(f",{idx}->{idx}", scalar, t, valence=t.valence)

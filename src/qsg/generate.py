@@ -52,7 +52,6 @@ from .contraction import contract
 from .errors import GenerationError, SynthesisError
 from .fields import (
     ChartDomain,
-    PolyExpr,
     PolyTensorField,
     bilinear_pullback_both,
     compose_11,
@@ -107,14 +106,10 @@ def monomial_exponents(dimension: int, degree: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
-def random_poly(rng, dimension: int, degree: int, bound: float) -> PolyExpr:
-    exps = monomial_exponents(dimension, degree)
-    return PolyExpr(dimension, exps, rng.uniform(-bound, bound, size=exps.shape[0]))
-
-
 def random_poly_field(rng, dimension: int, valence, degree: int, bound: float) -> PolyTensorField:
-    """Every component a dense random polynomial; the draws come in the
-    order of one ``random_poly`` call per component, row major."""
+    """Every component a dense random polynomial over the monomials of
+    degree <= ``degree``; the draws fill one component's coefficients after
+    another, components in row-major order."""
     exps = monomial_exponents(dimension, degree)
     shape = (dimension,) * (valence[0] + valence[1])
     coefs = rng.uniform(-bound, bound, size=shape + (exps.shape[0],))
@@ -632,7 +627,6 @@ class SynthesisResult:
     rows: int
     cols: int
     rank: int
-    seed: int = 0
 
 
 def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1,
@@ -696,12 +690,11 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
     }
     return SynthesisResult(
         connection=conn,
-        residual=max(per.values()),
+        residual=float(np.max(list(per.values()))),
         constraint_residuals=per,
         fit_points=n_fit,
         holdout_points=HOLDOUT_POINTS,
         rows=n_rows,
         cols=n_cols,
         rank=rank,
-        seed=seed,
     )

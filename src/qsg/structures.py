@@ -3,10 +3,7 @@ Norden metrics, the associated 2-form and twin metric, and the coupling
 operators between a connection, a (1,1) structure and a metric.
 
 Operators are assembled on the coordinate frame fields and stored as
-component arrays.  The two non-function-linear objects (the directional
-structure-coupling operator and Lie derivatives of the structure) are also
-exposed as operators on explicit polynomial fields, since frame arrays do
-not determine them on general arguments.
+component arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from .calculus import (
     DerivedTensorField,
     covd_values,
     levi_civita,
-    lie_bracket,
     torsion_values,
 )
 from .contraction import contract
@@ -59,12 +55,6 @@ class AlmostComplexStructure:
 
     def jets(self, pts):
         return self.field.jets(pts)
-
-    def involution_residual(self, pts) -> float:
-        """max |J J + id| over the sample points."""
-        jv = self.values(pts)
-        eye = np.eye(self.dimension)
-        return float(np.abs(contract("nkm,nmj->nkj", jv, jv) + eye).max())
 
 
 @dataclass
@@ -154,17 +144,6 @@ def nijenhuis(J: AlmostComplexStructure) -> DerivedTensorField:
         return np.swapaxes(c, 2, 3) - c
 
     return DerivedTensorField(J.dimension, (1, 2), fn)
-
-
-def nijenhuis_on_fields(J: AlmostComplexStructure, X: PolyTensorField, Y: PolyTensorField) -> PolyTensorField:
-    """Bracket-form evaluation on explicit polynomial vector fields."""
-    JX = j_apply_vector(J.field, X)
-    JY = j_apply_vector(J.field, Y)
-    term1 = j_apply_vector(J.field, j_apply_vector(J.field, lie_bracket(X, Y)))
-    term2 = j_apply_vector(J.field, lie_bracket(X, JY))
-    term3 = j_apply_vector(J.field, lie_bracket(JX, Y))
-    term4 = lie_bracket(JX, JY)
-    return -term1 + term2 + term3 - term4
 
 
 def torsion_compat(a: np.ndarray, jv: np.ndarray) -> np.ndarray:
@@ -285,8 +264,3 @@ def vishnevskii_on_fields(conn: Connection, J: AlmostComplexStructure, X: PolyTe
     dy = yg + contract("nkij,nj->nki", g, yv)  # dy[n, k, i] = (D_i Y)^k
     d_x = contract("ni,nki->nk", xv, dy)
     return contract("ni,nki->nk", jxv, dy) - contract("nkm,nm->nk", jv, d_x)
-
-
-def lie_derivative_J_on_fields(J: AlmostComplexStructure, X: PolyTensorField, Y: PolyTensorField) -> PolyTensorField:
-    """(L_X J) Y = [X, JY] - J [X, Y] for polynomial fields."""
-    return lie_bracket(X, j_apply_vector(J.field, Y)) - j_apply_vector(J.field, lie_bracket(X, Y))

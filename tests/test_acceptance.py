@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from oracle import random_poly
 from qsg import sampling
 from qsg.calculus import levi_civita, torsion_values, covd_values, PolyConnection
 from qsg.connections import klein_table
@@ -21,7 +22,6 @@ from qsg.generate import (
     gen_almost_complex,
     gen_hermitian_metric,
     gen_norden_metric,
-    random_poly,
     random_poly_field,
 )
 

@@ -2,13 +2,15 @@
 deterministic reports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from qsg import cli
+from qsg import cli, generate
 from qsg.calculus import PolyConnection
 from qsg.cli import main
+from qsg.fields import PolyTensorField
 from qsg.model import ChartModel, flat_hermitian_model, flat_norden_model
 from qsg.model_io import canonical_doc, load_model, model_hash, parse_model, write_model
 from qsg.errors import ModelFileError
@@ -40,7 +42,7 @@ def test_check_violated_quasi_statistical(capsys, tmp_path):
     model = flat_hermitian_model(2)
     gam = np.zeros((2, 2, 2))
     gam[1, 0, 1] = 1.0
-    model.conn = PolyConnection.constant(gam)
+    model.conn = PolyConnection(PolyTensorField.constant(2, (1, 2), gam))
     path = tmp_path / "broken.json"
     write_model(canonical_doc(model), path)
     code, out, _ = run_cli(capsys, "check", str(path), "--predicates", "quasi_statistical")
@@ -195,6 +197,28 @@ def test_synthesize_low_quality_witness_exits_4(capsys, tmp_path):
                            "--constraints", "quasi_statistical_g", "--degree", "0")
     assert code == 4
     assert json.loads(out)["synthesis"]["outcome"] == "low-quality witness"
+
+
+def test_synthesize_nan_constraint_residual_is_no_witness(capsys, monkeypatch, flat_model_path):
+    # the second constraint scores NaN on the fitted connection only (the
+    # probes have constant symbols): no witness, exit 5
+    real = generate.constraint_functions
+
+    def nan_on_the_witness(model):
+        fns = real(model)
+        fit = fns["complex_connection"]
+        fns["complex_connection"] = lambda conn, pts: fit(conn, pts) * (
+            np.nan if isinstance(conn, PolyConnection) else 1.0)
+        return fns
+
+    monkeypatch.setattr(generate, "constraint_functions", nan_on_the_witness)
+    code, out, _ = run_cli(capsys, "synthesize", flat_model_path,
+                           "--constraints", "torsion_free,complex_connection", "--degree", "1")
+    assert code == cli.EXIT_NO_WITNESS == 5
+    syn = json.loads(out)["synthesis"]
+    assert syn["outcome"] == "no witness"
+    assert syn["constraint_residuals"]["torsion_free"] <= 1e-12
+    assert math.isnan(syn["residual"])
 
 
 def test_synthesize_unknown_constraint_exits_2(capsys, flat_model_path):

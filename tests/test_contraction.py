@@ -1,6 +1,6 @@
 """The batched-matmul contraction helper against ``np.einsum`` on every
 spec the package uses, and the guard that keeps it the only pointwise
-contraction path."""
+contraction path and the one planner of field products."""
 
 import ast
 import zlib
@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsg import calculus
+from qsg import calculus, fields
 from qsg.calculus import PolyConnection, covd_values
 from qsg.contraction import contract
 from qsg.fields import PolyTensorField
-from qsg.generate import random_poly_field
+from qsg.generate import j_conjugate_poly, random_poly_field, torsion_project_poly
 from qsg.sampling import rng
+from qsg.structures import AlmostComplexStructure
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qsg"
 
@@ -53,31 +54,61 @@ def _literal_specs():
     return specs, built
 
 
-def _covd_specs():
-    """The specs ``covd_values`` builds, one set per supported valence."""
+def _recorded(module, calls):
+    """The specs ``module.contract`` is called with while ``calls()`` runs."""
     seen = []
 
     def recording(spec, a, b):
         seen.append(spec)
         return contract(spec, a, b)
 
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "contract", recording)
+        calls()
+    return set(seen)
+
+
+def _covd_specs():
+    """The specs ``covd_values`` builds, one set per supported valence."""
     d, pts = 2, np.array([[0.1, 0.2]])
     conn = PolyConnection(random_poly_field(rng(1, 0), d, (1, 2), 1, 1.0))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(calculus, "contract", recording)
-        for valence in ((1, 0), (1, 1), (0, 2), (0, 3)):
-            covd_values(conn, PolyTensorField.zeros(d, valence), pts)
-    return set(seen)
+    return _recorded(calculus, lambda: [covd_values(conn, PolyTensorField.zeros(d, valence), pts)
+                                        for valence in ((1, 0), (1, 1), (0, 2), (0, 3))])
+
+
+def _product_specs():
+    """The specs ``fields._field_product`` builds for the field products of
+    the package, with either factor the one with fewer basis rows."""
+    d = 2
+
+    def field(valence, degree, seed):
+        return random_poly_field(rng(3, seed), d, valence, degree, 1.0)
+
+    def products():
+        for low, high in ((0, 2), (2, 0)):
+            J = field((1, 1), low, 1)
+            X, A, b = field((1, 0), high, 2), field((1, 1), high, 3), field((0, 2), high, 4)
+            gamma = field((1, 2), high, 5)
+            fields.j_apply_vector(J, X)
+            fields.compose_11(J, A)
+            fields.bilinear_pullback_first(b, J)
+            fields.bilinear_pullback_both(b, J)
+            j_conjugate_poly(gamma, AlmostComplexStructure(J))
+            torsion_project_poly(gamma, AlmostComplexStructure(J))
+
+    return _recorded(fields, products)
 
 
 def _all_specs():
     specs, built = _literal_specs()
     # a spec built at run time is covered only where this test rebuilds it
-    assert built == {("calculus.py", "covd_values")}
-    return sorted(specs | _covd_specs())
+    assert built == {("calculus.py", "covd_values"), ("fields.py", "_field_product")}
+    return sorted(specs | _covd_specs() | _product_specs())
 
 
-SPECS = _all_specs()
+# two specs no kernel builds any more, kept as planner cases: the left
+# factor is transposed and summed over its first matrix index
+SPECS = sorted(set(_all_specs()) | {"nil,nlkj->njki", "njm,njki->nmki"})
 
 
 def _operands(spec, n, make):
@@ -93,6 +124,8 @@ def _operands(spec, n, make):
 def test_package_specs_were_found():
     assert "nkm,nmij->nkij" in SPECS and "nmq,nm->nq" in SPECS
     assert "naim,nmb->naib" in SPECS  # from covd_values, upper slot of a (1,1) field
+    # from _field_product: compose_11 with either factor the shorter one
+    assert "Akm,Bmj->ABjk" in SPECS and "Amj,Bkm->ABkj" in SPECS
     assert len(SPECS) > 30
 
 
@@ -133,6 +166,19 @@ def test_contract_takes_strided_and_read_only_operands(spec):
     a, b = _operands(spec, 5, read_only)
     out = _check(spec, a, b)
     out += 1.0  # callers accumulate into the result
+
+
+@pytest.mark.parametrize("spec", SPECS + ["km,nmj->nkj"])
+def test_contract_with_a_zero_extent_axis(spec):
+    # a product with an empty field has no basis rows, and an empty batch
+    # axis stays empty when the other operand lacks it
+    gen = np.random.default_rng(zlib.crc32(spec.encode()))
+    a_term, b_term = spec.split("->")[0].split(",")
+    for empty in sorted(set(a_term + b_term)):
+        a, b = _operands(spec, 3, gen.standard_normal)
+        a = np.take(a, [], axis=a_term.index(empty)) if empty in a_term else a
+        b = np.take(b, [], axis=b_term.index(empty)) if empty in b_term else b
+        _check(spec, a, b)
 
 
 def test_contract_on_frozen_point_memo():

@@ -30,6 +30,7 @@ from qsg.generate import (
     torsion_project_poly,
 )
 from qsg.model import ChartModel, flat_hermitian_model
+from qsg.predicates import check
 from qsg.structures import (
     d_nabla_J_values,
     d_nabla_metric_values,
@@ -43,18 +44,24 @@ def pts(dim, seed=0, n=25):
     return sampling.sample_box([(-0.5, 0.5)] * dim, n, seed, 400)
 
 
+def involution_residual(J, seed):
+    """max |J J + id| over the ``almost_complex`` predicate's sweep."""
+    model = ChartModel(domain=ChartDomain.cube(J.dimension), J=J)
+    return check(model, "almost_complex", seed=seed).max_residual
+
+
 @pytest.mark.parametrize("dim", [2, 4])
 def test_structure_involution_sweep(dim):
     for seed in range(25):
         J = gen_almost_complex(GenSpec(seed=seed, dimension=dim, degree=2))
-        assert J.involution_residual(pts(dim, seed)) <= 1e-10
+        assert involution_residual(J, seed) <= 1e-10
 
 
 def test_integrable_structure_sweep():
     for seed in range(10):
         J = gen_almost_complex(GenSpec(seed=seed, dimension=4, degree=2), integrable=True)
         p = pts(4, seed)
-        assert J.involution_residual(p) <= 1e-10
+        assert involution_residual(J, seed) <= 1e-10
         assert np.abs(nijenhuis(J).values(p)).max() <= 1e-9
 
 

@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracle import from_comps
 from qsg.cli import main
-from qsg.fields import PolyExpr, PolyTensorField
+from qsg.fields import PolyExpr
 from qsg.model import flat_hermitian_model
 from qsg.model_io import (canonical_doc, canonical_json, load_model, model_hash, parse_model,
                           write_model)
@@ -202,7 +203,7 @@ def test_loader_matches_polyexpr_oracle(seed):
     for name, node in doc["fields"].items():
         valence = VALENCES[name]
         polys = _oracle_polys(node["components"], d, sum(valence))
-        oracle = PolyTensorField(d, valence, polys)
+        oracle = from_comps(d, valence, polys)
         assert np.array_equal(loaded[name].exps, oracle.exps), name
         assert np.array_equal(loaded[name].coefs, oracle.coefs), name
         comps = np.empty(polys.shape, dtype=object)

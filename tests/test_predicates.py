@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qsg import predicates
 from qsg.calculus import PolyConnection
 from qsg.errors import ConfigError, PreconditionError
+from qsg.fields import PolyTensorField
 from qsg.generate import GenSpec, gen_almost_complex
 from qsg.model import ChartModel, flat_hermitian_model, flat_norden_model
 from qsg.predicates import PREDICATES, check, check_many
@@ -29,7 +30,7 @@ def test_single_symbol_breaks_quasi_statistical():
     model = flat_hermitian_model(2)
     gam = np.zeros((2, 2, 2))
     gam[1, 0, 1] = 1.0  # one unit symbol entry
-    model.conn = PolyConnection.constant(gam)
+    model.conn = PolyConnection(PolyTensorField.constant(2, (1, 2), gam))
     rep = check(model, "quasi_statistical")
     assert not rep.passed
     assert rep.max_residual == pytest.approx(1.0)
@@ -57,7 +58,7 @@ def test_monotone_in_tolerance(tol, factor):
     model = flat_hermitian_model(2)
     gam = np.zeros((2, 2, 2))
     gam[1, 0, 1] = 1e-5
-    model.conn = PolyConnection.constant(gam)
+    model.conn = PolyConnection(PolyTensorField.constant(2, (1, 2), gam))
     small = check(model, "quasi_statistical", tol=tol)
     large = check(model, "quasi_statistical", tol=tol * factor)
     if small.passed:
