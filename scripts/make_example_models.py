@@ -22,27 +22,31 @@ from qsg.model import ChartModel, flat_hermitian_model, flat_norden_model
 from qsg.model_io import canonical_doc, write_model
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--out", default="examples_out")
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-    out = Path(args.out)
+def write_examples(out: Path, seed: int):
+    """Write the four models into ``out``, creating it if needed."""
     out.mkdir(parents=True, exist_ok=True)
-
     write_model(canonical_doc(flat_hermitian_model(2)), out / "flat_hermitian_2d.json")
     write_model(canonical_doc(flat_norden_model(2)), out / "flat_norden_2d.json")
 
-    spec = GenSpec(seed=args.seed, dimension=4, degree=2)
+    spec = GenSpec(seed=seed, dimension=4, degree=2)
     J = gen_almost_complex(spec)
     g = gen_hermitian_metric(spec, J)
-    conn = PolyConnection(random_poly_field(sampling.rng(args.seed, 1), 4, (1, 2), 2, 1.0))
+    conn = PolyConnection(random_poly_field(sampling.rng(seed, 1), 4, (1, 2), 2, 1.0))
     model = ChartModel(domain=flat_hermitian_model(4).domain, metric=g, J=J, conn=conn)
     write_model(canonical_doc(model), out / "random_hermitian_4d.json")
 
     km = gen_kahler_model(spec)
     km.conn = PolyConnection.zero(4)
     write_model(canonical_doc(km), out / "sheared_kahler_4d.json")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--out", default="examples_out")
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+    out = Path(args.out)
+    write_examples(out, args.seed)
     print(f"wrote 4 model files to {out}/")
 
 

@@ -79,9 +79,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _strict(value):
+    """``value`` with each non-finite float as the string ``"NaN"``,
+    ``"Infinity"`` or ``"-Infinity"``, which strict JSON parsers read."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _emit(report: dict, fmt: str):
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=1))
+        print(json.dumps(_strict(report), sort_keys=True, indent=1, allow_nan=False))
         return
     print(f"# qsg report (seed {report.get('seed')})")
     for section in ("checks", "suite", "synthesis"):

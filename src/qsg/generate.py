@@ -35,18 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import sampling
 from .blas import pin_one_thread
-from .calculus import (
-    Connection,
-    ConstantConnection,
-    PolyConnection,
-    covd_values,
-    torsion_values,
-)
+from .calculus import Connection, ConstantConnection, PolyConnection
 from .connections import conjugate_by_bilinear
 from .contraction import contract
 from .errors import GenerationError, SynthesisError
@@ -58,15 +53,12 @@ from .fields import (
     poly_einsum,
     symmetrize_02,
 )
-from .model import ChartModel, neutral_diagonal, standard_structure
+from .model import ChartModel, ModelAt, neutral_diagonal, standard_structure
+from .predicates import PREDICATES
 from .structures import (
     AlmostComplexStructure,
     MetricField,
-    codazzi_defect,
-    d_nabla_J_values,
-    d_nabla_metric_values,
     j_invariance_defect,
-    torsion_compat,
     vishnevskii_frame_values,
     vishnevskii_jframe_values,
 )
@@ -114,10 +106,6 @@ def random_poly_field(rng, dimension: int, valence, degree: int, bound: float) -
     shape = (dimension,) * (valence[0] + valence[1])
     coefs = rng.uniform(-bound, bound, size=shape + (exps.shape[0],))
     return PolyTensorField(dimension, valence, exps=exps, coefs=np.moveaxis(coefs, -1, 0))
-
-
-def random_vector_field(rng, dimension: int, degree: int = 2, bound: float = 1.0) -> PolyTensorField:
-    return random_poly_field(rng, dimension, (1, 0), degree, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -454,62 +442,60 @@ def _require(value, message):
 
 
 # ---------------------------------------------------------------------------
-# constraint residual functions (all affine in the symbol values)
+# constraints: maps of a model at points, all affine in the symbol values
 
 
 def _flatten(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(arr.shape[0], -1)
 
 
-def constraint_functions(model: ChartModel) -> dict:
-    """Residual evaluators keyed by constraint name.
+def _vishnevskii_zero(at: ModelAt):
+    conn, J = at.conn(), at.model.require("J")
+    return np.concatenate([_flatten(vishnevskii_frame_values(conn, J, at.pts)),
+                           _flatten(vishnevskii_jframe_values(conn, J, at.pts))], axis=1)
 
-    Each maps ``(conn, pts)`` to an ``(n, m)`` array that is affine in the
-    symbol values of ``conn`` at each point.
-    """
-    J = model.J
-    metric = model.metric
-    fns = {}
-    fns["torsion_free"] = lambda conn, pts: _flatten(torsion_values(conn, pts))
-    if J is not None:
-        jf = J.field
 
-        fns["j_invariant_torsion"] = lambda conn, pts: _flatten(
-            j_invariance_defect(torsion_values(conn, pts), jf.values(pts)))
-        fns["torsion_compatible"] = lambda conn, pts: _flatten(
-            torsion_compat(torsion_values(conn, pts), jf.values(pts)))
-        fns["d_closed_J"] = lambda conn, pts: _flatten(d_nabla_J_values(conn, J, pts))
-        fns["complex_connection"] = lambda conn, pts: _flatten(covd_values(conn, jf, pts))
-        fns["codazzi_J"] = lambda conn, pts: _flatten(codazzi_defect(covd_values(conn, jf, pts)))
-        fns["vishnevskii_zero"] = lambda conn, pts: np.concatenate(
-            [
-                _flatten(vishnevskii_frame_values(conn, J, pts)),
-                _flatten(vishnevskii_jframe_values(conn, J, pts)),
-            ],
-            axis=1,
-        )
-    if metric is not None:
-        key = "quasi_statistical_g" if metric.flavor != "norden" else "quasi_statistical_h"
-        fns[key] = lambda conn, pts: _flatten(d_nabla_metric_values(conn, metric, pts))
-    if metric is not None and J is not None and metric.flavor in ("hermitian", "norden"):
-        partner = model.partner_form()
-        fns["quasi_statistical_partner"] = lambda conn, pts: _flatten(
-            d_nabla_metric_values(conn, partner, pts)
-        )
+class Constraint(NamedTuple):
+    """What a constraint needs of a model, and its residual: a map of the
+    model at points (``ModelAt``) to an array affine in the symbol values at
+    each point."""
 
-        def conj_partner_parallel(conn, pts):
-            star = conjugate_by_bilinear(conn, metric)
-            return _flatten(covd_values(star, partner, pts))
+    needs_J: bool
+    flavors: tuple | None  # the metric flavors it takes; None: it reads no metric
+    residual: Callable
 
-        fns["conjugate_partner_parallel"] = conj_partner_parallel
 
-        def torsion_sum(conn, pts):
-            star = conjugate_by_bilinear(conn, metric)
-            dag = conjugate_by_bilinear(conn, partner)
-            return _flatten(torsion_values(star, pts) + torsion_values(dag, pts))
+_PAIRED = ("hermitian", "norden")
 
-        fns["conjugate_torsion_sum"] = torsion_sum
-    return fns
+# the five constraints that are also predicates are the predicate functions,
+# bound here so that tracing the predicate table leaves them alone
+CONSTRAINTS = {
+    "torsion_free": Constraint(False, None, lambda at: at.torsion()),
+    "j_invariant_torsion": Constraint(True, None,
+                                      lambda at: j_invariance_defect(at.torsion(), at.jv)),
+    "torsion_compatible": Constraint(True, None, PREDICATES["torsion_compatible"]),
+    "d_closed_J": Constraint(True, None, PREDICATES["d_closed_J"]),
+    "complex_connection": Constraint(True, None, PREDICATES["complex_connection"]),
+    "codazzi_J": Constraint(True, None, PREDICATES["codazzi_J"]),
+    "vishnevskii_zero": Constraint(True, None, _vishnevskii_zero),
+    "quasi_statistical_g": Constraint(False, ("plain", "hermitian"),
+                                      PREDICATES["quasi_statistical"]),
+    "quasi_statistical_h": Constraint(False, ("norden",), PREDICATES["quasi_statistical"]),
+    "quasi_statistical_partner": Constraint(True, _PAIRED,
+                                            lambda at: at.d_metric((), "partner")),
+    "conjugate_partner_parallel": Constraint(True, _PAIRED,
+                                             lambda at: at.covd_metric(("star",), "partner")),
+    "conjugate_torsion_sum": Constraint(
+        True, _PAIRED, lambda at: at.torsion(("star",)) + at.torsion(("dagger",))),
+}
+
+
+def valid_constraints(model: ChartModel) -> list:
+    """The names of the constraints ``model`` has the fields for, sorted."""
+    flavor = None if model.metric is None else model.metric.flavor
+    return sorted(name for name, c in CONSTRAINTS.items()
+                  if (model.J is not None or not c.needs_J)
+                  and (c.flavors is None or flavor in c.flavors))
 
 
 def _lstsq(rows: np.ndarray, rhs: np.ndarray):
@@ -645,13 +631,13 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
     the constraint set permits.
     """
     d = model.dimension
-    fns = constraint_functions(model)
     if not constraints:
         raise SynthesisError("no constraints given")
-    unknown = [c for c in constraints if c not in fns]
+    valid = valid_constraints(model)
+    unknown = [c for c in constraints if c not in valid]
     if unknown:
         raise SynthesisError(f"unknown or unavailable constraints: {unknown}; "
-                             f"valid here: {sorted(fns)}")
+                             f"valid here: {valid}")
     repeated = [c for i, c in enumerate(constraints) if c in constraints[:i]]
     if repeated:
         raise SynthesisError(f"constraint {repeated[0]!r} is listed more than once")
@@ -660,10 +646,11 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
     k = exps.shape[0]
     r_sym = d ** 3
 
-    active = [fns[c] for c in constraints]
+    active = [CONSTRAINTS[c].residual for c in constraints]
 
     def eval_all(conn, pts):
-        return np.concatenate([f(conn, pts) for f in active], axis=1)
+        at = ModelAt(model, pts, conn)
+        return np.concatenate([_flatten(f(at)) for f in active], axis=1)
 
     pts_out = sampling.sample_box(box, HOLDOUT_POINTS, seed, T_S, 1)
     # enough rows that a spurious interpolant cannot fit the ansatz
@@ -684,10 +671,8 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
         d, (1, 2), exps=exps, coefs=np.moveaxis(coefs.reshape(d, d, d, k), -1, 0)
     ))
 
-    per = {
-        name: float(np.abs(fns[name](conn, pts_out)).max())
-        for name in constraints
-    }
+    held_out = ModelAt(model, pts_out, conn)
+    per = {name: float(np.abs(f(held_out)).max()) for name, f in zip(constraints, active)}
     return SynthesisResult(
         connection=conn,
         residual=float(np.max(list(per.values()))),

@@ -1,15 +1,29 @@
-"""A chart model: the domain plus the structure fields of one scenario."""
+"""A chart model (the domain plus the structure fields of one scenario),
+and ``ModelAt``, the one evaluator of a model at a point array: ``check``
+sweeps its predicates, ``synthesize`` its constraints and ``verify`` its
+entry families through it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .calculus import Connection, PolyConnection
-from .errors import ConfigError
+from .calculus import Connection, PolyConnection, covd_values, torsion_values
+from .connections import average_connection, conjugate_by_bilinear, conjugate_by_J
+from .errors import ConfigError, QsgError
 from .fields import ChartDomain, PolyTensorField
-from .structures import AlmostComplexStructure, MetricField, fundamental_two_form, twin_metric
+from .structures import (
+    AlmostComplexStructure,
+    MetricField,
+    _as_field,
+    d_nabla_J_values,
+    d_nabla_metric_values,
+    fundamental_two_form,
+    nijenhuis,
+    tachibana_values,
+    twin_metric,
+)
 
 
 @dataclass
@@ -49,6 +63,115 @@ class ChartModel:
             else:
                 raise ConfigError("partner form needs a hermitian or norden metric")
         return self._partner
+
+
+class ModelAt:
+    """One model at one point array, with every derived array memoized for
+    the evaluator's life and marked read-only.  Each accessor asks the model
+    for its fields through ``ChartModel.require``, so a missing one raises
+    the same ``ConfigError`` whichever command reads it.
+
+    ``conn`` replaces the model's connection.  Connections are addressed by
+    op-tuples applied left to right, e.g. ``("star", "jconj")`` is the
+    structure conjugate of the metric conjugate of the base connection.
+    What does not depend on the connection (the partner form, the Nijenhuis
+    and holomorphicity operators) is shared with every ``with_conn`` copy,
+    and the partner form is kept by the model as given, so evaluators that
+    replace only its connection build it once.  The values of the
+    structure, metric and partner are plain field calls: at frozen points
+    the fields memoize them themselves.
+    """
+
+    def __init__(self, model: ChartModel, pts: np.ndarray, conn: Connection | None = None):
+        self.model = model if conn is None else replace(model, conn=conn)
+        self.pts = pts
+        self._partner_form = model.partner_form
+        self._conns = {}
+        self._cache = {}  # connection-dependent
+        self._fixed = {}  # connection-independent, shared with with_conn copies
+
+    def with_conn(self, conn: Connection) -> "ModelAt":
+        """The same metric, structure and points under ``conn``."""
+        at = ModelAt(self.model, self.pts, conn)
+        at._fixed = self._fixed
+        return at
+
+    def _memo(self, key, fn, shared: bool = False):
+        store = self._fixed if shared else self._cache
+        if key not in store:
+            value = fn()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            store[key] = value
+        return store[key]
+
+    @property
+    def partner(self):
+        return self._memo("partner", self._partner_form, shared=True)
+
+    @property
+    def jv(self):
+        return self.model.require("J").values(self.pts)
+
+    @property
+    def bv(self):
+        return self.model.require("metric").values(self.pts)
+
+    @property
+    def pv(self):
+        return self.partner.values(self.pts)
+
+    @property
+    def nijenhuis(self):
+        J = self.model.require("J")
+        return self._memo("N", lambda: nijenhuis(J).values(self.pts), shared=True)
+
+    @property
+    def tachibana(self):
+        J, metric = self.model.require("J"), self.model.require("metric")
+        return self._memo("F", lambda: tachibana_values(J, metric, self.pts), shared=True)
+
+    def conn(self, ops: tuple = ()) -> Connection:
+        if not ops:
+            return self.model.require("Gamma")
+        if ops not in self._conns:
+            base, op = self.conn(ops[:-1]), ops[-1]
+            if op == "star":
+                c = conjugate_by_bilinear(base, self.model.require("metric"))
+            elif op == "dagger":
+                c = conjugate_by_bilinear(base, self.partner)
+            elif op == "jconj":
+                c = conjugate_by_J(base, self.model.require("J"))
+            elif op == "avg":
+                c = average_connection(base, self.model.require("J"))
+            else:
+                raise QsgError(f"unknown connection op {op!r}")
+            self._conns[ops] = c
+        return self._conns[ops]
+
+    def _form(self, which: str):
+        return self.model.require("metric") if which == "metric" else self.partner
+
+    def torsion(self, ops: tuple = ()):
+        return self._memo(("T", ops), lambda: torsion_values(self.conn(ops), self.pts))
+
+    def d_metric(self, ops: tuple = (), which: str = "metric"):
+        form = self._form(which)
+        return self._memo(("dB", ops, which),
+                          lambda: d_nabla_metric_values(self.conn(ops), form, self.pts))
+
+    def covd_J(self, ops: tuple = ()):
+        J = self.model.require("J")
+        return self._memo(("cJ", ops), lambda: covd_values(self.conn(ops), J.field, self.pts))
+
+    def d_J(self, ops: tuple = ()):
+        J = self.model.require("J")
+        return self._memo(("dJ", ops), lambda: d_nabla_J_values(self.conn(ops), J, self.pts,
+                                                                self.covd_J(ops)))
+
+    def covd_metric(self, ops: tuple = (), which: str = "metric"):
+        form = _as_field(self._form(which))
+        return self._memo(("cB", ops, which), lambda: covd_values(self.conn(ops), form, self.pts))
 
 
 def standard_structure(dimension: int) -> np.ndarray:

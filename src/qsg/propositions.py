@@ -26,16 +26,17 @@ A family body is a map from a trial to residuals.  ``_identities`` runs
 ``td -> {id: residual}`` over the random trials and ``_witnesses`` runs
 ``t -> {id: (hyp, concl)}`` over the witness trials; what is particular to
 one result (a folded identity, a vanish-together flag, a note) follows the
-call.  Every array a body reads comes from ``TrialData``, one model at a
-trial's points: it memoizes torsions and derivatives per connection
-op-tuple, and the connection-independent arrays (structure, metric and
-partner values, the Nijenhuis and holomorphicity operators) in a memo that
-its ``with_conn`` copies share.  Memoized arrays are read-only.
+call.  Every array a body reads comes from ``model.ModelAt``, the
+evaluator ``check`` and ``synthesize`` read through too, here one model at
+a trial's frozen points: it memoizes torsions and derivatives per
+connection op-tuple, and the connection-independent arrays (the Nijenhuis
+and holomorphicity operators) in a memo that its ``with_conn`` copies
+share.  Memoized arrays are read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -43,21 +44,12 @@ import numpy as np
 
 from . import sampling
 from .calculus import (
-    Connection,
     PolyConnection,
-    covd_values,
     exterior_d2_connection_expansion,
     exterior_d2_values,
     levi_civita,
-    torsion_values,
 )
-from .connections import (
-    _as_field,
-    average_connection,
-    conjugate_by_bilinear,
-    conjugate_by_J,
-    klein_table,
-)
+from .connections import conjugate_by_bilinear, conjugate_by_J, klein_table
 from .contraction import contract
 from .errors import QsgError
 from .fields import ChartDomain, PolyTensorField
@@ -71,20 +63,15 @@ from .generate import (
     gen_norden_metric,
     gen_vishnevskii_zero_connection,
     random_poly_field,
-    random_vector_field,
     synthesize_connection,
 )
-from .model import ChartModel, flat_hermitian_model
+from .model import ChartModel, ModelAt, flat_hermitian_model
 from .predicates import check as predicate_check
 from .structures import (
     codazzi_defect,
     cyclic_sum_03,
-    d_nabla_J_values,
-    d_nabla_metric_values,
     j_invariance_defect,
-    nijenhuis,
     quasi_kahler_norden_sum_values,
-    tachibana_values,
     torsion_compat,
     vishnevskii_frame_values,
     vishnevskii_jframe_values,
@@ -309,115 +296,6 @@ def _slot3(a, jv):
     return contract("nija,nak->nijk", a, jv)
 
 
-# ---------------------------------------------------------------------------
-# per-trial cached data
-
-
-class TrialData:
-    """One model at a trial's sample points, with every derived array the
-    families read memoized and marked read-only.
-
-    ``conn`` replaces the model's connection.  Connections are addressed by
-    op-tuples applied left to right, e.g. ``("star", "jconj")`` is the
-    structure conjugate of the metric conjugate of the base connection.
-    What does not depend on the connection (the partner form, the Nijenhuis
-    and holomorphicity operators) is computed on first use, so models with
-    only a structure fit too, and is shared with every ``with_conn`` copy.
-    The values of the structure, metric and partner are plain field calls:
-    at the section's frozen points the fields memoize them themselves.
-    """
-
-    def __init__(self, model: ChartModel, pts: np.ndarray, conn: Connection | None = None):
-        self.model = model if conn is None else replace(model, conn=conn)
-        self.pts = pts
-        self._conns = {(): self.model.conn}
-        self._cache = {}  # connection-dependent
-        self._fixed = {}  # connection-independent, shared with with_conn copies
-
-    def with_conn(self, conn: Connection) -> "TrialData":
-        """The same metric, structure and points under ``conn``."""
-        td = TrialData(self.model, self.pts, conn)
-        td._fixed = self._fixed
-        return td
-
-    def _memo(self, key, fn, shared: bool = False):
-        store = self._fixed if shared else self._cache
-        if key not in store:
-            value = fn()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            store[key] = value
-        return store[key]
-
-    @property
-    def partner(self):
-        return self._memo("partner", self.model.partner_form, shared=True)
-
-    @property
-    def jv(self):
-        return self.model.J.values(self.pts)
-
-    @property
-    def bv(self):
-        return self.model.metric.values(self.pts)
-
-    @property
-    def pv(self):
-        return self.partner.values(self.pts)
-
-    @property
-    def nijenhuis(self):
-        return self._memo("N", lambda: nijenhuis(self.model.J).values(self.pts), shared=True)
-
-    @property
-    def tachibana(self):
-        return self._memo("F", lambda: tachibana_values(self.model.J, self.model.metric, self.pts),
-                          shared=True)
-
-    def conn(self, ops: tuple = ()) -> Connection:
-        if ops not in self._conns:
-            base = self.conn(ops[:-1])
-            op = ops[-1]
-            if op == "star":
-                c = conjugate_by_bilinear(base, self.model.metric)
-            elif op == "dagger":
-                c = conjugate_by_bilinear(base, self.partner)
-            elif op == "jconj":
-                c = conjugate_by_J(base, self.model.J)
-            elif op == "avg":
-                c = average_connection(base, self.model.J)
-            else:
-                raise QsgError(f"unknown connection op {op!r}")
-            self._conns[ops] = c
-        return self._conns[ops]
-
-    def torsion(self, ops: tuple = ()):
-        return self._memo(("T", ops), lambda: torsion_values(self.conn(ops), self.pts))
-
-    def d_metric(self, ops: tuple = (), which: str = "metric"):
-        field = self.model.metric if which == "metric" else self.partner
-        return self._memo(
-            ("dB", ops, which),
-            lambda: d_nabla_metric_values(self.conn(ops), field, self.pts),
-        )
-
-    def d_J(self, ops: tuple = ()):
-        return self._memo(
-            ("dJ", ops), lambda: d_nabla_J_values(self.conn(ops), self.model.J, self.pts)
-        )
-
-    def covd_J(self, ops: tuple = ()):
-        return self._memo(
-            ("cJ", ops), lambda: covd_values(self.conn(ops), self.model.J.field, self.pts)
-        )
-
-    def covd_metric(self, ops: tuple = (), which: str = "metric"):
-        f = _as_field(self.model.metric if which == "metric" else self.partner)
-        return self._memo(
-            ("cB", ops, which), lambda: covd_values(self.conn(ops), f, self.pts)
-        )
-
-
 @dataclass
 class SectionContext:
     """Per-dimension generation context for one suite run."""
@@ -456,12 +334,12 @@ class SectionContext:
     def rng(self, trial: int, tag: int):
         return sampling.rng(self.seed, _T_TRIAL, self.dim, trial, tag)
 
-    def _trial_data(self, kind: str, trial: int, make_model) -> TrialData:
+    def _trial_data(self, kind: str, trial: int, make_model) -> ModelAt:
         if (kind, trial) not in self._data:
-            self._data[kind, trial] = TrialData(make_model(), self.points(trial))
+            self._data[kind, trial] = ModelAt(make_model(), self.points(trial))
         return self._data[kind, trial]
 
-    def trial(self, fl: Flavor, trial: int) -> TrialData:
+    def trial(self, fl: Flavor, trial: int) -> ModelAt:
         """Random structure, ``fl`` metric and symbols of one trial."""
         def make():
             spec = self.spec(trial, fl.tags[0])
@@ -476,11 +354,11 @@ class SectionContext:
             return ChartModel(domain=ChartDomain.cube(self.dim), metric=metric, J=J, conn=conn)
         return self._trial_data(fl.name, trial, make)
 
-    def kahler(self, trial: int) -> TrialData:
+    def kahler(self, trial: int) -> ModelAt:
         """Sheared Kahler model of one witness trial, without symbols."""
         return self._trial_data("kahler", trial, lambda: gen_kahler_model(self.spec(trial, 5)))
 
-    def constant(self, trial: int) -> TrialData:
+    def constant(self, trial: int) -> ModelAt:
         """Constant-structure Hermitian model of one witness trial, without
         symbols."""
         return self._trial_data("constant", trial, lambda: gen_constant_structure_model(
@@ -576,23 +454,23 @@ def _swap_lower(bv, a):
     return x - np.swapaxes(x, 1, 2)
 
 
-def _pro3_correction(td: TrialData, ops: tuple):
+def _pro3_correction(td: ModelAt, ops: tuple):
     """b(x_j, (B_{x_i} J) x_k) - b(x_i, (B_{x_j} J) x_k) for B = conn(ops)."""
     return _swap_lower(td.bv, td.covd_J(ops))
 
 
-def _jshift_correction(td: TrialData, which: str):
+def _jshift_correction(td: ModelAt, which: str):
     """b(x_j, J^{-1}(D_{x_i} J) x_k) - b(x_i, J^{-1}(D_{x_j} J) x_k)."""
     return _swap_lower(td.bv if which == "metric" else td.pv, -_jout(td.jv, td.covd_J(())))
 
 
-def _jshift_residual(td: TrialData, which: str) -> float:
+def _jshift_residual(td: ModelAt, which: str) -> float:
     """Structure-conjugate shift of the ``which`` form's derivative."""
     return ident_res(td.d_metric(("jconj",), which),
                      td.d_metric((), which) - _jshift_correction(td, which))
 
 
-def _synth(ctx: SectionContext, base: TrialData, constraints: list, trial: int, tag: int,
+def _synth(ctx: SectionContext, base: ModelAt, constraints: list, trial: int, tag: int,
            degree: int | None = None, anchor: float = 0.3):
     """Witness symbols fitted to ``constraints`` on ``base``'s metric and
     structure, and the trial data of ``base`` under them."""
@@ -641,7 +519,7 @@ def _pro2(ctx):
     # the obstruction must vanish
     def pairs(t):
         if ctx.dim == 2:
-            base = TrialData(ChartModel(domain=ChartDomain.cube(2),
+            base = ModelAt(ChartModel(domain=ChartDomain.cube(2),
                                         J=gen_almost_complex(ctx.spec(t, 11))), ctx.points(t))
         else:
             base = ctx.kahler(t)
@@ -691,7 +569,7 @@ def _vishnevskii(ctx):
         hyp = _worst([zero_res(vishnevskii_frame_values(w, J, pts)),
                       zero_res(vishnevskii_jframe_values(w, J, pts))])
         # tensorial first slot: random-field arguments add no freedom
-        x_rand = random_vector_field(ctx.rng(t, 15), ctx.dim, ctx.degree, 1.0)
+        x_rand = random_poly_field(ctx.rng(t, 15), ctx.dim, (1, 0), ctx.degree, 1.0)
         frames = PolyTensorField.constant(ctx.dim, (1, 0), np.eye(ctx.dim)[0])
         hyp = _worst([hyp, zero_res(vishnevskii_on_fields(w, J, x_rand, frames, pts))])
         lhs = torsion_compat(wd.d_J(), wd.jv)
@@ -705,7 +583,7 @@ def _vishnevskii(ctx):
     return [entry]
 
 
-def _jframe_residual(td: TrialData) -> float:
+def _jframe_residual(td: ModelAt) -> float:
     """``vishnevskii_jframe_values`` against ``vishnevskii_on_fields`` on
     each pair of a frame field and a structure-twisted frame field."""
     J, conn, d = td.model.J, td.model.conn, td.model.dimension
@@ -1026,7 +904,7 @@ def _theolast(ctx):
     return [e_tl]
 
 
-def _pro14_unconditional_residual(td: TrialData) -> float:
+def _pro14_unconditional_residual(td: ModelAt) -> float:
     hv, jv = td.bv, td.jv
     dh = td.covd_metric((), "metric")
     tv = td.torsion(())
@@ -1040,7 +918,7 @@ def _pro14_unconditional_residual(td: TrialData) -> float:
     return ident_res(td.tachibana, rhs)
 
 
-def _pro14_conditional_residual(wd: TrialData) -> float:
+def _pro14_conditional_residual(wd: ModelAt) -> float:
     dh, jv = wd.covd_metric((), "metric"), wd.jv
     # (D_{x2}h)(J x1, x3) - (D_{x2}h)(x1, J x3)
     p1 = contract("nbmc,nma->nabc", dh, jv) - contract("nbam,nmc->nabc", dh, jv)
@@ -1049,7 +927,7 @@ def _pro14_conditional_residual(wd: TrialData) -> float:
     return ident_res(wd.tachibana, rhs)
 
 
-def _pro14_common_terms(td: TrialData) -> tuple:
+def _pro14_common_terms(td: ModelAt) -> tuple:
     """The structure-derivative and torsion terms both pro14 expansions
     share, signs not applied."""
     hv, jv, djc, tv = td.bv, td.jv, td.covd_J(()), td.torsion(())
@@ -1082,11 +960,13 @@ def _neg_hermitian(ctx):
                     "unclosed structure derivative must leave conjugate torsion",
                     lambda td: (zero_res(td.d_J(())) >= thresh
                                 and zero_res(td.torsion(("jconj",))) >= thresh))]
-    if ctx.dim == 2:
+    if ctx.dim == 2 or ctx.degree == 0:
+        # every trial structure is integrable, whatever the hypothesis
+        why = ("on two-dimensional charts (every structure is integrable)" if ctx.dim == 2
+               else "at degree 0 (constant structures are integrable)")
         return out + [EntryResult(
-            prop_id="neg.pro2", dim=2, direction="negative-control", trials=0,
-            max_residual=0.0, tolerance=thresh, status="not-applicable",
-            notes="vacuous on two-dimensional charts (every structure is integrable)",
+            prop_id="neg.pro2", dim=ctx.dim, direction="negative-control", trials=0,
+            max_residual=0.0, tolerance=thresh, status="not-applicable", notes=f"vacuous {why}",
         )]
 
     def unprojected(td):

@@ -17,7 +17,7 @@ from qsg.calculus import (
 )
 from qsg.errors import DegeneracyError, PreconditionError, ShapeError, UnsupportedValenceError
 from qsg.fields import PolyExpr, PolyTensorField, poly_einsum
-from qsg.generate import random_poly_field, random_vector_field
+from qsg.generate import random_poly_field
 
 
 def pts2(seed=0, n=25):
@@ -48,9 +48,9 @@ def test_bracket_hand_example():
 
 def test_jacobi_identity():
     rng = sampling.rng(11, 0)
-    X = random_vector_field(rng, 2, 2, 1.0)
-    Y = random_vector_field(rng, 2, 2, 1.0)
-    Z = random_vector_field(rng, 2, 2, 1.0)
+    X = random_poly_field(rng, 2, (1, 0), 2, 1.0)
+    Y = random_poly_field(rng, 2, (1, 0), 2, 1.0)
+    Z = random_poly_field(rng, 2, (1, 0), 2, 1.0)
     total = (
         lie_bracket(X, lie_bracket(Y, Z))
         + lie_bracket(Y, lie_bracket(Z, X))

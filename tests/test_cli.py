@@ -199,26 +199,33 @@ def test_synthesize_low_quality_witness_exits_4(capsys, tmp_path):
     assert json.loads(out)["synthesis"]["outcome"] == "low-quality witness"
 
 
+def _no_bare_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
 def test_synthesize_nan_constraint_residual_is_no_witness(capsys, monkeypatch, flat_model_path):
     # the second constraint scores NaN on the fitted connection only (the
     # probes have constant symbols): no witness, exit 5
-    real = generate.constraint_functions
-
-    def nan_on_the_witness(model):
-        fns = real(model)
-        fit = fns["complex_connection"]
-        fns["complex_connection"] = lambda conn, pts: fit(conn, pts) * (
-            np.nan if isinstance(conn, PolyConnection) else 1.0)
-        return fns
-
-    monkeypatch.setattr(generate, "constraint_functions", nan_on_the_witness)
+    fit = generate.CONSTRAINTS["complex_connection"]
+    monkeypatch.setitem(generate.CONSTRAINTS, "complex_connection", fit._replace(
+        residual=lambda at: fit.residual(at) * (
+            np.nan if isinstance(at.conn(), PolyConnection) else 1.0)))
     code, out, _ = run_cli(capsys, "synthesize", flat_model_path,
                            "--constraints", "torsion_free,complex_connection", "--degree", "1")
     assert code == cli.EXIT_NO_WITNESS == 5
-    syn = json.loads(out)["synthesis"]
+    syn = json.loads(out, parse_constant=_no_bare_constant)["synthesis"]
     assert syn["outcome"] == "no witness"
     assert syn["constraint_residuals"]["torsion_free"] <= 1e-12
-    assert math.isnan(syn["residual"])
+    assert syn["residual"] == syn["constraint_residuals"]["complex_connection"] == "NaN"
+
+
+def test_json_reports_write_non_finite_numbers_as_strings(capsys):
+    report = {"a": [float("nan"), float("inf"), -float("inf"), 0.5], "b": (float("inf"),),
+              "c": {"d": float("-inf")}, "exit_status": 1}
+    cli._emit(report, "json")
+    got = json.loads(capsys.readouterr().out, parse_constant=_no_bare_constant)
+    assert got == {"a": ["NaN", "Infinity", "-Infinity", 0.5], "b": ["Infinity"],
+                   "c": {"d": "-Infinity"}, "exit_status": 1}
 
 
 def test_synthesize_unknown_constraint_exits_2(capsys, flat_model_path):

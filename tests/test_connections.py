@@ -21,7 +21,6 @@ from qsg.generate import (
     gen_hermitian_metric,
     gen_norden_metric,
     random_poly_field,
-    random_vector_field,
 )
 from qsg.model import flat_hermitian_model
 from qsg.structures import MetricField
@@ -66,9 +65,9 @@ def test_defining_identity_on_polynomial_fields():
     arbitrary polynomial fields, not only frames."""
     J, g, conn, pts = _hermitian_setup(4)
     rng = sampling.rng(4, 10)
-    X = random_vector_field(rng, 2, 2, 1.0)
-    Y = random_vector_field(rng, 2, 2, 1.0)
-    Z = random_vector_field(rng, 2, 2, 1.0)
+    X = random_poly_field(rng, 2, (1, 0), 2, 1.0)
+    Y = random_poly_field(rng, 2, (1, 0), 2, 1.0)
+    Z = random_poly_field(rng, 2, (1, 0), 2, 1.0)
     star = conjugate_by_bilinear(conn, g)
     bv, bg = g.field.jets(pts)
     xv, xg = X.jets(pts)

@@ -17,7 +17,7 @@ from qsg.generate import (
     _lstsq,
     _probe_jacobian,
     _solve,
-    constraint_functions,
+    CONSTRAINTS,
     gen_almost_complex,
     gen_connection,
     gen_constant_structure_model,
@@ -28,10 +28,12 @@ from qsg.generate import (
     monomial_exponents,
     synthesize_connection,
     torsion_project_poly,
+    valid_constraints,
 )
-from qsg.model import ChartModel, flat_hermitian_model
-from qsg.predicates import check
+from qsg.model import ChartModel, ModelAt, flat_hermitian_model
+from qsg.predicates import PREDICATES, check
 from qsg.structures import (
+    MetricField,
     d_nabla_J_values,
     d_nabla_metric_values,
     nijenhuis,
@@ -323,9 +325,10 @@ def _monomials(p, exps):
 def test_batched_probe_matches_one_hot_loop(flavor, dim):
     model = _paired_model(flavor, dim, seed=12)
     p = pts(dim, 12, n=6)
-    fns = constraint_functions(model)
-    assert len(fns) == 11  # every constraint the paired models support
-    for name, fn in fns.items():
+    names = valid_constraints(model)
+    assert len(names) == 11  # every constraint the paired models support
+    for name in names:
+        fn = _stacked(model, [name])
         base, a = _probe_jacobian(fn, p)
         ref_base, ref_a = _loop_jacobian(fn, p, dim)
         scale = max(1.0, np.abs(ref_a).max(), np.abs(ref_base).max())
@@ -334,8 +337,13 @@ def test_batched_probe_matches_one_hot_loop(flavor, dim):
 
 
 def _stacked(model, constraints):
-    fns = constraint_functions(model)
-    return lambda conn, q: np.concatenate([fns[c](conn, q) for c in constraints], axis=1)
+    """The synthesizer's residual map: ``(conn, points)`` to the residuals of
+    ``constraints``, flattened per point and stacked."""
+    def residuals(conn, q):
+        at = ModelAt(model, q, conn)
+        return np.concatenate([CONSTRAINTS[c].residual(at).reshape(len(q), -1)
+                               for c in constraints], axis=1)
+    return residuals
 
 
 def _relative_gap(x, ref):
@@ -374,7 +382,7 @@ def test_compressed_solve_with_zero_block():
     # a point whose block is zero contributes no rows; its right-hand side
     # is a constant offset of the objective
     model = _paired_model("hermitian", 2, seed=14)
-    fn = constraint_functions(model)["codazzi_J"]
+    fn = _stacked(model, ["codazzi_J"])
     p = pts(2, 14, n=10)
     base, a = _probe_jacobian(fn, p)
     a[3] = 0.0
@@ -467,3 +475,26 @@ def test_kronecker_solve_with_zero_blocks():
     x, rows, cols, rank = _solve(np.zeros_like(a), b, mon, c0)
     assert (rows, cols, rank) == (0, c0.size, 0)
     assert np.array_equal(x, c0)
+
+
+def test_constraints_that_are_predicates_are_the_predicate_functions():
+    # one formula each: a second copy could drift from the predicate
+    shared = {"codazzi_J": "codazzi_J", "complex_connection": "complex_connection",
+              "d_closed_J": "d_closed_J", "torsion_compatible": "torsion_compatible",
+              "quasi_statistical_g": "quasi_statistical", "quasi_statistical_h": "quasi_statistical"}
+    for constraint, predicate in shared.items():
+        assert CONSTRAINTS[constraint].residual is PREDICATES[predicate], constraint
+    assert set(CONSTRAINTS) & set(PREDICATES) <= set(shared)
+
+
+def test_each_model_states_the_constraints_it_has_fields_for():
+    flat = flat_hermitian_model(2)
+    with_j = valid_constraints(flat)
+    assert len(with_j) == 11 and "quasi_statistical_g" in with_j
+    assert valid_constraints(ChartModel(domain=flat.domain)) == ["torsion_free"]
+    assert valid_constraints(ChartModel(domain=flat.domain, metric=flat.metric)) == [
+        "quasi_statistical_g", "torsion_free"]
+    plain = ChartModel(domain=flat.domain, J=flat.J,
+                       metric=MetricField(flat.metric.field, flavor="plain"))
+    assert sorted(set(with_j) - set(valid_constraints(plain))) == [
+        "conjugate_partner_parallel", "conjugate_torsion_sum", "quasi_statistical_partner"]

@@ -9,7 +9,7 @@ from qsg.calculus import PolyConnection
 from qsg.errors import ConfigError, PreconditionError
 from qsg.fields import PolyTensorField
 from qsg.generate import GenSpec, gen_almost_complex
-from qsg.model import ChartModel, flat_hermitian_model, flat_norden_model
+from qsg.model import ChartModel, ModelAt, flat_hermitian_model, flat_norden_model
 from qsg.predicates import PREDICATES, check, check_many
 
 
@@ -128,63 +128,55 @@ def _hermitian_4d():
                       J=J, conn=PolyConnection(random_poly_field(rng(3, 1), 4, (1, 2), 2, 1.0)))
 
 
-def test_shared_kernel_table_names_every_read(monkeypatch):
-    # the table only sizes the memo, so a stale entry would fail no value test
-    from qsg import predicates
-
-    hermitian = _hermitian_4d()
-    norden = ChartModel(domain=hermitian.domain, metric=flat_norden_model(4).metric,
-                        J=hermitian.J, conn=hermitian.conn)
-    reads = []
-    shared = predicates._Sweep._shared
-    monkeypatch.setattr(predicates._Sweep, "_shared",
-                        lambda self, key, compute: reads.append(key) or shared(self, key, compute))
-    for name in PREDICATES:
-        reads.clear()
-        model = norden if name in ("anti_kahler", "quasi_kahler_norden") else hermitian
-        check_many(model, [name], samples=8)
-        assert reads == list(predicates._READS.get(name, ())), name
-
-
 def test_shared_kernels_run_once_per_call(monkeypatch):
-    from qsg import predicates
+    from qsg import model as model_module
 
     model = _hermitian_4d()
     names = ["almost_complex", "quasi_statistical", "statistical", "codazzi_J",
              "torsion_compatible", "integrable", "d_closed_J", "complex_connection",
              "hermitian", "kahler"]
     alone = [check(model, n, seed=5, samples=30).to_dict() for n in names]
-    calls, sweeps = [], []
-    for fn in ("covd_values", "torsion_values", "nijenhuis"):
-        original = getattr(predicates, fn)
-        monkeypatch.setattr(predicates, fn, lambda *a, _f=original, _n=fn: calls.append(
+    calls = []
+    for module, fn in ((model_module, "covd_values"), (predicates, "covd_values"),
+                       (model_module, "torsion_values"), (model_module, "nijenhuis")):
+        original = getattr(module, fn)
+        monkeypatch.setattr(module, fn, lambda *a, _f=original, _n=fn: calls.append(
             (_n, a[1] is model.J.field if _n == "covd_values" else None)) or _f(*a))
-    sweep_cls = predicates._Sweep
-    monkeypatch.setattr(predicates, "_Sweep", lambda *a: sweeps.append(sweep_cls(*a)) or sweeps[-1])
     together = [r.to_dict() for r in check_many(model, names, seed=5, samples=30)]
     assert together == alone
-    # covd of the metric (statistical) is not shared; the J one is read three times
+    # covd of the metric (statistical) is read once; the J one three times
     assert sorted(calls) == [("covd_values", False), ("covd_values", True),
                              ("nijenhuis", None), ("torsion_values", None)]
-    assert sweeps[0]._kept == {}  # each kernel dropped after its last reader
 
 
-def test_readers_of_a_kernel_run_together_and_errors_keep_the_given_order():
-    from qsg.predicates import _run_order
+def test_reports_do_not_depend_on_the_order_of_names():
+    model = _hermitian_4d()
+    names = list(PREDICATES)
+    names.remove("anti_kahler")
+    names.remove("quasi_kahler_norden")
+    orders = [names, names[::-1], list(np.random.default_rng(4).permutation(names))]
+    reports = [{r.name: r.to_dict() for r in check_many(model, order, seed=2, samples=20)}
+               for order in orders]
+    assert reports[0] == reports[1] == reports[2]
 
-    names = ["almost_complex", "statistical", "codazzi_J", "torsion_compatible", "integrable",
-             "d_closed_J", "complex_connection", "hermitian", "kahler"]
-    assert [names[i] for i in _run_order(names)] == [
-        "almost_complex", "statistical", "torsion_compatible", "codazzi_J", "d_closed_J",
-        "complex_connection", "integrable", "kahler", "hermitian"]
-    # kahler is swept right after integrable, before codazzi_J, yet the
-    # error raised is that of the first failing name as given
+
+def test_errors_keep_the_given_order():
+    # the error raised is that of the first failing name as given
     model = flat_norden_model(2)
     model.conn = None
     with pytest.raises(ConfigError, match="Gamma"):
         check_many(model, ["integrable", "codazzi_J", "kahler"])
     with pytest.raises(PreconditionError, match="kahler"):
         check_many(model, ["integrable", "kahler", "codazzi_J"])
+
+
+def test_evaluator_names_the_missing_field():
+    bare = ModelAt(ChartModel(domain=flat_hermitian_model(2).domain), np.zeros((2, 2)))
+    for read, field in ((lambda: bare.jv, "J"), (lambda: bare.nijenhuis, "J"),
+                        (lambda: bare.bv, "metric"), (lambda: bare.pv, "metric"),
+                        (bare.torsion, "Gamma"), (lambda: bare.d_J(("star",)), "J")):
+        with pytest.raises(ConfigError, match=f"missing required field '{field}'"):
+            read()
 
 
 def _report_by_abs_copy(values, pts, tol):

@@ -8,7 +8,7 @@ import pytest
 
 from qsg.errors import QsgError
 from qsg.fields import ChartDomain
-from qsg.model import ChartModel
+from qsg.model import ChartModel, ModelAt
 from qsg import propositions
 from qsg.propositions import (
     ALL_IDS,
@@ -20,7 +20,6 @@ from qsg.propositions import (
     SECTION3_IDS,
     SECTION4_IDS,
     SectionContext,
-    TrialData,
     _fold_identity,
     _identity_entry,
     _witness_entry,
@@ -116,6 +115,14 @@ def test_negative_control_not_applicable_in_two_dims(smoke_report):
     assert entry.passed
 
 
+def test_negative_control_not_applicable_at_degree_0():
+    # constant trial structures are integrable, so no hypothesis breaks that
+    report = run_full_suite(seed=0, trials=3, dims=(4,), degree=0, only=("neg.pro2",))
+    (entry,) = report.entries
+    assert entry.status == "not-applicable" and "degree 0" in entry.notes
+    assert report.passed
+
+
 def test_entries_sorted_in_report(smoke_report):
     d = smoke_report.to_dict()
     keys = [(e["id"], e["dim"]) for e in d["entries"]]
@@ -178,7 +185,7 @@ def test_trial_data_memo_is_read_only_and_shared_with_conn_copies():
         with pytest.raises(ValueError):
             arr[...] = 0.0
     # the partner form is built on first use, so a structure-only model fits
-    j_only = TrialData(ChartModel(domain=ChartDomain.cube(2), J=td.model.J), td.pts)
+    j_only = ModelAt(ChartModel(domain=ChartDomain.cube(2), J=td.model.J), td.pts)
     assert np.abs(j_only.nijenhuis).max() <= 1e-12
 
 

@@ -16,7 +16,6 @@ from qsg.generate import (
     gen_hermitian_metric,
     gen_norden_metric,
     random_poly_field,
-    random_vector_field,
 )
 from qsg.model import flat_norden_model, standard_structure, neutral_diagonal
 from qsg.structures import (
@@ -106,8 +105,8 @@ def test_nijenhuis_tensoriality():
     spec = GenSpec(seed=2, dimension=4, degree=2)
     J = gen_almost_complex(spec)
     rng = sampling.rng(2, 30)
-    X = random_vector_field(rng, 4, 2, 1.0)
-    Y = random_vector_field(rng, 4, 2, 1.0)
+    X = random_poly_field(rng, 4, (1, 0), 2, 1.0)
+    Y = random_poly_field(rng, 4, (1, 0), 2, 1.0)
     f = random_poly_field(rng, 4, (0, 0), 2, 1.0)
     p = pts(4, 2)
     lhs = nijenhuis_on_fields(J, poly_einsum(",k->k", f, X, valence=(1, 0)), Y).values(p)
