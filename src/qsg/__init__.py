@@ -26,7 +26,7 @@ from .structures import (
     twin_metric,
 )
 from .connections import average_connection, conjugate_by_bilinear, conjugate_by_J, klein_table
-from .model import ChartModel, flat_hermitian_model, flat_norden_model
+from .model import ChartModel, ModelAt, flat_hermitian_model, flat_norden_model
 from .predicates import CheckReport, check
 from .generate import GenSpec, SynthesisResult, synthesize_connection
 from .propositions import SuiteReport, run_full_suite
@@ -53,6 +53,7 @@ __all__ = [
     "conjugate_by_J",
     "klein_table",
     "ChartModel",
+    "ModelAt",
     "flat_hermitian_model",
     "flat_norden_model",
     "CheckReport",

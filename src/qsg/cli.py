@@ -20,7 +20,7 @@ from . import __version__
 from .errors import ConfigError, DegeneracyError, ModelFileError, QsgError
 from .generate import synthesize_connection
 from .model import ChartModel
-from .model_io import canonical_doc, load_model, model_hash, write_model
+from .model_io import MAX_DEGREE, canonical_doc, load_model, model_hash, write_model
 from .predicates import DEFAULT_SAMPLES, DEFAULT_TOL, PREDICATES, check_many
 from .propositions import run_full_suite
 
@@ -156,6 +156,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    if args.degree > MAX_DEGREE:
+        raise ConfigError(f"--degree {args.degree} exceeds {MAX_DEGREE}, the largest total "
+                          "degree a model file holds")
     model, doc = load_model(args.model)
     constraints = _csv(args.constraints)
     result = synthesize_connection(model, constraints, ansatz_degree=args.degree,

@@ -12,7 +12,8 @@ Three transforms act on a connection D:
 
 For a compatible (metric, structure) pair the three conjugations commute
 pairwise into each other, forming a Klein four-group on connections;
-``klein_table`` measures all nine residuals.
+``klein_table`` measures all nine residuals on the conjugates a
+``model.ModelAt`` builds.
 """
 
 from __future__ import annotations
@@ -24,15 +25,10 @@ import numpy as np
 from .calculus import Connection, _checked_inverse
 from .contraction import contract
 from .errors import PreconditionError
-from .structures import (
-    AlmostComplexStructure,
-    MetricField,
-    _as_field,
-    fundamental_two_form,
-    twin_metric,
-)
+from .structures import AlmostComplexStructure, _as_field, _jout, purity_values
 
 SKEW_OR_SYM_TOL = 1e-10
+PURITY_TOL = 1e-8
 
 
 class BilinearConjugateConnection(Connection):
@@ -74,7 +70,7 @@ class JConjugateConnection(Connection):
         jv, jg = self.J.jets(pts)
         g = self.base.gammas(pts)
         inner = np.einsum("nmji->nmij", jg) + contract("nmil,nlj->nmij", g, jv)
-        return -contract("nkm,nmij->nkij", jv, inner)
+        return -_jout(jv, inner)
 
 
 class CombinationConnection(Connection):
@@ -125,45 +121,40 @@ class KleinReport:
         return self.max_residual <= self.tolerance
 
 
-def _gamma_residual(a: Connection, b: Connection, pts) -> float:
-    ga, gb = a.gammas(pts), b.gammas(pts)
-    return float(np.abs(ga - gb).max() / (1.0 + np.abs(ga).max()))
+# residual name -> the op-tuples (``ModelAt.conn``: "star" metric, "dagger"
+# partner-form, "jconj" structure conjugation) of two equal connections
+KLEIN_PAIRS = {
+    "metric_involution": (("star", "star"), ()),
+    "partner_involution": (("dagger", "dagger"), ()),
+    "structure_involution": (("jconj", "jconj"), ()),
+    "metric_eq_partner_then_structure": (("star",), ("dagger", "jconj")),
+    "metric_eq_structure_then_partner": (("star",), ("jconj", "dagger")),
+    "partner_eq_metric_then_structure": (("dagger",), ("star", "jconj")),
+    "partner_eq_structure_then_metric": (("dagger",), ("jconj", "star")),
+    "structure_eq_metric_then_partner": (("jconj",), ("star", "dagger")),
+    "structure_eq_partner_then_metric": (("jconj",), ("dagger", "star")),
+}
 
 
-def klein_table(conn: Connection, metric: MetricField, J: AlmostComplexStructure,
-                pts) -> KleinReport:
-    """Verify the four-group structure of the three conjugations.
+def klein_table(at) -> KleinReport:
+    """Verify the four-group structure of the three conjugations of a
+    model's connection at the points of ``at``, a ``model.ModelAt``.
 
     For a Hermitian metric the partners are (metric, 2-form, structure)
     conjugation; for a Norden metric (metric, twin-metric, structure).
-    Checks the three involutions and the six pairwise compositions; the
-    pair's purity is checked at ``pts`` first.
+    Checks the three involutions and the six pairwise compositions
+    (``KLEIN_PAIRS``); the pair's purity is checked at the points first.
     """
-    if metric.flavor == "hermitian":
-        partner = fundamental_two_form(metric, J, check_at=pts)
-    elif metric.flavor == "norden":
-        partner = twin_metric(metric, J, check_at=pts)
-    else:
+    metric, J = at.model.require("metric"), at.model.require("J")
+    sign = {"hermitian": 1.0, "norden": -1.0}.get(metric.flavor)
+    if sign is None:
         raise PreconditionError("klein_table needs a hermitian or norden metric")
-
-    def m(c):  # metric conjugate
-        return conjugate_by_bilinear(c, metric)
-
-    def w(c):  # partner-form conjugate
-        return conjugate_by_bilinear(c, partner)
-
-    def j(c):  # structure conjugate
-        return conjugate_by_J(c, J)
-
+    r = float(np.abs(purity_values(metric, J, at.pts, sign)).max())
+    if r > PURITY_TOL:
+        raise PreconditionError(f"metric is not {metric.flavor.capitalize()} for this "
+                                f"structure (purity {r:.3e})")
     report = KleinReport(flavor=metric.flavor)
-    res = report.residuals
-    res["metric_involution"] = _gamma_residual(m(m(conn)), conn, pts)
-    res["partner_involution"] = _gamma_residual(w(w(conn)), conn, pts)
-    res["structure_involution"] = _gamma_residual(j(j(conn)), conn, pts)
-    res["metric_eq_partner_then_structure"] = _gamma_residual(m(conn), j(w(conn)), pts)
-    res["metric_eq_structure_then_partner"] = _gamma_residual(m(conn), w(j(conn)), pts)
-    res["partner_eq_metric_then_structure"] = _gamma_residual(w(conn), j(m(conn)), pts)
-    res["partner_eq_structure_then_metric"] = _gamma_residual(w(conn), m(j(conn)), pts)
-    res["structure_eq_metric_then_partner"] = _gamma_residual(j(conn), w(m(conn)), pts)
-    res["structure_eq_partner_then_metric"] = _gamma_residual(j(conn), m(w(conn)), pts)
+    for name, (a, b) in KLEIN_PAIRS.items():
+        ga, gb = at.conn(a).gammas(at.pts), at.conn(b).gammas(at.pts)
+        report.residuals[name] = float(np.abs(ga - gb).max() / (1.0 + np.abs(ga).max()))
     return report

@@ -1,7 +1,9 @@
 """A chart model (the domain plus the structure fields of one scenario),
 and ``ModelAt``, the one evaluator of a model at a point array: ``check``
 sweeps its predicates, ``synthesize`` its constraints and ``verify`` its
-entry families through it."""
+entry families through it.  The kernels that combine a model's
+connection-derived arrays (d^D J, d^D b, the Klein table) are formulas on
+the torsions, covariant derivatives and conjugates it holds."""
 
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from .fields import ChartDomain, PolyTensorField
 from .structures import (
     AlmostComplexStructure,
     MetricField,
-    _as_field,
     d_nabla_J_values,
     d_nabla_metric_values,
     fundamental_two_form,
@@ -54,14 +55,11 @@ class ChartModel:
         """The companion (0,2) field: the 2-form of a Hermitian metric or
         the twin metric of a Norden one."""
         if self._partner is None:
-            metric = self.require("metric")
-            J = self.require("J")
-            if metric.flavor == "hermitian":
-                self._partner = fundamental_two_form(metric, J)
-            elif metric.flavor == "norden":
-                self._partner = twin_metric(metric, J)
-            else:
+            metric, J = self.require("metric"), self.require("J")
+            if metric.flavor not in ("hermitian", "norden"):
                 raise ConfigError("partner form needs a hermitian or norden metric")
+            pullback = fundamental_two_form if metric.flavor == "hermitian" else twin_metric
+            self._partner = pullback(metric, J)
         return self._partner
 
 
@@ -149,28 +147,26 @@ class ModelAt:
             self._conns[ops] = c
         return self._conns[ops]
 
-    def _form(self, which: str):
-        return self.model.require("metric") if which == "metric" else self.partner
+    def _form(self, which: str) -> PolyTensorField:
+        return self.model.require("metric").field if which == "metric" else self.partner
 
     def torsion(self, ops: tuple = ()):
         return self._memo(("T", ops), lambda: torsion_values(self.conn(ops), self.pts))
 
     def d_metric(self, ops: tuple = (), which: str = "metric"):
-        form = self._form(which)
-        return self._memo(("dB", ops, which),
-                          lambda: d_nabla_metric_values(self.conn(ops), form, self.pts))
+        return self._memo(("dB", ops, which), lambda: d_nabla_metric_values(
+            self.covd_metric(ops, which), self._form(which).values(self.pts), self.torsion(ops)))
 
     def covd_J(self, ops: tuple = ()):
         J = self.model.require("J")
         return self._memo(("cJ", ops), lambda: covd_values(self.conn(ops), J.field, self.pts))
 
     def d_J(self, ops: tuple = ()):
-        J = self.model.require("J")
-        return self._memo(("dJ", ops), lambda: d_nabla_J_values(self.conn(ops), J, self.pts,
-                                                                self.covd_J(ops)))
+        return self._memo(("dJ", ops), lambda: d_nabla_J_values(self.covd_J(ops), self.jv,
+                                                                self.torsion(ops)))
 
     def covd_metric(self, ops: tuple = (), which: str = "metric"):
-        form = _as_field(self._form(which))
+        form = self._form(which)
         return self._memo(("cB", ops, which), lambda: covd_values(self.conn(ops), form, self.pts))
 
 
@@ -189,25 +185,19 @@ def neutral_diagonal(dimension: int) -> np.ndarray:
     return np.diag([1.0 if i % 2 == 0 else -1.0 for i in range(dimension)])
 
 
+def _flat_model(form: np.ndarray, flavor: str) -> ChartModel:
+    """Constant ``flavor`` metric ``form``, standard structure, zero symbols."""
+    d = form.shape[0]
+    metric = MetricField(PolyTensorField.constant(d, (0, 2), form), flavor=flavor)
+    J = AlmostComplexStructure(PolyTensorField.constant(d, (1, 1), standard_structure(d)))
+    return ChartModel(domain=ChartDomain.cube(d), metric=metric, J=J, conn=PolyConnection.zero(d))
+
+
 def flat_hermitian_model(dimension: int) -> ChartModel:
     """Identity metric, constant standard structure, zero symbols."""
-    domain = ChartDomain.cube(dimension)
-    g = MetricField(
-        PolyTensorField.constant(dimension, (0, 2), np.eye(dimension)), flavor="hermitian"
-    )
-    J = AlmostComplexStructure(
-        PolyTensorField.constant(dimension, (1, 1), standard_structure(dimension))
-    )
-    return ChartModel(domain=domain, metric=g, J=J, conn=PolyConnection.zero(dimension))
+    return _flat_model(np.eye(dimension), "hermitian")
 
 
 def flat_norden_model(dimension: int) -> ChartModel:
     """Neutral diagonal metric, constant standard structure, zero symbols."""
-    domain = ChartDomain.cube(dimension)
-    h = MetricField(
-        PolyTensorField.constant(dimension, (0, 2), neutral_diagonal(dimension)), flavor="norden"
-    )
-    J = AlmostComplexStructure(
-        PolyTensorField.constant(dimension, (1, 1), standard_structure(dimension))
-    )
-    return ChartModel(domain=domain, metric=h, J=J, conn=PolyConnection.zero(dimension))
+    return _flat_model(neutral_diagonal(dimension), "norden")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampling
-from .calculus import covd_values, exterior_d2_values
+from .calculus import covd_values, exterior_d2_values, levi_civita
 from .contraction import contract
 from .errors import ConfigError, PreconditionError
 from .model import ChartModel, ModelAt
@@ -66,11 +66,11 @@ def _needs(model: ChartModel, *names):
     return [model.require(n) for n in names]
 
 
-# Predicates read through the evaluator's memo only what several of them
-# share (the covariant derivative of J, the torsion, the Nijenhuis tensor,
-# the partner form); what one predicate alone reads it computes and drops,
-# because a ``check`` keeps its evaluator to the end, and keeping those
-# arrays too adds about 5 MB to the peak of a 3600-point 4-d sweep.
+# Predicates read through the evaluator's memo what several of them share
+# (the covariant derivative of J, the torsion, the Nijenhuis tensor, the
+# partner form); the rest, the metric's covariant derivative included, they
+# compute and drop, because a ``check`` keeps its evaluator to the end, and
+# keeping those arrays adds about 5 MB to the peak of a 3600-point 4-d sweep.
 
 
 def _almost_complex(at: ModelAt):
@@ -90,7 +90,7 @@ def _norden(at: ModelAt):
 
 def _quasi_statistical(at: ModelAt):
     metric, conn = _needs(at.model, "metric", "Gamma")
-    return d_nabla_metric_values(conn, metric, at.pts)
+    return d_nabla_metric_values(covd_values(conn, metric.field, at.pts), at.bv, at.torsion())
 
 
 def _statistical(at: ModelAt):
@@ -115,8 +115,7 @@ def _integrable(at: ModelAt):
 
 
 def _d_closed_J(at: ModelAt):
-    J, conn = _needs(at.model, "J", "Gamma")
-    return d_nabla_J_values(conn, J, at.pts, at.covd_J())
+    return d_nabla_J_values(at.covd_J(), at.jv, at.torsion())
 
 
 def _kahler(at: ModelAt):
@@ -136,10 +135,11 @@ def _anti_kahler(at: ModelAt):
 
 
 def _quasi_kahler_norden(at: ModelAt):
-    metric, J = _needs(at.model, "metric", "J")
+    metric, _ = _needs(at.model, "metric", "J")
     if metric.flavor != "norden":
         raise PreconditionError("quasi_kahler_norden needs a norden-flavored metric")
-    return quasi_kahler_norden_sum_values(metric, J, at.pts)
+    lc = at.with_conn(levi_civita(metric.field))
+    return quasi_kahler_norden_sum_values(lc.covd_J(), at.bv)
 
 
 def _complex_connection(at: ModelAt):

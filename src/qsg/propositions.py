@@ -68,6 +68,11 @@ from .generate import (
 from .model import ChartModel, ModelAt, flat_hermitian_model
 from .predicates import check as predicate_check
 from .structures import (
+    _bt,
+    _jfirst,
+    _jout,
+    _slot3,
+    _tb,
     codazzi_defect,
     cyclic_sum_03,
     j_invariance_defect,
@@ -269,31 +274,6 @@ def ident_res(lhs: np.ndarray, rhs: np.ndarray) -> float:
 
 def zero_res(arr: np.ndarray) -> float:
     return float(np.abs(arr).max())
-
-
-def _jout(jv, a):
-    """J applied to the upper slot of a (1,2) array."""
-    return contract("nkm,nmij->nkij", jv, a)
-
-
-def _jfirst(a, jv):
-    """A(J x_i, x_j) for (1,2) arrays."""
-    return contract("nkaj,nai->nkij", a, jv)
-
-
-def _tb(t, bv):
-    """b(T(x_i, x_j), x_k)."""
-    return contract("nmij,nmk->nijk", t, bv)
-
-
-def _bt(bv, t):
-    """b(x_b, T(x_a, x_c)) at ``[n, a, b, c]``."""
-    return contract("nmac,nbm->nabc", t, bv)
-
-
-def _slot3(a, jv):
-    """A(x_i, x_j, J x_k) for (0,3) arrays."""
-    return contract("nija,nak->nijk", a, jv)
 
 
 @dataclass
@@ -675,8 +655,7 @@ def _pro3(ctx, fl):
 def _klein(ctx, fl):
     # teo1.klein / sec4.klein: the Klein table of the conjugations
     return _identities(ctx, fl, TOLERANCES["klein"], lambda td: {
-        fl.id("klein"): klein_table(td.model.conn, td.model.metric, td.model.J,
-                                    td.pts).max_residual})
+        fl.id("klein"): klein_table(td).max_residual})
 
 
 PRO4_POSITIONS = {"i": (("jconj",), ()), "ii": ((), ("jconj",)),
@@ -892,7 +871,8 @@ def _theolast(ctx):
 
     def residuals(td):
         s_phi = cyclic_sum_03(td.tachibana)
-        s_def = quasi_kahler_norden_sum_values(td.model.metric, td.model.J, td.pts)
+        lc = td.with_conn(levi_civita(td.model.metric.field))
+        s_def = quasi_kahler_norden_sum_values(lc.covd_J(), td.bv)
         a, b = zero_res(s_phi), zero_res(s_def)
         coupled.append((a <= tol and b <= tol) or (a >= 10 * tol and b >= 10 * tol))
         return {"theolast": ident_res(s_phi, s_def)}
@@ -1011,9 +991,11 @@ def run_full_suite(seed: int = 0, trials: int = 30, dims=(2, 4), degree: int = 2
     def selected(entry_id: str) -> bool:
         return not only or any(entry_id == o or entry_id.startswith(o + ".") for o in only)
 
-    for o in only:
+    for k, o in enumerate(only):
         if not any(i == o or i.startswith(o + ".") for i in ALL_IDS):
             raise QsgError(f"unknown proposition id {o!r}; valid ids: {', '.join(ALL_IDS)}")
+        if o in only[:k]:
+            raise QsgError(f"entry id {o!r} is listed more than once")
     families = [f for f in FAMILIES if any(map(selected, f.ids))]
     report = SuiteReport(seed=seed, trials=trials, dims=dims)
     for dim in dims:

@@ -3,7 +3,9 @@ Norden metrics, the associated 2-form and twin metric, and the coupling
 operators between a connection, a (1,1) structure and a metric.
 
 Operators are assembled on the coordinate frame fields and stored as
-component arrays.
+component arrays.  d^D J, d^D b and the quasi-Kahler Norden sum are
+formulas on the covariant derivatives, values and torsions that
+``model.ModelAt`` evaluates; they evaluate no connection themselves.
 """
 
 from __future__ import annotations
@@ -12,22 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (
-    Connection,
-    DerivedTensorField,
-    covd_values,
-    levi_civita,
-    torsion_values,
-)
+from .calculus import Connection, DerivedTensorField
 from .contraction import contract
-from .errors import PreconditionError, ShapeError
+from .errors import ShapeError
 from .fields import (
     PolyTensorField,
     bilinear_pullback_first,
     j_apply_vector,
 )
-
-PURITY_TOL = 1e-8
 
 
 @dataclass
@@ -102,30 +96,16 @@ def purity_values(b, J: AlmostComplexStructure, pts, sign: float) -> np.ndarray:
     return contract("nki,nkj->nij", jv, bv) + sign * contract("nkj,nik->nij", jv, bv)
 
 
-def _pullback_of_pure(b: MetricField, J: AlmostComplexStructure, check_at, sign: float,
-                      flavor: str) -> PolyTensorField:
-    """b(J., .) as an exact polynomial field, after checking the ``sign``
-    purity at ``check_at`` when points are given."""
-    if check_at is not None:
-        r = float(np.abs(purity_values(b, J, check_at, sign)).max())
-        if r > PURITY_TOL:
-            raise PreconditionError(f"metric is not {flavor} for this structure (purity {r:.3e})")
-    return bilinear_pullback_first(b.field, J.field)
+def fundamental_two_form(g: MetricField, J: AlmostComplexStructure) -> PolyTensorField:
+    """w(X, Y) = g(JX, Y), an exact polynomial field; antisymmetric for a
+    Hermitian pair (``purity_values`` measures how far a pair is from one)."""
+    return bilinear_pullback_first(g.field, J.field)
 
 
-def fundamental_two_form(g: MetricField, J: AlmostComplexStructure, check_at=None) -> PolyTensorField:
-    """w(X, Y) = g(JX, Y); antisymmetric for a Hermitian pair.
-
-    The result is an exact polynomial field.  When sample points are given,
-    Hermitian purity is verified first.
-    """
-    return _pullback_of_pure(g, J, check_at, 1.0, "Hermitian")
-
-
-def twin_metric(h: MetricField, J: AlmostComplexStructure, check_at=None) -> PolyTensorField:
-    """Twin metric hbar(X, Y) = h(JX, Y); symmetric for a Norden pair.
-    When sample points are given, Norden purity is verified first."""
-    return _pullback_of_pure(h, J, check_at, -1.0, "Norden")
+def twin_metric(h: MetricField, J: AlmostComplexStructure) -> PolyTensorField:
+    """Twin metric hbar(X, Y) = h(JX, Y), an exact polynomial field;
+    symmetric for a Norden pair."""
+    return bilinear_pullback_first(h.field, J.field)
 
 
 def nijenhuis(J: AlmostComplexStructure) -> DerivedTensorField:
@@ -139,11 +119,36 @@ def nijenhuis(J: AlmostComplexStructure) -> DerivedTensorField:
     def fn(pts):
         jv, jg = J.jets(pts)
         # c[k, i, j] = J^k_m d_j J^m_i + J^l_i d_l J^k_j, and N = c^T - c
-        c = contract("nkm,nmij->nkij", jv, jg)
+        c = _jout(jv, jg)
         c += contract("nli,nkjl->nkij", jv, jg)
         return np.swapaxes(c, 2, 3) - c
 
     return DerivedTensorField(J.dimension, (1, 2), fn)
+
+
+def _jout(jv, a):
+    """J applied to the upper slot of a (1,2) array."""
+    return contract("nkm,nmij->nkij", jv, a)
+
+
+def _jfirst(a, jv):
+    """A(J x_i, x_j) for (1,2) arrays."""
+    return contract("nkaj,nai->nkij", a, jv)
+
+
+def _tb(t, bv):
+    """b(T(x_i, x_j), x_k)."""
+    return contract("nmij,nmk->nijk", t, bv)
+
+
+def _bt(bv, t):
+    """b(x_b, T(x_a, x_c)) at ``[n, a, b, c]``."""
+    return contract("nmac,nbm->nabc", t, bv)
+
+
+def _slot3(a, jv):
+    """A(x_i, x_j, J x_k) for (0,3) arrays."""
+    return contract("nija,nak->nijk", a, jv)
 
 
 def torsion_compat(a: np.ndarray, jv: np.ndarray) -> np.ndarray:
@@ -152,7 +157,7 @@ def torsion_compat(a: np.ndarray, jv: np.ndarray) -> np.ndarray:
     On a torsion this is the torsion-compatibility operator; the
     structure-compatible torsions are its zeros.
     """
-    return contract("nkaj,nai->nkij", a, jv) + contract("nkia,naj->nkij", a, jv)
+    return _jfirst(a, jv) + contract("nkia,naj->nkij", a, jv)
 
 
 def j_invariance_defect(a: np.ndarray, jv: np.ndarray) -> np.ndarray:
@@ -167,28 +172,17 @@ def codazzi_defect(dl: np.ndarray) -> np.ndarray:
     return dl - np.swapaxes(dl, 2, 3)
 
 
-def d_nabla_J_values(conn: Connection, J: AlmostComplexStructure, pts,
-                     dj: np.ndarray | None = None) -> np.ndarray:
-    """(d^D J)^k_{ij} = (D_i J)^k_j - (D_j J)^k_i + J^k_m T^m_{ij}; ``dj``
-    is ``covd_values(conn, J.field, pts)`` when the caller already has it."""
-    if dj is None:
-        dj = covd_values(conn, J.field, pts)
-    jv = J.values(pts)
-    tv = torsion_values(conn, pts)
-    return codazzi_defect(dj) + contract("nkm,nmij->nkij", jv, tv)
+def d_nabla_J_values(dj: np.ndarray, jv: np.ndarray, tv: np.ndarray) -> np.ndarray:
+    """(d^D J)^k_{ij} = (D_i J)^k_j - (D_j J)^k_i + J^k_m T^m_{ij} from
+    ``dj[n, k, i, j] = (D_i J)^k_j``, the values of J and the torsion."""
+    return codazzi_defect(dj) + _jout(jv, tv)
 
 
-def d_nabla_metric_values(conn: Connection, b, pts) -> np.ndarray:
-    """(d^D b)_{ijk} = (D_i b)_{jk} - (D_j b)_{ik} + b(T(x_i, x_j), x_k).
-
-    Applies to symmetric and antisymmetric b alike; antisymmetric in the
-    first two slots.
-    """
-    field = _as_field(b)
-    db = covd_values(conn, field, pts)
-    bv = field.values(pts)
-    tv = torsion_values(conn, pts)
-    return db - np.swapaxes(db, 1, 2) + contract("nmij,nmk->nijk", tv, bv)
+def d_nabla_metric_values(db: np.ndarray, bv: np.ndarray, tv: np.ndarray) -> np.ndarray:
+    """(d^D b)_{ijk} = (D_i b)_{jk} - (D_j b)_{ik} + b(T(x_i, x_j), x_k) from
+    ``db[n, i, j, k] = (D_i b)_{jk}``, the values of b and the torsion; for
+    symmetric and antisymmetric b alike, antisymmetric in (i, j)."""
+    return db - np.swapaxes(db, 1, 2) + _tb(tv, bv)
 
 
 def tachibana_values(J: AlmostComplexStructure, h: MetricField, pts) -> np.ndarray:
@@ -213,13 +207,11 @@ def cyclic_sum_03(arr: np.ndarray) -> np.ndarray:
     return arr + np.einsum("nbca->nabc", arr) + np.einsum("ncab->nabc", arr)
 
 
-def quasi_kahler_norden_sum_values(h: MetricField, J: AlmostComplexStructure, pts) -> np.ndarray:
-    """Cyclic sum of h((D_a J) x_b, x_c) under the metric's own torsion-free
+def quasi_kahler_norden_sum_values(dj: np.ndarray, hv: np.ndarray) -> np.ndarray:
+    """Cyclic sum of h((D_a J) x_b, x_c) from the values of h and
+    ``dj[n, m, a, b] = (D_a J)^m_b`` under the metric's own torsion-free
     metric-parallel connection."""
-    dj = covd_values(levi_civita(h.field), J.field, pts)  # dj[n,m,a,b] = (D_a J)^m_b
-    hv = h.values(pts)
-    base = contract("nmab,nmc->nabc", dj, hv)
-    return cyclic_sum_03(base)
+    return cyclic_sum_03(_tb(dj, hv))
 
 
 def vishnevskii_frame_values(conn: Connection, J: AlmostComplexStructure, pts) -> np.ndarray:
@@ -233,7 +225,7 @@ def vishnevskii_frame_values(conn: Connection, J: AlmostComplexStructure, pts) -
     """
     jv = J.values(pts)
     g = conn.gammas(pts)
-    return contract("nli,nklj->nkij", jv, g) - contract("nkm,nmij->nkij", jv, g)
+    return contract("nli,nklj->nkij", jv, g) - _jout(jv, g)
 
 
 def vishnevskii_jframe_values(conn: Connection, J: AlmostComplexStructure, pts) -> np.ndarray:
@@ -247,7 +239,7 @@ def vishnevskii_jframe_values(conn: Connection, J: AlmostComplexStructure, pts) 
     # D_{J x_i}(J x_j) = J^l_i (d_l J^k_j + gamma^k_{lm} J^m_j)
     t1 = contract("nli,nkjl->nkij", jv, jg + contract("nklm,nmj->nkjl", g, jv))
     # J (D_{x_i}(J x_j)) = J^k_m (d_i J^m_j + gamma^m_{il} J^l_j)
-    t2 = contract("nkm,nmij->nkij", jv, np.swapaxes(jg, 2, 3) + contract("nmil,nlj->nmij", g, jv))
+    t2 = _jout(jv, np.swapaxes(jg, 2, 3) + contract("nmil,nlj->nmij", g, jv))
     return t1 - t2
 
 

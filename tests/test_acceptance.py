@@ -17,6 +17,7 @@ from oracle import random_poly
 from qsg import sampling
 from qsg.calculus import levi_civita, torsion_values, covd_values, PolyConnection
 from qsg.connections import klein_table
+from qsg.fields import ChartDomain
 from qsg.generate import (
     GenSpec,
     gen_almost_complex,
@@ -24,6 +25,7 @@ from qsg.generate import (
     gen_norden_metric,
     random_poly_field,
 )
+from qsg.model import ChartModel, ModelAt
 
 TRIALS = 30
 DIMS = "2,4"
@@ -80,7 +82,8 @@ def test_criterion_1_klein_suite(suite):
                 spec, J)
             conn = PolyConnection(random_poly_field(sampling.rng(seed, 90), 2, (1, 2), 2, 1.0))
             pts = sampling.sample_box([(-0.5, 0.5)] * 2, 25, seed, 91)
-            rep = klein_table(conn, metric, J, pts)
+            model = ChartModel(domain=ChartDomain.cube(2), metric=metric, J=J, conn=conn)
+            rep = klein_table(ModelAt(model, pts))
             ok = ok and rep.max_residual <= 1e-8
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60.0

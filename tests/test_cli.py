@@ -289,6 +289,21 @@ def test_synthesize_unwritable_out_exits_2(capsys, tmp_path, flat_model_path):
     assert not out_path.exists()
 
 
+
+def test_synthesize_degree_above_model_file_limit_exits_2(capsys, tmp_path, flat_model_path):
+    # a witness of that degree could not be read back by check
+    out_path = tmp_path / "witness.json"
+    code, out, err = run_cli(capsys, "synthesize", flat_model_path, "--constraints",
+                             "torsion_free", "--degree", "17", "--out", str(out_path))
+    assert code == 2
+    assert "--degree 17 exceeds 16" in err
+    assert out == ""
+    assert not out_path.exists()
+    code, out, _ = run_cli(capsys, "synthesize", flat_model_path, "--constraints",
+                           "torsion_free", "--degree", "16", "--out", str(out_path))
+    assert code == 0
+    assert run_cli(capsys, "check", str(out_path), "--predicates", "statistical")[0] == 0
+
 @pytest.mark.parametrize("argv, option", [
     (["check", "MODEL", "--predicates", "kahler", "--samples", "0"], "--samples"),
     (["check", "MODEL", "--predicates", "kahler", "--samples", "-3"], "--samples"),
@@ -331,7 +346,12 @@ def test_bad_dims_exits_2_with_message(capsys, dims, words):
     (["synthesize", "MODEL", "--constraints", "codazzi_J,codazzi_J"], "constraint 'codazzi_J'"),
     (["synthesize", "MODEL", "--constraints", "torsion_free,codazzi_J,torsion_free"],
      "constraint 'torsion_free'"),
-], ids=["check-adjacent", "check-apart", "synthesize-adjacent", "synthesize-apart"])
+    (["verify", "--dims", "2", "--trials", "1", "--only", "teo1.klein,teo1.klein"],
+     "entry id 'teo1.klein'"),
+    (["verify", "--dims", "2", "--trials", "1", "--only", "GAD1,teo1.klein,GAD1"],
+     "entry id 'GAD1'"),
+], ids=["check-adjacent", "check-apart", "synthesize-adjacent", "synthesize-apart",
+        "verify-adjacent", "verify-apart"])
 def test_repeated_name_exits_2_with_message(capsys, flat_model_path, argv, words):
     argv = [flat_model_path if a == "MODEL" else a for a in argv]
     code, out, err = run_cli(capsys, *argv)

@@ -14,7 +14,7 @@ from qsg.connections import (
     klein_table,
 )
 from qsg.errors import PreconditionError
-from qsg.fields import PolyTensorField
+from qsg.fields import ChartDomain, PolyTensorField
 from qsg.generate import (
     GenSpec,
     gen_almost_complex,
@@ -22,7 +22,7 @@ from qsg.generate import (
     gen_norden_metric,
     random_poly_field,
 )
-from qsg.model import flat_hermitian_model
+from qsg.model import ChartModel, ModelAt, flat_hermitian_model
 from qsg.structures import MetricField
 
 
@@ -33,6 +33,12 @@ def _hermitian_setup(seed, dim=2):
     conn = PolyConnection(random_poly_field(sampling.rng(seed, 9), dim, (1, 2), 2, 1.0))
     pts = sampling.sample_box([(-0.5, 0.5)] * dim, 25, seed, 200)
     return J, g, conn, pts
+
+
+def _at(conn, metric, J, pts):
+    """The model (``metric``, ``J``, ``conn``) at ``pts``."""
+    return ModelAt(ChartModel(domain=ChartDomain.cube(J.dimension), metric=metric, J=J,
+                              conn=conn), pts)
 
 
 def test_flat_identity_self_conjugate():
@@ -106,8 +112,6 @@ def test_conjugation_rejects_mixed_symmetry():
 
 
 def test_j_conjugate_involution_and_closedness():
-    from qsg.structures import d_nabla_J_values
-
     for seed in range(15):
         J, g, conn, pts = _hermitian_setup(seed)
         cj = conjugate_by_J(conn, J)
@@ -121,7 +125,7 @@ def test_j_conjugate_involution_and_closedness():
     d0 = gen_connection(spec)
     J, g, _, pts = _hermitian_setup(1)
     w = conjugate_by_J(d0, J)
-    assert np.abs(d_nabla_J_values(w, J, pts)).max() <= 1e-9
+    assert np.abs(_at(w, g, J, pts).d_J()).max() <= 1e-9
 
 
 def test_average_connection_parallelizes_structure():
@@ -140,7 +144,7 @@ def test_average_connection_parallelizes_structure():
 def test_flat_standard_klein_table_zero():
     model = flat_hermitian_model(2)
     pts = sampling.sample_box([(-0.5, 0.5)] * 2, 10, 0, 202)
-    rep = klein_table(model.conn, model.metric, model.J, pts)
+    rep = klein_table(ModelAt(model, pts))
     assert rep.max_residual == 0.0
 
 
@@ -148,7 +152,7 @@ def test_flat_standard_klein_table_zero():
 def test_klein_table_hermitian(dim):
     for seed in range(10):
         J, g, conn, pts = _hermitian_setup(seed, dim)
-        rep = klein_table(conn, g, J, pts)
+        rep = klein_table(_at(conn, g, J, pts))
         assert rep.passed, rep.residuals
         assert rep.max_residual <= 1e-8
 
@@ -161,7 +165,7 @@ def test_klein_table_norden(dim):
         h = gen_norden_metric(spec, J)
         conn = PolyConnection(random_poly_field(sampling.rng(seed, 11), dim, (1, 2), 2, 1.0))
         pts = sampling.sample_box([(-0.5, 0.5)] * dim, 25, seed, 203)
-        rep = klein_table(conn, h, J, pts)
+        rep = klein_table(_at(conn, h, J, pts))
         assert rep.passed, rep.residuals
         assert rep.max_residual <= 1e-8
 
@@ -169,11 +173,14 @@ def test_klein_table_norden(dim):
 def test_klein_table_flavor_mismatch():
     J, g, conn, pts = _hermitian_setup(7)
     h_wrong = MetricField(g.field, flavor="norden")  # wrong flavor for this pair
-    with pytest.raises(PreconditionError):
-        klein_table(conn, h_wrong, J, pts)
+    with pytest.raises(PreconditionError, match="not Norden"):
+        klein_table(_at(conn, h_wrong, J, pts))
+    impure = MetricField(PolyTensorField.constant(2, (0, 2), np.diag([1.0, 2.0])), "hermitian")
+    with pytest.raises(PreconditionError, match="not Hermitian"):
+        klein_table(_at(conn, impure, J, pts))
     plain = MetricField(g.field, flavor="plain")
-    with pytest.raises(PreconditionError):
-        klein_table(conn, plain, J, pts)
+    with pytest.raises(PreconditionError, match="hermitian or norden"):
+        klein_table(_at(conn, plain, J, pts))
 
 
 def test_klein_report_fails_on_a_later_nan():

@@ -34,8 +34,6 @@ from qsg.model import ChartModel, ModelAt, flat_hermitian_model
 from qsg.predicates import PREDICATES, check
 from qsg.structures import (
     MetricField,
-    d_nabla_J_values,
-    d_nabla_metric_values,
     nijenhuis,
     purity_values,
     twin_metric,
@@ -122,7 +120,8 @@ def test_d_closed_recipe_and_conjugate_torsion():
             GenSpec(seed=seed, dimension=4, degree=2,
                     constraints=frozenset({"d_closed_J"})), J=J)
         p = pts(4, seed)
-        assert np.abs(d_nabla_J_values(conn, J, p)).max() <= 1e-9
+        model = ChartModel(domain=ChartDomain.cube(4), J=J, conn=conn)
+        assert np.abs(ModelAt(model, p).d_J()).max() <= 1e-9
         # equivalent formulation: the conjugate connection is torsion-free
         assert np.abs(torsion_values(conjugate_by_J(conn, J), p)).max() <= 1e-9
 
@@ -160,7 +159,8 @@ def test_quasi_statistical_recipes():
     conn = gen_connection(
         GenSpec(seed=3, dimension=4, degree=2,
                 constraints=frozenset({"quasi_statistical_g"})), metric=g)
-    assert np.abs(d_nabla_metric_values(conn, g, pts(4, 3))).max() <= 1e-9
+    model = ChartModel(domain=ChartDomain.cube(4), metric=g, conn=conn)
+    assert np.abs(ModelAt(model, pts(4, 3)).d_metric()).max() <= 1e-9
 
 
 def test_complex_connection_recipe():
@@ -283,7 +283,7 @@ def test_synthesis_matches_recipe_quality():
     recipe = gen_connection(
         GenSpec(seed=8, dimension=2, degree=2, constraints=frozenset({"d_closed_J"})),
         J=model.J)
-    recipe_res = np.abs(d_nabla_J_values(recipe, model.J, p)).max()
+    recipe_res = np.abs(ModelAt(model, p, recipe).d_J()).max()
     sr = synthesize_connection(model, ["d_closed_J"], ansatz_degree=2, seed=8)
     assert sr.residual <= recipe_res + 1e-12
 

@@ -144,9 +144,11 @@ def test_shared_kernels_run_once_per_call(monkeypatch):
             (_n, a[1] is model.J.field if _n == "covd_values" else None)) or _f(*a))
     together = [r.to_dict() for r in check_many(model, names, seed=5, samples=30)]
     assert together == alone
-    # covd of the metric (statistical) is read once; the J one three times
-    assert sorted(calls) == [("covd_values", False), ("covd_values", True),
-                             ("nijenhuis", None), ("torsion_values", None)]
+    # the J derivative is read by three predicates and computed once; the
+    # metric's (statistical, quasi_statistical) is computed and dropped by each
+    assert sorted(calls) == [("covd_values", False), ("covd_values", False),
+                             ("covd_values", True), ("nijenhuis", None),
+                             ("torsion_values", None)]
 
 
 def test_reports_do_not_depend_on_the_order_of_names():

@@ -189,6 +189,26 @@ def test_trial_data_memo_is_read_only_and_shared_with_conn_copies():
     assert np.abs(j_only.nijenhuis).max() <= 1e-12
 
 
+def test_kernels_run_once_per_connection_and_points(monkeypatch):
+    # every torsion and covariant derivative the pro3 and pro4 families
+    # read comes from one evaluation per (connection, field, points): the
+    # d^D J and d^D b formulas take ModelAt's memoized arrays
+    from qsg import calculus, model, predicates, structures
+
+    calls = []
+    for name in ("torsion_values", "covd_values"):
+        def counted(*args, _f=getattr(calculus, name), _n=name):
+            calls.append((_n, args))  # keeps the arguments alive, so ids stay unique
+            return _f(*args)
+        for module in (calculus, model, structures, predicates):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    run_full_suite(seed=0, trials=1, dims=(4,), only=("pro3", "pro4"))
+    keys = [(n, *map(id, args)) for n, args in calls]
+    assert {k[0] for k in keys} == {"torsion_values", "covd_values"}
+    assert len(keys) == len(set(keys))
+
+
 SELECT = dict(seed=0, trials=2, dims=(2, 4))
 
 
