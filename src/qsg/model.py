@@ -64,10 +64,12 @@ class ChartModel:
 
 
 class ModelAt:
-    """One model at one point array, with every derived array memoized for
-    the evaluator's life and marked read-only.  Each accessor asks the model
-    for its fields through ``ChartModel.require``, so a missing one raises
-    the same ``ConfigError`` whichever command reads it.
+    """One model at one point array.  Torsions, covariant derivatives and the
+    Nijenhuis and holomorphicity operators are memoized for its life and
+    read-only; d^D J and d^D b, formulas on them, are evaluated per call, so
+    it keeps one array per (connection, field), not two.  Each accessor asks
+    the model for its fields through ``ChartModel.require``, so a missing one
+    raises the same ``ConfigError`` whichever command reads it.
 
     ``conn`` replaces the model's connection.  Connections are addressed by
     op-tuples applied left to right, e.g. ``("star", "jconj")`` is the
@@ -154,16 +156,15 @@ class ModelAt:
         return self._memo(("T", ops), lambda: torsion_values(self.conn(ops), self.pts))
 
     def d_metric(self, ops: tuple = (), which: str = "metric"):
-        return self._memo(("dB", ops, which), lambda: d_nabla_metric_values(
-            self.covd_metric(ops, which), self._form(which).values(self.pts), self.torsion(ops)))
+        return d_nabla_metric_values(self.covd_metric(ops, which),
+                                     self._form(which).values(self.pts), self.torsion(ops))
 
     def covd_J(self, ops: tuple = ()):
         J = self.model.require("J")
         return self._memo(("cJ", ops), lambda: covd_values(self.conn(ops), J.field, self.pts))
 
     def d_J(self, ops: tuple = ()):
-        return self._memo(("dJ", ops), lambda: d_nabla_J_values(self.covd_J(ops), self.jv,
-                                                                self.torsion(ops)))
+        return d_nabla_J_values(self.covd_J(ops), self.jv, self.torsion(ops))
 
     def covd_metric(self, ops: tuple = (), which: str = "metric"):
         form = self._form(which)

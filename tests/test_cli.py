@@ -289,7 +289,6 @@ def test_synthesize_unwritable_out_exits_2(capsys, tmp_path, flat_model_path):
     assert not out_path.exists()
 
 
-
 def test_synthesize_degree_above_model_file_limit_exits_2(capsys, tmp_path, flat_model_path):
     # a witness of that degree could not be read back by check
     out_path = tmp_path / "witness.json"
@@ -303,6 +302,7 @@ def test_synthesize_degree_above_model_file_limit_exits_2(capsys, tmp_path, flat
                            "torsion_free", "--degree", "16", "--out", str(out_path))
     assert code == 0
     assert run_cli(capsys, "check", str(out_path), "--predicates", "statistical")[0] == 0
+
 
 @pytest.mark.parametrize("argv, option", [
     (["check", "MODEL", "--predicates", "kahler", "--samples", "0"], "--samples"),

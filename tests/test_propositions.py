@@ -181,7 +181,7 @@ def test_trial_data_memo_is_read_only_and_shared_with_conn_copies():
     # connection-independent arrays are computed once per trial
     assert wd.jv is td.jv and wd.pv is td.pv and wd.nijenhuis is td.nijenhuis
     assert wd.torsion() is not td.torsion()
-    for arr in (td.jv, td.pv, td.torsion(), wd.d_J(), wd.d_metric(("jconj",), "partner")):
+    for arr in (td.jv, td.pv, td.torsion(), wd.covd_J(), wd.covd_metric(("jconj",), "partner")):
         with pytest.raises(ValueError):
             arr[...] = 0.0
     # the partner form is built on first use, so a structure-only model fits
