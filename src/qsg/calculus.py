@@ -91,7 +91,8 @@ class ConstantConnection(Connection):
 
 
 class LeviCivitaConnection(Connection):
-    """Levi-Civita symbols of a symmetric nondegenerate (0,2) field.
+    """Levi-Civita symbols of a symmetric nondegenerate (0,2) field: the
+    torsion-free connection that parallelizes it.
 
     ``gamma^k_{ij} = 1/2 b^{kl} (d_i b_{jl} + d_j b_{il} - d_l b_{ij})``,
     evaluated from the exact jets of ``b``.
@@ -108,11 +109,6 @@ class LeviCivitaConnection(Connection):
         # bg[n,i,j,l] = d_l b_{ij}
         r = np.einsum("njli->nlij", bg) + np.einsum("nilj->nlij", bg) - np.einsum("nijl->nlij", bg)
         return 0.5 * contract("nkl,nlij->nkij", binv, r)
-
-
-def levi_civita(b) -> LeviCivitaConnection:
-    """Torsion-free, metric-parallel connection of a symmetric metric field."""
-    return LeviCivitaConnection(b)
 
 
 def _require_symmetric(bv, pts):

@@ -8,7 +8,8 @@ Three transforms act on a connection D:
   ``Z b(X, Y) = b(D_Z X, Y) + b(X, D'_Z Y)``;
 * structure conjugation by an almost complex structure:
   ``D^J_X Y = J^{-1}(D_X (J Y))`` with ``J^{-1} = -J``;
-* averaging with the structure conjugate, which parallelizes J.
+* averaging with the structure conjugate (a ``CombinationConnection``),
+  which parallelizes J.
 
 For a compatible (metric, structure) pair the three conjugations commute
 pairwise into each other, forming a Klein four-group on connections;
@@ -25,10 +26,11 @@ import numpy as np
 from .calculus import Connection, _checked_inverse
 from .contraction import contract
 from .errors import PreconditionError
-from .structures import AlmostComplexStructure, _as_field, _jout, purity_values
+from .structures import PURITY_SIGN, AlmostComplexStructure, _as_field, _jout, purity_values
 
 SKEW_OR_SYM_TOL = 1e-10
 PURITY_TOL = 1e-8
+KLEIN_TOL = 1e-8  # the gate on each of the Klein table's nine residuals
 
 
 class BilinearConjugateConnection(Connection):
@@ -91,26 +93,13 @@ class CombinationConnection(Connection):
         return out
 
 
-def conjugate_by_bilinear(conn: Connection, b) -> BilinearConjugateConnection:
-    return BilinearConjugateConnection(conn, b)
-
-
-def conjugate_by_J(conn: Connection, J: AlmostComplexStructure) -> JConjugateConnection:
-    return JConjugateConnection(conn, J)
-
-
-def average_connection(conn: Connection, J: AlmostComplexStructure) -> CombinationConnection:
-    """The mean of a connection and its structure conjugate; parallelizes J."""
-    return CombinationConnection([(0.5, conn), (0.5, conjugate_by_J(conn, J))])
-
-
 @dataclass
 class KleinReport:
     """Residuals of the involution and composition identities."""
 
     flavor: str
     residuals: dict = dc_field(default_factory=dict)
-    tolerance: float = 1e-8
+    tolerance: float = KLEIN_TOL
 
     @property
     def max_residual(self) -> float:
@@ -146,7 +135,7 @@ def klein_table(at) -> KleinReport:
     (``KLEIN_PAIRS``); the pair's purity is checked at the points first.
     """
     metric, J = at.model.require("metric"), at.model.require("J")
-    sign = {"hermitian": 1.0, "norden": -1.0}.get(metric.flavor)
+    sign = PURITY_SIGN.get(metric.flavor)
     if sign is None:
         raise PreconditionError("klein_table needs a hermitian or norden metric")
     r = float(np.abs(purity_values(metric, J, at.pts, sign)).max())

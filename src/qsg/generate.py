@@ -42,7 +42,7 @@ import numpy as np
 from . import sampling
 from .blas import pin_one_thread
 from .calculus import Connection, ConstantConnection, PolyConnection
-from .connections import conjugate_by_bilinear
+from .connections import BilinearConjugateConnection
 from .contraction import contract
 from .errors import GenerationError, SynthesisError
 from .fields import (
@@ -82,7 +82,6 @@ class GenSpec:
     seed: int
     dimension: int
     degree: int = 2
-    constraints: frozenset = frozenset()
 
     def __post_init__(self):
         if self.dimension < 2 or self.dimension % 2 != 0:
@@ -386,11 +385,10 @@ def _symmetrize_12(t: PolyTensorField, sign: float = 1.0) -> PolyTensorField:
     return (t + poly_einsum("kji->kij", t, valence=(1, 2)).scale(sign)).scale(0.5)
 
 
-def gen_connection(spec: GenSpec, J: AlmostComplexStructure | None = None,
+def gen_connection(spec: GenSpec, constraint: str, J: AlmostComplexStructure | None = None,
                    metric: MetricField | None = None) -> Connection:
-    """Closed-form recipes for single-constraint connection families.
+    """Closed-form recipe for a connection satisfying one constraint.
 
-    * no constraints: random polynomial symbols;
     * ``torsion_free``: symmetrized random symbols;
     * ``d_closed_J``: structure conjugate of a torsion-free connection;
     * ``j_invariant_torsion``: symmetric part plus half a projected torsion;
@@ -399,21 +397,11 @@ def gen_connection(spec: GenSpec, J: AlmostComplexStructure | None = None,
     * ``complex_connection``: average of a random connection with its
       structure conjugate.
 
-    Multi-constraint sets have no closed form here; use
-    ``synthesize_connection``.
+    Constraint sets have no closed form here; use ``synthesize_connection``.
     """
-    cons = frozenset(spec.constraints)
     d = spec.dimension
     rng = sampling.rng(spec.seed, T_C, d)
     raw = random_poly_field(rng, d, (1, 2), spec.degree, 1.0)
-    if len(cons) == 0:
-        return PolyConnection(raw)
-    if len(cons) > 1:
-        raise GenerationError(
-            f"no closed-form recipe for constraint set {sorted(cons)}; "
-            "use synthesize_connection"
-        )
-    (constraint,) = cons
     if constraint == "torsion_free":
         return PolyConnection(_symmetrize_12(raw))
     if constraint == "d_closed_J":
@@ -427,7 +415,7 @@ def gen_connection(spec: GenSpec, J: AlmostComplexStructure | None = None,
     if constraint in ("quasi_statistical_g", "quasi_statistical_h"):
         _require(metric, f"{constraint} needs a metric")
         base = PolyConnection(_symmetrize_12(raw))
-        return conjugate_by_bilinear(base, metric)
+        return BilinearConjugateConnection(base, metric)
     if constraint == "complex_connection":
         _require(J, "complex_connection needs an almost complex structure")
         return PolyConnection(

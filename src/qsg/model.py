@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .calculus import Connection, PolyConnection, covd_values, torsion_values
-from .connections import average_connection, conjugate_by_bilinear, conjugate_by_J
+from .connections import BilinearConjugateConnection, CombinationConnection, JConjugateConnection
 from .errors import ConfigError, QsgError
 from .fields import ChartDomain, PolyTensorField
 from .structures import (
@@ -137,13 +137,13 @@ class ModelAt:
         if ops not in self._conns:
             base, op = self.conn(ops[:-1]), ops[-1]
             if op == "star":
-                c = conjugate_by_bilinear(base, self.model.require("metric"))
+                c = BilinearConjugateConnection(base, self.model.require("metric"))
             elif op == "dagger":
-                c = conjugate_by_bilinear(base, self.partner)
+                c = BilinearConjugateConnection(base, self.partner)
             elif op == "jconj":
-                c = conjugate_by_J(base, self.model.require("J"))
-            elif op == "avg":
-                c = average_connection(base, self.model.require("J"))
+                c = JConjugateConnection(base, self.model.require("J"))
+            elif op == "avg":  # the mean with the structure conjugate; parallelizes J
+                c = CombinationConnection([(0.5, base), (0.5, self.conn(ops[:-1] + ("jconj",)))])
             else:
                 raise QsgError(f"unknown connection op {op!r}")
             self._conns[ops] = c

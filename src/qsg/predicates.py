@@ -15,15 +15,17 @@ holdout points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import sampling
-from .calculus import covd_values, exterior_d2_values, levi_civita
+from .calculus import LeviCivitaConnection, covd_values, exterior_d2_values
 from .contraction import contract
 from .errors import ConfigError, PreconditionError
 from .model import ChartModel, ModelAt
 from .structures import (
+    PURITY_SIGN,
     codazzi_defect,
     d_nabla_J_values,
     d_nabla_metric_values,
@@ -66,6 +68,14 @@ def _needs(model: ChartModel, *names):
     return [model.require(n) for n in names]
 
 
+def _flavored(at: ModelAt, predicate: str, flavor: str):
+    """The model's metric and structure; raises unless the metric is ``flavor``."""
+    metric, J = _needs(at.model, "metric", "J")
+    if metric.flavor != flavor:
+        raise PreconditionError(f"{predicate} needs a {flavor}-flavored metric")
+    return metric, J
+
+
 # Predicates read through the evaluator's memo what several of them share
 # (the covariant derivative of J, the torsion, the Nijenhuis tensor, the
 # partner form); the rest, the metric's covariant derivative included, they
@@ -78,14 +88,9 @@ def _almost_complex(at: ModelAt):
     return contract("nkm,nmj->nkj", jv, jv) + np.eye(at.model.dimension)
 
 
-def _hermitian(at: ModelAt):
+def _purity(at: ModelAt, flavor: str):
     metric, J = _needs(at.model, "metric", "J")
-    return purity_values(metric, J, at.pts, 1.0)
-
-
-def _norden(at: ModelAt):
-    metric, J = _needs(at.model, "metric", "J")
-    return purity_values(metric, J, at.pts, -1.0)
+    return purity_values(metric, J, at.pts, PURITY_SIGN[flavor])
 
 
 def _quasi_statistical(at: ModelAt):
@@ -119,26 +124,20 @@ def _d_closed_J(at: ModelAt):
 
 
 def _kahler(at: ModelAt):
-    metric, _ = _needs(at.model, "metric", "J")
-    if metric.flavor != "hermitian":
-        raise PreconditionError("kahler needs a hermitian-flavored metric")
+    _flavored(at, "kahler", "hermitian")
     domega = exterior_d2_values(at.partner, at.pts)
     n = at.pts.shape[0]
     return np.concatenate([at.nijenhuis.reshape(n, -1), domega.reshape(n, -1)], axis=1)
 
 
 def _anti_kahler(at: ModelAt):
-    metric, J = _needs(at.model, "metric", "J")
-    if metric.flavor != "norden":
-        raise PreconditionError("anti_kahler needs a norden-flavored metric")
+    metric, J = _flavored(at, "anti_kahler", "norden")
     return tachibana_values(J, metric, at.pts)
 
 
 def _quasi_kahler_norden(at: ModelAt):
-    metric, _ = _needs(at.model, "metric", "J")
-    if metric.flavor != "norden":
-        raise PreconditionError("quasi_kahler_norden needs a norden-flavored metric")
-    lc = at.with_conn(levi_civita(metric.field))
+    metric, _ = _flavored(at, "quasi_kahler_norden", "norden")
+    lc = at.with_conn(LeviCivitaConnection(metric.field))
     return quasi_kahler_norden_sum_values(lc.covd_J(), at.bv)
 
 
@@ -148,8 +147,8 @@ def _complex_connection(at: ModelAt):
 
 PREDICATES = {
     "almost_complex": _almost_complex,
-    "hermitian": _hermitian,
-    "norden": _norden,
+    "hermitian": partial(_purity, flavor="hermitian"),
+    "norden": partial(_purity, flavor="norden"),
     "quasi_statistical": _quasi_statistical,
     "statistical": _statistical,
     "codazzi_J": _codazzi_J,

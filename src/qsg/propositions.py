@@ -44,12 +44,12 @@ import numpy as np
 
 from . import sampling
 from .calculus import (
+    LeviCivitaConnection,
     PolyConnection,
     exterior_d2_connection_expansion,
     exterior_d2_values,
-    levi_civita,
 )
-from .connections import conjugate_by_bilinear, conjugate_by_J, klein_table
+from .connections import KLEIN_TOL, BilinearConjugateConnection, JConjugateConnection, klein_table
 from .contraction import contract
 from .errors import QsgError
 from .fields import ChartDomain, PolyTensorField
@@ -68,6 +68,7 @@ from .generate import (
 from .model import ChartModel, ModelAt, flat_hermitian_model
 from .predicates import check as predicate_check
 from .structures import (
+    PURITY_SIGN,
     _bt,
     _jfirst,
     _jout,
@@ -86,7 +87,7 @@ from .structures import (
 TOLERANCES = {
     "kernel_identity": 1e-9,
     "identity": 1e-8,
-    "klein": 1e-8,
+    "klein": KLEIN_TOL,
     "hypothesis": 1e-7,
     "conclusion": 1e-6,
     "strict_conclusion": 1e-7,
@@ -201,13 +202,16 @@ class Flavor:
 
     name: str  # metric flavor of the trial pairs
     section: str  # runner that reports this flavor's twin entries
-    # the partner form b(J., .) (2-form or twin metric) has derivative
-    # sign * the metric's derivative with J in the last slot
-    sign: float
     tags: tuple  # sub-seed tags: trial structure and metric, trial symbols, pro3 witness
     prefixes: dict  # twin family -> id prefix
     cor_positions: dict  # cor item -> (derivative ops, torsion ops)
     pro3_notes: dict  # pro3 item -> placement note (the Hermitian report only)
+
+    # the partner form b(J., .) (2-form or twin metric) has derivative
+    # sign * the metric's derivative with J in the last slot
+    @property
+    def sign(self) -> float:
+        return -PURITY_SIGN[self.name]
 
     def id(self, twin_family: str, item: str = "") -> str:
         prefix = self.prefixes[twin_family]
@@ -215,7 +219,7 @@ class Flavor:
 
 
 HERMITIAN = Flavor(
-    name="hermitian", section="verify_section3", sign=-1.0, tags=(1, 2, 21),
+    name="hermitian", section="verify_section3", tags=(1, 2, 21),
     prefixes={"pro3": "pro3", "pro4": "pro4", "cor": "cor4", "pro5": "pro5",
               "klein": "teo1.klein", "neg": "neg.cor4.i"},
     cor_positions={"i": (("star",), ()), "ii": (("jconj",), ("dagger",)),
@@ -230,7 +234,7 @@ HERMITIAN = Flavor(
     },
 )
 NORDEN = Flavor(
-    name="norden", section="verify_section4", sign=1.0, tags=(3, 4, 31),
+    name="norden", section="verify_section4", tags=(3, 4, 31),
     prefixes={"pro3": "antipro3", "pro4": "pro12", "cor": "cor7", "pro5": "antipro5",
               "klein": "sec4.klein", "neg": "neg.cor7.ii"},
     cor_positions={"i": ((), ("star",)), "ii": (("star",), ()),
@@ -307,9 +311,8 @@ class SectionContext:
             self._points[trial].flags.writeable = False
         return self._points[trial]
 
-    def spec(self, trial: int, tag: int, *constraints: str) -> GenSpec:
-        return GenSpec(seed=self._sub_seed(trial, tag), dimension=self.dim, degree=self.degree,
-                       constraints=frozenset(constraints))
+    def spec(self, trial: int, tag: int) -> GenSpec:
+        return GenSpec(seed=self._sub_seed(trial, tag), dimension=self.dim, degree=self.degree)
 
     def rng(self, trial: int, tag: int):
         return sampling.rng(self.seed, _T_TRIAL, self.dim, trial, tag)
@@ -486,8 +489,8 @@ def _lem1(ctx):
     # structure-twisted torsion combination
     def pairs(t):
         td = ctx.trial(HERMITIAN, t)
-        wd = td.with_conn(conjugate_by_J(gen_connection(ctx.spec(t, 10, "torsion_free")),
-                                         td.model.J))
+        wd = td.with_conn(JConjugateConnection(gen_connection(ctx.spec(t, 10), "torsion_free"),
+                                               td.model.J))
         mix = torsion_compat(wd.torsion(), wd.jv)
         return {"lem1": (zero_res(wd.d_J()), ident_res(wd.nijenhuis, -_jout(wd.jv, mix)))}
     return _witnesses(ctx, TOLERANCES["identity"], pairs)
@@ -503,8 +506,8 @@ def _pro2(ctx):
                                         J=gen_almost_complex(ctx.spec(t, 11))), ctx.points(t))
         else:
             base = ctx.kahler(t)
-        wd = base.with_conn(conjugate_by_J(gen_connection(ctx.spec(t, 12, "torsion_free")),
-                                           base.model.J))
+        wd = base.with_conn(JConjugateConnection(gen_connection(ctx.spec(t, 12), "torsion_free"),
+                                                 base.model.J))
         compat = zero_res(torsion_compat(wd.torsion(), wd.jv))
         n_res = zero_res(wd.nijenhuis)
         return {"pro2": (_worst([compat, zero_res(wd.d_J())]), n_res),
@@ -520,7 +523,7 @@ def _compat_equiv(ctx):
 
     def residuals(t):
         td = ctx.trial(HERMITIAN, t)
-        tp = td.with_conn(gen_connection(ctx.spec(t, 13, "j_invariant_torsion"),
+        tp = td.with_conn(gen_connection(ctx.spec(t, 13), "j_invariant_torsion",
                                          J=td.model.J)).torsion()
         tr = td.torsion()
         agree.append((zero_res(torsion_compat(tr, td.jv)) <= tol)
@@ -808,8 +811,8 @@ def _quasi_statistical_witness(ctx: SectionContext, trial: int, tag: int):
     """The Norden trial under the metric conjugate of a torsion-free
     connection, and its quasi-statistical hypothesis residual."""
     td = ctx.trial(NORDEN, trial)
-    d0 = gen_connection(ctx.spec(trial, tag, "torsion_free"))
-    wd = td.with_conn(conjugate_by_bilinear(d0, td.model.metric))
+    wd = td.with_conn(gen_connection(ctx.spec(trial, tag), "quasi_statistical_h",
+                                     metric=td.model.metric))
     return wd, zero_res(wd.d_metric((), "metric"))
 
 
@@ -836,7 +839,8 @@ def _teo5(ctx):
 
     def pairs(t):
         td = ctx.trial(NORDEN, t)
-        wd = td.with_conn(conjugate_by_bilinear(levi_civita(td.partner), td.model.metric))
+        wd = td.with_conn(BilinearConjugateConnection(LeviCivitaConnection(td.partner),
+                                                      td.model.metric))
         hyp = _worst([zero_res(wd.d_metric((), "metric")), zero_res(wd.d_J())])
         phi = wd.tachibana
         t_h = _bt(wd.bv, _jfirst(wd.torsion(), wd.jv))
@@ -871,7 +875,7 @@ def _theolast(ctx):
 
     def residuals(td):
         s_phi = cyclic_sum_03(td.tachibana)
-        lc = td.with_conn(levi_civita(td.model.metric.field))
+        lc = td.with_conn(LeviCivitaConnection(td.model.metric.field))
         s_def = quasi_kahler_norden_sum_values(lc.covd_J(), td.bv)
         a, b = zero_res(s_phi), zero_res(s_def)
         coupled.append((a <= tol and b <= tol) or (a >= 10 * tol and b >= 10 * tol))

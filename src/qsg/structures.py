@@ -85,11 +85,16 @@ def _as_field(b):
     return b.field if isinstance(b, MetricField) else b
 
 
+# the purity sign of each paired metric flavor: Hermitian and Norden code is
+# written once and reads its sign here
+PURITY_SIGN = {"hermitian": 1.0, "norden": -1.0}
+
+
 def purity_values(b, J: AlmostComplexStructure, pts, sign: float) -> np.ndarray:
     """b(J x_i, x_j) + sign * b(x_i, J x_j) on frame pairs.
 
-    ``sign = +1`` gives the Hermitian purity defect and ``sign = -1`` the
-    Norden one; each vanishes on pairs of its flavor.
+    ``sign = PURITY_SIGN[flavor]``: +1 gives the Hermitian purity defect and
+    -1 the Norden one; each vanishes on pairs of its flavor.
     """
     bv = b.values(pts)
     jv = J.values(pts)

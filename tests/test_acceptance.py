@@ -15,7 +15,7 @@ import pytest
 
 from oracle import random_poly
 from qsg import sampling
-from qsg.calculus import levi_civita, torsion_values, covd_values, PolyConnection
+from qsg.calculus import LeviCivitaConnection, torsion_values, covd_values, PolyConnection
 from qsg.connections import klein_table
 from qsg.fields import ChartDomain
 from qsg.generate import (
@@ -184,7 +184,7 @@ def test_criterion_10_kernel_oracles_and_runtime(verify_runs):
         spec = GenSpec(seed=seed, dimension=4, degree=2)
         J = gen_almost_complex(spec)
         g = gen_hermitian_metric(spec, J)
-        lc = levi_civita(g.field)
+        lc = LeviCivitaConnection(g.field)
         pts = sampling.sample_box([(-0.5, 0.5)] * 4, 25, seed, 92)
         ok = ok and np.abs(torsion_values(lc, pts)).max() <= 1e-9
         ok = ok and np.abs(covd_values(lc, g.field, pts)).max() <= 1e-9

@@ -8,11 +8,11 @@ from oracle import comps, from_comps, lie_bracket
 from qsg import sampling
 from qsg.calculus import (
     ConstantConnection,
+    LeviCivitaConnection,
     PolyConnection,
     covd_values,
     exterior_d2_values,
     exterior_d2_connection_expansion,
-    levi_civita,
     torsion_values,
 )
 from qsg.errors import DegeneracyError, PreconditionError, ShapeError, UnsupportedValenceError
@@ -103,7 +103,7 @@ def test_covariant_derivative_levi_civita_parallel():
     base = PolyTensorField.constant(2, (0, 2), np.eye(2))
     pert = random_poly_field(rng, 2, (0, 2), 2, 0.2)
     g = base + (pert + pert.transpose_02()).scale(0.5)
-    lc = levi_civita(g)
+    lc = LeviCivitaConnection(g)
     p = pts2()
     assert np.abs(covd_values(lc, g, p)).max() <= 1e-9
     assert np.abs(torsion_values(lc, p)).max() <= 1e-9
@@ -140,7 +140,7 @@ def test_covariant_derivative_unsupported_valence():
 
 def test_levi_civita_flat_identity():
     g = PolyTensorField.constant(2, (0, 2), np.eye(2))
-    assert np.abs(levi_civita(g).gammas(pts2())).max() == 0.0
+    assert np.abs(LeviCivitaConnection(g).gammas(pts2())).max() == 0.0
 
 
 def test_levi_civita_hand_example():
@@ -151,7 +151,7 @@ def test_levi_civita_hand_example():
     b_comps[1, 1] = PolyExpr(2, [[0, 0]], [1.0])
     b = from_comps(2, (0, 2), b_comps)
     p = pts2()
-    gam = levi_civita(b).gammas(p)
+    gam = LeviCivitaConnection(b).gammas(p)
     x = p[:, 0]
     assert np.allclose(gam[:, 0, 0, 0], x / (1 + x ** 2), atol=1e-14)
     mask = np.ones_like(gam, dtype=bool)
@@ -162,7 +162,7 @@ def test_levi_civita_hand_example():
 def test_levi_civita_requires_symmetric():
     w = PolyTensorField.constant(2, (0, 2), [[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(PreconditionError):
-        levi_civita(w).gammas(pts2())
+        LeviCivitaConnection(w).gammas(pts2())
 
 
 def test_levi_civita_degenerate_metric_reports_point():
@@ -171,7 +171,7 @@ def test_levi_civita_degenerate_metric_reports_point():
     b_comps[1, 1] = PolyExpr(2, [[0, 0]], [1.0])
     b = from_comps(2, (0, 2), b_comps)
     with pytest.raises(DegeneracyError) as err:
-        levi_civita(b).gammas(np.array([[0.3, 0.1], [0.0, 0.2]]))
+        LeviCivitaConnection(b).gammas(np.array([[0.3, 0.1], [0.0, 0.2]]))
     assert err.value.point == (0.0, 0.2) and err.value.det == 0.0
 
 

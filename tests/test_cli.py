@@ -2,7 +2,6 @@
 deterministic reports."""
 
 import json
-import math
 
 import numpy as np
 import pytest

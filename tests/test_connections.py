@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from qsg import sampling
-from qsg.calculus import PolyConnection, covd_values, levi_civita
+from qsg.calculus import LeviCivitaConnection, PolyConnection, covd_values
 from qsg.connections import (
+    BilinearConjugateConnection,
+    JConjugateConnection,
     KleinReport,
-    average_connection,
-    conjugate_by_bilinear,
-    conjugate_by_J,
     klein_table,
 )
 from qsg.errors import PreconditionError
@@ -45,23 +44,23 @@ def test_flat_identity_self_conjugate():
     g = MetricField(PolyTensorField.constant(2, (0, 2), np.eye(2)), "hermitian")
     conn = PolyConnection.zero(2)
     pts = sampling.sample_box([(-0.5, 0.5)] * 2, 10, 0, 201)
-    assert np.abs(conjugate_by_bilinear(conn, g).gammas(pts)).max() == 0.0
+    assert np.abs(BilinearConjugateConnection(conn, g).gammas(pts)).max() == 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_conjugation_involution(dim):
     for seed in range(15):
         J, g, conn, pts = _hermitian_setup(seed, dim)
-        star = conjugate_by_bilinear(conn, g)
-        back = conjugate_by_bilinear(star, g)
+        star = BilinearConjugateConnection(conn, g)
+        back = BilinearConjugateConnection(star, g)
         base = conn.gammas(pts)
         assert np.abs(back.gammas(pts) - base).max() / (1 + np.abs(base).max()) <= 1e-9
 
 
 def test_levi_civita_self_conjugate():
     J, g, _, pts = _hermitian_setup(3)
-    lc = levi_civita(g.field)
-    star = conjugate_by_bilinear(lc, g)
+    lc = LeviCivitaConnection(g.field)
+    star = BilinearConjugateConnection(lc, g)
     diff = star.gammas(pts) - lc.gammas(pts)
     assert np.abs(diff).max() <= 1e-9
 
@@ -74,7 +73,7 @@ def test_defining_identity_on_polynomial_fields():
     X = random_poly_field(rng, 2, (1, 0), 2, 1.0)
     Y = random_poly_field(rng, 2, (1, 0), 2, 1.0)
     Z = random_poly_field(rng, 2, (1, 0), 2, 1.0)
-    star = conjugate_by_bilinear(conn, g)
+    star = BilinearConjugateConnection(conn, g)
     bv, bg = g.field.jets(pts)
     xv, xg = X.jets(pts)
     yv, yg = Y.jets(pts)
@@ -100,7 +99,7 @@ def test_metric_derivative_duality():
         J, g, conn, pts = _hermitian_setup(seed)
         # (D'g) = -(Dg) for the metric conjugate D' of D
         a = covd_values(conn, g.field, pts)
-        b = covd_values(conjugate_by_bilinear(conn, g), g.field, pts)
+        b = covd_values(BilinearConjugateConnection(conn, g), g.field, pts)
         assert np.abs(a + b).max() / (1.0 + np.abs(a).max()) <= 1e-9
 
 
@@ -108,23 +107,23 @@ def test_conjugation_rejects_mixed_symmetry():
     J, g, conn, pts = _hermitian_setup(6)
     bad = PolyTensorField.constant(2, (0, 2), [[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(PreconditionError):
-        conjugate_by_bilinear(conn, bad).gammas(pts)
+        BilinearConjugateConnection(conn, bad).gammas(pts)
 
 
 def test_j_conjugate_involution_and_closedness():
     for seed in range(15):
         J, g, conn, pts = _hermitian_setup(seed)
-        cj = conjugate_by_J(conn, J)
-        back = conjugate_by_J(cj, J)
+        cj = JConjugateConnection(conn, J)
+        back = JConjugateConnection(cj, J)
         base = conn.gammas(pts)
         assert np.abs(back.gammas(pts) - base).max() / (1 + np.abs(base).max()) <= 1e-9
     # structure conjugate of a torsion-free connection closes the structure
-    spec = GenSpec(seed=1, dimension=2, degree=2, constraints=frozenset({"torsion_free"}))
+    spec = GenSpec(seed=1, dimension=2, degree=2)
     from qsg.generate import gen_connection
 
-    d0 = gen_connection(spec)
+    d0 = gen_connection(spec, "torsion_free")
     J, g, _, pts = _hermitian_setup(1)
-    w = conjugate_by_J(d0, J)
+    w = JConjugateConnection(d0, J)
     assert np.abs(_at(w, g, J, pts).d_J()).max() <= 1e-9
 
 
@@ -133,10 +132,11 @@ def test_average_connection_parallelizes_structure():
 
     for seed in range(10):
         J, g, conn, pts = _hermitian_setup(seed)
-        avg = average_connection(conn, J)
+        at = _at(conn, g, J, pts)
+        avg = at.conn(("avg",))
         assert np.abs(covd_values(avg, J.field, pts)).max() <= 1e-9
         # averaging is idempotent on structure-parallel connections
-        again = average_connection(avg, J)
+        again = at.conn(("avg", "avg"))
         a, b = again.gammas(pts), avg.gammas(pts)
         assert np.abs(a - b).max() / (1 + np.abs(b).max()) <= 1e-9
 

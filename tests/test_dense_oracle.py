@@ -20,13 +20,13 @@ sympy = pytest.importorskip("sympy")
 from oracle import comps, from_comps, lie_bracket
 from qsg import sampling
 from qsg.calculus import (
+    LeviCivitaConnection,
     PolyConnection,
     covd_values,
     exterior_d2_values,
-    levi_civita,
     torsion_values,
 )
-from qsg.connections import JConjugateConnection, conjugate_by_bilinear
+from qsg.connections import BilinearConjugateConnection, JConjugateConnection
 from qsg.fields import (
     PolyExpr,
     PolyTensorField,
@@ -500,7 +500,7 @@ def test_levi_civita_close_to_exact(d):
         for k, i, j in itertools.product(r, r, r):
             want[p, k, i, j] = sympy.Rational(1, 2) * sum(
                 inv[k, l] * (bg[p, j, l, i] + bg[p, i, l, j] - bg[p, i, j, l]) for l in r)
-    assert_close_exact(levi_civita(b).gammas(pts), want)
+    assert_close_exact(LeviCivitaConnection(b).gammas(pts), want)
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -524,4 +524,4 @@ def test_bilinear_conjugate_close_to_exact(d, sign):
             sol = mat.LUsolve(rhs)
             for m in r:
                 want[p, m, k, j] = sol[m]
-    assert_close_exact(conjugate_by_bilinear(PolyConnection(gamma), b).gammas(pts), want)
+    assert_close_exact(BilinearConjugateConnection(PolyConnection(gamma), b).gammas(pts), want)

@@ -6,7 +6,7 @@ import pytest
 
 from qsg import generate, sampling
 from qsg.calculus import ConstantConnection, PolyConnection, covd_values, torsion_values
-from qsg.connections import conjugate_by_J
+from qsg.connections import JConjugateConnection
 from qsg.errors import GenerationError
 from qsg.fields import ChartDomain, PolyTensorField
 from qsg.generate import (
@@ -107,8 +107,7 @@ def test_norden_metric_sweep(dim):
 
 
 def test_torsion_free_recipe():
-    conn = gen_connection(GenSpec(seed=1, dimension=4, degree=2,
-                                  constraints=frozenset({"torsion_free"})))
+    conn = gen_connection(GenSpec(seed=1, dimension=4, degree=2), "torsion_free")
     assert np.abs(torsion_values(conn, pts(4))).max() <= 1e-15
 
 
@@ -117,13 +116,12 @@ def test_d_closed_recipe_and_conjugate_torsion():
         spec = GenSpec(seed=seed, dimension=4, degree=2)
         J = gen_almost_complex(spec)
         conn = gen_connection(
-            GenSpec(seed=seed, dimension=4, degree=2,
-                    constraints=frozenset({"d_closed_J"})), J=J)
+            GenSpec(seed=seed, dimension=4, degree=2), "d_closed_J", J=J)
         p = pts(4, seed)
         model = ChartModel(domain=ChartDomain.cube(4), J=J, conn=conn)
         assert np.abs(ModelAt(model, p).d_J()).max() <= 1e-9
         # equivalent formulation: the conjugate connection is torsion-free
-        assert np.abs(torsion_values(conjugate_by_J(conn, J), p)).max() <= 1e-9
+        assert np.abs(torsion_values(JConjugateConnection(conn, J), p)).max() <= 1e-9
 
 
 def test_j_invariant_torsion_recipe():
@@ -131,8 +129,7 @@ def test_j_invariant_torsion_recipe():
         spec = GenSpec(seed=seed, dimension=4, degree=2)
         J = gen_almost_complex(spec)
         conn = gen_connection(
-            GenSpec(seed=seed, dimension=4, degree=2,
-                    constraints=frozenset({"j_invariant_torsion"})), J=J)
+            GenSpec(seed=seed, dimension=4, degree=2), "j_invariant_torsion", J=J)
         p = pts(4, seed)
         t = torsion_values(conn, p)
         jv = J.values(p)
@@ -157,8 +154,7 @@ def test_quasi_statistical_recipes():
     J = gen_almost_complex(spec)
     g = gen_hermitian_metric(spec, J)
     conn = gen_connection(
-        GenSpec(seed=3, dimension=4, degree=2,
-                constraints=frozenset({"quasi_statistical_g"})), metric=g)
+        GenSpec(seed=3, dimension=4, degree=2), "quasi_statistical_g", metric=g)
     model = ChartModel(domain=ChartDomain.cube(4), metric=g, conn=conn)
     assert np.abs(ModelAt(model, pts(4, 3)).d_metric()).max() <= 1e-9
 
@@ -167,16 +163,10 @@ def test_complex_connection_recipe():
     spec = GenSpec(seed=4, dimension=4, degree=2)
     J = gen_almost_complex(spec)
     conn = gen_connection(
-        GenSpec(seed=4, dimension=4, degree=2,
-                constraints=frozenset({"complex_connection"})), J=J)
+        GenSpec(seed=4, dimension=4, degree=2), "complex_connection", J=J)
     assert np.abs(covd_values(conn, J.field, pts(4, 4))).max() <= 1e-9
 
 
-def test_multi_constraint_recipe_redirects():
-    with pytest.raises(GenerationError) as err:
-        gen_connection(GenSpec(seed=0, dimension=2, degree=2,
-                               constraints=frozenset({"torsion_free", "d_closed_J"})))
-    assert "synthesize" in str(err.value)
 
 
 def test_kahler_model_properties():
@@ -280,9 +270,7 @@ def test_synthesis_matches_recipe_quality():
     # at least as well (it minimizes the same violation)
     model = gen_constant_structure_model(GenSpec(seed=8, dimension=2, degree=2), "hermitian")
     p = pts(2, 8)
-    recipe = gen_connection(
-        GenSpec(seed=8, dimension=2, degree=2, constraints=frozenset({"d_closed_J"})),
-        J=model.J)
+    recipe = gen_connection(GenSpec(seed=8, dimension=2, degree=2), "d_closed_J", J=model.J)
     recipe_res = np.abs(ModelAt(model, p, recipe).d_J()).max()
     sr = synthesize_connection(model, ["d_closed_J"], ansatz_degree=2, seed=8)
     assert sr.residual <= recipe_res + 1e-12

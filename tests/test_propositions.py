@@ -275,5 +275,6 @@ def test_benchmark_tracer_sees_every_section():
     for name in ("propositions.section2", "propositions.section3",
                  "propositions.section4", "propositions.negative",
                  "calculus.covd", "calculus.torsion", "calculus.levi_civita",
-                 "connections.conjugate", "structures.ops"):
+                 "connections.conjugate", "structures.ops", "predicates.check",
+                 "generate.models", "generate.synthesize", "generate.lstsq"):
         assert tr.calls[name] > 0, name

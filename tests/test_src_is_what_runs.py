@@ -1,5 +1,5 @@
 """Guard: ``src/qsg`` holds only what the package, its scripts and the
-benchmark run.
+benchmark run, and gives each object one name.
 
 A top-level function or class of ``src/qsg``, or a method, is used when
 code under ``src/``, ``scripts/`` or ``perfbench/`` names it outside its
@@ -11,6 +11,10 @@ registered by a decorator call (``@family(...)``) are used by their
 registry, dunder methods by syntax, and ``__all__`` is an export, not a
 use.  The scan is by name, so a colliding name can hide an unused
 definition, never flag a used one.
+
+One name per object: no top-level function only forwards its own
+positional parameters, in order, to another callable (a second name for
+it), and the package namespace re-exports nothing from its modules.
 """
 
 import ast
@@ -89,6 +93,26 @@ def unused_definitions(root=ROOT, dirs=USERS):
         unused = found
 
 
+def forwarding_functions(root=ROOT):
+    """Qualified names of the top-level ``src/qsg`` functions whose body,
+    after its docstring, is only ``return f(a, b, ...)`` with exactly the
+    function's own positional parameters, in order."""
+    out = set()
+    for path in sorted((root / "src" / "qsg").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            body = node.body
+            if ast.get_docstring(node) is not None:
+                body = body[1:]
+            params = [a.arg for a in node.args.posonlyargs + node.args.args]
+            if (len(body) == 1 and isinstance(body[0], ast.Return)
+                    and isinstance(body[0].value, ast.Call) and not body[0].value.keywords
+                    and [getattr(a, "id", None) for a in body[0].value.args] == params):
+                out.add(f"{path.stem}.{node.name}")
+    return out
+
+
 def test_src_holds_only_what_runs():
     assert sorted(unused_definitions() - ALLOWED.keys()) == []
     # an allowed definition is still there, unused, and used by the tests
@@ -121,3 +145,34 @@ used()
 """)
     assert unused_definitions(tmp_path, ("src",)) == {
         "mod.only_tested", "mod.chain", "mod.recursive", "mod.Box.stale", "mod.Box.size_of"}
+
+
+def test_no_function_is_a_second_name():
+    assert sorted(forwarding_functions()) == []
+
+
+def test_forwarding_scan_on_a_small_package(tmp_path):
+    (tmp_path / "src" / "qsg").mkdir(parents=True)
+    (tmp_path / "src" / "qsg" / "mod.py").write_text('''
+def alias(a, b):
+    """Docstring."""
+    return Box(a, b)
+def bare(x): return f(x)
+def reordered(a, b): return f(b, a)
+def keyword(a, b): return f(a, b=b)
+def extra(a): return f(a, 1)
+def two_lines(a):
+    b = a
+    return f(b)
+class Box:
+    def same(self, a): return f(self, a)
+''')
+    assert forwarding_functions(tmp_path) == {"mod.alias", "mod.bare"}
+
+
+def test_package_namespace_reexports_nothing():
+    tree = ast.parse((ROOT / "src" / "qsg" / "__init__.py").read_text())
+    assert not any(isinstance(n, ast.Name) and n.id == "__all__" for n in ast.walk(tree))
+    sources = {n.module or alias.name for n in ast.walk(tree)
+               if isinstance(n, ast.ImportFrom) and n.level for alias in n.names}
+    assert sources <= {"blas"}

@@ -5,8 +5,8 @@ import pytest
 
 from oracle import comps, from_comps, lie_derivative_J_on_fields, nijenhuis_on_fields
 from qsg import sampling
-from qsg.calculus import PolyConnection, covd_values, levi_civita, torsion_values
-from qsg.connections import conjugate_by_J
+from qsg.calculus import LeviCivitaConnection, PolyConnection, covd_values, torsion_values
+from qsg.connections import JConjugateConnection
 from qsg.fields import PolyExpr, PolyTensorField, j_apply_vector, poly_einsum
 from qsg.generate import (
     GenSpec,
@@ -133,7 +133,7 @@ def test_d_nabla_J_examples():
         p = pts(4, seed)
         lhs = d_J(conn, Jr, p)
         jv = Jr.values(p)
-        rhs = np.einsum("nkm,nmij->nkij", jv, torsion_values(conjugate_by_J(conn, Jr), p))
+        rhs = np.einsum("nkm,nmij->nkij", jv, torsion_values(JConjugateConnection(conn, Jr), p))
         assert np.abs(lhs - rhs).max() / (1 + np.abs(lhs).max()) <= 1e-9
         assert np.abs(lhs + np.swapaxes(lhs, 2, 3)).max() <= 1e-12
 
@@ -143,7 +143,7 @@ def test_d_nabla_metric_examples():
     J = gen_almost_complex(spec)
     g = gen_hermitian_metric(spec, J)
     p = pts(2, 3)
-    lc = levi_civita(g.field)
+    lc = LeviCivitaConnection(g.field)
     assert np.abs(d_b(lc, g, p)).max() <= 1e-9
     conn = PolyConnection(random_poly_field(sampling.rng(3, 32), 2, (1, 2), 2, 1.0))
     d = d_b(conn, g, p)
@@ -152,11 +152,10 @@ def test_d_nabla_metric_examples():
 
 def test_statistical_pair_symmetrizes():
     # metric conjugate of a torsion-free connection is quasi-statistical
-    spec = GenSpec(seed=4, dimension=2, degree=2,
-                   constraints=frozenset({"quasi_statistical_g"}))
+    spec = GenSpec(seed=4, dimension=2, degree=2)
     J = gen_almost_complex(GenSpec(seed=4, dimension=2, degree=2))
     g = gen_hermitian_metric(GenSpec(seed=4, dimension=2, degree=2), J)
-    conn = gen_connection(spec, metric=g)
+    conn = gen_connection(spec, "quasi_statistical_g", metric=g)
     assert np.abs(d_b(conn, g, pts(2, 4))).max() <= 1e-9
 
 
@@ -200,8 +199,8 @@ def test_quasi_kahler_norden_sum_matches_cyclic_tachibana():
         J = gen_almost_complex(spec)
         h = gen_norden_metric(spec, J)
         p = pts(4, seed)
-        s_def = quasi_kahler_norden_sum_values(covd_values(levi_civita(h.field), J.field, p),
-                                               h.values(p))
+        lc = LeviCivitaConnection(h.field)
+        s_def = quasi_kahler_norden_sum_values(covd_values(lc, J.field, p), h.values(p))
         s_phi = cyclic_sum_03(tachibana_values(J, h, p))
         assert np.abs(s_def - s_phi).max() / (1 + np.abs(s_def).max()) <= 1e-9
 
@@ -252,9 +251,8 @@ def test_nijenhuis_from_torsion_when_closed():
     for seed in range(8):
         spec = GenSpec(seed=seed, dimension=4, degree=2)
         J = gen_almost_complex(spec)
-        d0 = gen_connection(GenSpec(seed=seed + 50, dimension=4, degree=2,
-                                    constraints=frozenset({"torsion_free"})))
-        w = conjugate_by_J(d0, J)
+        d0 = gen_connection(GenSpec(seed=seed + 50, dimension=4, degree=2), "torsion_free")
+        w = JConjugateConnection(d0, J)
         p = pts(4, seed)
         jv = J.values(p)
         assert np.abs(d_J(w, J, p)).max() <= 1e-9
@@ -285,8 +283,7 @@ def test_torsion_compatibility_equivalence():
         p = pts(4, seed)
         jv = J.values(p)
         proj = gen_connection(
-            GenSpec(seed=seed, dimension=4, degree=2,
-                    constraints=frozenset({"j_invariant_torsion"})), J=J)
+            GenSpec(seed=seed, dimension=4, degree=2), "j_invariant_torsion", J=J)
         tp = torsion_values(proj, p)
         f1 = np.einsum("nkaj,nai->nkij", tp, jv) + np.einsum("nkia,naj->nkij", tp, jv)
         f2 = np.einsum("nkab,nai,nbj->nkij", tp, jv, jv) - tp
