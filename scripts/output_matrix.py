@@ -17,7 +17,12 @@ code, stdout, and stderr without its wall-time line.  The runs are
   error on one point) together;
 * on each model, ``synthesize`` of every constraint the model can state and
   of ``quasi_statistical_g,d_closed_J``, at ansatz degrees 1 and 2, each
-  with ``--out`` under ``witnesses/``, where a found witness is written.
+  with ``--out`` under ``witnesses/``, where a found witness is written;
+* the error paths ``qsg.cli.main`` reports: a model file that breaks the
+  schema (exit 2, "model file error"), an unknown predicate and an empty
+  ``--only`` list (exit 2), and a degenerate metric (exit 3: ``synthesize``
+  of ``conjugate_torsion_sum`` inverts the zero metric of a Hermitian
+  model).  Their model files go under ``broken/``.
 
 The predicates and constraints come from ``qsg.predicates.PREDICATES`` and
 ``qsg.generate.valid_constraints``.  Every run calls ``qsg.cli.main`` in
@@ -43,6 +48,23 @@ from make_example_models import write_examples  # noqa: E402
 ACCEPTANCE = ["verify", "--dims", "2,4", "--trials", "30", "--seed", "0"]
 PAIR = "quasi_statistical_g,d_closed_J"
 DEGREES = (1, 2)
+# file name under broken/ -> its text
+BROKEN_MODELS = {
+    "bad-dimension.json": '{"version": 1, "dimension": 3}\n',
+    "zero-metric.json": '{"dimension": 2, "domain": [[-0.5, 0.5], [-0.5, 0.5]], "fields": {'
+                        '"J": {"components": [[[], [{"coef": -1.0, "exp": [0, 0]}]], '
+                        '[[{"coef": 1.0, "exp": [0, 0]}], []]]}, '
+                        '"g": {"components": [[[], []], [[], []]], "flavor": "hermitian"}}, '
+                        '"version": 1}\n',
+}
+ERROR_RUNS = [
+    ("error-model-file", ["check", "broken/bad-dimension.json", "--predicates", "kahler"]),
+    ("error-unknown-predicate", ["check", "models/flat_hermitian_2d.json",
+                                 "--predicates", "not_a_predicate"]),
+    ("error-empty-only", ["verify", "--dims", "2", "--trials", "1", "--only", ","]),
+    ("error-degenerate-metric", ["synthesize", "broken/zero-metric.json",
+                                 "--constraints", "conjugate_torsion_sum", "--degree", "1"]),
+]
 
 
 def runs(models: dict) -> list:
@@ -60,7 +82,7 @@ def runs(models: dict) -> list:
                 run = f"synthesize-{name}-{cons.replace(',', '+')}-{degree}"
                 out.append((run, ["synthesize", path, "--constraints", cons,
                                   "--degree", str(degree), "--out", f"witnesses/{run}.json"]))
-    return out
+    return out + ERROR_RUNS
 
 
 def _runs_on(model, predicate: str) -> bool:
@@ -72,8 +94,12 @@ def _runs_on(model, predicate: str) -> bool:
 
 
 def example_models(outdir: Path) -> dict:
-    """Write the example models under ``outdir/models``; load them back."""
+    """Write the example models under ``outdir/models`` and the broken ones
+    under ``outdir/broken``; load the examples back."""
     write_examples(outdir / "models", 0)
+    (outdir / "broken").mkdir(exist_ok=True)
+    for name, text in BROKEN_MODELS.items():
+        (outdir / "broken" / name).write_text(text)
     return {p.stem: load_model(p)[0] for p in sorted((outdir / "models").glob("*.json"))}
 
 

@@ -26,12 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DegeneracyError,
-    PreconditionError,
-    ShapeError,
-    UnsupportedValenceError,
-)
+from .errors import DegeneracyError, QsgError
 from .contraction import contract
 from .fields import PolyTensorField
 
@@ -53,7 +48,7 @@ class PolyConnection(Connection):
 
     def __init__(self, field: PolyTensorField):
         if field.valence != (1, 2):
-            raise ShapeError("connection symbols must form a (1,2)-shaped array")
+            raise QsgError("connection symbols must form a (1,2)-shaped array")
         self.field = field
         self.dimension = field.dimension
 
@@ -84,7 +79,7 @@ class ConstantConnection(Connection):
         blocks = self.array.reshape((-1,) + self.array.shape[-3:])
         per_block, rest = divmod(pts.shape[0], blocks.shape[0])
         if rest:
-            raise ShapeError(
+            raise QsgError(
                 f"{pts.shape[0]} points do not split into {blocks.shape[0]} equal blocks"
             )
         return np.repeat(blocks, per_block, axis=0)
@@ -114,7 +109,7 @@ class LeviCivitaConnection(Connection):
 def _require_symmetric(bv, pts):
     defect = np.abs(bv - np.swapaxes(bv, 1, 2)).max()
     if defect > SYMMETRY_TOL:
-        raise PreconditionError(f"metric is not symmetric (defect {defect:.3e})")
+        raise QsgError(f"metric is not symmetric (defect {defect:.3e})")
 
 
 def _checked_inverse(bv, pts):
@@ -145,9 +140,7 @@ class DerivedTensorField:
         return self._fn(np.atleast_2d(np.asarray(pts, dtype=float)))
 
     def jets(self, pts):
-        raise UnsupportedValenceError(
-            "derived fields expose values only; jets require a polynomial field"
-        )
+        raise QsgError("derived fields expose values only; jets require a polynomial field")
 
 
 def torsion_values(conn: Connection, pts) -> np.ndarray:
@@ -166,7 +159,7 @@ def covd_values(conn: Connection, t, pts) -> np.ndarray:
     """
     p, q = t.valence
     if (p, q) not in ((1, 0), (1, 1), (0, 2), (0, 3)):
-        raise UnsupportedValenceError(f"covariant derivative unsupported for valence {(p, q)}")
+        raise QsgError(f"covariant derivative unsupported for valence {(p, q)}")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     tv, tg = t.jets(pts)
     g = conn.gammas(pts)
@@ -199,7 +192,7 @@ def exterior_d2_values(omega, pts) -> np.ndarray:
     wv, wg = omega.jets(np.atleast_2d(np.asarray(pts, dtype=float)))
     defect = np.abs(wv + np.swapaxes(wv, 1, 2)).max()
     if defect > SYMMETRY_TOL:
-        raise PreconditionError(f"2-form is not antisymmetric (defect {defect:.3e})")
+        raise QsgError(f"2-form is not antisymmetric (defect {defect:.3e})")
     return (
         np.einsum("nbca->nabc", wg)
         - np.einsum("nacb->nabc", wg)

@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import ConfigError, DegeneracyError, ModelFileError, QsgError
+from .errors import DegeneracyError, ModelFileError, QsgError
 from .generate import synthesize_connection
 from .model import ChartModel
 from .model_io import MAX_DEGREE, canonical_doc, load_model, model_hash, write_model
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=30)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--degree", type=int, default=2)
-    v.add_argument("--only", default="", help="comma-separated entry ids or prefixes")
+    v.add_argument("--only", help="comma-separated entry ids or prefixes (default: all)")
     v.add_argument("--format", choices=("json", "md"), default="json")
 
     s = sub.add_parser("synthesize", help="fit connection symbols to constraints")
@@ -144,8 +144,10 @@ def cmd_verify(args) -> int:
     try:
         dims = tuple(int(d) for d in _csv(args.dims))
     except ValueError:
-        raise ConfigError(f"--dims takes comma-separated integers, got {args.dims!r}") from None
-    only = tuple(_csv(args.only))
+        raise QsgError(f"--dims takes comma-separated integers, got {args.dims!r}") from None
+    only = tuple(_csv(args.only or ""))
+    if args.only is not None and not only:
+        raise QsgError("no entry id given; leave out --only to run every entry")
     suite = run_full_suite(seed=args.seed, trials=args.trials, dims=dims,
                            degree=args.degree, only=only)
     report = _base_report(args.seed)
@@ -157,8 +159,8 @@ def cmd_verify(args) -> int:
 
 def cmd_synthesize(args) -> int:
     if args.degree > MAX_DEGREE:
-        raise ConfigError(f"--degree {args.degree} exceeds {MAX_DEGREE}, the largest total "
-                          "degree a model file holds")
+        raise QsgError(f"--degree {args.degree} exceeds {MAX_DEGREE}, the largest total "
+                       "degree a model file holds")
     model, doc = load_model(args.model)
     constraints = _csv(args.constraints)
     result = synthesize_connection(model, constraints, ansatz_degree=args.degree,
@@ -184,7 +186,7 @@ def cmd_synthesize(args) -> int:
             try:
                 write_model(canonical_doc(out_model), args.out)
             except OSError as exc:
-                raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}") from None
+                raise QsgError(f"cannot write --out {args.out}: {exc.strerror}") from None
             report["synthesis"]["written"] = args.out
     elif result.residual <= NO_WITNESS_TOL:
         status = EXIT_LOW_QUALITY

@@ -13,20 +13,20 @@ Three transforms act on a connection D:
 
 For a compatible (metric, structure) pair the three conjugations commute
 pairwise into each other, forming a Klein four-group on connections;
-``klein_table`` measures all nine residuals on the conjugates a
-``model.ModelAt`` builds.
+``klein_table`` returns the nine residuals, one per ``KLEIN_PAIRS`` name,
+measured on the conjugates a ``model.ModelAt`` builds.  Precondition
+failures (a form neither symmetric nor antisymmetric, an impure or plain
+pair, coefficients not summing to 1) raise ``QsgError``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .calculus import Connection, _checked_inverse
 from .contraction import contract
-from .errors import PreconditionError
-from .structures import PURITY_SIGN, AlmostComplexStructure, _as_field, _jout, purity_values
+from .errors import QsgError
+from .structures import PURITY_SIGN, AlmostComplexStructure, _jout, purity_values
 
 SKEW_OR_SYM_TOL = 1e-10
 PURITY_TOL = 1e-8
@@ -41,7 +41,7 @@ class BilinearConjugateConnection(Connection):
 
     def __init__(self, base: Connection, b):
         self.base = base
-        self.b = _as_field(b)
+        self.b = b
         self.dimension = base.dimension
 
     def gammas(self, pts):
@@ -49,7 +49,7 @@ class BilinearConjugateConnection(Connection):
         skew = np.abs(bv + np.swapaxes(bv, 1, 2)).max()
         sym = np.abs(bv - np.swapaxes(bv, 1, 2)).max()
         if min(skew, sym) > SKEW_OR_SYM_TOL:
-            raise PreconditionError(
+            raise QsgError(
                 "conjugation requires a symmetric or antisymmetric form "
                 f"(sym defect {sym:.3e}, skew defect {skew:.3e})"
             )
@@ -82,7 +82,7 @@ class CombinationConnection(Connection):
         self.terms = list(terms)
         coeffs = sum(c for c, _ in self.terms)
         if abs(coeffs - 1.0) > 1e-12:
-            raise PreconditionError("connection combination coefficients must sum to 1")
+            raise QsgError("connection combination coefficients must sum to 1")
         self.dimension = self.terms[0][1].dimension
 
     def gammas(self, pts):
@@ -91,23 +91,6 @@ class CombinationConnection(Connection):
             g = c * conn.gammas(pts)
             out = g if out is None else out + g
         return out
-
-
-@dataclass
-class KleinReport:
-    """Residuals of the involution and composition identities."""
-
-    flavor: str
-    residuals: dict = dc_field(default_factory=dict)
-    tolerance: float = KLEIN_TOL
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(list(self.residuals.values())))
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
 
 
 # residual name -> the op-tuples (``ModelAt.conn``: "star" metric, "dagger"
@@ -125,25 +108,26 @@ KLEIN_PAIRS = {
 }
 
 
-def klein_table(at) -> KleinReport:
-    """Verify the four-group structure of the three conjugations of a
-    model's connection at the points of ``at``, a ``model.ModelAt``.
+def klein_table(at) -> dict:
+    """Residuals of the four-group structure of the three conjugations of a
+    model's connection at the points of ``at``, a ``model.ModelAt``: one
+    per ``KLEIN_PAIRS`` name, each gated by ``KLEIN_TOL``.
 
     For a Hermitian metric the partners are (metric, 2-form, structure)
     conjugation; for a Norden metric (metric, twin-metric, structure).
-    Checks the three involutions and the six pairwise compositions
-    (``KLEIN_PAIRS``); the pair's purity is checked at the points first.
+    Checks the three involutions and the six pairwise compositions; the
+    pair's purity is checked at the points first.
     """
     metric, J = at.model.require("metric"), at.model.require("J")
     sign = PURITY_SIGN.get(metric.flavor)
     if sign is None:
-        raise PreconditionError("klein_table needs a hermitian or norden metric")
+        raise QsgError("klein_table needs a hermitian or norden metric")
     r = float(np.abs(purity_values(metric, J, at.pts, sign)).max())
     if r > PURITY_TOL:
-        raise PreconditionError(f"metric is not {metric.flavor.capitalize()} for this "
-                                f"structure (purity {r:.3e})")
-    report = KleinReport(flavor=metric.flavor)
+        raise QsgError(f"metric is not {metric.flavor.capitalize()} for this "
+                       f"structure (purity {r:.3e})")
+    residuals = {}
     for name, (a, b) in KLEIN_PAIRS.items():
         ga, gb = at.conn(a).gammas(at.pts), at.conn(b).gammas(at.pts)
-        report.residuals[name] = float(np.abs(ga - gb).max() / (1.0 + np.abs(ga).max()))
-    return report
+        residuals[name] = float(np.abs(ga - gb).max() / (1.0 + np.abs(ga).max()))
+    return residuals

@@ -1,24 +1,16 @@
-"""Exception taxonomy shared across the package."""
+"""Exceptions, one class per way ``cli.main`` reports a failure.
+
+``QsgError`` is any input or precondition error (a shape, valence or
+flavor mismatch, a non-finite coefficient, a missing model field or option,
+a failed generator or synthesis set-up): exit 2, ``qsg: <message>``.
+``ModelFileError`` is a schema violation in a model file (exit 2, ``qsg:
+model file error: <message>``) and ``DegeneracyError`` a numerically
+singular bilinear form (exit 3).
+"""
 
 
 class QsgError(Exception):
-    """Base class for all package errors."""
-
-
-class ShapeError(QsgError):
-    """Valence / dimension mismatch between tensor operands."""
-
-
-class EvaluationError(QsgError):
-    """Non-finite data encountered while evaluating a field."""
-
-
-class UnsupportedValenceError(QsgError):
-    """Operation not defined for the tensor's valence."""
-
-
-class PreconditionError(QsgError):
-    """A structural precondition (symmetry, purity, flavor) is violated."""
+    """An input the package cannot work with; the message says which."""
 
 
 class DegeneracyError(QsgError):
@@ -28,18 +20,6 @@ class DegeneracyError(QsgError):
         super().__init__(message)
         self.point = None if point is None else tuple(float(x) for x in point)
         self.det = None if det is None else float(det)
-
-
-class ConfigError(QsgError):
-    """A required model field or option is missing or malformed."""
-
-
-class GenerationError(QsgError):
-    """A randomized constructor failed to produce a valid structure."""
-
-
-class SynthesisError(QsgError):
-    """Constraint synthesis could not be set up (not a residual failure)."""
 
 
 class ModelFileError(QsgError):

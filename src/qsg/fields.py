@@ -45,7 +45,7 @@ from functools import wraps
 import numpy as np
 
 from .contraction import contract
-from .errors import EvaluationError, ShapeError
+from .errors import QsgError
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,12 @@ class ChartDomain:
 
     def __post_init__(self):
         if self.dimension < 2 or self.dimension % 2 != 0:
-            raise ShapeError(f"chart dimension must be even and >= 2, got {self.dimension}")
+            raise QsgError(f"chart dimension must be even and >= 2, got {self.dimension}")
         if len(self.box) != self.dimension:
-            raise ShapeError("box must have one interval per coordinate")
+            raise QsgError("box must have one interval per coordinate")
         for lo, hi in self.box:
             if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
-                raise ShapeError(f"degenerate chart interval ({lo}, {hi})")
+                raise QsgError(f"degenerate chart interval ({lo}, {hi})")
 
     @classmethod
     def cube(cls, dimension: int) -> "ChartDomain":
@@ -88,11 +88,11 @@ class PolyExpr:
         exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.dimension)
         coefs = np.asarray(coefs, dtype=float).reshape(-1)
         if exps.shape[0] != coefs.shape[0]:
-            raise ShapeError("exponent rows and coefficients must align")
+            raise QsgError("exponent rows and coefficients must align")
         if np.any(exps < 0):
-            raise ShapeError("negative exponents are not polynomials")
+            raise QsgError("negative exponents are not polynomials")
         if coefs.size and not np.all(np.isfinite(coefs)):
-            raise EvaluationError("non-finite polynomial coefficient")
+            raise QsgError("non-finite polynomial coefficient")
         self.exps, self.coefs = _canonical_terms(exps, coefs)
         self._diffs = None
 
@@ -124,9 +124,9 @@ class PolyExpr:
     def _coerce(self, other) -> "PolyExpr":
         if isinstance(other, PolyExpr):
             if other.dimension != self.dimension:
-                raise ShapeError("polynomial dimensions differ")
+                raise QsgError("polynomial dimensions differ")
             return other
-        raise ShapeError(f"cannot combine PolyExpr with {type(other)!r}")
+        raise QsgError(f"cannot combine PolyExpr with {type(other)!r}")
 
     def diff(self, axis: int) -> "PolyExpr":
         mask = self.exps[:, axis] > 0
@@ -142,7 +142,7 @@ class PolyExpr:
     def eval(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[1] != self.dimension:
-            raise ShapeError("point dimension does not match polynomial")
+            raise QsgError("point dimension does not match polynomial")
         if self.exps.shape[0] == 0:
             return np.zeros(pts.shape[0])
         powers = pts[:, None, :] ** self.exps[None, :, :]
@@ -197,7 +197,7 @@ def _basis_values(exps: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Monomial values ``V[n, r] = prod_k pts[n, k] ** exps[r, k]``, built
     from one power table per axis (no ``(n, m, d)`` temporary)."""
     if pts.shape[1] != exps.shape[1]:
-        raise ShapeError("point dimension does not match field")
+        raise QsgError("point dimension does not match field")
     out = np.ones((pts.shape[0], exps.shape[0]))
     for k, col in enumerate(exps.T):
         top = int(col.max(initial=0))
@@ -246,21 +246,21 @@ class PolyTensorField:
 
         Rows may repeat and come in any order: they are summed, sorted into
         canonical order, and dropped when zero in every component.  A
-        non-finite coefficient raises ``EvaluationError``.
+        non-finite coefficient raises ``QsgError``.
         """
         self.dimension = int(dimension)
         self.valence = (int(valence[0]), int(valence[1]))
         exps = np.asarray(exps, dtype=np.int64).reshape(-1, self.dimension)
         coefs = np.asarray(coefs, dtype=float)
         if coefs.shape != (exps.shape[0],) + self.shape:
-            raise ShapeError(
+            raise QsgError(
                 f"coefficient tensor shape {coefs.shape} does not match {exps.shape[0]} "
                 f"basis rows and valence {self.valence} in dimension {self.dimension}"
             )
         if np.any(exps < 0):
-            raise ShapeError("negative exponents are not polynomials")
+            raise QsgError("negative exponents are not polynomials")
         if not np.all(np.isfinite(coefs)):
-            raise EvaluationError("non-finite polynomial coefficient")
+            raise QsgError("non-finite polynomial coefficient")
         exps, coefs = _canonical_terms(exps, coefs)
         exps.flags.writeable = False
         coefs.flags.writeable = False
@@ -359,9 +359,9 @@ class PolyTensorField:
 
     def _check_compatible(self, other: "PolyTensorField"):
         if not isinstance(other, PolyTensorField):
-            raise ShapeError(f"expected PolyTensorField, got {type(other)!r}")
+            raise QsgError(f"expected PolyTensorField, got {type(other)!r}")
         if other.dimension != self.dimension or other.valence != self.valence:
-            raise ShapeError(
+            raise QsgError(
                 f"valence/dimension mismatch: {self.valence}@{self.dimension} "
                 f"vs {other.valence}@{other.dimension}"
             )
@@ -387,7 +387,7 @@ class PolyTensorField:
 
     def transpose_02(self) -> "PolyTensorField":
         if self.valence != (0, 2):
-            raise ShapeError("transpose_02 expects a (0,2) field")
+            raise QsgError("transpose_02 expects a (0,2) field")
         return self._like(self._exps, np.swapaxes(self._coefs, 1, 2))
 
 
@@ -403,7 +403,7 @@ def poly_einsum(subscripts: str, *operands, valence) -> PolyTensorField:
     takes no other operand, and its spec must be a plain contraction: no
     index repeats within a term, and the indices of the output are exactly
     those of one factor only (see :func:`_field_product`).  More than two
-    fields raise ``ShapeError``; chain binary products instead.
+    fields raise ``QsgError``; chain binary products instead.
     """
     inputs, output = subscripts.split("->")
     specs = inputs.split(",")
@@ -411,7 +411,7 @@ def poly_einsum(subscripts: str, *operands, valence) -> PolyTensorField:
     if len(fields) == 2 and len(operands) == 2:
         return _field_product(specs[0], operands[0], specs[1], operands[1], output, valence)
     if len(fields) != 1:
-        raise ShapeError(
+        raise QsgError(
             f"poly_einsum multiplies one field by constant arrays or two fields alone, "
             f"not {len(fields)} fields among {len(operands)} operands"
         )
@@ -435,10 +435,10 @@ def _field_product(s1: str, f1: PolyTensorField, s2: str, f2: PolyTensorField, o
     canonical union one row ``a`` at a time; it is never sorted or copied.
     """
     if f1.dimension != f2.dimension:
-        raise ShapeError("polynomial fields live on different charts")
+        raise QsgError("polynomial fields live on different charts")
     if (len(set(s1)) < len(s1) or len(set(s2)) < len(s2) or len(set(output)) < len(output)
             or set(output) != set(s1) ^ set(s2)):
-        raise ShapeError(f"not a plain contraction of two fields: {s1},{s2}->{output}")
+        raise QsgError(f"not a plain contraction of two fields: {s1},{s2}->{output}")
     if f2.exps.shape[0] < f1.exps.shape[0]:
         s1, f1, s2, f2 = s2, f2, s1, f1
     d, m1, m2 = f1.dimension, f1.exps.shape[0], f2.exps.shape[0]
@@ -462,7 +462,7 @@ def _field_product(s1: str, f1: PolyTensorField, s2: str, f2: PolyTensorField, o
 def j_apply_vector(J: PolyTensorField, X: PolyTensorField) -> PolyTensorField:
     """(1,1) field applied to a vector field: ``(J X)^k = J^k_j X^j``."""
     if J.valence != (1, 1) or X.valence != (1, 0):
-        raise ShapeError("j_apply_vector expects a (1,1) and a (1,0) field")
+        raise QsgError("j_apply_vector expects a (1,1) and a (1,0) field")
     return poly_einsum("kj,j->k", J, X, valence=(1, 0))
 
 

@@ -44,7 +44,7 @@ from .blas import pin_one_thread
 from .calculus import Connection, ConstantConnection, PolyConnection
 from .connections import BilinearConjugateConnection
 from .contraction import contract
-from .errors import GenerationError, SynthesisError
+from .errors import QsgError
 from .fields import (
     ChartDomain,
     PolyTensorField,
@@ -85,9 +85,9 @@ class GenSpec:
 
     def __post_init__(self):
         if self.dimension < 2 or self.dimension % 2 != 0:
-            raise GenerationError("dimension must be even and >= 2")
+            raise QsgError("dimension must be even and >= 2")
         if self.degree < 0:
-            raise GenerationError("degree must be >= 0")
+            raise QsgError("degree must be >= 0")
 
 
 def monomial_exponents(dimension: int, degree: int) -> np.ndarray:
@@ -160,7 +160,7 @@ def gen_almost_complex(spec: GenSpec, integrable: bool = False) -> AlmostComplex
         if np.linalg.cond(q) < 20.0:
             break
     else:
-        raise GenerationError("could not draw a well-conditioned constant frame factor")
+        raise QsgError("could not draw a well-conditioned constant frame factor")
     m0 = np.linalg.solve(q.T, (q @ j0).T).T  # q j0 q^{-1}
 
     jfield = compose_11(poly_einsum("km,mj->kj", p, m0, valence=(1, 1)), pinv)
@@ -209,7 +209,7 @@ def gen_hermitian_metric(spec: GenSpec, J: AlmostComplexStructure,
         if _det_floor_ok(g, probe):
             return MetricField(g, flavor="hermitian")
         c *= 2.0
-    raise GenerationError("could not reach a nondegenerate Hermitian metric")
+    raise QsgError("could not reach a nondegenerate Hermitian metric")
 
 
 def gen_norden_metric(spec: GenSpec, J: AlmostComplexStructure,
@@ -235,7 +235,7 @@ def gen_norden_metric(spec: GenSpec, J: AlmostComplexStructure,
         if _det_floor_ok(h, probe) and _neutral_signature(h, probe):
             return MetricField(h, flavor="norden")
         scale *= 0.5
-    raise GenerationError("could not reach a nondegenerate neutral Norden metric")
+    raise QsgError("could not reach a nondegenerate neutral Norden metric")
 
 
 def _probe_points(spec: GenSpec, tag: int, extra) -> np.ndarray:
@@ -288,7 +288,7 @@ def gen_constant_structure_model(spec: GenSpec, flavor: str = "hermitian") -> Ch
         if np.linalg.cond(q) < 20.0:
             break
     else:
-        raise GenerationError("could not draw a well-conditioned constant frame")
+        raise QsgError("could not draw a well-conditioned constant frame")
     qinv = np.linalg.inv(q)
     jmat = q @ j0 @ qinv
     r0 = rng.uniform(-0.3, 0.3, size=(d, d))
@@ -300,7 +300,7 @@ def gen_constant_structure_model(spec: GenSpec, flavor: str = "hermitian") -> Ch
         if np.abs(np.linalg.det(qinv.T @ b0 @ qinv)) < METRIC_DET_FLOOR:
             b0 = neutral_diagonal(d)
     else:
-        raise GenerationError(f"unknown flavor {flavor!r}")
+        raise QsgError(f"unknown flavor {flavor!r}")
     bmat = qinv.T @ b0 @ qinv
     J = AlmostComplexStructure(PolyTensorField.constant(d, (1, 1), jmat),
                                frame_inv=PolyTensorField.constant(d, (1, 1), qinv))
@@ -318,10 +318,8 @@ def gen_vishnevskii_zero_connection(spec: GenSpec, J: AlmostComplexStructure) ->
     onto the commutant of the structure, M -> (M - J M J) / 2.
     """
     d = spec.dimension
-    if J.field.degree() > 0:
-        raise GenerationError(
-            "operator-vanishing symbols exist only for constant structures"
-        )
+    if J.degree() > 0:
+        raise QsgError("operator-vanishing symbols exist only for constant structures")
     jmat = J.values(np.zeros((1, d)))[0]
     rng = sampling.rng(spec.seed, T_C, d, 3)
     raw = random_poly_field(rng, d, (1, 2), spec.degree, 1.0)
@@ -356,7 +354,7 @@ def gen_kahler_model(spec: GenSpec) -> ChartModel:
             metric = MetricField(g, flavor="hermitian")
             return ChartModel(domain=domain, metric=metric, J=J, conn=None)
         c *= 2.0
-    raise GenerationError("could not build a nondegenerate pulled-back compatible model")
+    raise QsgError("could not build a nondegenerate pulled-back compatible model")
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +364,16 @@ def gen_kahler_model(spec: GenSpec) -> ChartModel:
 def j_conjugate_poly(gamma: PolyTensorField, J: AlmostComplexStructure) -> PolyTensorField:
     """Structure conjugation of polynomial symbols, exactly:
     gamma'^k_{ij} = -J^k_m (d_i J^m_j + gamma^m_{il} J^l_j)."""
-    jf = J.field
-    inner = (poly_einsum("mji->mij", jf.gradient(), valence=(1, 2))
-             + poly_einsum("mil,lj->mij", gamma, jf, valence=(1, 2)))
-    return -poly_einsum("km,mij->kij", jf, inner, valence=(1, 2))
+    inner = (poly_einsum("mji->mij", J.gradient(), valence=(1, 2))
+             + poly_einsum("mil,lj->mij", gamma, J, valence=(1, 2)))
+    return -poly_einsum("km,mij->kij", J, inner, valence=(1, 2))
 
 
 def torsion_project_poly(t: PolyTensorField, J: AlmostComplexStructure) -> PolyTensorField:
     """Idempotent projector onto structure-invariant torsions:
     P(T)(X, Y) = (T(X, Y) + T(JX, JY)) / 2."""
-    jf = J.field
-    first = poly_einsum("kab,ai->kib", t, jf, valence=(1, 2))
-    return (t + poly_einsum("kib,bj->kij", first, jf, valence=(1, 2))).scale(0.5)
+    first = poly_einsum("kab,ai->kib", t, J, valence=(1, 2))
+    return (t + poly_einsum("kib,bj->kij", first, J, valence=(1, 2))).scale(0.5)
 
 
 def _symmetrize_12(t: PolyTensorField, sign: float = 1.0) -> PolyTensorField:
@@ -421,12 +417,12 @@ def gen_connection(spec: GenSpec, constraint: str, J: AlmostComplexStructure | N
         return PolyConnection(
             (raw + j_conjugate_poly(raw, J)).scale(0.5)
         )
-    raise GenerationError(f"unknown generation constraint {constraint!r}")
+    raise QsgError(f"unknown generation constraint {constraint!r}")
 
 
 def _require(value, message):
     if value is None:
-        raise GenerationError(message)
+        raise QsgError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -620,15 +616,15 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
     """
     d = model.dimension
     if not constraints:
-        raise SynthesisError("no constraints given")
+        raise QsgError("no constraints given")
     valid = valid_constraints(model)
     unknown = [c for c in constraints if c not in valid]
     if unknown:
-        raise SynthesisError(f"unknown or unavailable constraints: {unknown}; "
-                             f"valid here: {valid}")
+        raise QsgError(f"unknown or unavailable constraints: {unknown}; "
+                       f"valid here: {valid}")
     repeated = [c for i, c in enumerate(constraints) if c in constraints[:i]]
     if repeated:
-        raise SynthesisError(f"constraint {repeated[0]!r} is listed more than once")
+        raise QsgError(f"constraint {repeated[0]!r} is listed more than once")
     box = model.domain.box
     exps = monomial_exponents(d, ansatz_degree)
     k = exps.shape[0]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .calculus import Connection, PolyConnection, covd_values, torsion_values
 from .connections import BilinearConjugateConnection, CombinationConnection, JConjugateConnection
-from .errors import ConfigError, QsgError
+from .errors import QsgError
 from .fields import ChartDomain, PolyTensorField
 from .structures import (
     AlmostComplexStructure,
@@ -31,7 +31,7 @@ from .structures import (
 class ChartModel:
     """Domain box plus metric / structure / connection fields.
 
-    Fields are optional; consumers that need one raise ``ConfigError``
+    Fields are optional; consumers that need one raise ``QsgError``
     naming it when absent.
     """
 
@@ -48,7 +48,7 @@ class ChartModel:
     def require(self, name: str):
         value = getattr(self, "conn" if name == "Gamma" else name, None)
         if value is None:
-            raise ConfigError(f"model is missing required field {name!r}")
+            raise QsgError(f"model is missing required field {name!r}")
         return value
 
     def partner_form(self) -> PolyTensorField:
@@ -57,7 +57,7 @@ class ChartModel:
         if self._partner is None:
             metric, J = self.require("metric"), self.require("J")
             if metric.flavor not in ("hermitian", "norden"):
-                raise ConfigError("partner form needs a hermitian or norden metric")
+                raise QsgError("partner form needs a hermitian or norden metric")
             pullback = fundamental_two_form if metric.flavor == "hermitian" else twin_metric
             self._partner = pullback(metric, J)
         return self._partner
@@ -69,7 +69,7 @@ class ModelAt:
     read-only; d^D J and d^D b, formulas on them, are evaluated per call, so
     it keeps one array per (connection, field), not two.  Each accessor asks
     the model for its fields through ``ChartModel.require``, so a missing one
-    raises the same ``ConfigError`` whichever command reads it.
+    raises the same ``QsgError`` whichever command reads it.
 
     ``conn`` replaces the model's connection.  Connections are addressed by
     op-tuples applied left to right, e.g. ``("star", "jconj")`` is the
@@ -150,7 +150,7 @@ class ModelAt:
         return self._conns[ops]
 
     def _form(self, which: str) -> PolyTensorField:
-        return self.model.require("metric").field if which == "metric" else self.partner
+        return self.model.require("metric") if which == "metric" else self.partner
 
     def torsion(self, ops: tuple = ()):
         return self._memo(("T", ops), lambda: torsion_values(self.conn(ops), self.pts))
@@ -161,7 +161,7 @@ class ModelAt:
 
     def covd_J(self, ops: tuple = ()):
         J = self.model.require("J")
-        return self._memo(("cJ", ops), lambda: covd_values(self.conn(ops), J.field, self.pts))
+        return self._memo(("cJ", ops), lambda: covd_values(self.conn(ops), J, self.pts))
 
     def d_J(self, ops: tuple = ()):
         return d_nabla_J_values(self.covd_J(ops), self.jv, self.torsion(ops))

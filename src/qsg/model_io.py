@@ -10,8 +10,7 @@ Layout::
         "g":     {"flavor": "hermitian", "components": [[poly, ...], ...]},
         "J":     {"components": [[poly, ...], ...]},
         "Gamma": {"components": [[[poly, ...], ...], ...]}
-      },
-      "genspec": {...}          # optional, copied unchanged; nothing reads it
+      }
     }
 
 where ``poly`` is a list of terms ``{"exp": [e1, ..., ed], "coef": c}``.
@@ -212,34 +211,31 @@ def load_model(path: str) -> tuple[ChartModel, dict]:
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"invalid JSON: {exc}", path=str(path))
     model = parse_model(doc)
-    return model, canonical_doc(model, doc)
+    return model, canonical_doc(model)
 
 
-def canonical_doc(model: ChartModel, extra: dict | None = None) -> dict:
+def canonical_doc(model: ChartModel) -> dict:
     """Canonical JSON form: normalized polynomials, fixed key layout."""
     fields = {}
     if model.metric is not None:
         name = "h" if model.metric.flavor == "norden" else "g"
         fields[name] = {
             "flavor": model.metric.flavor,
-            "components": _field_json(model.metric.field),
+            "components": _field_json(model.metric),
         }
     if model.J is not None:
-        fields["J"] = {"components": _field_json(model.J.field)}
+        fields["J"] = {"components": _field_json(model.J)}
     if model.conn is not None:
         if not isinstance(model.conn, PolyConnection):
             raise ModelFileError("only polynomial connections serialize to model files",
                                  path="fields.Gamma")
         fields["Gamma"] = {"components": _field_json(model.conn.field)}
-    doc = {
+    return {
         "version": SCHEMA_VERSION,
         "dimension": model.dimension,
         "domain": [[lo, hi] for lo, hi in model.domain.box],
         "fields": fields,
     }
-    if extra and "genspec" in extra:
-        doc["genspec"] = extra["genspec"]
-    return doc
 
 
 def canonical_json(doc: dict) -> str:

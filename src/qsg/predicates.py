@@ -22,7 +22,7 @@ import numpy as np
 from . import sampling
 from .calculus import LeviCivitaConnection, covd_values, exterior_d2_values
 from .contraction import contract
-from .errors import ConfigError, PreconditionError
+from .errors import QsgError
 from .model import ChartModel, ModelAt
 from .structures import (
     PURITY_SIGN,
@@ -72,7 +72,7 @@ def _flavored(at: ModelAt, predicate: str, flavor: str):
     """The model's metric and structure; raises unless the metric is ``flavor``."""
     metric, J = _needs(at.model, "metric", "J")
     if metric.flavor != flavor:
-        raise PreconditionError(f"{predicate} needs a {flavor}-flavored metric")
+        raise QsgError(f"{predicate} needs a {flavor}-flavored metric")
     return metric, J
 
 
@@ -95,12 +95,12 @@ def _purity(at: ModelAt, flavor: str):
 
 def _quasi_statistical(at: ModelAt):
     metric, conn = _needs(at.model, "metric", "Gamma")
-    return d_nabla_metric_values(covd_values(conn, metric.field, at.pts), at.bv, at.torsion())
+    return d_nabla_metric_values(covd_values(conn, metric, at.pts), at.bv, at.torsion())
 
 
 def _statistical(at: ModelAt):
     metric, conn = _needs(at.model, "metric", "Gamma")
-    db = covd_values(conn, metric.field, at.pts)
+    db = covd_values(conn, metric, at.pts)
     n = at.pts.shape[0]
     return np.concatenate([(db - np.swapaxes(db, 1, 2)).reshape(n, -1),
                            at.torsion().reshape(n, -1)], axis=1)
@@ -137,7 +137,7 @@ def _anti_kahler(at: ModelAt):
 
 def _quasi_kahler_norden(at: ModelAt):
     metric, _ = _flavored(at, "quasi_kahler_norden", "norden")
-    lc = at.with_conn(LeviCivitaConnection(metric.field))
+    lc = at.with_conn(LeviCivitaConnection(metric))
     return quasi_kahler_norden_sum_values(lc.covd_J(), at.bv)
 
 
@@ -197,15 +197,13 @@ def check_many(model: ChartModel, predicates, tol: float = DEFAULT_TOL,
     seed, samples) yield identical reports.
     """
     if not predicates:
-        raise ConfigError("no predicates given")
+        raise QsgError("no predicates given")
     unknown = [p for p in predicates if p not in PREDICATES]
     if unknown:
-        raise ConfigError(
-            f"unknown predicate {unknown[0]!r}; valid: {sorted(PREDICATES)}"
-        )
+        raise QsgError(f"unknown predicate {unknown[0]!r}; valid: {sorted(PREDICATES)}")
     repeated = [p for i, p in enumerate(predicates) if p in predicates[:i]]
     if repeated:
-        raise ConfigError(f"predicate {repeated[0]!r} is listed more than once")
+        raise QsgError(f"predicate {repeated[0]!r} is listed more than once")
     pts = sampling.sample_box(model.domain.box, samples, seed, _PTS_TAG)
     at = ModelAt(model, pts)
     return [_report(name, PREDICATES[name](at), pts, tol, samples) for name in predicates]

@@ -572,7 +572,7 @@ def _jframe_residual(td: ModelAt) -> float:
     J, conn, d = td.model.J, td.model.conn, td.model.dimension
     frames = [PolyTensorField.constant(d, (1, 0), e) for e in np.eye(d)]
     # J e_j is J's j-th coefficient column
-    twisted = [PolyTensorField(d, (1, 0), exps=J.field.exps, coefs=J.field.coefs[:, :, j])
+    twisted = [PolyTensorField(d, (1, 0), exps=J.exps, coefs=J.coefs[:, :, j])
                for j in range(d)]
     on_fields = np.stack([np.stack([vishnevskii_on_fields(conn, J, x, y, td.pts) for y in twisted],
                                    axis=-1) for x in frames], axis=-2)
@@ -658,7 +658,7 @@ def _pro3(ctx, fl):
 def _klein(ctx, fl):
     # teo1.klein / sec4.klein: the Klein table of the conjugations
     return _identities(ctx, fl, TOLERANCES["klein"], lambda td: {
-        fl.id("klein"): klein_table(td).max_residual})
+        fl.id("klein"): _worst(list(klein_table(td).values()))})
 
 
 PRO4_POSITIONS = {"i": (("jconj",), ()), "ii": ((), ("jconj",)),
@@ -875,7 +875,7 @@ def _theolast(ctx):
 
     def residuals(td):
         s_phi = cyclic_sum_03(td.tachibana)
-        lc = td.with_conn(LeviCivitaConnection(td.model.metric.field))
+        lc = td.with_conn(LeviCivitaConnection(td.model.metric))
         s_def = quasi_kahler_norden_sum_values(lc.covd_J(), td.bv)
         a, b = zero_res(s_phi), zero_res(s_def)
         coupled.append((a <= tol and b <= tol) or (a >= 10 * tol and b >= 10 * tol))

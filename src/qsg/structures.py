@@ -2,6 +2,11 @@
 Norden metrics, the associated 2-form and twin metric, and the coupling
 operators between a connection, a (1,1) structure and a metric.
 
+A metric (``MetricField``, with its flavor) and an almost complex structure
+(``AlmostComplexStructure``) are ``PolyTensorField``s whose constructors
+copy a field and check its valence (and the metric's flavor), so every
+field operation takes them as they are.
+
 Operators are assembled on the coordinate frame fields and stored as
 component arrays.  d^D J, d^D b and the quasi-Kahler Norden sum are
 formulas on the covariant derivatives, values and torsions that
@@ -10,22 +15,15 @@ formulas on the covariant derivatives, values and torsions that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .calculus import Connection, DerivedTensorField
 from .contraction import contract
-from .errors import ShapeError
-from .fields import (
-    PolyTensorField,
-    bilinear_pullback_first,
-    j_apply_vector,
-)
+from .errors import QsgError
+from .fields import PolyTensorField, j_apply_vector, poly_einsum
 
 
-@dataclass
-class AlmostComplexStructure:
+class AlmostComplexStructure(PolyTensorField):
     """A (1,1) field squaring to minus the identity.
 
     Generated structures also carry the polynomial inverse ``C^{-1}`` of an
@@ -33,56 +31,27 @@ class AlmostComplexStructure:
     block structure ``J0``; structures read from model files have none.
     """
 
-    field: PolyTensorField
-    frame_inv: PolyTensorField | None = None
-
-    def __post_init__(self):
-        if self.field.valence != (1, 1):
-            raise ShapeError("almost complex structure must be a (1,1) field")
-
-    @property
-    def dimension(self) -> int:
-        return self.field.dimension
-
-    def values(self, pts):
-        return self.field.values(pts)
-
-    def jets(self, pts):
-        return self.field.jets(pts)
+    def __init__(self, field: PolyTensorField, frame_inv: PolyTensorField | None = None):
+        if field.valence != (1, 1):
+            raise QsgError("almost complex structure must be a (1,1) field")
+        super().__init__(field.dimension, field.valence, exps=field.exps, coefs=field.coefs)
+        self.frame_inv = frame_inv
 
 
-@dataclass
-class MetricField:
+class MetricField(PolyTensorField):
     """Symmetric (0,2) field tagged with its compatibility flavor.
 
     flavor 'hermitian': b(JX, JY) = b(X, Y); 'norden': b(JX, Y) = b(X, JY);
     'plain': no compatibility claimed.
     """
 
-    field: PolyTensorField
-    flavor: str = "plain"
-
-    def __post_init__(self):
-        if self.field.valence != (0, 2):
-            raise ShapeError("metric must be a (0,2) field")
-        if self.flavor not in ("hermitian", "norden", "plain"):
-            raise ShapeError(f"unknown metric flavor {self.flavor!r}")
-
-    @property
-    def dimension(self) -> int:
-        return self.field.dimension
-
-    def values(self, pts):
-        return self.field.values(pts)
-
-    def jets(self, pts):
-        return self.field.jets(pts)
-
-
-def _as_field(b):
-    """The polynomial field of a metric, or ``b`` itself when it is one
-    already (a partner form)."""
-    return b.field if isinstance(b, MetricField) else b
+    def __init__(self, field: PolyTensorField, flavor: str = "plain"):
+        if field.valence != (0, 2):
+            raise QsgError("metric must be a (0,2) field")
+        if flavor not in ("hermitian", "norden", "plain"):
+            raise QsgError(f"unknown metric flavor {flavor!r}")
+        super().__init__(field.dimension, field.valence, exps=field.exps, coefs=field.coefs)
+        self.flavor = flavor
 
 
 # the purity sign of each paired metric flavor: Hermitian and Norden code is
@@ -104,13 +73,13 @@ def purity_values(b, J: AlmostComplexStructure, pts, sign: float) -> np.ndarray:
 def fundamental_two_form(g: MetricField, J: AlmostComplexStructure) -> PolyTensorField:
     """w(X, Y) = g(JX, Y), an exact polynomial field; antisymmetric for a
     Hermitian pair (``purity_values`` measures how far a pair is from one)."""
-    return bilinear_pullback_first(g.field, J.field)
+    return poly_einsum("ki,kj->ij", J, g, valence=(0, 2))
 
 
 def twin_metric(h: MetricField, J: AlmostComplexStructure) -> PolyTensorField:
     """Twin metric hbar(X, Y) = h(JX, Y), an exact polynomial field;
     symmetric for a Norden pair."""
-    return bilinear_pullback_first(h.field, J.field)
+    return poly_einsum("ki,kj->ij", J, h, valence=(0, 2))
 
 
 def nijenhuis(J: AlmostComplexStructure) -> DerivedTensorField:
@@ -251,7 +220,7 @@ def vishnevskii_jframe_values(conn: Connection, J: AlmostComplexStructure, pts) 
 def vishnevskii_on_fields(conn: Connection, J: AlmostComplexStructure, X: PolyTensorField, Y: PolyTensorField, pts) -> np.ndarray:
     """Operator evaluation on explicit polynomial fields (first slot is
     tensorial, second is not)."""
-    JX = j_apply_vector(J.field, X)
+    JX = j_apply_vector(J, X)
     jv = J.values(pts)
     yv, yg = Y.jets(pts)
     jxv = JX.values(pts)

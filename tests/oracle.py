@@ -5,7 +5,7 @@ the structure, and fields to and from one :class:`PolyExpr` per component.
 
 import numpy as np
 
-from qsg.errors import ShapeError
+from qsg.errors import QsgError
 from qsg.fields import PolyExpr, PolyTensorField, j_apply_vector, poly_einsum
 from qsg.generate import random_poly_field
 from qsg.structures import AlmostComplexStructure
@@ -41,24 +41,24 @@ def random_poly(rng, dimension: int, degree: int, bound: float) -> PolyExpr:
 def lie_bracket(X: PolyTensorField, Y: PolyTensorField) -> PolyTensorField:
     """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i, exact polynomial result."""
     if X.valence != (1, 0) or Y.valence != (1, 0):
-        raise ShapeError("lie_bracket expects two vector fields")
+        raise QsgError("lie_bracket expects two vector fields")
     if X.dimension != Y.dimension:
-        raise ShapeError("vector fields live on different charts")
+        raise QsgError("vector fields live on different charts")
     return (poly_einsum("j,ij->i", X, Y.gradient(), valence=(1, 0))
             - poly_einsum("j,ij->i", Y, X.gradient(), valence=(1, 0)))
 
 
 def nijenhuis_on_fields(J: AlmostComplexStructure, X: PolyTensorField, Y: PolyTensorField) -> PolyTensorField:
     """Bracket-form evaluation on explicit polynomial vector fields."""
-    JX = j_apply_vector(J.field, X)
-    JY = j_apply_vector(J.field, Y)
-    term1 = j_apply_vector(J.field, j_apply_vector(J.field, lie_bracket(X, Y)))
-    term2 = j_apply_vector(J.field, lie_bracket(X, JY))
-    term3 = j_apply_vector(J.field, lie_bracket(JX, Y))
+    JX = j_apply_vector(J, X)
+    JY = j_apply_vector(J, Y)
+    term1 = j_apply_vector(J, j_apply_vector(J, lie_bracket(X, Y)))
+    term2 = j_apply_vector(J, lie_bracket(X, JY))
+    term3 = j_apply_vector(J, lie_bracket(JX, Y))
     term4 = lie_bracket(JX, JY)
     return -term1 + term2 + term3 - term4
 
 
 def lie_derivative_J_on_fields(J: AlmostComplexStructure, X: PolyTensorField, Y: PolyTensorField) -> PolyTensorField:
     """(L_X J) Y = [X, JY] - J [X, Y] for polynomial fields."""
-    return lie_bracket(X, j_apply_vector(J.field, Y)) - j_apply_vector(J.field, lie_bracket(X, Y))
+    return lie_bracket(X, j_apply_vector(J, Y)) - j_apply_vector(J, lie_bracket(X, Y))

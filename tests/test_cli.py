@@ -1,12 +1,14 @@
 """Command-line surface: exit codes, schema diagnostics, round trips,
 deterministic reports."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsg import cli, generate
+from qsg import cli, errors, generate
 from qsg.calculus import PolyConnection
 from qsg.cli import main
 from qsg.fields import PolyTensorField
@@ -189,7 +191,7 @@ def test_synthesize_low_quality_witness_exits_4(capsys, tmp_path):
     pert = random_poly_field(sampling.rng(6, 77), 2, (0, 2), 2, 1e-5)
     pert = (pert + pert.transpose_02()).scale(0.5)
     model = ChartModel(domain=cm.domain,
-                       metric=MetricField(cm.metric.field + pert, flavor="plain"))
+                       metric=MetricField(cm.metric + pert, flavor="plain"))
     path = tmp_path / "nearflat.json"
     write_model(canonical_doc(model), path)
     code, out, _ = run_cli(capsys, "synthesize", str(path),
@@ -245,7 +247,7 @@ def test_norden_model_round_trip():
     doc = canonical_doc(flat_norden_model(2))
     model = parse_model(doc)
     assert model.metric.flavor == "norden"
-    assert model_hash(doc) == model_hash(canonical_doc(model, doc))
+    assert model_hash(doc) == model_hash(canonical_doc(model))
 
 
 def test_unexpected_exception_exits_6(capsys, monkeypatch, flat_model_path):
@@ -337,6 +339,29 @@ def test_bad_dims_exits_2_with_message(capsys, dims, words):
     assert code == 2
     assert words in err
     assert out == ""
+
+
+@pytest.mark.parametrize("only", [",", ""], ids=["comma-only", "empty"])
+def test_empty_only_exits_2_with_message(capsys, only):
+    # an empty selection is an input error, as an empty --dims is; leaving
+    # --only out selects every entry
+    code, out, err = run_cli(capsys, "verify", "--dims", "2", "--trials", "1", "--only", only)
+    assert code == 2
+    assert "no entry id given" in err
+    assert out == ""
+
+
+def test_main_names_every_error_class_and_no_other():
+    # one class per way main reports a failure: exit 2 with "qsg: <msg>",
+    # exit 2 with "model file error" and exit 3 with the degenerate point
+    main_def = next(node for node in ast.parse(Path(cli.__file__).read_text()).body
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = {h.type.id for h in ast.walk(main_def)
+              if isinstance(h, ast.ExceptHandler) and isinstance(h.type, ast.Name)}
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    assert defined == {"QsgError", "ModelFileError", "DegeneracyError"}
+    assert caught - {"SystemExit", "Exception"} == defined
 
 
 @pytest.mark.parametrize("argv, words", [

@@ -453,7 +453,7 @@ def test_structure_kernels_exact(d):
                            - sum(jv[p, l, i] * jg[p, k, j, l] for l in r)
                            + sum(jv[p, l, j] * jg[p, k, i, l] for l in r))
     assert_equal_exact(JConjugateConnection(conn, J).gammas(pts), conj)
-    assert_equal_exact(d_nabla_J_values(covd_values(conn, J.field, pts), J.values(pts),
+    assert_equal_exact(d_nabla_J_values(covd_values(conn, J, pts), J.values(pts),
                                         torsion_values(conn, pts)), closed)
     assert_equal_exact(nijenhuis(J).values(pts), nij)
 

@@ -7,7 +7,7 @@ import pytest
 from qsg import generate, sampling
 from qsg.calculus import ConstantConnection, PolyConnection, covd_values, torsion_values
 from qsg.connections import JConjugateConnection
-from qsg.errors import GenerationError
+from qsg.errors import QsgError
 from qsg.fields import ChartDomain, PolyTensorField
 from qsg.generate import (
     T_S,
@@ -164,7 +164,7 @@ def test_complex_connection_recipe():
     J = gen_almost_complex(spec)
     conn = gen_connection(
         GenSpec(seed=4, dimension=4, degree=2), "complex_connection", J=J)
-    assert np.abs(covd_values(conn, J.field, pts(4, 4))).max() <= 1e-9
+    assert np.abs(covd_values(conn, J, pts(4, 4))).max() <= 1e-9
 
 
 
@@ -190,7 +190,7 @@ def test_vishnevskii_zero_closed_form():
     assert np.abs(vishnevskii_jframe_values(conn, cm.J, p)).max() <= 1e-12
     # nonconstant structures admit no such symbols
     J = gen_almost_complex(GenSpec(seed=5, dimension=4, degree=2))
-    with pytest.raises(GenerationError):
+    with pytest.raises(QsgError, match="exist only for constant structures"):
         gen_vishnevskii_zero_connection(GenSpec(seed=5, dimension=4, degree=2), J)
 
 
@@ -483,6 +483,6 @@ def test_each_model_states_the_constraints_it_has_fields_for():
     assert valid_constraints(ChartModel(domain=flat.domain, metric=flat.metric)) == [
         "quasi_statistical_g", "torsion_free"]
     plain = ChartModel(domain=flat.domain, J=flat.J,
-                       metric=MetricField(flat.metric.field, flavor="plain"))
+                       metric=MetricField(flat.metric, flavor="plain"))
     assert sorted(set(with_j) - set(valid_constraints(plain))) == [
         "conjugate_partner_parallel", "conjugate_torsion_sum", "quasi_statistical_partner"]

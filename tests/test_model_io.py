@@ -197,8 +197,8 @@ def test_loader_matches_polyexpr_oracle(seed):
     doc = _random_doc(seed)
     d = doc["dimension"]
     model = parse_model(copy.deepcopy(doc))
-    loaded = {"J": model.J.field, "Gamma": model.conn.field,
-              "h" if model.metric.flavor == "norden" else "g": model.metric.field}
+    loaded = {"J": model.J, "Gamma": model.conn.field,
+              "h" if model.metric.flavor == "norden" else "g": model.metric}
     want_fields = {}
     for name, node in doc["fields"].items():
         valence = VALENCES[name]
@@ -247,3 +247,18 @@ def test_example_models_keep_hash_and_bytes(tmp_path, monkeypatch, capsys):
     model, _ = load_model(str(witness))
     assert model.conn.field.exps.shape[0] > 1  # a nonconstant witness
     _assert_rewrite_keeps_hash_and_bytes(witness, tmp_path)
+
+
+def test_unread_top_level_key_leaves_the_hash_alone(tmp_path, capsys):
+    # the hash is that of the model the file holds; a key the loader does
+    # not read (such as a generator note) is not part of it
+    doc = canonical_doc(flat_hermitian_model(2))
+    plain, noted = tmp_path / "plain.json", tmp_path / "noted.json"
+    plain.write_text(json.dumps(doc))
+    noted.write_text(json.dumps({**doc, "genspec": {"seed": 3, "degree": 2}}))
+    assert model_hash(load_model(str(noted))[1]) == model_hash(load_model(str(plain))[1])
+    reports = []
+    for path in (plain, noted):
+        assert main(["check", str(path), "--predicates", "kahler"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0]["model_hash"] == reports[1]["model_hash"]

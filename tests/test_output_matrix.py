@@ -33,3 +33,18 @@ def test_runs_cover_every_predicate_and_constraint(tmp_path):
                                      "--degree", str(degree), "--out", f"witnesses/{run}.json"]
         stated |= set(valid_constraints(model))
     assert stated == set(CONSTRAINTS)
+
+
+def test_runs_cover_every_failure_rendering(tmp_path, monkeypatch):
+    # each way cli.main reports a failure, run from the files the script writes
+    matrix = output_matrix.runs(output_matrix.example_models(tmp_path))
+    runs = dict(matrix)
+    assert matrix[-len(output_matrix.ERROR_RUNS):] == output_matrix.ERROR_RUNS
+    monkeypatch.chdir(tmp_path)
+    want = {"error-model-file": (2, "qsg: model file error: dimension: "),
+            "error-unknown-predicate": (2, "qsg: unknown predicate 'not_a_predicate'"),
+            "error-empty-only": (2, "qsg: no entry id given"),
+            "error-degenerate-metric": (3, "qsg: degenerate form at point (")}
+    for name, (code, stderr) in want.items():
+        text = output_matrix.record(runs[name])
+        assert f"\nexit: {code}\n--- stdout\n--- stderr\n{stderr}" in text, text

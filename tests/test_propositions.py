@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsg.connections import KLEIN_PAIRS
 from qsg.errors import QsgError
 from qsg.fields import ChartDomain
 from qsg.model import ChartModel, ModelAt
@@ -153,6 +154,17 @@ def test_non_finite_witness_residual_fails(bad, slot):
     # never a witness-unavailable skip
     entry = _witness_entry("x", 2, [(bad, 1e-12)] * 3, 1e-6)
     assert entry.status == "fail"
+
+
+def test_klein_entry_keeps_a_nan_at_any_of_the_nine_positions(monkeypatch):
+    # the entry reduces the table's nine residuals; a NaN fails it wherever
+    # it sits, where ``max`` would skip it unless it came first
+    for position in range(len(KLEIN_PAIRS)):
+        table = dict.fromkeys(KLEIN_PAIRS, 1e-12)
+        table[list(KLEIN_PAIRS)[position]] = float("nan")
+        monkeypatch.setattr(propositions, "klein_table", lambda at: dict(table))
+        (entry,) = run_full_suite(seed=0, trials=1, dims=(2,), only=("teo1.klein",)).entries
+        assert np.isnan(entry.max_residual) and entry.status == "fail", position
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -7,15 +7,19 @@ from oracle import comps, from_comps, lie_derivative_J_on_fields, nijenhuis_on_f
 from qsg import sampling
 from qsg.calculus import LeviCivitaConnection, PolyConnection, covd_values, torsion_values
 from qsg.connections import JConjugateConnection
+from qsg.errors import QsgError
 from qsg.fields import PolyExpr, PolyTensorField, j_apply_vector, poly_einsum
 from qsg.generate import (
     GenSpec,
     gen_almost_complex,
     gen_connection,
+    gen_constant_structure_model,
     gen_hermitian_metric,
+    gen_kahler_model,
     gen_norden_metric,
     random_poly_field,
 )
+from qsg.model_io import canonical_doc, load_model, write_model
 from qsg.model import flat_norden_model, standard_structure, neutral_diagonal
 from qsg.structures import (
     AlmostComplexStructure,
@@ -41,13 +45,37 @@ def pts(dim, seed=0, n=25):
 
 def d_J(conn, J, p):
     """d^D J at ``p`` from the arrays it is a formula on."""
-    return d_nabla_J_values(covd_values(conn, J.field, p), J.values(p), torsion_values(conn, p))
+    return d_nabla_J_values(covd_values(conn, J, p), J.values(p), torsion_values(conn, p))
 
 
 def d_b(conn, b, p):
     """d^D b at ``p`` from the arrays it is a formula on."""
-    return d_nabla_metric_values(covd_values(conn, b.field, p), b.values(p),
+    return d_nabla_metric_values(covd_values(conn, b, p), b.values(p),
                                  torsion_values(conn, p))
+
+
+def test_metric_and_structure_are_the_fields(tmp_path):
+    # loaded and generated alike: the instance is the field, with no field
+    # inside it to reach through
+    path = tmp_path / "model.json"
+    write_model(canonical_doc(gen_kahler_model(GenSpec(seed=2, dimension=4, degree=1))), path)
+    loaded, _ = load_model(str(path))
+    spec = GenSpec(seed=4, dimension=4, degree=2)
+    J = gen_almost_complex(spec)
+    const = gen_constant_structure_model(spec, "norden")
+    for obj, cls in ((loaded.metric, MetricField), (loaded.J, AlmostComplexStructure),
+                     (J, AlmostComplexStructure), (gen_hermitian_metric(spec, J), MetricField),
+                     (gen_norden_metric(spec, J), MetricField), (const.metric, MetricField),
+                     (const.J, AlmostComplexStructure)):
+        assert isinstance(obj, cls) and isinstance(obj, PolyTensorField)
+        assert not hasattr(obj, "field")
+    assert loaded.metric.flavor == "hermitian" and const.metric.flavor == "norden"
+    with pytest.raises(QsgError, match=r"metric must be a \(0,2\) field"):
+        MetricField(J, "hermitian")
+    with pytest.raises(QsgError, match=r"almost complex structure must be a \(1,1\) field"):
+        AlmostComplexStructure(loaded.metric)
+    with pytest.raises(QsgError, match="unknown metric flavor 'lorentz'"):
+        MetricField(loaded.metric, "lorentz")
 
 
 def test_two_form_flat_example():
@@ -143,7 +171,7 @@ def test_d_nabla_metric_examples():
     J = gen_almost_complex(spec)
     g = gen_hermitian_metric(spec, J)
     p = pts(2, 3)
-    lc = LeviCivitaConnection(g.field)
+    lc = LeviCivitaConnection(g)
     assert np.abs(d_b(lc, g, p)).max() <= 1e-9
     conn = PolyConnection(random_poly_field(sampling.rng(3, 32), 2, (1, 2), 2, 1.0))
     d = d_b(conn, g, p)
@@ -177,9 +205,9 @@ def test_tachibana_via_lie_brackets():
     # independent route for (a, b, c) = (0, 1, 0) using explicit fields
     e = [PolyTensorField.constant(d, (1, 0), np.eye(d)[i]) for i in range(d)]
     a, b, c = 0, 1, 0
-    Ja = j_apply_vector(J.field, e[a])
+    Ja = j_apply_vector(J, e[a])
     # (J x_a) h(x_b, x_c): directional derivative of a polynomial scalar
-    hc, jc = comps(h.field), comps(J.field)
+    hc, jc = comps(h), comps(J)
     _, grad = hc[b, c].jet(p)
     term1 = np.einsum("nk,nk->n", Ja.values(p), grad)
     hJb_c = sum((jc[m, b] * hc[m, c] for m in range(d)), PolyExpr(d))
@@ -199,8 +227,8 @@ def test_quasi_kahler_norden_sum_matches_cyclic_tachibana():
         J = gen_almost_complex(spec)
         h = gen_norden_metric(spec, J)
         p = pts(4, seed)
-        lc = LeviCivitaConnection(h.field)
-        s_def = quasi_kahler_norden_sum_values(covd_values(lc, J.field, p), h.values(p))
+        lc = LeviCivitaConnection(h)
+        s_def = quasi_kahler_norden_sum_values(covd_values(lc, J, p), h.values(p))
         s_phi = cyclic_sum_03(tachibana_values(J, h, p))
         assert np.abs(s_def - s_phi).max() / (1 + np.abs(s_def).max()) <= 1e-9
 
@@ -234,14 +262,14 @@ def test_vishnevskii_jframe_is_operator_on_twisted_frames(dim):
     # explicit field J x_j; with a nonconstant J this needs the dJ terms
     spec = GenSpec(seed=5, dimension=dim, degree=2)
     J = gen_almost_complex(spec)
-    assert J.field.degree() > 0
+    assert J.degree() > 0
     conn = PolyConnection(random_poly_field(sampling.rng(5, 1), dim, (1, 2), 2, 1.0))
     p = pts(dim, 5)
     got = vishnevskii_jframe_values(conn, J, p)
     for i in range(dim):
         x = PolyTensorField.constant(dim, (1, 0), np.eye(dim)[i])
         for j in range(dim):
-            jx = j_apply_vector(J.field, PolyTensorField.constant(dim, (1, 0), np.eye(dim)[j]))
+            jx = j_apply_vector(J, PolyTensorField.constant(dim, (1, 0), np.eye(dim)[j]))
             want = vishnevskii_on_fields(conn, J, x, jx, p)
             assert np.abs(got[:, :, i, j] - want).max() <= 1e-12
 
