@@ -270,16 +270,16 @@ class PolyTensorField:
 
     # -- constructors -------------------------------------------------
 
-    @classmethod
-    def zeros(cls, dimension: int, valence) -> "PolyTensorField":
+    @staticmethod
+    def zeros(dimension: int, valence) -> "PolyTensorField":
         rank = valence[0] + valence[1]
-        return cls(dimension, valence, exps=np.zeros((0, dimension)),
-                   coefs=np.zeros((0,) + (dimension,) * rank))
+        return PolyTensorField(dimension, valence, exps=np.zeros((0, dimension)),
+                               coefs=np.zeros((0,) + (dimension,) * rank))
 
-    @classmethod
-    def constant(cls, dimension: int, valence, array) -> "PolyTensorField":
-        return cls(dimension, valence, exps=np.zeros((1, dimension)),
-                   coefs=np.asarray(array, dtype=float)[None])
+    @staticmethod
+    def constant(dimension: int, valence, array) -> "PolyTensorField":
+        return PolyTensorField(dimension, valence, exps=np.zeros((1, dimension)),
+                               coefs=np.asarray(array, dtype=float)[None])
 
     # -- layout -------------------------------------------------------
 

@@ -73,6 +73,9 @@ def purity_values(b, J: AlmostComplexStructure, pts, sign: float) -> np.ndarray:
 def fundamental_two_form(g: MetricField, J: AlmostComplexStructure) -> PolyTensorField:
     """w(X, Y) = g(JX, Y), an exact polynomial field; antisymmetric for a
     Hermitian pair (``purity_values`` measures how far a pair is from one)."""
+    # the product of fields.bilinear_pullback_first, written in place here and
+    # in twin_metric while the benchmark tracer hooks both names; the three
+    # copies fold into one with ROADMAP item 2
     return poly_einsum("ki,kj->ij", J, g, valence=(0, 2))
 
 

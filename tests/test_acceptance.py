@@ -83,7 +83,7 @@ def test_criterion_1_klein_suite(suite):
             conn = PolyConnection(random_poly_field(sampling.rng(seed, 90), 2, (1, 2), 2, 1.0))
             pts = sampling.sample_box([(-0.5, 0.5)] * 2, 25, seed, 91)
             model = ChartModel(domain=ChartDomain.cube(2), metric=metric, J=J, conn=conn)
-            ok = ok and max(klein_table(ModelAt(model, pts)).values()) <= 1e-8
+            ok = ok and np.max(list(klein_table(ModelAt(model, pts)).values())) <= 1e-8
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60.0
     _report(ok, f"four-group involution/composition identities <= 1e-8, "

@@ -78,6 +78,12 @@ def test_metric_and_structure_are_the_fields(tmp_path):
         MetricField(loaded.metric, "lorentz")
 
 
+def test_field_constructors_called_on_a_subclass_build_plain_fields():
+    for cls in (MetricField, AlmostComplexStructure):
+        for field in (cls.zeros(2, (0, 2)), cls.constant(2, (0, 2), np.eye(2))):
+            assert type(field) is PolyTensorField and field.valence == (0, 2)
+
+
 def test_two_form_flat_example():
     g = MetricField(PolyTensorField.constant(2, (0, 2), np.eye(2)), "hermitian")
     J = AlmostComplexStructure(PolyTensorField.constant(2, (1, 1), standard_structure(2)))
