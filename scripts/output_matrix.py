@@ -12,6 +12,9 @@ OUTDIR gets the four models of ``make_example_models.py`` (seed 0) under
 code, stdout, and stderr without its wall-time line.  The runs are
 
 * the acceptance ``verify --dims 2,4 --trials 30 --seed 0``;
+* short ``verify`` runs off the acceptance configuration: ansatz degrees 0
+  and 1, the recipe and constant-model witnesses at dim 6, and the ``md``
+  rendering of the witness-heavy section 3 entries;
 * on each model, ``check`` of every predicate alone, of all of them
   together, and of all that run on the model (those that raise no input
   error on one point) together;
@@ -46,6 +49,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from make_example_models import write_examples  # noqa: E402
 
 ACCEPTANCE = ["verify", "--dims", "2,4", "--trials", "30", "--seed", "0"]
+# run name -> argv of the further verify runs
+VERIFY_RUNS = {
+    "verify-degree-0": ["verify", "--dims", "2,4", "--trials", "3", "--degree", "0"],
+    "verify-degree-1": ["verify", "--dims", "2,4", "--trials", "3", "--degree", "1"],
+    "verify-dim-6": ["verify", "--dims", "6", "--trials", "1", "--only",
+                     "lem1,pro2,sec2.cor3,sec2.vishnevskii,pro14,teo5,cor8,sec3.cor_final,"
+                     "GAD15.cor"],
+    "verify-md": ["verify", "--dims", "2,4", "--trials", "3", "--only", "pro3,teo2,sec3",
+                  "--format", "md"],
+}
 PAIR = "quasi_statistical_g,d_closed_J"
 DEGREES = (1, 2)
 # file name under broken/ -> its text
@@ -70,7 +83,7 @@ ERROR_RUNS = [
 def runs(models: dict) -> list:
     """(run name, argv) of every run, for ``{name: model}`` stored as
     ``models/<name>.json``."""
-    out = [("verify", ACCEPTANCE)]
+    out = [("verify", ACCEPTANCE), *VERIFY_RUNS.items()]
     for name, model in models.items():
         path = f"models/{name}.json"
         running = ",".join(p for p in PREDICATES if _runs_on(model, p))

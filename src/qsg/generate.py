@@ -42,7 +42,7 @@ import numpy as np
 from . import sampling
 from .blas import pin_one_thread
 from .calculus import Connection, ConstantConnection, PolyConnection
-from .connections import BilinearConjugateConnection
+from .connections import BilinearConjugateConnection, JConjugateConnection
 from .contraction import contract
 from .errors import QsgError
 from .fields import (
@@ -361,6 +361,7 @@ def gen_kahler_model(spec: GenSpec) -> ChartModel:
 # connection recipes
 
 
+# no recipe calls it; perfbench/tracing.py wraps it by name and test_dense_oracle checks it
 def j_conjugate_poly(gamma: PolyTensorField, J: AlmostComplexStructure) -> PolyTensorField:
     """Structure conjugation of polynomial symbols, exactly:
     gamma'^k_{ij} = -J^k_m (d_i J^m_j + gamma^m_{il} J^l_j)."""
@@ -389,9 +390,7 @@ def gen_connection(spec: GenSpec, constraint: str, J: AlmostComplexStructure | N
     * ``d_closed_J``: structure conjugate of a torsion-free connection;
     * ``j_invariant_torsion``: symmetric part plus half a projected torsion;
     * ``quasi_statistical_g`` / ``quasi_statistical_h``: metric conjugate of
-      a torsion-free connection;
-    * ``complex_connection``: average of a random connection with its
-      structure conjugate.
+      a torsion-free connection.
 
     Constraint sets have no closed form here; use ``synthesize_connection``.
     """
@@ -402,7 +401,7 @@ def gen_connection(spec: GenSpec, constraint: str, J: AlmostComplexStructure | N
         return PolyConnection(_symmetrize_12(raw))
     if constraint == "d_closed_J":
         _require(J, "d_closed_J needs an almost complex structure")
-        return PolyConnection(j_conjugate_poly(_symmetrize_12(raw), J))
+        return JConjugateConnection(PolyConnection(_symmetrize_12(raw)), J)
     if constraint == "j_invariant_torsion":
         _require(J, "j_invariant_torsion needs an almost complex structure")
         t = _symmetrize_12(raw, -1.0).scale(2.0)
@@ -412,11 +411,6 @@ def gen_connection(spec: GenSpec, constraint: str, J: AlmostComplexStructure | N
         _require(metric, f"{constraint} needs a metric")
         base = PolyConnection(_symmetrize_12(raw))
         return BilinearConjugateConnection(base, metric)
-    if constraint == "complex_connection":
-        _require(J, "complex_connection needs an almost complex structure")
-        return PolyConnection(
-            (raw + j_conjugate_poly(raw, J)).scale(0.5)
-        )
     raise QsgError(f"unknown generation constraint {constraint!r}")
 
 

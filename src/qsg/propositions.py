@@ -24,14 +24,15 @@ the families owning a selected id and report what a full run does.
 
 A family body is a map from a trial to residuals.  ``_identities`` runs
 ``td -> {id: residual}`` over the random trials and ``_witnesses`` runs
-``t -> {id: (hyp, concl)}`` over the witness trials; what is particular to
-one result (a folded identity, a vanish-together flag, a note) follows the
-call.  Every array a body reads comes from ``model.ModelAt``, the
-evaluator ``check`` and ``synthesize`` read through too, here one model at
-a trial's frozen points: it memoizes torsions and derivatives per
-connection op-tuple, and the connection-independent arrays (the Nijenhuis
-and holomorphicity operators) in a memo that its ``with_conn`` copies
-share.  Memoized arrays are read-only.
+``(row, {id: conclusion(witness)})`` over the witness trials, each ``Row``
+built and scored by ``_witness``; what is particular to one result (a
+folded identity, a vanish-together flag, a note) follows the call.  Every
+array a body reads comes from ``model.ModelAt``, the evaluator ``check``
+and ``synthesize`` read through too, here one model at a trial's frozen
+points: it memoizes torsions and derivatives per connection op-tuple, and
+the connection-independent arrays (the Nijenhuis and holomorphicity
+operators) in a memo that its ``with_conn`` copies share.  Memoized
+arrays are read-only.
 """
 
 from __future__ import annotations
@@ -49,11 +50,12 @@ from .calculus import (
     exterior_d2_connection_expansion,
     exterior_d2_values,
 )
-from .connections import KLEIN_TOL, BilinearConjugateConnection, JConjugateConnection, klein_table
+from .connections import KLEIN_TOL, BilinearConjugateConnection, klein_table
 from .contraction import contract
 from .errors import QsgError
 from .fields import ChartDomain, PolyTensorField
 from .generate import (
+    CONSTRAINTS,
     GenSpec,
     gen_almost_complex,
     gen_connection,
@@ -79,7 +81,6 @@ from .structures import (
     j_invariance_defect,
     quasi_kahler_norden_sum_values,
     torsion_compat,
-    vishnevskii_frame_values,
     vishnevskii_jframe_values,
     vishnevskii_on_fields,
 )
@@ -143,7 +144,6 @@ class SuiteReport:
     seed: int
     trials: int
     dims: tuple
-    tolerances: dict = dc_field(default_factory=lambda: dict(TOLERANCES))
     entries: list = dc_field(default_factory=list)
 
     @property
@@ -155,7 +155,7 @@ class SuiteReport:
             "seed": self.seed,
             "trials": self.trials,
             "dims": list(self.dims),
-            "tolerances": self.tolerances,
+            "tolerances": dict(TOLERANCES),
             "pass": self.passed,
             "entries": [e.to_dict() for e in sorted(self.entries, key=lambda e: (e.prop_id, e.dim))],
         }
@@ -196,9 +196,9 @@ def family(section: str, *ids: str):
     return add
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Flavor:
-    """One side of the Hermitian / Norden mirror."""
+    """One side of the Hermitian / Norden mirror, hashed by identity (a ``Row`` base)."""
 
     name: str  # metric flavor of the trial pairs
     section: str  # runner that reports this flavor's twin entries
@@ -254,12 +254,10 @@ def twin(ids_of: Callable, section: str = ""):
 
 
 def _section_runner(section: str):
-    def run(ctx: SectionContext, families=None) -> list:
-        if families is None:
-            families = [f for f in FAMILIES if f.section == section]
+    def run(ctx: SectionContext, families: list) -> list:
         return [e for f in families for e in f.run(ctx)]
     run.__name__ = run.__qualname__ = section
-    run.__doc__ = SECTIONS[section] + "  ``families`` restricts the run to some of them."
+    run.__doc__ = SECTIONS[section] + "  Runs the given ``families`` of this section."
     return run
 
 
@@ -347,6 +345,14 @@ class SectionContext:
         return self._trial_data("constant", trial, lambda: gen_constant_structure_model(
             self.spec(trial, 6), "hermitian"))
 
+    def integrable(self, trial: int) -> ModelAt:
+        """Integrable structure of one witness trial: in dimension 2 a random
+        one alone (every one is), above it the sheared Kahler model."""
+        if self.dim > 2:
+            return self.kahler(trial)
+        return self._trial_data("structure", trial, lambda: ChartModel(
+            domain=ChartDomain.cube(2), J=gen_almost_complex(self.spec(trial, 11))))
+
 
 # ---------------------------------------------------------------------------
 # entry assembly helpers
@@ -367,12 +373,11 @@ def _identity_entry(prop_id, dim, trials, residuals, tol):
 
 
 def _collect(n: int, rows_of) -> dict:
-    """{id: rows} over trials ``0..n-1`` of ``rows_of(t) -> {id: row}``,
-    where a row may also be a list of rows."""
+    """{id: rows} over trials ``0..n-1`` of ``rows_of(t) -> {id: row}``."""
     per_id = {}
     for t in range(n):
         for prop_id, r in rows_of(t).items():
-            per_id.setdefault(prop_id, []).extend(r if isinstance(r, list) else [r])
+            per_id.setdefault(prop_id, []).append(r)
     return per_id
 
 
@@ -407,11 +412,50 @@ def _witness_entry(prop_id, dim, results, tol):
     )
 
 
-def _witnesses(ctx: SectionContext, tol, pairs) -> list:
-    """Witness entries from ``pairs(t) -> {id: (hyp, concl)}`` (or a list
-    of such pairs) over the witness trials; ``tol`` is one tolerance or a
-    dict of them by id."""
-    per_id = _collect(ctx.witness_trials, pairs)
+class Row(NamedTuple):
+    """One witness: a closed-form ``recipe`` on ``base``, or without one a fit
+    of ``hyp`` at ansatz ``degree`` (default: the witness degree)."""
+
+    base: object  # a Flavor (its trial) or a SectionContext method of a trial
+    hyp: tuple  # generate.CONSTRAINTS names; a recipe row adds maps (witness, t) -> array
+    tag: int | None = None  # sub-seed tag of the recipe or fit
+    recipe: str | Callable | None = None  # gen_connection constraint, or (spec, base) -> conn
+    degree: int | None = None
+    anchor: float = 0.3  # scale of the fit's random anchor
+
+
+def _witness(ctx: SectionContext, row: Row, t: int, built: dict):
+    """(hypothesis residual, witness ``ModelAt``) of ``row`` at trial ``t``;
+    ``built`` keeps the trial's recipe witnesses by row without ``hyp``, so
+    rows that differ only there share one."""
+    base = ctx.trial(row.base, t) if isinstance(row.base, Flavor) else row.base(ctx, t)
+    if row.recipe is None:
+        degree = ctx.witness_degree if row.degree is None else row.degree
+        sr = synthesize_connection(base.model, list(row.hyp), seed=ctx._sub_seed(t, row.tag),
+                                   ansatz_degree=degree, anchor_scale=row.anchor)
+        return sr.residual, base.with_conn(sr.connection)
+    key = row._replace(hyp=())
+    if key not in built:
+        spec = None if row.tag is None else ctx.spec(t, row.tag)
+        built[key] = base.with_conn(
+            gen_connection(spec, row.recipe, J=base.model.J, metric=base.model.metric)
+            if isinstance(row.recipe, str) else row.recipe(spec, base))
+    wd = built[key]
+    return _worst([zero_res(CONSTRAINTS[h].residual(wd) if isinstance(h, str) else h(wd, t))
+                   for h in row.hyp]), wd
+
+
+def _witnesses(ctx: SectionContext, tol, *rows, given: dict | None = None) -> list:
+    """Witness entries from ``(row, {id: conclusion(witness)})`` pairs over the
+    witness trials, after the ``given`` ``{id: [(hyp, concl)]}``; ``tol`` is
+    one tolerance or a dict of them by id."""
+    per_id = {i: list(rs) for i, rs in (given or {}).items()}
+    for t in range(ctx.witness_trials):
+        built = {}
+        for row, conclusions in rows:
+            hyp, wd = _witness(ctx, row, t, built)
+            for i, conclusion in conclusions.items():
+                per_id.setdefault(i, []).append((hyp, conclusion(wd)))
     return [_witness_entry(i, ctx.dim, rs, tol[i] if isinstance(tol, dict) else tol)
             for i, rs in per_id.items()]
 
@@ -453,16 +497,6 @@ def _jshift_residual(td: ModelAt, which: str) -> float:
                      td.d_metric((), which) - _jshift_correction(td, which))
 
 
-def _synth(ctx: SectionContext, base: ModelAt, constraints: list, trial: int, tag: int,
-           degree: int | None = None, anchor: float = 0.3):
-    """Witness symbols fitted to ``constraints`` on ``base``'s metric and
-    structure, and the trial data of ``base`` under them."""
-    sr = synthesize_connection(base.model, constraints, seed=ctx._sub_seed(trial, tag),
-                               ansatz_degree=ctx.witness_degree if degree is None else degree,
-                               anchor_scale=anchor)
-    return sr, base.with_conn(sr.connection)
-
-
 # ---------------------------------------------------------------------------
 # entry families
 #
@@ -487,32 +521,22 @@ def _gad1(ctx):
 def _lem1(ctx):
     # on d-closed witnesses the integrability obstruction reduces to the
     # structure-twisted torsion combination
-    def pairs(t):
-        td = ctx.trial(HERMITIAN, t)
-        wd = td.with_conn(JConjugateConnection(gen_connection(ctx.spec(t, 10), "torsion_free"),
-                                               td.model.J))
-        mix = torsion_compat(wd.torsion(), wd.jv)
-        return {"lem1": (zero_res(wd.d_J()), ident_res(wd.nijenhuis, -_jout(wd.jv, mix)))}
-    return _witnesses(ctx, TOLERANCES["identity"], pairs)
+    def reduction(wd):
+        return ident_res(wd.nijenhuis, -_jout(wd.jv, torsion_compat(wd.torsion(), wd.jv)))
+    return _witnesses(ctx, TOLERANCES["identity"], (
+        Row(HERMITIAN, ("d_closed_J",), 10, "d_closed_J"), {"lem1": reduction}))
 
 
 @family("verify_section2", "pro2", "sec2.cor3")
 def _pro2(ctx):
     # witnesses carry exactly closed structures with compatible torsion, so
-    # the obstruction must vanish
-    def pairs(t):
-        if ctx.dim == 2:
-            base = ModelAt(ChartModel(domain=ChartDomain.cube(2),
-                                        J=gen_almost_complex(ctx.spec(t, 11))), ctx.points(t))
-        else:
-            base = ctx.kahler(t)
-        wd = base.with_conn(JConjugateConnection(gen_connection(ctx.spec(t, 12), "torsion_free"),
-                                                 base.model.J))
-        compat = zero_res(torsion_compat(wd.torsion(), wd.jv))
-        n_res = zero_res(wd.nijenhuis)
-        return {"pro2": (_worst([compat, zero_res(wd.d_J())]), n_res),
-                "sec2.cor3": (_worst([compat, zero_res(wd.torsion(("jconj",)))]), n_res)}
-    return _witnesses(ctx, TOLERANCES["conclusion"], pairs)
+    # the obstruction must vanish; sec2.cor3 states the closedness as a
+    # torsion-free structure conjugate, on the same witnesses
+    row = Row(SectionContext.integrable, ("torsion_compatible", "d_closed_J"), 12, "d_closed_J")
+    cor3 = row._replace(hyp=("torsion_compatible", lambda wd, t: wd.torsion(("jconj",))))
+    return _witnesses(ctx, TOLERANCES["conclusion"],
+                      (row, {"pro2": lambda wd: zero_res(wd.nijenhuis)}),
+                      (cor3, {"sec2.cor3": lambda wd: zero_res(wd.nijenhuis)}))
 
 
 @family("verify_section2", "sec2.compat_equiv")
@@ -544,21 +568,19 @@ def _vishnevskii(ctx):
     # vanishing coupling operator forces the twisted-closedness identity;
     # witnesses need a constant structure (nonconstant ones obstruct the
     # twisted-frame conditions for every connection)
-    def pairs(t):
-        cm = ctx.constant(t)
-        J, pts = cm.model.J, cm.pts
-        wd = cm.with_conn(gen_vishnevskii_zero_connection(ctx.spec(t, 14), J))
-        w = wd.conn()
-        hyp = _worst([zero_res(vishnevskii_frame_values(w, J, pts)),
-                      zero_res(vishnevskii_jframe_values(w, J, pts))])
+    def random_first_slot(wd, t):
         # tensorial first slot: random-field arguments add no freedom
         x_rand = random_poly_field(ctx.rng(t, 15), ctx.dim, (1, 0), ctx.degree, 1.0)
         frames = PolyTensorField.constant(ctx.dim, (1, 0), np.eye(ctx.dim)[0])
-        hyp = _worst([hyp, zero_res(vishnevskii_on_fields(w, J, x_rand, frames, pts))])
+        return vishnevskii_on_fields(wd.conn(), wd.model.J, x_rand, frames, wd.pts)
+
+    def closedness(wd):
         lhs = torsion_compat(wd.d_J(), wd.jv)
-        rhs = _jout(wd.jv, torsion_compat(wd.torsion(), wd.jv))
-        return {"sec2.vishnevskii": (hyp, ident_res(lhs, rhs))}
-    (entry,) = _witnesses(ctx, TOLERANCES["conclusion"], pairs)
+        return ident_res(lhs, _jout(wd.jv, torsion_compat(wd.torsion(), wd.jv)))
+    (entry,) = _witnesses(ctx, TOLERANCES["conclusion"], (
+        Row(SectionContext.constant, ("vishnevskii_zero", random_first_slot), 14,
+            lambda spec, base: gen_vishnevskii_zero_connection(spec, base.model.J)),
+        {"sec2.vishnevskii": closedness}))
     # the twisted-frame array the hypothesis reads is the operator on
     # (x_i, J x_j): checked where the structure is not constant
     _fold_identity(entry, [_jframe_residual(ctx.trial(HERMITIAN, t)) for t in range(ctx.trials)],
@@ -606,9 +628,9 @@ def _pro3(ctx, fl):
     # per-item collapse on Codazzi-coupled witnesses
     def identities(t):
         td = ctx.trial(fl, t)
-        corr = [ident_res(td.d_metric(ops, "partner"), fl.sign * (
+        corr = _worst([ident_res(td.d_metric(ops, "partner"), fl.sign * (
             _slot3(td.d_metric(ops, "metric"), td.jv) + _pro3_correction(td, ops)))
-            for ops in ((), ("star",))]
+            for ops in ((), ("star",))])
         return {"corr": corr, "v": _jshift_residual(td, "partner"),
                 "vi": _jshift_residual(td, "metric")}
     ident = _collect(ctx.trials, identities)
@@ -617,33 +639,31 @@ def _pro3(ctx, fl):
     # conjugate of D depending on where each item places the hypothesis
     alt = []
 
-    def pairs(t):
-        sr, wd = _synth(ctx, ctx.trial(fl, t), ["codazzi_J"], t, fl.tags[2], degree=1)
+    def collapse(ops):
+        return lambda wd: ident_res(wd.d_metric(ops, "partner"),
+                                    fl.sign * _slot3(wd.d_metric(ops, "metric"), wd.jv))
 
-        def collapse(ops):
-            return ident_res(wd.d_metric(ops, "partner"),
-                             fl.sign * _slot3(wd.d_metric(ops, "metric"), wd.jv))
+    def item_i(wd):
+        # alternate placement for item (i): hypothesis moved onto the
+        # conjugate pair makes the statement connection the witness itself,
+        # whose coupling is generically broken, so this should stay large
+        alt.append(collapse(())(wd))
+        return collapse(("star",))(wd)
 
-        if fl.pro3_notes:
-            # alternate placement for item (i): hypothesis moved onto the
-            # conjugate pair makes the statement connection the witness
-            # itself, whose coupling is generically broken, so this should
-            # stay large
-            alt.append(collapse(()))
-        # stated placements; items (iii)-(vi) put the hypothesis on a
-        # conjugate, so their statement connection is the matching
-        # conjugate of the coupled witness
-        concl = {
-            "i": collapse(("star",)), "ii": collapse(("dagger",)),
-            "iii": collapse(("star",)), "iv": collapse(("dagger",)),
-            "v": ident_res(wd.d_metric(("dagger", "jconj"), "partner"),
-                           wd.d_metric(("dagger",), "partner")),
-            "vi": ident_res(wd.d_metric(("star", "jconj"), "metric"),
-                            wd.d_metric(("star",), "metric")),
-        }
-        return {fl.id("pro3", k): (sr.residual, concl[k]) for k in PRO3_ITEMS}
-
-    out = _witnesses(ctx, TOLERANCES["conclusion"], pairs)
+    # stated placements; items (iii)-(vi) put the hypothesis on a
+    # conjugate, so their statement connection is the matching conjugate
+    # of the coupled witness
+    concl = {
+        "i": item_i if fl.pro3_notes else collapse(("star",)), "ii": collapse(("dagger",)),
+        "iii": collapse(("star",)), "iv": collapse(("dagger",)),
+        "v": lambda wd: ident_res(wd.d_metric(("dagger", "jconj"), "partner"),
+                                  wd.d_metric(("dagger",), "partner")),
+        "vi": lambda wd: ident_res(wd.d_metric(("star", "jconj"), "metric"),
+                                   wd.d_metric(("star",), "metric")),
+    }
+    out = _witnesses(ctx, TOLERANCES["conclusion"], (
+        Row(fl, ("codazzi_J",), fl.tags[2], degree=1),
+        {fl.id("pro3", k): concl[k] for k in PRO3_ITEMS}))
     for k, e in zip(PRO3_ITEMS, out):
         _lead_note(e, fl.pro3_notes.get(k, ""))
         _fold_identity(e, ident.get(k, ident["corr"]), TOLERANCES["identity"])
@@ -698,24 +718,21 @@ def _cyclic(ctx):
     # cyclic-sum relation on jointly flat-and-closed witnesses; the same
     # witnesses serve lem3 and the first pairing of two-of-three, whose
     # other two pairings get witnesses of their own
-    def pairs(t):
-        base = ctx.constant(t) if ctx.dim > 2 else ctx.kahler(t)
-        sr, wd = _synth(ctx, base, ["quasi_statistical_g", "d_closed_J"], t, 22)
-        lhs = cyclic_sum_03(wd.d_metric(("jconj",), "metric"))
-        rhs = cyclic_sum_03(_bt(wd.bv, wd.torsion()))
-        srb, wdb = _synth(ctx, base, ["d_closed_J", "conjugate_partner_parallel"], t, 24)
-        src, wdc = _synth(ctx, base, ["quasi_statistical_g", "conjugate_partner_parallel"], t, 25)
-        return {"sec3.cyclic": (sr.residual, ident_res(lhs, rhs)),
-                "lem3": (sr.residual, zero_res(exterior_d2_values(wd.partner, wd.pts))),
-                "sec3.two_of_three": [
-                    (sr.residual, zero_res(wd.covd_metric(("star",), "partner"))),
-                    (srb.residual, zero_res(wdb.d_metric())),
-                    (src.residual, zero_res(wdc.d_J()))]}
-
+    def cyclic(wd):
+        return ident_res(cyclic_sum_03(wd.d_metric(("jconj",), "metric")),
+                         cyclic_sum_03(_bt(wd.bv, wd.torsion())))
     tol = TOLERANCES["conclusion"]
+    closed = SectionContext.constant if ctx.dim > 2 else SectionContext.kahler
+    row = Row(closed, ("quasi_statistical_g", "d_closed_J"), 22)
     cyc, lem3, two_of_three = _witnesses(ctx, {
         "sec3.cyclic": tol, "lem3": tol, "sec3.two_of_three": TOLERANCES["strict_conclusion"],
-    }, pairs)
+    }, (row, {"sec3.cyclic": cyclic,
+              "lem3": lambda wd: zero_res(exterior_d2_values(wd.partner, wd.pts)),
+              "sec3.two_of_three": lambda wd: zero_res(wd.covd_metric(("star",), "partner"))}),
+        (Row(closed, ("d_closed_J", "conjugate_partner_parallel"), 24),
+         {"sec3.two_of_three": lambda wd: zero_res(wd.d_metric())}),
+        (Row(closed, ("quasi_statistical_g", "conjugate_partner_parallel"), 25),
+         {"sec3.two_of_three": lambda wd: zero_res(wd.d_J())}))
     _fold_identity(cyc, [_jshift_residual(ctx.trial(HERMITIAN, t), "metric")
                          for t in range(ctx.trials)], TOLERANCES["kernel_identity"])
     _lead_note(two_of_three, "all three pairings tested")
@@ -724,9 +741,8 @@ def _cyclic(ctx):
     _lead_note(lem3, "contrapositive: no witness exists when the 2-form is not closed")
     td0 = ctx.trial(HERMITIAN, 0)
     if zero_res(exterior_d2_values(td0.partner, td0.pts)) > 1e-4:
-        sr0 = synthesize_connection(td0.model, ["quasi_statistical_g", "d_closed_J"],
-                                    ansatz_degree=2, seed=ctx._sub_seed(0, 23))
-        if not sr0.residual > TOLERANCES["negative"]:
+        hyp0, _ = _witness(ctx, row._replace(base=HERMITIAN, tag=23, degree=2, anchor=0.0), 0, {})
+        if not hyp0 > TOLERANCES["negative"]:
             lem3.status = "fail"
             lem3.notes += "; contrapositive check failed"
     return [cyc, lem3, two_of_three]
@@ -737,21 +753,17 @@ def _teo2(ctx):
     # flat model, torsion-bearing synthesized witnesses, sheared model
     flat = predicate_check(flat_hermitian_model(ctx.dim), "kahler",
                            tol=TOLERANCES["conclusion"], seed=ctx.seed).max_residual
-    torsions = []
+    torsions, hyp = [], ("quasi_statistical_g", "d_closed_J", "j_invariant_torsion")
 
-    def pairs(t):
-        rows = [(0.0, flat)] if t == 0 else []
-        # a constant-structure model, then the sheared Kahler model
-        for base, tag, anchor in ((ctx.constant(t), 26, 0.3),
-                                  (ctx.kahler(t), 27, 0.3 if ctx.dim == 2 else 0.0)):
-            sr, wd = _synth(ctx, base, ["quasi_statistical_g", "d_closed_J", "j_invariant_torsion"],
-                            t, tag, anchor=anchor)
-            rep = predicate_check(wd.model, "kahler", tol=TOLERANCES["conclusion"], seed=ctx.seed)
-            rows.append((sr.residual, rep.max_residual))
-            torsions.append(zero_res(wd.torsion()))
-        return {"teo2": rows}
-
-    (teo2,) = _witnesses(ctx, TOLERANCES["conclusion"], pairs)
+    def kahler(wd):
+        torsions.append(zero_res(wd.torsion()))
+        return predicate_check(wd.model, "kahler", tol=TOLERANCES["conclusion"],
+                               seed=ctx.seed).max_residual
+    # a constant-structure model, then the sheared Kahler model
+    (teo2,) = _witnesses(ctx, TOLERANCES["conclusion"],
+                         (Row(SectionContext.constant, hyp, 26), {"teo2": kahler}),
+                         (Row(SectionContext.kahler, hyp, 27, anchor=0.3 if ctx.dim == 2 else 0.0),
+                          {"teo2": kahler}), given={"teo2": [(0.0, flat)]})
     _lead_note(teo2, f"max witness torsion {_worst(torsions):.2e}")
     if teo2.status == "pass" and _worst(torsions) < 1e-6:
         teo2.status = "inconclusive-witness"
@@ -779,41 +791,30 @@ def _averaged(ctx):
 def _gad15_cor(ctx):
     # coupled torsion-free witnesses make the average of their metric
     # conjugate flat
-    def pairs(t):
-        sr, wd = _synth(ctx, ctx.constant(t) if ctx.dim > 2 else ctx.kahler(t),
-                        ["codazzi_J", "torsion_free"], t, 28)
+    def flat_average(wd):
         sd = wd.with_conn(wd.conn(("star",)))
-        concl = _worst([
+        return _worst([
             zero_res(sd.torsion(("star",))),
             zero_res(sd.torsion(("dagger",))),
             zero_res(sd.d_metric(("avg",), "metric")),
         ])
-        return {"GAD15.cor": (sr.residual, concl)}
-    return _witnesses(ctx, TOLERANCES["conclusion"], pairs)
+    closed = SectionContext.constant if ctx.dim > 2 else SectionContext.kahler
+    return _witnesses(ctx, TOLERANCES["conclusion"], (
+        Row(closed, ("codazzi_J", "torsion_free"), 28), {"GAD15.cor": flat_average}))
 
 
 @family("verify_section3", "sec3.cor_final")
 def _cor_final(ctx):
     # opposite conjugate torsions, flat average, paired closures vanish
     # together
-    def pairs(t):
-        sr, wd = _synth(ctx, ctx.constant(t), ["conjugate_torsion_sum"], t, 29)
+    def closures(wd):
         paired = wd.d_J(("star",)) + wd.d_J(("dagger",))
-        return {"sec3.cor_final": (sr.residual, _worst([zero_res(wd.d_metric(("avg",), "metric")),
-                                                        zero_res(paired)]))}
-    return _witnesses(ctx, TOLERANCES["conclusion"], pairs)
+        return _worst([zero_res(wd.d_metric(("avg",), "metric")), zero_res(paired)])
+    return _witnesses(ctx, TOLERANCES["conclusion"], (
+        Row(SectionContext.constant, ("conjugate_torsion_sum",), 29), {"sec3.cor_final": closures}))
 
 
 # section 4: Norden-only results
-
-
-def _quasi_statistical_witness(ctx: SectionContext, trial: int, tag: int):
-    """The Norden trial under the metric conjugate of a torsion-free
-    connection, and its quasi-statistical hypothesis residual."""
-    td = ctx.trial(NORDEN, trial)
-    wd = td.with_conn(gen_connection(ctx.spec(trial, tag), "quasi_statistical_h",
-                                     metric=td.model.metric))
-    return wd, zero_res(wd.d_metric((), "metric"))
 
 
 @family("verify_section4", "pro14")
@@ -821,11 +822,9 @@ def _pro14(ctx):
     # unconditional torsion expansion of the holomorphicity operator, then
     # the flat-derivative collapse on quasi-statistical witnesses
     r14 = [_pro14_unconditional_residual(ctx.trial(NORDEN, t)) for t in range(ctx.trials)]
-
-    def pairs(t):
-        wd, hyp = _quasi_statistical_witness(ctx, t, 32)
-        return {"pro14": (hyp, _pro14_conditional_residual(wd))}
-    (e14,) = _witnesses(ctx, TOLERANCES["strict_conclusion"], pairs)
+    (e14,) = _witnesses(ctx, TOLERANCES["strict_conclusion"], (
+        Row(NORDEN, ("quasi_statistical_h",), 32, "quasi_statistical_h"),
+        {"pro14": _pro14_conditional_residual}))
     _fold_identity(e14, r14, TOLERANCES["identity"])
     return [e14]
 
@@ -837,17 +836,15 @@ def _teo5(ctx):
     # vanish together
     tol_c, coupled = TOLERANCES["conclusion"], []
 
-    def pairs(t):
-        td = ctx.trial(NORDEN, t)
-        wd = td.with_conn(BilinearConjugateConnection(LeviCivitaConnection(td.partner),
-                                                      td.model.metric))
-        hyp = _worst([zero_res(wd.d_metric((), "metric")), zero_res(wd.d_J())])
+    def expansion(wd):
         phi = wd.tachibana
         t_h = _bt(wd.bv, _jfirst(wd.torsion(), wd.jv))
         b_t = contract("nmbc,nma->nabc", wd.covd_J(), wd.bv)
         coupled.append((zero_res(phi) <= tol_c) == (zero_res(t_h + b_t) <= tol_c))
-        return {"teo5": (hyp, ident_res(phi, t_h + b_t))}
-    (e5,) = _witnesses(ctx, tol_c, pairs)
+        return ident_res(phi, t_h + b_t)
+    (e5,) = _witnesses(ctx, tol_c, (Row(NORDEN, ("quasi_statistical_h", "d_closed_J"), recipe=(
+        lambda spec, base: BilinearConjugateConnection(LeviCivitaConnection(base.partner),
+                                                       base.model.metric))), {"teo5": expansion}))
     _lead_note(e5, "witness: metric conjugate of the twin-metric parallel connection")
     if not all(coupled) and e5.status == "pass":
         e5.status = "fail"
@@ -859,12 +856,12 @@ def _teo5(ctx):
 def _cor8(ctx):
     # cyclic holomorphicity sum against the torsion / derivative combination
     # on quasi-statistical witnesses
-    def pairs(t):
-        wd, hyp = _quasi_statistical_witness(ctx, t, 33)
+    def cyclic(wd):
         tv, djc, hv, jv = wd.torsion(), wd.covd_J(), wd.bv, wd.jv
         rhs = cyclic_sum_03(_bt(hv, _jfirst(tv, jv) + np.swapaxes(djc, 2, 3)))
-        return {"cor8": (hyp, ident_res(cyclic_sum_03(wd.tachibana), rhs))}
-    return _witnesses(ctx, TOLERANCES["conclusion"], pairs)
+        return ident_res(cyclic_sum_03(wd.tachibana), rhs)
+    return _witnesses(ctx, TOLERANCES["conclusion"], (
+        Row(NORDEN, ("quasi_statistical_h",), 33, "quasi_statistical_h"), {"cor8": cyclic}))
 
 
 @family("verify_section4", "theolast")

@@ -158,6 +158,26 @@ def test_criterion_8_negative_controls(suite):
     _report(ok, "violated hypotheses produce conclusion residuals >= 1e-3 in >= 90% of trials")
 
 
+# dim-4 entries that report the same witness residuals as another entry:
+# pro3 items (iii) and (iv), and their Norden twins, reuse the statement
+# connections of items (i) and (ii) until they get witnesses of their own
+KNOWN_DUPLICATES = {frozenset(pair) for pair in (
+    ("pro3.i", "pro3.iii"), ("pro3.ii", "pro3.iv"),
+    ("antipro3.i", "antipro3.iii"), ("antipro3.ii", "antipro3.iv"))}
+
+
+def test_entries_measure_their_own_statements(suite):
+    # no two dim-4 entries share both residuals unless listed above; dim 2
+    # is left out, where different statements match to rounding
+    groups = {}
+    for (prop_id, dim), e in suite.items():
+        if dim == 4 and e["direction"] != "negative-control":
+            groups.setdefault((e["max_residual"], e["hyp_residual"]), set()).add(prop_id)
+    shared = {frozenset(ids) for ids in groups.values() if len(ids) > 1}
+    _report(shared == KNOWN_DUPLICATES, "dim-4 entries sharing both residuals are the known "
+                                         f"duplicates: {sorted(map(sorted, shared))}")
+
+
 def test_criterion_9_determinism(verify_runs):
     (out1, _), (out2, _) = verify_runs
     ok = out1 == out2 and len(out1) > 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsg import generate, sampling
-from qsg.calculus import ConstantConnection, PolyConnection, covd_values, torsion_values
+from qsg.calculus import ConstantConnection, PolyConnection, torsion_values
 from qsg.connections import JConjugateConnection
 from qsg.errors import QsgError
 from qsg.fields import ChartDomain, PolyTensorField
@@ -157,14 +157,6 @@ def test_quasi_statistical_recipes():
         GenSpec(seed=3, dimension=4, degree=2), "quasi_statistical_g", metric=g)
     model = ChartModel(domain=ChartDomain.cube(4), metric=g, conn=conn)
     assert np.abs(ModelAt(model, pts(4, 3)).d_metric()).max() <= 1e-9
-
-
-def test_complex_connection_recipe():
-    spec = GenSpec(seed=4, dimension=4, degree=2)
-    J = gen_almost_complex(spec)
-    conn = gen_connection(
-        GenSpec(seed=4, dimension=4, degree=2), "complex_connection", J=J)
-    assert np.abs(covd_values(conn, J, pts(4, 4))).max() <= 1e-9
 
 
 

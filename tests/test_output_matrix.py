@@ -19,6 +19,13 @@ def test_runs_cover_every_predicate_and_constraint(tmp_path):
     runs = dict(matrix)
     assert len(models) == 4 and len(runs) == len(matrix)  # one file per run
     assert runs["verify"] == ["verify", "--dims", "2,4", "--trials", "30", "--seed", "0"]
+    short = ["verify", "--dims", "2,4", "--trials", "3"]
+    assert runs["verify-degree-0"] == short + ["--degree", "0"]
+    assert runs["verify-degree-1"] == short + ["--degree", "1"]
+    assert runs["verify-dim-6"] == ["verify", "--dims", "6", "--trials", "1", "--only",
+                                    "lem1,pro2,sec2.cor3,sec2.vishnevskii,pro14,teo5,cor8,"
+                                    "sec3.cor_final,GAD15.cor"]
+    assert runs["verify-md"] == short + ["--only", "pro3,teo2,sec3", "--format", "md"]
     stated = set()
     for name, model in models.items():
         path = f"models/{name}.json"

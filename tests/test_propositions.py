@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsg import sampling
 from qsg.connections import KLEIN_PAIRS
 from qsg.errors import QsgError
 from qsg.fields import ChartDomain
+from qsg.generate import CONSTRAINTS
 from qsg.model import ChartModel, ModelAt
 from qsg import propositions
 from qsg.propositions import (
@@ -20,6 +22,7 @@ from qsg.propositions import (
     SECTION2_IDS,
     SECTION3_IDS,
     SECTION4_IDS,
+    TOLERANCES,
     SectionContext,
     _fold_identity,
     _identity_entry,
@@ -65,13 +68,16 @@ def test_smoke_passes(smoke_report):
 
 def test_section_runners_report_every_id():
     ctx = SectionContext(seed=1, dim=2, trials=2)
-    ids2 = {e.prop_id for e in verify_section2(ctx)}
+
+    def families(runner):
+        return [f for f in FAMILIES if f.section == runner.__name__]
+    ids2 = {e.prop_id for e in verify_section2(ctx, families(verify_section2))}
     assert ids2 == set(SECTION2_IDS)
-    ids3 = {e.prop_id for e in verify_section3(ctx)}
+    ids3 = {e.prop_id for e in verify_section3(ctx, families(verify_section3))}
     assert ids3 == set(SECTION3_IDS)
-    ids4 = {e.prop_id for e in verify_section4(ctx)}
+    ids4 = {e.prop_id for e in verify_section4(ctx, families(verify_section4))}
     assert ids4 == set(SECTION4_IDS)
-    idsn = {e.prop_id for e in verify_negative_controls(ctx)}
+    idsn = {e.prop_id for e in verify_negative_controls(ctx, families(verify_negative_controls))}
     assert idsn == set(NEGATIVE_IDS)
 
 
@@ -265,6 +271,40 @@ def test_only_runs_only_the_selected_families(monkeypatch):
     assert calls == []
     run_full_suite(seed=0, trials=2, dims=(2,), only=("pro3.i",))
     assert len(calls) == 4  # one Codazzi witness per witness trial
+
+
+def test_witness_rows_replay(monkeypatch):
+    # a witness is a function of its row: rebuilt from the row alone in a
+    # fresh context, trial 0's witness has the hypothesis residual the suite
+    # read, and its named hypotheses hold on fresh points wherever the
+    # suite's witness met them (the fits were scored only on their own)
+    seen = []
+    real = propositions._witness
+
+    def recording(ctx, row, t, built):
+        hyp, wd = real(ctx, row, t, built)
+        seen.append((row, t, hyp))
+        return hyp, wd
+
+    monkeypatch.setattr(propositions, "_witness", recording)
+    run_full_suite(seed=0, trials=2, dims=(4,))
+    monkeypatch.undo()
+    tol = TOLERANCES["hypothesis"]
+    pts = sampling.sample_box(ChartDomain.cube(4).box, 25, 0, sampling.tag("witness_replay"))
+    met, named = 0, 0
+    for row, t, hyp in seen:
+        if t != 0:
+            continue
+        again, wd = propositions._witness(SectionContext(seed=0, dim=4, trials=2), row, 0, {})
+        assert again == hyp, row
+        if hyp <= tol:
+            met += 1
+            at = ModelAt(wd.model, pts)
+            for name in (h for h in row.hyp if isinstance(h, str)):
+                named += 1
+                assert np.abs(CONSTRAINTS[name].residual(at)).max() <= tol, (row, name)
+    # every witness row of the suite, the lem3 contrapositive's aside
+    assert (met, named) == (16, 26)
 
 
 def test_benchmark_tracer_sees_every_section():
