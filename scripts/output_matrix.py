@@ -21,6 +21,8 @@ code, stdout, and stderr without its wall-time line.  The runs are
 * on each model, ``synthesize`` of every constraint the model can state and
   of ``quasi_statistical_g,d_closed_J``, at ansatz degrees 1 and 2, each
   with ``--out`` under ``witnesses/``, where a found witness is written;
+* the ``md`` renderings of ``check`` (several predicates on the random
+  Hermitian model) and of ``synthesize`` (with ``--out``);
 * the error paths ``qsg.cli.main`` reports: a model file that breaks the
   schema (exit 2, "model file error"), an unknown predicate and an empty
   ``--only`` list (exit 2), and a degenerate metric (exit 3: ``synthesize``
@@ -60,6 +62,13 @@ VERIFY_RUNS = {
                   "--format", "md"],
 }
 PAIR = "quasi_statistical_g,d_closed_J"
+# run name -> argv of the md renderings of check and synthesize
+MD_RUNS = {
+    "check-md": ["check", "models/random_hermitian_4d.json", "--predicates",
+                 "almost_complex,hermitian,quasi_statistical,codazzi_J,kahler", "--format", "md"],
+    "synthesize-md": ["synthesize", "models/sheared_kahler_4d.json", "--constraints", PAIR,
+                      "--degree", "1", "--out", "witnesses/synthesize-md.json", "--format", "md"],
+}
 DEGREES = (1, 2)
 # file name under broken/ -> its text
 BROKEN_MODELS = {
@@ -83,7 +92,7 @@ ERROR_RUNS = [
 def runs(models: dict) -> list:
     """(run name, argv) of every run, for ``{name: model}`` stored as
     ``models/<name>.json``."""
-    out = [("verify", ACCEPTANCE), *VERIFY_RUNS.items()]
+    out = [("verify", ACCEPTANCE), *VERIFY_RUNS.items(), *MD_RUNS.items()]
     for name, model in models.items():
         path = f"models/{name}.json"
         running = ",".join(p for p in PREDICATES if _runs_on(model, p))

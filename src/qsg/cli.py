@@ -131,10 +131,9 @@ def cmd_check(args) -> int:
     names = _csv(args.predicates)
     report = _base_report(args.seed)
     report["model_hash"] = model_hash(doc)
-    checks = [r.to_dict() for r in check_many(model, names, tol=args.tol, seed=args.seed,
-                                              samples=args.samples)]
-    report["checks"] = checks
-    ok = all(c["pass"] for c in checks)
+    report["checks"] = check_many(model, names, tol=args.tol, seed=args.seed,
+                                  samples=args.samples)
+    ok = all(c["pass"] for c in report["checks"])
     report["exit_status"] = EXIT_PASS if ok else EXIT_FAIL
     _emit(report, args.format)
     return report["exit_status"]
@@ -151,8 +150,8 @@ def cmd_verify(args) -> int:
     suite = run_full_suite(seed=args.seed, trials=args.trials, dims=dims,
                            degree=args.degree, only=only)
     report = _base_report(args.seed)
-    report["suite"] = suite.to_dict()
-    report["exit_status"] = EXIT_PASS if suite.passed else EXIT_FAIL
+    report["suite"] = suite
+    report["exit_status"] = EXIT_PASS if suite["pass"] else EXIT_FAIL
     _emit(report, args.format)
     return report["exit_status"]
 
@@ -163,32 +162,22 @@ def cmd_synthesize(args) -> int:
                        "degree a model file holds")
     model, doc = load_model(args.model)
     constraints = _csv(args.constraints)
-    result = synthesize_connection(model, constraints, ansatz_degree=args.degree,
-                                   seed=args.seed)
+    conn, fit = synthesize_connection(model, constraints, ansatz_degree=args.degree,
+                                      seed=args.seed)
     report = _base_report(args.seed)
     report["model_hash"] = model_hash(doc)
-    report["synthesis"] = {
-        "constraints": constraints,
-        "ansatz_degree": args.degree,
-        "residual": result.residual,
-        "constraint_residuals": result.constraint_residuals,
-        "fit_points": result.fit_points,
-        "holdout_points": result.holdout_points,
-        "rows": result.rows,
-        "cols": result.cols,
-        "rank": result.rank,
-    }
-    if result.residual <= WITNESS_TOL:
+    report["synthesis"] = {"constraints": constraints, "ansatz_degree": args.degree, **fit}
+    if fit["residual"] <= WITNESS_TOL:
         status = EXIT_PASS
         if args.out:
             out_model = ChartModel(domain=model.domain, metric=model.metric,
-                                   J=model.J, conn=result.connection)
+                                   J=model.J, conn=conn)
             try:
                 write_model(canonical_doc(out_model), args.out)
             except OSError as exc:
                 raise QsgError(f"cannot write --out {args.out}: {exc.strerror}") from None
             report["synthesis"]["written"] = args.out
-    elif result.residual <= NO_WITNESS_TOL:
+    elif fit["residual"] <= NO_WITNESS_TOL:
         status = EXIT_LOW_QUALITY
         report["synthesis"]["outcome"] = "low-quality witness"
     else:

@@ -198,7 +198,7 @@ def gen_hermitian_metric(spec: GenSpec, J: AlmostComplexStructure,
     d = spec.dimension
     rng = sampling.rng(spec.seed, T_G, d)
     probe = _probe_points(spec, T_G, probe_pts)
-    frame_inv = _frame_inv(J)
+    frame_inv = J.frame_inv
     j0 = standard_structure(d)
     r = symmetrize_02(random_poly_field(rng, d, (0, 2), spec.degree, 0.3))
     pure = _congruent_form(r + _const_pullback_both(r, j0), frame_inv)
@@ -225,7 +225,7 @@ def gen_norden_metric(spec: GenSpec, J: AlmostComplexStructure,
     d = spec.dimension
     rng = sampling.rng(spec.seed, T_H, d)
     probe = _probe_points(spec, T_H, probe_pts)
-    frame_inv = _frame_inv(J)
+    frame_inv = J.frame_inv
     j0 = standard_structure(d)
     base = _congruent_form(neutral_diagonal(d), frame_inv)
     scale = 0.3
@@ -244,13 +244,6 @@ def _probe_points(spec: GenSpec, tag: int, extra) -> np.ndarray:
     return probe if extra is None else np.vstack([probe, extra])
 
 
-def _frame_inv(J: AlmostComplexStructure) -> PolyTensorField:
-    if J.frame_inv is None:
-        # constant-structure fallback: the identity frame
-        return PolyTensorField.constant(J.dimension, (1, 1), np.eye(J.dimension))
-    return J.frame_inv
-
-
 def _const_pullback_both(b: PolyTensorField, const_j: np.ndarray) -> PolyTensorField:
     """b(Q., Q.) for a constant matrix Q: cheap, degree-preserving."""
     return poly_einsum("ac,ai,cj->ij", b, const_j, const_j, valence=(0, 2))
@@ -259,6 +252,9 @@ def _const_pullback_both(b: PolyTensorField, const_j: np.ndarray) -> PolyTensorF
 def _congruent_form(form, frame_inv: PolyTensorField) -> PolyTensorField:
     """form(C^{-1}., C^{-1}.) = (C^{-1})^a_i (C^{-1})^b_j form_{ab} as an exact
     polynomial field; ``form`` is a constant matrix or a (0,2) field."""
+    if frame_inv is None:
+        raise QsgError("the structure has no frame (frame_inv is None), as one read from a "
+                       "model file; compatible metrics are drawn in a generated structure's frame")
     if not isinstance(form, PolyTensorField):
         form = PolyTensorField.constant(frame_inv.dimension, (0, 2), form)
     return bilinear_pullback_both(form, frame_inv)
@@ -570,32 +566,10 @@ def _solve(a: np.ndarray, b: np.ndarray, mon: np.ndarray, c0: np.ndarray):
     return c0 + delta, rows.shape[0], rows.shape[1], rank
 
 
-@dataclass
-class SynthesisResult:
-    """Outcome of a least-squares connection fit.
-
-    ``rows`` and ``cols`` are the shape of the compressed system
-    (``cols = d^3 * k`` for k ansatz monomials): one row per kept singular
-    value of each fit point's block.  ``rank`` is the numerical rank of the
-    system.  On the Kronecker path (identical blocks A at all n points) no
-    rows are formed; ``rows`` is then ``n * rank(A)``, the count the
-    compressed path would solve, and ``rank`` is ``rank(A) * rank(M)`` for
-    the monomial matrix M.
-    """
-
-    connection: PolyConnection
-    residual: float
-    constraint_residuals: dict
-    fit_points: int
-    holdout_points: int
-    rows: int
-    cols: int
-    rank: int
-
-
 def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1,
-                          seed: int = 0, anchor_scale: float = 0.0) -> SynthesisResult:
-    """Fit polynomial symbols to a set of affine constraints.
+                          seed: int = 0, anchor_scale: float = 0.0) -> tuple:
+    """Fit polynomial symbols to a set of affine constraints; returns the
+    connection and its ``fit``, the dict ``qsg synthesize`` prints.
 
     Every supported constraint is pointwise affine in the symbol values, so
     one evaluation with block-constant probe symbols gives each fit point's
@@ -607,6 +581,16 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
     biases the solution toward a random target inside the solution
     manifold, which keeps witnesses away from the torsion-free corner when
     the constraint set permits.
+
+    ``fit`` holds the held-out ``residual`` (the largest of the
+    ``constraint_residuals``), the ``fit_points`` and ``holdout_points``
+    counts, and ``rows``, ``cols`` and ``rank``: the shape of the
+    compressed system (``cols = d^3 * k`` for k ansatz monomials), one row
+    per kept singular value of each fit point's block, and its numerical
+    rank.  On the Kronecker path (identical blocks A at all n points) no
+    rows are formed; ``rows`` is then ``n * rank(A)``, the count the
+    compressed path would solve, and ``rank`` is ``rank(A) * rank(M)`` for
+    the monomial matrix M.
     """
     d = model.dimension
     if not constraints:
@@ -651,13 +635,6 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
 
     held_out = ModelAt(model, pts_out, conn)
     per = {name: float(np.abs(f(held_out)).max()) for name, f in zip(constraints, active)}
-    return SynthesisResult(
-        connection=conn,
-        residual=float(np.max(list(per.values()))),
-        constraint_residuals=per,
-        fit_points=n_fit,
-        holdout_points=HOLDOUT_POINTS,
-        rows=n_rows,
-        cols=n_cols,
-        rank=rank,
-    )
+    return conn, {"residual": float(np.max(list(per.values()))), "constraint_residuals": per,
+                  "fit_points": n_fit, "holdout_points": HOLDOUT_POINTS,
+                  "rows": n_rows, "cols": n_cols, "rank": rank}

@@ -1,5 +1,5 @@
 """Tolerance-based checks for the named structural conditions of a chart
-model, each returning a residual-bearing report.
+model, each returning the residual-bearing report ``qsg check`` prints.
 
 A predicate's residual is the plain max-absolute value of its defining
 tensor expression over the sample sweep (the expression is identically
@@ -14,7 +14,6 @@ holdout points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -38,30 +37,6 @@ from .structures import (
 DEFAULT_TOL = 1e-8
 DEFAULT_SAMPLES = 25
 _PTS_TAG = sampling.tag("predicate_sweep")
-
-
-@dataclass
-class CheckReport:
-    """Outcome of one predicate sweep."""
-
-    name: str
-    max_residual: float
-    worst_point: tuple
-    worst_indices: tuple
-    passed: bool
-    tolerance: float
-    samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_residual": self.max_residual,
-            "worst_point": list(self.worst_point),
-            "worst_indices": list(self.worst_indices),
-            "pass": self.passed,
-            "tolerance": self.tolerance,
-            "samples": self.samples,
-        }
 
 
 def _needs(model: ChartModel, *names):
@@ -163,7 +138,7 @@ PREDICATES = {
 
 
 def _report(name: str, values: np.ndarray, pts: np.ndarray, tol: float,
-            samples: int) -> CheckReport:
+            samples: int) -> dict:
     # the first largest |value|, from the extremes of the signed values
     # rather than a copy of their absolute values; a NaN is both extremes
     # at its first position, so it is found and reported as the worst
@@ -172,21 +147,19 @@ def _report(name: str, values: np.ndarray, pts: np.ndarray, tol: float,
     worst = hi if top > bottom else lo if bottom > top else min(hi, lo)
     max_residual = float(abs(values.flat[worst]))
     worst_n, *worst_idx = np.unravel_index(worst, values.shape)
-    return CheckReport(
-        name=name,
-        max_residual=max_residual,
-        worst_point=tuple(float(x) for x in pts[worst_n]),
-        worst_indices=tuple(int(i) for i in worst_idx),
-        passed=bool(max_residual <= tol),
-        tolerance=float(tol),
-        samples=int(samples),
-    )
+    return {"name": name, "max_residual": max_residual,
+            "worst_point": [float(x) for x in pts[worst_n]],
+            "worst_indices": [int(i) for i in worst_idx],
+            "pass": bool(max_residual <= tol), "tolerance": float(tol), "samples": int(samples)}
 
 
 def check_many(model: ChartModel, predicates, tol: float = DEFAULT_TOL,
                seed: int = 0, samples: int = DEFAULT_SAMPLES) -> list:
     """Sweep several predicates over one seeded quasi-random sample of the
-    chart; one ``CheckReport`` per name, in order.
+    chart; one report per name, in order: the dict ``qsg check`` prints,
+    with keys ``name``, ``max_residual``, ``worst_point`` and
+    ``worst_indices`` (where the largest |value| sits), ``pass``,
+    ``tolerance`` and ``samples``.
 
     The sample depends only on the box, ``samples`` and ``seed``, so it is
     drawn once, and the names are swept in the order given through one
@@ -210,6 +183,6 @@ def check_many(model: ChartModel, predicates, tol: float = DEFAULT_TOL,
 
 
 def check(model: ChartModel, predicate: str, tol: float = DEFAULT_TOL,
-          seed: int = 0, samples: int = DEFAULT_SAMPLES) -> CheckReport:
+          seed: int = 0, samples: int = DEFAULT_SAMPLES) -> dict:
     """Sweep one predicate (see ``check_many``)."""
     return check_many(model, [predicate], tol=tol, seed=seed, samples=samples)[0]

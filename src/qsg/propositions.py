@@ -14,11 +14,12 @@ Every registered result is tested in the strongest available form:
 
 Entry ids, the vocabulary of ``qsg verify``, come from registrations.  A
 family (ids computed together, e.g. the six pro3 items sharing one witness
-per trial) is a function ``run(ctx) -> [EntryResult, one per id]`` decorated
-with ``@family(section_runner_name, *ids)``.  A Hermitian result mirrored
-with a sign for Norden pairs is a twin: one body ``run(ctx, fl)`` reads trial
-data, sign and ids from the ``Flavor`` ``fl`` and is decorated with
-``@twin(lambda fl: ids)``, registering it once per flavor.  Families share
+per trial) is a function ``run(ctx) -> [entry, one per id]``, each entry the
+dict ``_entry`` builds, decorated with ``@family(section_runner_name,
+*ids)``.  A Hermitian result mirrored with a sign for Norden pairs is a
+twin: one body ``run(ctx, fl)`` reads trial data, sign and ids from the
+``Flavor`` ``fl`` and is decorated with ``@twin(lambda fl: ids)``,
+registering it once per flavor.  Families share
 only ``SectionContext`` caches, so ``run_full_suite(only=...)`` can run just
 the families owning a selected id and report what a full run does.
 
@@ -37,7 +38,7 @@ arrays are read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -100,65 +101,6 @@ _T_TRIAL = sampling.tag("suite_trial")
 _T_PTS = sampling.tag("suite_points")
 # sample points per trial
 _N_PTS = 25
-
-
-# ---------------------------------------------------------------------------
-# report containers
-
-
-@dataclass
-class EntryResult:
-    """One registry entry at one dimension."""
-
-    prop_id: str
-    dim: int
-    direction: str
-    trials: int
-    max_residual: float
-    tolerance: float
-    status: str  # pass | fail | witness-unavailable | inconclusive | not-applicable
-    hyp_residual: float | None = None
-    notes: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.prop_id,
-            "dim": self.dim,
-            "direction": self.direction,
-            "trials": self.trials,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "status": self.status,
-            "pass": self.passed,
-            "hyp_residual": self.hyp_residual,
-            "notes": self.notes,
-        }
-
-
-@dataclass
-class SuiteReport:
-    seed: int
-    trials: int
-    dims: tuple
-    entries: list = dc_field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "dims": list(self.dims),
-            "tolerances": dict(TOLERANCES),
-            "pass": self.passed,
-            "entries": [e.to_dict() for e in sorted(self.entries, key=lambda e: (e.prop_id, e.dim))],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +306,26 @@ def _worst(residuals) -> float:
     return float(np.max(residuals)) if len(residuals) else 0.0
 
 
+def _entry(prop_id, dim, direction, trials, max_residual, tolerance, status,
+           hyp_residual=None, notes="") -> dict:
+    """One registry entry at one dimension, the dict ``qsg verify`` prints.
+
+    ``direction`` is identity, witness or negative-control.  ``status`` is
+    one of pass; fail; witness-unavailable (no witness met the hypothesis
+    tolerance); inconclusive-witness (teo2 found only torsion-free
+    witnesses); not-applicable (a vacuous control).  ``hyp_residual`` is
+    the worst hypothesis residual of the witnesses used, None for entries
+    without one.  ``run_full_suite`` adds ``pass``, true unless the status
+    is fail.
+    """
+    return {"id": prop_id, "dim": dim, "direction": direction, "trials": trials,
+            "max_residual": max_residual, "tolerance": tolerance, "status": status,
+            "hyp_residual": hyp_residual, "notes": notes}
+
+
 def _identity_entry(prop_id, dim, trials, residuals, tol):
     r = _worst(residuals)
-    return EntryResult(
-        prop_id=prop_id, dim=dim, direction="identity", trials=trials,
-        max_residual=r, tolerance=tol, status="pass" if r <= tol else "fail",
-    )
+    return _entry(prop_id, dim, "identity", trials, r, tol, "pass" if r <= tol else "fail")
 
 
 def _collect(n: int, rows_of) -> dict:
@@ -396,20 +352,12 @@ def _witness_entry(prop_id, dim, results, tol):
     finite = bool(np.all(np.isfinite(res)))
     usable = res[res[:, 0] <= TOLERANCES["hypothesis"]] if finite else res
     if not len(usable):
-        return EntryResult(
-            prop_id=prop_id, dim=dim, direction="witness", trials=len(results),
-            max_residual=0.0, tolerance=tol, status="witness-unavailable",
-            hyp_residual=_worst(res[:, 0]),
-            notes="no witness met the hypothesis tolerance",
-        )
+        return _entry(prop_id, dim, "witness", len(results), 0.0, tol, "witness-unavailable",
+                      _worst(res[:, 0]), "no witness met the hypothesis tolerance")
     worst_c = _worst(usable[:, 1])
-    return EntryResult(
-        prop_id=prop_id, dim=dim, direction="witness", trials=len(results),
-        max_residual=worst_c, tolerance=tol,
-        status="pass" if finite and worst_c <= tol else "fail",
-        hyp_residual=_worst(usable[:, 0]),
-        notes="" if finite else "non-finite residual",
-    )
+    return _entry(prop_id, dim, "witness", len(results), worst_c, tol,
+                  "pass" if finite and worst_c <= tol else "fail",
+                  _worst(usable[:, 0]), "" if finite else "non-finite residual")
 
 
 class Row(NamedTuple):
@@ -431,9 +379,10 @@ def _witness(ctx: SectionContext, row: Row, t: int, built: dict):
     base = ctx.trial(row.base, t) if isinstance(row.base, Flavor) else row.base(ctx, t)
     if row.recipe is None:
         degree = ctx.witness_degree if row.degree is None else row.degree
-        sr = synthesize_connection(base.model, list(row.hyp), seed=ctx._sub_seed(t, row.tag),
-                                   ansatz_degree=degree, anchor_scale=row.anchor)
-        return sr.residual, base.with_conn(sr.connection)
+        conn, fit = synthesize_connection(base.model, list(row.hyp),
+                                          seed=ctx._sub_seed(t, row.tag),
+                                          ansatz_degree=degree, anchor_scale=row.anchor)
+        return fit["residual"], base.with_conn(conn)
     key = row._replace(hyp=())
     if key not in built:
         spec = None if row.tag is None else ctx.spec(t, row.tag)
@@ -460,19 +409,19 @@ def _witnesses(ctx: SectionContext, tol, *rows, given: dict | None = None) -> li
             for i, rs in per_id.items()]
 
 
-def _lead_note(entry: EntryResult, text: str):
+def _lead_note(entry: dict, text: str):
     """Put ``text`` before the notes the entry assembly wrote (the status
     notes of a witness entry)."""
-    entry.notes = f"{text} {entry.notes}".strip()
+    entry["notes"] = f"{text} {entry['notes']}".strip()
 
 
-def _fold_identity(entry: EntryResult, residuals, tol):
+def _fold_identity(entry: dict, residuals, tol):
     """Merge identity residuals into a witness entry: the maximum covers
     both, and a failing or non-finite identity fails the entry."""
     worst = _worst(residuals)
-    entry.max_residual = _worst([entry.max_residual, worst])
+    entry["max_residual"] = _worst([entry["max_residual"], worst])
     if not worst <= tol:
-        entry.status = "fail"
+        entry["status"] = "fail"
 
 
 def _swap_lower(bv, a):
@@ -558,8 +507,8 @@ def _compat_equiv(ctx):
                             TOLERANCES["kernel_identity"])
     _lead_note(entry, "projected torsions satisfy both equivalent forms")
     if not all(agree):
-        entry.status = "fail"
-        entry.notes += "; the two forms disagreed on a random torsion"
+        entry["status"] = "fail"
+        entry["notes"] += "; the two forms disagreed on a random torsion"
     return [entry]
 
 
@@ -670,7 +619,7 @@ def _pro3(ctx, fl):
         if fl.pro3_notes and k in ("i", "ii"):
             # the hypothesis-on-the-conjugate reading stays O(1) on the
             # same witnesses, so the stated placement is the working one
-            e.notes += f"; alternate hypothesis placement residual {_worst([0.0, *alt]):.2e}"
+            e["notes"] += f"; alternate hypothesis placement residual {_worst([0.0, *alt]):.2e}"
     return out
 
 
@@ -743,8 +692,8 @@ def _cyclic(ctx):
     if zero_res(exterior_d2_values(td0.partner, td0.pts)) > 1e-4:
         hyp0, _ = _witness(ctx, row._replace(base=HERMITIAN, tag=23, degree=2, anchor=0.0), 0, {})
         if not hyp0 > TOLERANCES["negative"]:
-            lem3.status = "fail"
-            lem3.notes += "; contrapositive check failed"
+            lem3["status"] = "fail"
+            lem3["notes"] += "; contrapositive check failed"
     return [cyc, lem3, two_of_three]
 
 
@@ -752,22 +701,22 @@ def _cyclic(ctx):
 def _teo2(ctx):
     # flat model, torsion-bearing synthesized witnesses, sheared model
     flat = predicate_check(flat_hermitian_model(ctx.dim), "kahler",
-                           tol=TOLERANCES["conclusion"], seed=ctx.seed).max_residual
+                           tol=TOLERANCES["conclusion"], seed=ctx.seed)["max_residual"]
     torsions, hyp = [], ("quasi_statistical_g", "d_closed_J", "j_invariant_torsion")
 
     def kahler(wd):
         torsions.append(zero_res(wd.torsion()))
         return predicate_check(wd.model, "kahler", tol=TOLERANCES["conclusion"],
-                               seed=ctx.seed).max_residual
+                               seed=ctx.seed)["max_residual"]
     # a constant-structure model, then the sheared Kahler model
     (teo2,) = _witnesses(ctx, TOLERANCES["conclusion"],
                          (Row(SectionContext.constant, hyp, 26), {"teo2": kahler}),
                          (Row(SectionContext.kahler, hyp, 27, anchor=0.3 if ctx.dim == 2 else 0.0),
                           {"teo2": kahler}), given={"teo2": [(0.0, flat)]})
     _lead_note(teo2, f"max witness torsion {_worst(torsions):.2e}")
-    if teo2.status == "pass" and _worst(torsions) < 1e-6:
-        teo2.status = "inconclusive-witness"
-        teo2.notes += "; only torsion-free witnesses found"
+    if teo2["status"] == "pass" and _worst(torsions) < 1e-6:
+        teo2["status"] = "inconclusive-witness"
+        teo2["notes"] += "; only torsion-free witnesses found"
     return [teo2]
 
 
@@ -846,9 +795,9 @@ def _teo5(ctx):
         lambda spec, base: BilinearConjugateConnection(LeviCivitaConnection(base.partner),
                                                        base.model.metric))), {"teo5": expansion}))
     _lead_note(e5, "witness: metric conjugate of the twin-metric parallel connection")
-    if not all(coupled) and e5.status == "pass":
-        e5.status = "fail"
-        e5.notes += "; vanish-together coupling violated"
+    if not all(coupled) and e5["status"] == "pass":
+        e5["status"] = "fail"
+        e5["notes"] += "; vanish-together coupling violated"
     return [e5]
 
 
@@ -880,8 +829,8 @@ def _theolast(ctx):
     (e_tl,) = _identities(ctx, NORDEN, TOLERANCES["identity"], residuals)
     _lead_note(e_tl, "sums also agree termwise under the metric connection")
     if not all(coupled):
-        e_tl.status = "fail"
-        e_tl.notes += "; vanish-together coupling violated"
+        e_tl["status"] = "fail"
+        e_tl["notes"] += "; vanish-together coupling violated"
     return [e_tl]
 
 
@@ -926,12 +875,9 @@ def _control(ctx, fl, prop_id, notes, fails_on):
     trials where ``fails_on(td)`` (the conclusion failing) is false."""
     fails = sum(1 for t in range(ctx.trials) if fails_on(ctx.trial(fl, t)))
     frac = fails / ctx.trials if ctx.trials else 0.0
-    return EntryResult(
-        prop_id=prop_id, dim=ctx.dim, direction="negative-control", trials=ctx.trials,
-        max_residual=float(1.0 - frac), tolerance=0.1,
-        status="pass" if frac >= 0.9 else "fail",
-        notes=f"{notes}; violated-hypothesis conclusion failed in {frac:.0%} of trials",
-    )
+    return _entry(prop_id, ctx.dim, "negative-control", ctx.trials, float(1.0 - frac), 0.1,
+                  "pass" if frac >= 0.9 else "fail",
+                  notes=f"{notes}; violated-hypothesis conclusion failed in {frac:.0%} of trials")
 
 
 @family("verify_negative_controls", "neg.GAD1.i", "neg.pro2")
@@ -945,10 +891,8 @@ def _neg_hermitian(ctx):
         # every trial structure is integrable, whatever the hypothesis
         why = ("on two-dimensional charts (every structure is integrable)" if ctx.dim == 2
                else "at degree 0 (constant structures are integrable)")
-        return out + [EntryResult(
-            prop_id="neg.pro2", dim=ctx.dim, direction="negative-control", trials=0,
-            max_residual=0.0, tolerance=thresh, status="not-applicable", notes=f"vacuous {why}",
-        )]
+        return out + [_entry("neg.pro2", ctx.dim, "negative-control", 0, 0.0, thresh,
+                             "not-applicable", notes=f"vacuous {why}")]
 
     def unprojected(td):
         return (zero_res(torsion_compat(td.torsion(), td.jv)) >= thresh
@@ -971,8 +915,9 @@ ALL_IDS = SECTION2_IDS + SECTION3_IDS + SECTION4_IDS + NEGATIVE_IDS
 
 
 def run_full_suite(seed: int = 0, trials: int = 30, dims=(2, 4), degree: int = 2,
-                   only: tuple = ()) -> SuiteReport:
-    """Run the registry over the requested dimensions.
+                   only: tuple = ()) -> dict:
+    """Run the registry over the requested dimensions; the report ``qsg
+    verify`` prints under ``suite``.
 
     ``dims`` lists distinct dimensions from 2, 4 and 6.  ``only`` selects
     entry ids by exact match or prefix: only the families that own a
@@ -998,7 +943,7 @@ def run_full_suite(seed: int = 0, trials: int = 30, dims=(2, 4), degree: int = 2
         if o in only[:k]:
             raise QsgError(f"entry id {o!r} is listed more than once")
     families = [f for f in FAMILIES if any(map(selected, f.ids))]
-    report = SuiteReport(seed=seed, trials=trials, dims=dims)
+    entries = []
     for dim in dims:
         ctx = SectionContext(seed=seed, dim=dim, trials=trials, degree=degree)
         for section in SECTIONS:
@@ -1006,6 +951,9 @@ def run_full_suite(seed: int = 0, trials: int = 30, dims=(2, 4), degree: int = 2
             if chosen:
                 # looked up by name at each call, so wrappers installed on
                 # this module's attributes (perfbench/tracing.py) see it
-                entries = globals()[section](ctx, chosen)
-                report.entries.extend(e for e in entries if selected(e.prop_id))
-    return report
+                entries += [e for e in globals()[section](ctx, chosen) if selected(e["id"])]
+    for e in entries:
+        e["pass"] = e["status"] != "fail"
+    return {"seed": seed, "trials": trials, "dims": list(dims), "tolerances": dict(TOLERANCES),
+            "pass": all(e["pass"] for e in entries),
+            "entries": sorted(entries, key=lambda e: (e["id"], e["dim"]))}

@@ -178,6 +178,18 @@ def test_entries_measure_their_own_statements(suite):
                                          f"duplicates: {sorted(map(sorted, shared))}")
 
 
+# the statuses an entry can report (propositions._entry)
+STATUSES = {"pass", "fail", "witness-unavailable", "inconclusive-witness", "not-applicable"}
+
+
+def test_statuses_are_the_documented_vocabulary(verify_runs):
+    doc = json.loads(verify_runs[0][0])["suite"]
+    entries = doc["entries"]
+    ok = all(e["status"] in STATUSES and e["pass"] == (e["status"] != "fail") for e in entries)
+    ok = ok and doc["pass"] == all(e["pass"] for e in entries)
+    _report(ok, f"every status is one of {sorted(STATUSES)}, and pass means not fail")
+
+
 def test_criterion_9_determinism(verify_runs):
     (out1, _), (out2, _) = verify_runs
     ok = out1 == out2 and len(out1) > 0

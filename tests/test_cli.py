@@ -101,9 +101,46 @@ def test_check_reports_each_predicate_as_alone(capsys, tmp_path):
              "torsion_compatible", "integrable", "d_closed_J", "kahler", "complex_connection"]
     code, out, _ = run_cli(capsys, "check", str(path), "--predicates", ",".join(names),
                            "--samples", "40", "--seed", "11", "--tol", "1e-6")
-    want = [check(model, n, tol=1e-6, seed=11, samples=40).to_dict() for n in names]
+    want = [check(model, n, tol=1e-6, seed=11, samples=40) for n in names]
     assert json.loads(out)["checks"] == json.loads(json.dumps(want))
     assert code == (0 if all(w["pass"] for w in want) else 1)
+
+
+def test_verify_prints_the_library_suite(capsys):
+    from qsg.propositions import run_full_suite
+
+    code, out, _ = run_cli(capsys, "verify", "--dims", "2,4", "--trials", "2", "--seed", "3",
+                           "--only", "lem1,GAD1.ii,neg")
+    suite = run_full_suite(seed=3, trials=2, dims=(2, 4), only=("lem1", "GAD1.ii", "neg"))
+    assert json.loads(out)["suite"] == suite
+    assert code == (0 if suite["pass"] else 1)
+
+
+@pytest.mark.parametrize("seed, constraints, code", [
+    (6, "quasi_statistical_g", 0), (7, "vishnevskii_zero", 5)])
+def test_synthesize_prints_the_library_fit(capsys, tmp_path, seed, constraints, code):
+    # the printed synthesis is the fit plus what the command adds around it
+    from qsg.generate import (GenSpec, gen_almost_complex, gen_constant_structure_model,
+                              gen_hermitian_metric)
+
+    spec = GenSpec(seed=seed, dimension=2, degree=2)
+    if code == 0:
+        model = gen_constant_structure_model(spec, "hermitian")
+    else:  # a nonconstant structure admits no operator-vanishing symbols
+        J = gen_almost_complex(spec)
+        model = ChartModel(domain=flat_hermitian_model(2).domain,
+                           metric=gen_hermitian_metric(spec, J), J=J)
+    path = tmp_path / "model.json"
+    write_model(canonical_doc(model), path)
+    model, _ = load_model(str(path))
+    got, out, _ = run_cli(capsys, "synthesize", str(path), "--constraints", constraints,
+                          "--degree", "1", "--seed", "4", "--out", str(tmp_path / "w.json"))
+    _, fit = generate.synthesize_connection(model, constraints.split(","), ansatz_degree=1,
+                                            seed=4)
+    syn = json.loads(out)["synthesis"]
+    added = {"constraints", "ansatz_degree", "written", "outcome"}
+    assert {k: v for k, v in syn.items() if k not in added} == fit
+    assert got == code and ("written" in syn) == (code == 0)
 
 
 def test_model_round_trip_hash(tmp_path, flat_model_path):

@@ -31,6 +31,7 @@ from qsg.generate import (
     valid_constraints,
 )
 from qsg.model import ChartModel, ModelAt, flat_hermitian_model
+from qsg.model_io import canonical_doc, parse_model
 from qsg.predicates import PREDICATES, check
 from qsg.structures import (
     MetricField,
@@ -47,7 +48,7 @@ def pts(dim, seed=0, n=25):
 def involution_residual(J, seed):
     """max |J J + id| over the ``almost_complex`` predicate's sweep."""
     model = ChartModel(domain=ChartDomain.cube(J.dimension), J=J)
-    return check(model, "almost_complex", seed=seed).max_residual
+    return check(model, "almost_complex", seed=seed)["max_residual"]
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -188,10 +189,10 @@ def test_vishnevskii_zero_closed_form():
 
 def test_synthesize_flat_parallel_structure():
     flat = flat_hermitian_model(2)
-    sr = synthesize_connection(flat, ["complex_connection", "torsion_free"],
-                               ansatz_degree=1, seed=0)
-    assert sr.residual <= 1e-12
-    assert set(sr.constraint_residuals) == {"complex_connection", "torsion_free"}
+    conn, sr = synthesize_connection(flat, ["complex_connection", "torsion_free"],
+                                     ansatz_degree=1, seed=0)
+    assert sr["residual"] <= 1e-12
+    assert set(sr["constraint_residuals"]) == {"complex_connection", "torsion_free"}
 
 
 def test_synthesize_quasi_statistical_feasible():
@@ -199,22 +200,22 @@ def test_synthesize_quasi_statistical_feasible():
     # sections of the solution set exist wherever the system coefficients
     # are constant, so the fit must recover one there
     model = gen_constant_structure_model(GenSpec(seed=6, dimension=2, degree=2), "hermitian")
-    sr = synthesize_connection(model, ["quasi_statistical_g"], ansatz_degree=1, seed=0,
-                               anchor_scale=0.3)
-    assert sr.residual <= 1e-10
-    tors = np.abs(torsion_values(sr.connection, pts(2, 6))).max()
+    conn, sr = synthesize_connection(model, ["quasi_statistical_g"], ansatz_degree=1, seed=0,
+                                     anchor_scale=0.3)
+    assert sr["residual"] <= 1e-10
+    tors = np.abs(torsion_values(conn, pts(2, 6))).max()
     assert tors > 1e-3  # witnesses are torsion-bearing, not just metric ones
 
 
 def test_synthesize_deterministic():
     flat = flat_hermitian_model(2)
-    a = synthesize_connection(flat, ["complex_connection"], ansatz_degree=1, seed=3,
-                              anchor_scale=0.3)
-    b = synthesize_connection(flat, ["complex_connection"], ansatz_degree=1, seed=3,
-                              anchor_scale=0.3)
+    conn_a, a = synthesize_connection(flat, ["complex_connection"], ansatz_degree=1, seed=3,
+                                      anchor_scale=0.3)
+    conn_b, b = synthesize_connection(flat, ["complex_connection"], ansatz_degree=1, seed=3,
+                                      anchor_scale=0.3)
     p = pts(2)
-    assert np.array_equal(a.connection.gammas(p), b.connection.gammas(p))
-    assert a.residual == b.residual
+    assert np.array_equal(conn_a.gammas(p), conn_b.gammas(p))
+    assert a == b
 
 
 def test_synthesize_infeasible_set_reports_large_residual():
@@ -222,8 +223,8 @@ def test_synthesize_infeasible_set_reports_large_residual():
     spec = GenSpec(seed=7, dimension=2, degree=2)
     J = gen_almost_complex(spec)
     model = ChartModel(domain=flat_hermitian_model(2).domain, J=J)
-    sr = synthesize_connection(model, ["vishnevskii_zero"], ansatz_degree=2, seed=0)
-    assert sr.residual > 1e-3
+    conn, sr = synthesize_connection(model, ["vishnevskii_zero"], ansatz_degree=2, seed=0)
+    assert sr["residual"] > 1e-3
 
 
 def test_monomial_basis_canonical():
@@ -250,11 +251,25 @@ def test_norden_base_form_path_with_constant_structure():
     from qsg.model import standard_structure
     from qsg.structures import AlmostComplexStructure
 
-    J = AlmostComplexStructure(PolyTensorField.constant(2, (1, 1), standard_structure(2)))
+    J = AlmostComplexStructure(PolyTensorField.constant(2, (1, 1), standard_structure(2)),
+                               frame_inv=PolyTensorField.constant(2, (1, 1), np.eye(2)))
     h = gen_norden_metric(GenSpec(seed=11, dimension=2, degree=2), J)
     p = pts(2, 11)
     assert np.abs(purity_values(h, J, p, -1.0)).max() <= 1e-10
     assert np.abs(np.linalg.det(h.values(p))).min() >= 1e-3
+
+
+@pytest.mark.parametrize("gen", [gen_hermitian_metric, gen_norden_metric])
+def test_metric_generators_need_the_structure_frame(gen):
+    # a structure read from a model file has no frame; averaging over the
+    # standard structure in its place gave metrics that are not pure for J
+    spec = GenSpec(seed=0, dimension=4, degree=2)
+    J = gen_almost_complex(spec)
+    model = ChartModel(domain=ChartDomain.cube(4), metric=gen_hermitian_metric(spec, J), J=J)
+    read = parse_model(canonical_doc(model)).J
+    assert read.frame_inv is None
+    with pytest.raises(QsgError, match="no frame"):
+        gen(GenSpec(seed=1, dimension=4), read)
 
 
 def test_synthesis_matches_recipe_quality():
@@ -264,8 +279,8 @@ def test_synthesis_matches_recipe_quality():
     p = pts(2, 8)
     recipe = gen_connection(GenSpec(seed=8, dimension=2, degree=2), "d_closed_J", J=model.J)
     recipe_res = np.abs(ModelAt(model, p, recipe).d_J()).max()
-    sr = synthesize_connection(model, ["d_closed_J"], ansatz_degree=2, seed=8)
-    assert sr.residual <= recipe_res + 1e-12
+    conn, sr = synthesize_connection(model, ["d_closed_J"], ansatz_degree=2, seed=8)
+    assert sr["residual"] <= recipe_res + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +357,11 @@ def test_synthesis_matches_dense_minimum_norm_solution(dim, constraints, anchor)
         model = _paired_model("hermitian", dim, seed=13)
     else:
         model = gen_constant_structure_model(GenSpec(seed=13, dimension=dim, degree=2), "norden")
-    sr = synthesize_connection(model, constraints, ansatz_degree=1, seed=5,
-                               anchor_scale=anchor)
+    conn, sr = synthesize_connection(model, constraints, ansatz_degree=1, seed=5,
+                                     anchor_scale=anchor)
     # rebuild the raw system the synthesizer compresses
     exps = monomial_exponents(dim, 1)
-    fit = sampling.sample_box(model.domain.box, sr.fit_points, 5, T_S, 0)
+    fit = sampling.sample_box(model.domain.box, sr["fit_points"], 5, T_S, 0)
     base, a = _loop_jacobian(_stacked(model, constraints), fit, dim)
     c0 = np.zeros(dim ** 3 * len(exps))
     if anchor:
@@ -355,7 +370,7 @@ def test_synthesis_matches_dense_minimum_norm_solution(dim, constraints, anchor)
     ref_conn = PolyConnection(PolyTensorField(
         dim, (1, 2), exps=exps, coefs=np.moveaxis(ref.reshape((dim,) * 3 + (-1,)), -1, 0)))
     p = pts(dim, 13)
-    assert _relative_gap(sr.connection.gammas(p), ref_conn.gammas(p)) <= 1e-9
+    assert _relative_gap(conn.gammas(p), ref_conn.gammas(p)) <= 1e-9
 
 
 def test_compressed_solve_with_zero_block():
@@ -383,15 +398,15 @@ def test_synthesis_diagnostics(constant):
         model = gen_constant_structure_model(GenSpec(seed=15, dimension=2, degree=2), "norden")
     else:
         model = _paired_model("norden", 2, seed=15)
-    sr = synthesize_connection(model, constraints, ansatz_degree=1, seed=2)
-    fit = sampling.sample_box(model.domain.box, sr.fit_points, 2, T_S, 0)
+    conn, sr = synthesize_connection(model, constraints, ansatz_degree=1, seed=2)
+    fit = sampling.sample_box(model.domain.box, sr["fit_points"], 2, T_S, 0)
     _, a = _loop_jacobian(_stacked(model, constraints), fit, 2)
-    assert sr.rows == sum(np.linalg.matrix_rank(blk) for blk in a)
-    assert sr.cols == 2 ** 3 * len(monomial_exponents(2, 1))
-    assert 0 < sr.rank <= min(sr.rows, sr.cols)
+    assert sr["rows"] == sum(np.linalg.matrix_rank(blk) for blk in a)
+    assert sr["cols"] == 2 ** 3 * len(monomial_exponents(2, 1))
+    assert 0 < sr["rank"] <= min(sr["rows"], sr["cols"])
     if constant:
         mon = _monomials(fit, monomial_exponents(2, 1))
-        assert sr.rank == np.linalg.matrix_rank(a[0]) * np.linalg.matrix_rank(mon)
+        assert sr["rank"] == np.linalg.matrix_rank(a[0]) * np.linalg.matrix_rank(mon)
 
 
 # ---------------------------------------------------------------------------

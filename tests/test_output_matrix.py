@@ -26,6 +26,12 @@ def test_runs_cover_every_predicate_and_constraint(tmp_path):
                                     "lem1,pro2,sec2.cor3,sec2.vishnevskii,pro14,teo5,cor8,"
                                     "sec3.cor_final,GAD15.cor"]
     assert runs["verify-md"] == short + ["--only", "pro3,teo2,sec3", "--format", "md"]
+    # every command's md rendering, synthesize with --out
+    assert runs["check-md"][:2] == ["check", "models/random_hermitian_4d.json"]
+    assert runs["check-md"][-2:] == ["--format", "md"]
+    assert runs["synthesize-md"][0] == "synthesize" and runs["synthesize-md"][-2:] == [
+        "--format", "md"]
+    assert "--out" in runs["synthesize-md"]
     stated = set()
     for name, model in models.items():
         path = f"models/{name}.json"

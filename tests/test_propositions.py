@@ -54,16 +54,16 @@ def test_registry_is_complete_and_static():
 
 
 def test_smoke_covers_every_registry_id(smoke_report):
-    seen = {e.prop_id for e in smoke_report.entries}
+    seen = {e["id"] for e in smoke_report["entries"]}
     assert seen == set(ALL_IDS)
     # each id appears exactly once per dimension
-    per_dim = [(e.prop_id, e.dim) for e in smoke_report.entries]
+    per_dim = [(e["id"], e["dim"]) for e in smoke_report["entries"]]
     assert len(per_dim) == len(set(per_dim)) == len(ALL_IDS)
 
 
 def test_smoke_passes(smoke_report):
-    bad = [e for e in smoke_report.entries if not e.passed]
-    assert not bad, [(e.prop_id, e.status, e.max_residual) for e in bad]
+    bad = [e for e in smoke_report["entries"] if not e["pass"]]
+    assert not bad, [(e["id"], e["status"], e["max_residual"]) for e in bad]
 
 
 def test_section_runners_report_every_id():
@@ -71,38 +71,38 @@ def test_section_runners_report_every_id():
 
     def families(runner):
         return [f for f in FAMILIES if f.section == runner.__name__]
-    ids2 = {e.prop_id for e in verify_section2(ctx, families(verify_section2))}
+    ids2 = {e["id"] for e in verify_section2(ctx, families(verify_section2))}
     assert ids2 == set(SECTION2_IDS)
-    ids3 = {e.prop_id for e in verify_section3(ctx, families(verify_section3))}
+    ids3 = {e["id"] for e in verify_section3(ctx, families(verify_section3))}
     assert ids3 == set(SECTION3_IDS)
-    ids4 = {e.prop_id for e in verify_section4(ctx, families(verify_section4))}
+    ids4 = {e["id"] for e in verify_section4(ctx, families(verify_section4))}
     assert ids4 == set(SECTION4_IDS)
-    idsn = {e.prop_id for e in verify_negative_controls(ctx, families(verify_negative_controls))}
+    idsn = {e["id"] for e in verify_negative_controls(ctx, families(verify_negative_controls))}
     assert idsn == set(NEGATIVE_IDS)
 
 
 def test_identity_entries_report_the_trial_count(smoke_report):
     # sec2.compat_equiv collects two residuals per trial; the entry still
     # counts trials, not residuals
-    identities = [e for e in smoke_report.entries if e.direction == "identity"]
+    identities = [e for e in smoke_report["entries"] if e["direction"] == "identity"]
     assert identities
-    assert {e.prop_id: e.trials for e in identities} == {e.prop_id: 3 for e in identities}
+    assert {e["id"]: e["trials"] for e in identities} == {e["id"]: 3 for e in identities}
 
 
 def test_determinism_identical_reports(smoke_report):
     again = run_full_suite(**SMOKE)
-    assert again.to_dict() == smoke_report.to_dict()
+    assert again == smoke_report
 
 
 def test_only_filter_prefix():
     rep = run_full_suite(seed=0, trials=2, dims=(2,), only=("GAD1",))
-    ids = sorted({e.prop_id for e in rep.entries})
+    ids = sorted({e["id"] for e in rep["entries"]})
     assert ids == ["GAD1.i", "GAD1.ii", "GAD1.iii"]
 
 
 def test_only_filter_exact():
     rep = run_full_suite(seed=0, trials=2, dims=(2,), only=("lem2", "teo5"))
-    assert sorted({e.prop_id for e in rep.entries}) == ["lem2", "teo5"]
+    assert sorted({e["id"] for e in rep["entries"]}) == ["lem2", "teo5"]
 
 
 def test_only_filter_unknown_id():
@@ -117,24 +117,23 @@ def test_unsupported_dimension():
 
 
 def test_negative_control_not_applicable_in_two_dims(smoke_report):
-    entry = next(e for e in smoke_report.entries if e.prop_id == "neg.pro2")
-    assert entry.status == "not-applicable"
-    assert entry.passed
+    entry = next(e for e in smoke_report["entries"] if e["id"] == "neg.pro2")
+    assert entry["status"] == "not-applicable"
+    assert entry["pass"]
 
 
 def test_negative_control_not_applicable_at_degree_0():
     # constant trial structures are integrable, so no hypothesis breaks that
     report = run_full_suite(seed=0, trials=3, dims=(4,), degree=0, only=("neg.pro2",))
-    (entry,) = report.entries
-    assert entry.status == "not-applicable" and "degree 0" in entry.notes
-    assert report.passed
+    (entry,) = report["entries"]
+    assert entry["status"] == "not-applicable" and "degree 0" in entry["notes"]
+    assert report["pass"]
 
 
 def test_entries_sorted_in_report(smoke_report):
-    d = smoke_report.to_dict()
-    keys = [(e["id"], e["dim"]) for e in d["entries"]]
+    keys = [(e["id"], e["dim"]) for e in smoke_report["entries"]]
     assert keys == sorted(keys)
-    assert d["pass"] is True
+    assert smoke_report["pass"] is True
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -143,8 +142,8 @@ def test_non_finite_identity_residual_fails(bad, position):
     residuals = [1e-12, 2e-12, 3e-12]
     residuals[position] = bad
     entry = _identity_entry("x", 2, 3, residuals, 1e-8)
-    assert entry.status == "fail" and not entry.passed
-    assert not np.isfinite(entry.max_residual)
+    assert entry["status"] == "fail" and "pass" not in entry
+    assert not np.isfinite(entry["max_residual"])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -155,11 +154,11 @@ def test_non_finite_witness_residual_fails(bad, slot):
     pair[slot] = bad
     results[1] = tuple(pair)
     entry = _witness_entry("x", 2, results, 1e-6)
-    assert entry.status == "fail" and not entry.passed
+    assert entry["status"] == "fail" and "pass" not in entry
     # a hypothesis residual that is NaN on every trial is a failure too,
     # never a witness-unavailable skip
     entry = _witness_entry("x", 2, [(bad, 1e-12)] * 3, 1e-6)
-    assert entry.status == "fail"
+    assert entry["status"] == "fail"
 
 
 def test_klein_entry_keeps_a_nan_at_any_of_the_nine_positions(monkeypatch):
@@ -169,17 +168,17 @@ def test_klein_entry_keeps_a_nan_at_any_of_the_nine_positions(monkeypatch):
         table = dict.fromkeys(KLEIN_PAIRS, 1e-12)
         table[list(KLEIN_PAIRS)[position]] = float("nan")
         monkeypatch.setattr(propositions, "klein_table", lambda at: dict(table))
-        (entry,) = run_full_suite(seed=0, trials=1, dims=(2,), only=("teo1.klein",)).entries
-        assert np.isnan(entry.max_residual) and entry.status == "fail", position
+        (entry,) = run_full_suite(seed=0, trials=1, dims=(2,), only=("teo1.klein",))["entries"]
+        assert np.isnan(entry["max_residual"]) and entry["status"] == "fail", position
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_folded_identity_fails(bad):
     entry = _witness_entry("x", 2, [(1e-12, 1e-12)], 1e-6)
-    assert entry.status == "pass"
+    assert entry["status"] == "pass"
     _fold_identity(entry, [1e-12, bad], 1e-8)
-    assert entry.status == "fail"
-    assert not np.isfinite(entry.max_residual)
+    assert entry["status"] == "fail"
+    assert not np.isfinite(entry["max_residual"])
 
 
 def test_trial_metrics_nondegenerate_at_trial_points():
@@ -232,7 +231,7 @@ SELECT = dict(seed=0, trials=2, dims=(2, 4))
 
 @pytest.fixture(scope="module")
 def select_report():
-    return {(e.prop_id, e.dim): e.to_dict() for e in run_full_suite(**SELECT).entries}
+    return {(e["id"], e["dim"]): e for e in run_full_suite(**SELECT)["entries"]}
 
 
 def test_frozen_point_memo_changes_no_result(select_report, monkeypatch):
@@ -243,7 +242,7 @@ def test_frozen_point_memo_changes_no_result(select_report, monkeypatch):
                         lambda self, trial: frozen(self, trial).copy(order="K"))
     assert SectionContext(seed=0, dim=2, trials=1).points(0).flags.writeable
     rep = run_full_suite(**SELECT)
-    assert {(e.prop_id, e.dim): e.to_dict() for e in rep.entries} == select_report
+    assert {(e["id"], e["dim"]): e for e in rep["entries"]} == select_report
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=[f.ids[0] for f in FAMILIES])
@@ -251,7 +250,7 @@ def test_only_runs_a_family_alone_with_full_run_results(family, select_report):
     # a family run on its own reports exactly what the full run does
     prop_id = family.ids[0]
     rep = run_full_suite(**SELECT, only=(prop_id,))
-    got = {(e.prop_id, e.dim): e.to_dict() for e in rep.entries}
+    got = {(e["id"], e["dim"]): e for e in rep["entries"]}
     want = {k: v for k, v in select_report.items()
             if k[0] == prop_id or k[0].startswith(prop_id + ".")}
     assert got and got == want
@@ -267,7 +266,7 @@ def test_only_runs_only_the_selected_families(monkeypatch):
 
     monkeypatch.setattr(propositions, "synthesize_connection", counting)
     rep = run_full_suite(seed=0, trials=2, dims=(2,), only=("GAD1",))
-    assert {e.prop_id for e in rep.entries} == {"GAD1.i", "GAD1.ii", "GAD1.iii"}
+    assert {e["id"] for e in rep["entries"]} == {"GAD1.i", "GAD1.ii", "GAD1.iii"}
     assert calls == []
     run_full_suite(seed=0, trials=2, dims=(2,), only=("pro3.i",))
     assert len(calls) == 4  # one Codazzi witness per witness trial

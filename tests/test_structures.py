@@ -303,10 +303,10 @@ def test_closedness_from_coupled_torsion_free():
     from qsg.generate import gen_constant_structure_model, synthesize_connection
 
     model = gen_constant_structure_model(GenSpec(seed=12, dimension=4, degree=2), "hermitian")
-    sr = synthesize_connection(model, ["codazzi_J", "torsion_free"], ansatz_degree=1,
-                               seed=12, anchor_scale=0.3)
-    assert sr.residual <= 1e-9
-    assert np.abs(d_J(sr.connection, model.J, pts(4, 12))).max() <= 1e-9
+    conn, sr = synthesize_connection(model, ["codazzi_J", "torsion_free"], ansatz_degree=1,
+                                     seed=12, anchor_scale=0.3)
+    assert sr["residual"] <= 1e-9
+    assert np.abs(d_J(conn, model.J, pts(4, 12))).max() <= 1e-9
 
 
 def test_torsion_compatibility_equivalence():
