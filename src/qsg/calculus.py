@@ -37,8 +37,6 @@ SYMMETRY_TOL = 1e-10
 class Connection:
     """Base class: a chart connection exposing Christoffel values at points."""
 
-    dimension: int
-
     def gammas(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -50,7 +48,6 @@ class PolyConnection(Connection):
         if field.valence != (1, 2):
             raise QsgError("connection symbols must form a (1,2)-shaped array")
         self.field = field
-        self.dimension = field.dimension
 
     @classmethod
     def zero(cls, dimension: int) -> "PolyConnection":
@@ -72,7 +69,6 @@ class ConstantConnection(Connection):
 
     def __init__(self, array: np.ndarray):
         self.array = np.asarray(array, dtype=float)
-        self.dimension = self.array.shape[-1]
 
     def gammas(self, pts):
         pts = np.atleast_2d(pts)
@@ -95,7 +91,6 @@ class LeviCivitaConnection(Connection):
 
     def __init__(self, metric):
         self.metric = metric
-        self.dimension = metric.dimension
 
     def gammas(self, pts):
         bv, bg = self.metric.jets(pts)
@@ -131,16 +126,11 @@ class DerivedTensorField:
     Exact values on demand; no polynomial representation, hence no jets.
     """
 
-    def __init__(self, dimension: int, valence, fn):
-        self.dimension = dimension
-        self.valence = tuple(valence)
+    def __init__(self, fn):
         self._fn = fn
 
     def values(self, pts):
         return self._fn(np.atleast_2d(np.asarray(pts, dtype=float)))
-
-    def jets(self, pts):
-        raise QsgError("derived fields expose values only; jets require a polynomial field")
 
 
 def torsion_values(conn: Connection, pts) -> np.ndarray:

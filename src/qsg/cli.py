@@ -22,7 +22,7 @@ from .generate import synthesize_connection
 from .model import ChartModel
 from .model_io import MAX_DEGREE, canonical_doc, load_model, model_hash, write_model
 from .predicates import DEFAULT_SAMPLES, DEFAULT_TOL, PREDICATES, check_many
-from .propositions import run_full_suite
+from .propositions import TOLERANCES, run_full_suite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -32,8 +32,6 @@ EXIT_LOW_QUALITY = 4
 EXIT_NO_WITNESS = 5
 EXIT_INTERNAL = 6
 
-WITNESS_TOL = 1e-7
-NO_WITNESS_TOL = 1e-3
 # smallest accepted value of each numeric option; smaller, NaN or infinite
 # ones are input errors, not crashes deep in a run or a failed predicate
 MINIMUMS = {"samples": 1, "trials": 1, "degree": 0, "seed": 0, "tol": 0.0}
@@ -167,7 +165,9 @@ def cmd_synthesize(args) -> int:
     report = _base_report(args.seed)
     report["model_hash"] = model_hash(doc)
     report["synthesis"] = {"constraints": constraints, "ansatz_degree": args.degree, **fit}
-    if fit["residual"] <= WITNESS_TOL:
+    # the suite's gates: a witness meets its hypothesis tolerance, and a fit
+    # above the negative-control threshold is "no witness"
+    if fit["residual"] <= TOLERANCES["hypothesis"]:
         status = EXIT_PASS
         if args.out:
             out_model = ChartModel(domain=model.domain, metric=model.metric,
@@ -177,7 +177,7 @@ def cmd_synthesize(args) -> int:
             except OSError as exc:
                 raise QsgError(f"cannot write --out {args.out}: {exc.strerror}") from None
             report["synthesis"]["written"] = args.out
-    elif fit["residual"] <= NO_WITNESS_TOL:
+    elif fit["residual"] <= TOLERANCES["negative"]:
         status = EXIT_LOW_QUALITY
         report["synthesis"]["outcome"] = "low-quality witness"
     else:

@@ -8,15 +8,15 @@ Three transforms act on a connection D:
   ``Z b(X, Y) = b(D_Z X, Y) + b(X, D'_Z Y)``;
 * structure conjugation by an almost complex structure:
   ``D^J_X Y = J^{-1}(D_X (J Y))`` with ``J^{-1} = -J``;
-* averaging with the structure conjugate (a ``CombinationConnection``),
-  which parallelizes J.
+* averaging with the structure conjugate (a ``CombinationConnection``,
+  the mean of two connections), which parallelizes J.
 
 For a compatible (metric, structure) pair the three conjugations commute
 pairwise into each other, forming a Klein four-group on connections;
 ``klein_table`` returns the nine residuals, one per ``KLEIN_PAIRS`` name,
 measured on the conjugates a ``model.ModelAt`` builds.  Precondition
 failures (a form neither symmetric nor antisymmetric, an impure or plain
-pair, coefficients not summing to 1) raise ``QsgError``.
+pair) raise ``QsgError``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class BilinearConjugateConnection(Connection):
     def __init__(self, base: Connection, b):
         self.base = base
         self.b = b
-        self.dimension = base.dimension
 
     def gammas(self, pts):
         bv, bg = self.b.jets(pts)
@@ -66,7 +65,6 @@ class JConjugateConnection(Connection):
     def __init__(self, base: Connection, J: AlmostComplexStructure):
         self.base = base
         self.J = J
-        self.dimension = base.dimension
 
     def gammas(self, pts):
         jv, jg = self.J.jets(pts)
@@ -76,21 +74,14 @@ class JConjugateConnection(Connection):
 
 
 class CombinationConnection(Connection):
-    """Affine combination of connections; coefficients must sum to 1."""
+    """The mean of two connections."""
 
-    def __init__(self, terms):
-        self.terms = list(terms)
-        coeffs = sum(c for c, _ in self.terms)
-        if abs(coeffs - 1.0) > 1e-12:
-            raise QsgError("connection combination coefficients must sum to 1")
-        self.dimension = self.terms[0][1].dimension
+    def __init__(self, a: Connection, b: Connection):
+        self.a = a
+        self.b = b
 
     def gammas(self, pts):
-        out = None
-        for c, conn in self.terms:
-            g = c * conn.gammas(pts)
-            out = g if out is None else out + g
-        return out
+        return 0.5 * self.a.gammas(pts) + 0.5 * self.b.gammas(pts)
 
 
 # residual name -> the op-tuples (``ModelAt.conn``: "star" metric, "dagger"

@@ -458,28 +458,3 @@ def _field_product(s1: str, f1: PolyTensorField, s2: str, f2: PolyTensorField, o
     coefs = coefs.transpose([0] + [1 + (cols + rows).index(i) for i in output])
     return PolyTensorField(d, valence, exps=sums[first], coefs=coefs)
 
-
-def j_apply_vector(J: PolyTensorField, X: PolyTensorField) -> PolyTensorField:
-    """(1,1) field applied to a vector field: ``(J X)^k = J^k_j X^j``."""
-    if J.valence != (1, 1) or X.valence != (1, 0):
-        raise QsgError("j_apply_vector expects a (1,1) and a (1,0) field")
-    return poly_einsum("kj,j->k", J, X, valence=(1, 0))
-
-
-def compose_11(A: PolyTensorField, B: PolyTensorField) -> PolyTensorField:
-    """Composition of (1,1) fields: ``(A B)^k_j = A^k_m B^m_j``."""
-    return poly_einsum("km,mj->kj", A, B, valence=(1, 1))
-
-
-def bilinear_pullback_first(b: PolyTensorField, J: PolyTensorField) -> PolyTensorField:
-    """(0,2) field with the first slot twisted: ``b(J.,.)_{ij} = J^k_i b_{kj}``."""
-    return poly_einsum("ki,kj->ij", J, b, valence=(0, 2))
-
-
-def bilinear_pullback_both(b: PolyTensorField, J: PolyTensorField) -> PolyTensorField:
-    """(0,2) field with both slots twisted: ``b(J.,J.)_{ij} = J^k_i J^l_j b_{kl}``."""
-    return poly_einsum("il,lj->ij", bilinear_pullback_first(b, J), J, valence=(0, 2))
-
-
-def symmetrize_02(b: PolyTensorField) -> PolyTensorField:
-    return (b + b.transpose_02()).scale(0.5)

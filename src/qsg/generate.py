@@ -45,14 +45,7 @@ from .calculus import Connection, ConstantConnection, PolyConnection
 from .connections import BilinearConjugateConnection, JConjugateConnection
 from .contraction import contract
 from .errors import QsgError
-from .fields import (
-    ChartDomain,
-    PolyTensorField,
-    bilinear_pullback_both,
-    compose_11,
-    poly_einsum,
-    symmetrize_02,
-)
+from .fields import ChartDomain, PolyTensorField, poly_einsum
 from .model import ChartModel, ModelAt, neutral_diagonal, standard_structure
 from .predicates import PREDICATES
 from .structures import (
@@ -73,6 +66,10 @@ T_S = sampling.tag("synthesize")
 METRIC_DET_FLOOR = 1e-3
 # held-out points that score a synthesized connection
 HOLDOUT_POINTS = 25
+# most floats (rows x cols) of a compressed least-squares system, 1 GiB:
+# above the largest one a shipped run forms, the 15 200 x 6 048
+# contrapositive fit of lem3 at dim 6
+MAX_SYSTEM_FLOATS = 2 ** 27
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,8 @@ def gen_almost_complex(spec: GenSpec, integrable: bool = False) -> AlmostComplex
         raise QsgError("could not draw a well-conditioned constant frame factor")
     m0 = np.linalg.solve(q.T, (q @ j0).T).T  # q j0 q^{-1}
 
-    jfield = compose_11(poly_einsum("km,mj->kj", p, m0, valence=(1, 1)), pinv)
+    jfield = poly_einsum("km,mj->kj", poly_einsum("km,mj->kj", p, m0, valence=(1, 1)), pinv,
+                         valence=(1, 1))
     # exact polynomial frame C = P Q with polynomial inverse Q^{-1} P^{-1};
     # the produced field satisfies J = C J0 C^{-1}
     return AlmostComplexStructure(
@@ -200,8 +198,11 @@ def gen_hermitian_metric(spec: GenSpec, J: AlmostComplexStructure,
     probe = _probe_points(spec, T_G, probe_pts)
     frame_inv = J.frame_inv
     j0 = standard_structure(d)
-    r = symmetrize_02(random_poly_field(rng, d, (0, 2), spec.degree, 0.3))
-    pure = _congruent_form(r + _const_pullback_both(r, j0), frame_inv)
+    r = random_poly_field(rng, d, (0, 2), spec.degree, 0.3)
+    r = (r + r.transpose_02()).scale(0.5)
+    # r + r(J0., J0.): the constant J0 keeps r's basis
+    pure = _congruent_form(r + poly_einsum("ac,ai,cj->ij", r, j0, j0, valence=(0, 2)),
+                           frame_inv)
     base = _congruent_form(2.0 * np.eye(d), frame_inv)
     c = 0.5
     for _ in range(10):
@@ -230,8 +231,10 @@ def gen_norden_metric(spec: GenSpec, J: AlmostComplexStructure,
     base = _congruent_form(neutral_diagonal(d), frame_inv)
     scale = 0.3
     for _ in range(10):
-        s = symmetrize_02(random_poly_field(rng, d, (0, 2), spec.degree, scale))
-        h = base + _congruent_form(s - _const_pullback_both(s, j0), frame_inv)
+        s = random_poly_field(rng, d, (0, 2), spec.degree, scale)
+        s = (s + s.transpose_02()).scale(0.5)
+        h = base + _congruent_form(s - poly_einsum("ac,ai,cj->ij", s, j0, j0, valence=(0, 2)),
+                                   frame_inv)
         if _det_floor_ok(h, probe) and _neutral_signature(h, probe):
             return MetricField(h, flavor="norden")
         scale *= 0.5
@@ -244,11 +247,6 @@ def _probe_points(spec: GenSpec, tag: int, extra) -> np.ndarray:
     return probe if extra is None else np.vstack([probe, extra])
 
 
-def _const_pullback_both(b: PolyTensorField, const_j: np.ndarray) -> PolyTensorField:
-    """b(Q., Q.) for a constant matrix Q: cheap, degree-preserving."""
-    return poly_einsum("ac,ai,cj->ij", b, const_j, const_j, valence=(0, 2))
-
-
 def _congruent_form(form, frame_inv: PolyTensorField) -> PolyTensorField:
     """form(C^{-1}., C^{-1}.) = (C^{-1})^a_i (C^{-1})^b_j form_{ab} as an exact
     polynomial field; ``form`` is a constant matrix or a (0,2) field."""
@@ -257,7 +255,8 @@ def _congruent_form(form, frame_inv: PolyTensorField) -> PolyTensorField:
                        "model file; compatible metrics are drawn in a generated structure's frame")
     if not isinstance(form, PolyTensorField):
         form = PolyTensorField.constant(frame_inv.dimension, (0, 2), form)
-    return bilinear_pullback_both(form, frame_inv)
+    first = poly_einsum("ki,kj->ij", frame_inv, form, valence=(0, 2))
+    return poly_einsum("il,lj->ij", first, frame_inv, valence=(0, 2))
 
 
 def _neutral_signature(h: PolyTensorField, pts) -> bool:
@@ -382,7 +381,6 @@ def gen_connection(spec: GenSpec, constraint: str, J: AlmostComplexStructure | N
                    metric: MetricField | None = None) -> Connection:
     """Closed-form recipe for a connection satisfying one constraint.
 
-    * ``torsion_free``: symmetrized random symbols;
     * ``d_closed_J``: structure conjugate of a torsion-free connection;
     * ``j_invariant_torsion``: symmetric part plus half a projected torsion;
     * ``quasi_statistical_g`` / ``quasi_statistical_h``: metric conjugate of
@@ -393,8 +391,6 @@ def gen_connection(spec: GenSpec, constraint: str, J: AlmostComplexStructure | N
     d = spec.dimension
     rng = sampling.rng(spec.seed, T_C, d)
     raw = random_poly_field(rng, d, (1, 2), spec.degree, 1.0)
-    if constraint == "torsion_free":
-        return PolyConnection(_symmetrize_12(raw))
     if constraint == "d_closed_J":
         _require(J, "d_closed_J needs an almost complex structure")
         return JConjugateConnection(PolyConnection(_symmetrize_12(raw)), J)
@@ -516,10 +512,17 @@ def _compressed_rows(a: np.ndarray, b: np.ndarray, mon: np.ndarray):
     contributes ``kron(S V^T, mon[n]) x = U^T b[n]`` with one row per kept
     value and none when its block is zero.  The dropped part of ``b[n]``
     is orthogonal to every row, so the objective changes by a constant and
-    the minimizers (and the minimum-norm one) stay the same.
+    the minimizers (and the minimum-norm one) stay the same.  A system of
+    more than ``MAX_SYSTEM_FLOATS`` floats raises ``QsgError`` before it is
+    formed.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     keep = s > np.finfo(float).eps * max(a.shape[1:]) * s[:, :1]
+    n_rows, n_cols = int(keep.sum()), a.shape[2] * mon.shape[1]
+    if n_rows * n_cols > MAX_SYSTEM_FLOATS:
+        raise QsgError(f"the least-squares system would be {n_rows} x {n_cols} floats "
+                       f"({8 * n_rows * n_cols / 1e9:.2f} GB), more than {MAX_SYSTEM_FLOATS}; "
+                       "use a lower --degree")
     owner = np.nonzero(keep)[0]
     w = (s[:, :, None] * vt)[keep]  # (rows, d^3)
     rows = w[:, :, None] * mon[owner][:, None, :]

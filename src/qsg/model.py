@@ -93,6 +93,7 @@ class ModelAt:
     def with_conn(self, conn: Connection) -> "ModelAt":
         """The same metric, structure and points under ``conn``."""
         at = ModelAt(self.model, self.pts, conn)
+        at._partner_form = self._partner_form
         at._fixed = self._fixed
         return at
 
@@ -107,7 +108,7 @@ class ModelAt:
 
     @property
     def partner(self):
-        return self._memo("partner", self._partner_form, shared=True)
+        return self._partner_form()
 
     @property
     def jv(self):
@@ -143,7 +144,7 @@ class ModelAt:
             elif op == "jconj":
                 c = JConjugateConnection(base, self.model.require("J"))
             elif op == "avg":  # the mean with the structure conjugate; parallelizes J
-                c = CombinationConnection([(0.5, base), (0.5, self.conn(ops[:-1] + ("jconj",)))])
+                c = CombinationConnection(base, self.conn(ops[:-1] + ("jconj",)))
             else:
                 raise QsgError(f"unknown connection op {op!r}")
             self._conns[ops] = c

@@ -138,9 +138,9 @@ def family(section: str, *ids: str):
     return add
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Flavor:
-    """One side of the Hermitian / Norden mirror, hashed by identity (a ``Row`` base)."""
+    """One side of the Hermitian / Norden mirror."""
 
     name: str  # metric flavor of the trial pairs
     section: str  # runner that reports this flavor's twin entries
@@ -372,10 +372,8 @@ class Row(NamedTuple):
     anchor: float = 0.3  # scale of the fit's random anchor
 
 
-def _witness(ctx: SectionContext, row: Row, t: int, built: dict):
-    """(hypothesis residual, witness ``ModelAt``) of ``row`` at trial ``t``;
-    ``built`` keeps the trial's recipe witnesses by row without ``hyp``, so
-    rows that differ only there share one."""
+def _witness(ctx: SectionContext, row: Row, t: int):
+    """(hypothesis residual, witness ``ModelAt``) of ``row`` at trial ``t``."""
     base = ctx.trial(row.base, t) if isinstance(row.base, Flavor) else row.base(ctx, t)
     if row.recipe is None:
         degree = ctx.witness_degree if row.degree is None else row.degree
@@ -383,13 +381,9 @@ def _witness(ctx: SectionContext, row: Row, t: int, built: dict):
                                           seed=ctx._sub_seed(t, row.tag),
                                           ansatz_degree=degree, anchor_scale=row.anchor)
         return fit["residual"], base.with_conn(conn)
-    key = row._replace(hyp=())
-    if key not in built:
-        spec = None if row.tag is None else ctx.spec(t, row.tag)
-        built[key] = base.with_conn(
-            gen_connection(spec, row.recipe, J=base.model.J, metric=base.model.metric)
-            if isinstance(row.recipe, str) else row.recipe(spec, base))
-    wd = built[key]
+    spec = None if row.tag is None else ctx.spec(t, row.tag)
+    wd = base.with_conn(gen_connection(spec, row.recipe, J=base.model.J, metric=base.model.metric)
+                        if isinstance(row.recipe, str) else row.recipe(spec, base))
     return _worst([zero_res(CONSTRAINTS[h].residual(wd) if isinstance(h, str) else h(wd, t))
                    for h in row.hyp]), wd
 
@@ -400,9 +394,8 @@ def _witnesses(ctx: SectionContext, tol, *rows, given: dict | None = None) -> li
     one tolerance or a dict of them by id."""
     per_id = {i: list(rs) for i, rs in (given or {}).items()}
     for t in range(ctx.witness_trials):
-        built = {}
         for row, conclusions in rows:
-            hyp, wd = _witness(ctx, row, t, built)
+            hyp, wd = _witness(ctx, row, t)
             for i, conclusion in conclusions.items():
                 per_id.setdefault(i, []).append((hyp, conclusion(wd)))
     return [_witness_entry(i, ctx.dim, rs, tol[i] if isinstance(tol, dict) else tol)
@@ -480,7 +473,8 @@ def _lem1(ctx):
 def _pro2(ctx):
     # witnesses carry exactly closed structures with compatible torsion, so
     # the obstruction must vanish; sec2.cor3 states the closedness as a
-    # torsion-free structure conjugate, on the same witnesses
+    # torsion-free structure conjugate, on witnesses from the same recipe
+    # and sub-seed
     row = Row(SectionContext.integrable, ("torsion_compatible", "d_closed_J"), 12, "d_closed_J")
     cor3 = row._replace(hyp=("torsion_compatible", lambda wd, t: wd.torsion(("jconj",))))
     return _witnesses(ctx, TOLERANCES["conclusion"],
@@ -690,7 +684,7 @@ def _cyclic(ctx):
     _lead_note(lem3, "contrapositive: no witness exists when the 2-form is not closed")
     td0 = ctx.trial(HERMITIAN, 0)
     if zero_res(exterior_d2_values(td0.partner, td0.pts)) > 1e-4:
-        hyp0, _ = _witness(ctx, row._replace(base=HERMITIAN, tag=23, degree=2, anchor=0.0), 0, {})
+        hyp0, _ = _witness(ctx, row._replace(base=HERMITIAN, tag=23, degree=2, anchor=0.0), 0)
         if not hyp0 > TOLERANCES["negative"]:
             lem3["status"] = "fail"
             lem3["notes"] += "; contrapositive check failed"

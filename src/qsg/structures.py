@@ -20,7 +20,7 @@ import numpy as np
 from .calculus import Connection, DerivedTensorField
 from .contraction import contract
 from .errors import QsgError
-from .fields import PolyTensorField, j_apply_vector, poly_einsum
+from .fields import PolyTensorField, poly_einsum
 
 
 class AlmostComplexStructure(PolyTensorField):
@@ -73,9 +73,9 @@ def purity_values(b, J: AlmostComplexStructure, pts, sign: float) -> np.ndarray:
 def fundamental_two_form(g: MetricField, J: AlmostComplexStructure) -> PolyTensorField:
     """w(X, Y) = g(JX, Y), an exact polynomial field; antisymmetric for a
     Hermitian pair (``purity_values`` measures how far a pair is from one)."""
-    # the product of fields.bilinear_pullback_first, written in place here and
-    # in twin_metric while the benchmark tracer hooks both names; the three
-    # copies fold into one with ROADMAP item 2
+    # the same product as twin_metric, written in place in both while the
+    # benchmark tracer hooks both names; the two copies fold into one with
+    # ROADMAP item 2
     return poly_einsum("ki,kj->ij", J, g, valence=(0, 2))
 
 
@@ -100,7 +100,7 @@ def nijenhuis(J: AlmostComplexStructure) -> DerivedTensorField:
         c += contract("nli,nkjl->nkij", jv, jg)
         return np.swapaxes(c, 2, 3) - c
 
-    return DerivedTensorField(J.dimension, (1, 2), fn)
+    return DerivedTensorField(fn)
 
 
 def _jout(jv, a):
@@ -223,7 +223,7 @@ def vishnevskii_jframe_values(conn: Connection, J: AlmostComplexStructure, pts) 
 def vishnevskii_on_fields(conn: Connection, J: AlmostComplexStructure, X: PolyTensorField, Y: PolyTensorField, pts) -> np.ndarray:
     """Operator evaluation on explicit polynomial fields (first slot is
     tensorial, second is not)."""
-    JX = j_apply_vector(J, X)
+    JX = poly_einsum("kj,j->k", J, X, valence=(1, 0))
     jv = J.values(pts)
     yv, yg = Y.jets(pts)
     jxv = JX.values(pts)

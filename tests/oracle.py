@@ -1,12 +1,13 @@
 """Reference operators the tests compare the package against: exact
 brackets, the bracket form of the Nijenhuis tensor and Lie derivatives of
-the structure, and fields to and from one :class:`PolyExpr` per component.
+the structure, ``J`` applied to a vector field, and fields to and from
+one :class:`PolyExpr` per component.
 """
 
 import numpy as np
 
 from qsg.errors import QsgError
-from qsg.fields import PolyExpr, PolyTensorField, j_apply_vector, poly_einsum
+from qsg.fields import PolyExpr, PolyTensorField, poly_einsum
 from qsg.generate import random_poly_field
 from qsg.structures import AlmostComplexStructure
 
@@ -38,6 +39,11 @@ def random_poly(rng, dimension: int, degree: int, bound: float) -> PolyExpr:
     return comps(random_poly_field(rng, dimension, (0, 0), degree, bound))[()]
 
 
+def j_apply(J, X: PolyTensorField) -> PolyTensorField:
+    """The (1,1) field ``J`` applied to a vector field: ``(J X)^k = J^k_j X^j``."""
+    return poly_einsum("kj,j->k", J, X, valence=(1, 0))
+
+
 def lie_bracket(X: PolyTensorField, Y: PolyTensorField) -> PolyTensorField:
     """[X, Y]^i = X^j d_j Y^i - Y^j d_j X^i, exact polynomial result."""
     if X.valence != (1, 0) or Y.valence != (1, 0):
@@ -50,15 +56,15 @@ def lie_bracket(X: PolyTensorField, Y: PolyTensorField) -> PolyTensorField:
 
 def nijenhuis_on_fields(J: AlmostComplexStructure, X: PolyTensorField, Y: PolyTensorField) -> PolyTensorField:
     """Bracket-form evaluation on explicit polynomial vector fields."""
-    JX = j_apply_vector(J, X)
-    JY = j_apply_vector(J, Y)
-    term1 = j_apply_vector(J, j_apply_vector(J, lie_bracket(X, Y)))
-    term2 = j_apply_vector(J, lie_bracket(X, JY))
-    term3 = j_apply_vector(J, lie_bracket(JX, Y))
+    JX = j_apply(J, X)
+    JY = j_apply(J, Y)
+    term1 = j_apply(J, j_apply(J, lie_bracket(X, Y)))
+    term2 = j_apply(J, lie_bracket(X, JY))
+    term3 = j_apply(J, lie_bracket(JX, Y))
     term4 = lie_bracket(JX, JY)
     return -term1 + term2 + term3 - term4
 
 
 def lie_derivative_J_on_fields(J: AlmostComplexStructure, X: PolyTensorField, Y: PolyTensorField) -> PolyTensorField:
     """(L_X J) Y = [X, JY] - J [X, Y] for polynomial fields."""
-    return lie_bracket(X, j_apply_vector(J, Y)) - j_apply_vector(J, lie_bracket(X, Y))
+    return lie_bracket(X, j_apply(J, Y)) - j_apply(J, lie_bracket(X, Y))

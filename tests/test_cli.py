@@ -3,6 +3,10 @@ deterministic reports."""
 
 import ast
 import json
+import os
+import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +19,8 @@ from qsg.fields import PolyTensorField
 from qsg.model import ChartModel, flat_hermitian_model, flat_norden_model
 from qsg.model_io import canonical_doc, load_model, model_hash, parse_model, write_model
 from qsg.errors import ModelFileError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -340,6 +346,27 @@ def test_synthesize_degree_above_model_file_limit_exits_2(capsys, tmp_path, flat
                            "torsion_free", "--degree", "16", "--out", str(out_path))
     assert code == 0
     assert run_cli(capsys, "check", str(out_path), "--predicates", "statistical")[0] == 0
+
+
+def test_synthesize_system_above_the_cap_exits_2(tmp_path):
+    # degree 16 on the random 4-d example model asks for a 2400 x 310080
+    # compressed system; formed under a 3 GB address-space limit, it ended
+    # in a MemoryError (exit 6).  The limit acts on the child process only.
+    pytest.importorskip("resource")
+    runpy.run_path(str(ROOT / "scripts" / "make_example_models.py"))["write_examples"](tmp_path, 0)
+    limit = 3 << 30
+    code = ("import resource, runpy; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+            "runpy.run_module('qsg.cli', run_name='__main__')")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, "synthesize",
+                           str(tmp_path / "random_hermitian_4d.json"), "--constraints", "codazzi_J",
+                           "--degree", "16"], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "2400 x 310080 floats (5.95 GB)" in proc.stderr
+    assert "use a lower --degree" in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -15,7 +15,9 @@ from qsg.connections import (
 from qsg.errors import QsgError
 from qsg.fields import ChartDomain, PolyTensorField
 from qsg.generate import (
+    T_C,
     GenSpec,
+    _symmetrize_12,
     gen_almost_complex,
     gen_hermitian_metric,
     gen_norden_metric,
@@ -118,10 +120,8 @@ def test_j_conjugate_involution_and_closedness():
         base = conn.gammas(pts)
         assert np.abs(back.gammas(pts) - base).max() / (1 + np.abs(base).max()) <= 1e-9
     # structure conjugate of a torsion-free connection closes the structure
-    spec = GenSpec(seed=1, dimension=2, degree=2)
-    from qsg.generate import gen_connection
-
-    d0 = gen_connection(spec, "torsion_free")
+    raw = random_poly_field(sampling.rng(1, T_C, 2), 2, (1, 2), 2, 1.0)
+    d0 = PolyConnection(_symmetrize_12(raw))
     J, g, _, pts = _hermitian_setup(1)
     w = JConjugateConnection(d0, J)
     assert np.abs(_at(w, g, J, pts).d_J()).max() <= 1e-9

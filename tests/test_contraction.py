@@ -12,7 +12,7 @@ import pytest
 from qsg import calculus, fields
 from qsg.calculus import PolyConnection, covd_values
 from qsg.contraction import contract
-from qsg.fields import PolyTensorField
+from qsg.fields import PolyTensorField, poly_einsum
 from qsg.generate import j_conjugate_poly, random_poly_field, torsion_project_poly
 from qsg.sampling import rng
 from qsg.structures import AlmostComplexStructure
@@ -89,10 +89,10 @@ def _product_specs():
             J = field((1, 1), low, 1)
             X, A, b = field((1, 0), high, 2), field((1, 1), high, 3), field((0, 2), high, 4)
             gamma = field((1, 2), high, 5)
-            fields.j_apply_vector(J, X)
-            fields.compose_11(J, A)
-            fields.bilinear_pullback_first(b, J)
-            fields.bilinear_pullback_both(b, J)
+            poly_einsum("kj,j->k", J, X, valence=(1, 0))
+            poly_einsum("km,mj->kj", J, A, valence=(1, 1))
+            poly_einsum("il,lj->ij", poly_einsum("ki,kj->ij", J, b, valence=(0, 2)), J,
+                        valence=(0, 2))
             j_conjugate_poly(gamma, AlmostComplexStructure(J))
             torsion_project_poly(gamma, AlmostComplexStructure(J))
 
@@ -124,7 +124,7 @@ def _operands(spec, n, make):
 def test_package_specs_were_found():
     assert "nkm,nmij->nkij" in SPECS and "nmq,nm->nq" in SPECS
     assert "naim,nmb->naib" in SPECS  # from covd_values, upper slot of a (1,1) field
-    # from _field_product: compose_11 with either factor the shorter one
+    # from _field_product: the (1,1) composition with either factor the shorter one
     assert "Akm,Bmj->ABjk" in SPECS and "Amj,Bkm->ABkj" in SPECS
     assert len(SPECS) > 30
 

@@ -31,17 +31,12 @@ from qsg.fields import (
     PolyExpr,
     PolyTensorField,
     _row_keys,
-    bilinear_pullback_both,
-    bilinear_pullback_first,
-    compose_11,
-    j_apply_vector,
     poly_einsum,
 )
 from qsg.generate import (
     T_C,
     GenSpec,
     _congruent_form,
-    _const_pullback_both,
     _symmetrize_12,
     gen_vishnevskii_zero_connection,
     j_conjugate_poly,
@@ -164,10 +159,11 @@ def test_matrix_products_exact(d):
         both[i, j] += eA[k, i] * eA[l, j] * eb[k, l]
     for k, j in itertools.product(r, r):
         jx[k] += eA[k, j] * eX[j]
-    assert_exact(compose_11(A, B), comp)
-    assert_exact(bilinear_pullback_first(b, A), first)
-    assert_exact(bilinear_pullback_both(b, A), both)
-    assert_exact(j_apply_vector(A, X), jx)
+    assert_exact(poly_einsum("km,mj->kj", A, B, valence=(1, 1)), comp)
+    first_product = poly_einsum("ki,kj->ij", A, b, valence=(0, 2))
+    assert_exact(first_product, first)
+    assert_exact(poly_einsum("il,lj->ij", first_product, A, valence=(0, 2)), both)
+    assert_exact(poly_einsum("kj,j->k", A, X, valence=(1, 0)), jx)
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -200,7 +196,8 @@ def test_zero_row_factor_gives_zero_product(d):
     F, _ = int_field(rng, d, (1, 1))
     t, _ = int_field(rng, d, (1, 2))
     zero = PolyTensorField.zeros(d, (1, 1))
-    for out in (compose_11(zero, F), compose_11(F, zero),
+    for out in (poly_einsum("km,mj->kj", zero, F, valence=(1, 1)),
+                poly_einsum("km,mj->kj", F, zero, valence=(1, 1)),
                 poly_einsum("kab,ai->kib", t, zero, valence=(1, 2)),
                 poly_einsum(",kij->kij", PolyTensorField.zeros(d, (0, 0)), t, valence=(1, 2))):
         assert out.exps.shape == (0, d)
@@ -280,7 +277,7 @@ def test_congruence_helpers_exact(d):
         pull[i, j] += eb[a, c] * const_poly(q[a, i] * q[c, j], d)
         cong_const[i, j] += eF[a, i] * eF[c, j] * const_poly(e[a, c], d)
         cong_poly[i, j] += eF[a, i] * eF[c, j] * eb[a, c]
-    assert_exact(_const_pullback_both(b, q), pull)
+    assert_exact(poly_einsum("ac,ai,cj->ij", b, q, q, valence=(0, 2)), pull)
     assert_exact(_congruent_form(e, F), cong_const)
     assert_exact(_congruent_form(b, F), cong_poly)
 

@@ -107,11 +107,6 @@ def test_norden_metric_sweep(dim):
         assert np.all(signs.sum(axis=1) == 0)
 
 
-def test_torsion_free_recipe():
-    conn = gen_connection(GenSpec(seed=1, dimension=4, degree=2), "torsion_free")
-    assert np.abs(torsion_values(conn, pts(4))).max() <= 1e-15
-
-
 def test_d_closed_recipe_and_conjugate_torsion():
     for seed in range(10):
         spec = GenSpec(seed=seed, dimension=4, degree=2)

@@ -280,8 +280,8 @@ def test_witness_rows_replay(monkeypatch):
     seen = []
     real = propositions._witness
 
-    def recording(ctx, row, t, built):
-        hyp, wd = real(ctx, row, t, built)
+    def recording(ctx, row, t):
+        hyp, wd = real(ctx, row, t)
         seen.append((row, t, hyp))
         return hyp, wd
 
@@ -294,7 +294,7 @@ def test_witness_rows_replay(monkeypatch):
     for row, t, hyp in seen:
         if t != 0:
             continue
-        again, wd = propositions._witness(SectionContext(seed=0, dim=4, trials=2), row, 0, {})
+        again, wd = propositions._witness(SectionContext(seed=0, dim=4, trials=2), row, 0)
         assert again == hyp, row
         if hyp <= tol:
             met += 1

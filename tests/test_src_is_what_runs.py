@@ -14,7 +14,9 @@ definition, never flag a used one.
 
 One name per object: no top-level function only forwards its own
 positional parameters, in order, to another callable (a second name for
-it), and the package namespace re-exports nothing from its modules.
+it), and the package namespace re-exports nothing from its modules.  No
+top-level function only restates one field product: its body is not a
+lone ``return poly_einsum(...)``, which its callers write in place.
 """
 
 import ast
@@ -25,6 +27,11 @@ USERS = ("src", "scripts", "perfbench")
 
 # definitions that only the tests use, kept on purpose, with the reason
 ALLOWED = {}
+# functions that only restate one field product, kept on purpose, with the reason
+RESTATEMENTS_KEPT = {
+    "structures.fundamental_two_form": "perfbench/tracing.py hooks the name (ROADMAP item 2)",
+    "structures.twin_metric": "perfbench/tracing.py hooks the name (ROADMAP item 2)",
+}
 
 
 def _definitions(root):
@@ -93,24 +100,34 @@ def unused_definitions(root=ROOT, dirs=USERS):
         unused = found
 
 
-def forwarding_functions(root=ROOT):
-    """Qualified names of the top-level ``src/qsg`` functions whose body,
-    after its docstring, is only ``return f(a, b, ...)`` with exactly the
-    function's own positional parameters, in order."""
-    out = set()
+def _returned_calls(root):
+    """(qualified name, function node, call node) for every top-level
+    ``src/qsg`` function whose body, after its docstring, is only
+    ``return <call>``."""
     for path in sorted((root / "src" / "qsg").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, ast.FunctionDef):
                 continue
-            body = node.body
-            if ast.get_docstring(node) is not None:
-                body = body[1:]
-            params = [a.arg for a in node.args.posonlyargs + node.args.args]
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
             if (len(body) == 1 and isinstance(body[0], ast.Return)
-                    and isinstance(body[0].value, ast.Call) and not body[0].value.keywords
-                    and [getattr(a, "id", None) for a in body[0].value.args] == params):
-                out.add(f"{path.stem}.{node.name}")
-    return out
+                    and isinstance(body[0].value, ast.Call)):
+                yield f"{path.stem}.{node.name}", node, body[0].value
+
+
+def forwarding_functions(root=ROOT):
+    """Qualified names of the top-level ``src/qsg`` functions whose body,
+    after its docstring, is only ``return f(a, b, ...)`` with exactly the
+    function's own positional parameters, in order."""
+    return {name for name, node, call in _returned_calls(root)
+            if not call.keywords and [getattr(a, "id", None) for a in call.args]
+            == [a.arg for a in node.args.posonlyargs + node.args.args]}
+
+
+def product_restatements(root=ROOT):
+    """Qualified names of the top-level ``src/qsg`` functions whose body,
+    after its docstring, is only ``return poly_einsum(...)``."""
+    return {name for name, _, call in _returned_calls(root)
+            if "poly_einsum" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))}
 
 
 def test_src_holds_only_what_runs():
@@ -168,6 +185,32 @@ class Box:
     def same(self, a): return f(self, a)
 ''')
     assert forwarding_functions(tmp_path) == {"mod.alias", "mod.bare"}
+
+
+def test_no_function_only_restates_a_field_product():
+    assert sorted(product_restatements() - RESTATEMENTS_KEPT.keys()) == []
+    # a kept restatement is still there and still only restates
+    assert RESTATEMENTS_KEPT.keys() <= product_restatements()
+
+
+def test_restatement_scan_on_a_small_package(tmp_path):
+    (tmp_path / "src" / "qsg").mkdir(parents=True)
+    (tmp_path / "src" / "qsg" / "mod.py").write_text('''
+def documented(J, b):
+    """Docstring."""
+    return poly_einsum("ki,kj->ij", J, b, valence=(0, 2))
+def qualified(A, B): return fields.poly_einsum("km,mj->kj", A, B, valence=(1, 1))
+def negated(A, B): return -poly_einsum("km,mj->kj", A, B, valence=(1, 1))
+def checked(J, X):
+    if J is None:
+        raise ValueError
+    return poly_einsum("kj,j->k", J, X, valence=(1, 0))
+def scaled(b): return poly_einsum("ij->ji", b, valence=(0, 2)).scale(0.5)
+def other(A, B): return contract("km,mj->kj", A, B)
+class Box:
+    def method(self, A): return poly_einsum("kj->jk", A, valence=(1, 1))
+''')
+    assert product_restatements(tmp_path) == {"mod.documented", "mod.qualified"}
 
 
 def test_package_namespace_reexports_nothing():

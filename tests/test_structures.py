@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from oracle import comps, from_comps, lie_derivative_J_on_fields, nijenhuis_on_fields
+from oracle import comps, from_comps, j_apply, lie_derivative_J_on_fields, nijenhuis_on_fields
 from qsg import sampling
 from qsg.calculus import LeviCivitaConnection, PolyConnection, covd_values, torsion_values
 from qsg.connections import JConjugateConnection
 from qsg.errors import QsgError
-from qsg.fields import PolyExpr, PolyTensorField, j_apply_vector, poly_einsum
+from qsg.fields import PolyExpr, PolyTensorField, poly_einsum
 from qsg.generate import (
+    T_C,
     GenSpec,
+    _symmetrize_12,
     gen_almost_complex,
     gen_connection,
     gen_constant_structure_model,
@@ -211,7 +213,7 @@ def test_tachibana_via_lie_brackets():
     # independent route for (a, b, c) = (0, 1, 0) using explicit fields
     e = [PolyTensorField.constant(d, (1, 0), np.eye(d)[i]) for i in range(d)]
     a, b, c = 0, 1, 0
-    Ja = j_apply_vector(J, e[a])
+    Ja = j_apply(J, e[a])
     # (J x_a) h(x_b, x_c): directional derivative of a polynomial scalar
     hc, jc = comps(h), comps(J)
     _, grad = hc[b, c].jet(p)
@@ -275,7 +277,7 @@ def test_vishnevskii_jframe_is_operator_on_twisted_frames(dim):
     for i in range(dim):
         x = PolyTensorField.constant(dim, (1, 0), np.eye(dim)[i])
         for j in range(dim):
-            jx = j_apply_vector(J, PolyTensorField.constant(dim, (1, 0), np.eye(dim)[j]))
+            jx = j_apply(J, PolyTensorField.constant(dim, (1, 0), np.eye(dim)[j]))
             want = vishnevskii_on_fields(conn, J, x, jx, p)
             assert np.abs(got[:, :, i, j] - want).max() <= 1e-12
 
@@ -285,7 +287,8 @@ def test_nijenhuis_from_torsion_when_closed():
     for seed in range(8):
         spec = GenSpec(seed=seed, dimension=4, degree=2)
         J = gen_almost_complex(spec)
-        d0 = gen_connection(GenSpec(seed=seed + 50, dimension=4, degree=2), "torsion_free")
+        raw = random_poly_field(sampling.rng(seed + 50, T_C, 4), 4, (1, 2), 2, 1.0)
+        d0 = PolyConnection(_symmetrize_12(raw))
         w = JConjugateConnection(d0, J)
         p = pts(4, seed)
         jv = J.values(p)
