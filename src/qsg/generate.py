@@ -8,11 +8,15 @@ Structure generation keeps every output an exact polynomial field:
   structure by polynomial frames whose inverse is again polynomial (a
   unipotent half-block factor times a constant well-conditioned matrix),
   so the squared structure is minus the identity to rounding;
-* Hermitian metrics average a random symmetric form over the structure and
-  add a positive-definite averaged base, so purity is algebraically exact
-  and nondegeneracy is tunable;
-* Norden metrics antisymmetrize over the structure and add the conjugated
-  neutral diagonal base, giving exact purity and neutral signature.
+* every compatible metric is one ``_paired_form`` pulled back through the
+  structure's inverse frame: a base (the identity for Hermitian, the
+  neutral diagonal for Norden metrics) plus a random symmetric form made
+  pure for the constant block structure and scaled so that a bound of its
+  norm over the whole chart box stays at ``PERTURBATION_BOUND`` or below.
+  Purity is algebraically exact, and the certificate holds on the whole
+  box, not at sample points: Hermitian metrics are positive definite,
+  Norden metrics have signature (n, n), and both have
+  ``|det| >= (3/4)^d / det(Q)^2`` for the frame's constant factor Q.
 
 Connection synthesis treats every supported constraint as a pointwise
 affine map of the symbol values and reads its Jacobian from one evaluation
@@ -34,7 +38,6 @@ The reported residual is measured on a held-out sample set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,6 +52,7 @@ from .fields import ChartDomain, PolyTensorField, poly_einsum
 from .model import ChartModel, ModelAt, neutral_diagonal, standard_structure
 from .predicates import PREDICATES
 from .structures import (
+    PURITY_SIGN,
     AlmostComplexStructure,
     MetricField,
     j_invariance_defect,
@@ -62,8 +66,9 @@ T_H = sampling.tag("gen_norden")
 T_C = sampling.tag("gen_connection")
 T_S = sampling.tag("synthesize")
 
-# least |det| a generated metric must reach where it is checked
-METRIC_DET_FLOOR = 1e-3
+# largest spectral norm, anywhere on the chart, of the pure perturbation a
+# compatible metric adds to its base form in the structure's frame
+PERTURBATION_BOUND = 0.25
 # held-out points that score a synthesized connection
 HOLDOUT_POINTS = 25
 # most floats (rows x cols) of a compressed least-squares system, 1 GiB:
@@ -88,10 +93,19 @@ class GenSpec:
 
 
 def monomial_exponents(dimension: int, degree: int) -> np.ndarray:
-    """All exponent rows with total degree <= degree, in canonical order."""
-    rows = [e for e in product(range(degree + 1), repeat=dimension) if sum(e) <= degree]
-    rows.sort()
-    return np.asarray(rows, dtype=np.int64)
+    """All exponent rows with total degree <= degree, in lexicographic order.
+
+    Built one leading axis at a time, so only kept rows are formed: each
+    leading exponent e in increasing order, followed by the (already
+    ordered) trailing rows of total degree <= degree - e."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(dimension):
+        total = rows.sum(axis=1)
+        rows = np.concatenate([
+            np.column_stack([np.full(np.count_nonzero(total <= degree - e), e, dtype=np.int64),
+                             rows[total <= degree - e]])
+            for e in range(degree + 1)])
+    return rows
 
 
 def random_poly_field(rng, dimension: int, valence, degree: int, bound: float) -> PolyTensorField:
@@ -173,97 +187,75 @@ def gen_almost_complex(spec: GenSpec, integrable: bool = False) -> AlmostComplex
 # metrics
 
 
-def _det_floor_ok(field: PolyTensorField, pts) -> bool:
-    vals = field.values(pts)
-    return bool(np.abs(np.linalg.det(vals)).min() >= METRIC_DET_FLOOR)
+def _box_norm(form: PolyTensorField, box) -> float:
+    """Upper bound of the spectral norm of the (0,2) field ``form`` over
+    ``box``: the sum over its terms of ||C_m||_2 prod_k max|x_k|^e_mk."""
+    radius = np.abs(np.asarray(box, dtype=float)).max(axis=1)
+    return float(np.sum(np.linalg.norm(form.coefs, ord=2, axis=(1, 2))
+                        * np.prod(radius ** form.exps, axis=1)))
 
 
-def gen_hermitian_metric(spec: GenSpec, J: AlmostComplexStructure,
-                         probe_pts=None) -> MetricField:
-    """Random metric with exactly invariant purity: g(JX, JY) = g(X, Y).
+def _paired_form(r, flavor: str, box) -> PolyTensorField:
+    """A compatible form of ``flavor`` in the structure's frame, nondegenerate
+    on the whole of ``box`` by construction: ``base + P`` with
+    ``P = sym(r) + sign sym(r)(J0., J0.)`` for ``sign = PURITY_SIGN[flavor]``,
+    scaled so that ``_box_norm(P) <= PERTURBATION_BOUND``.  ``r`` is a (0,2)
+    field or a constant matrix.
 
-    Built as A + A(J., J.) + c (E + E(J., J.)) where A pulls a random
-    symmetric polynomial form back through the structure's inverse frame
-    and E is the pulled-back identity form (positive definite, so the base
-    term controls nondegeneracy).  Averaging over the structure in the
-    constant frame keeps polynomial degrees bounded by
-    ``spec.degree + 2 deg(frame)``.
-
-    The determinant floor ``METRIC_DET_FLOOR`` holds on the generator's
-    probe points and on ``probe_pts``, where the caller evaluates (it is
-    not checked elsewhere).
+    Both pieces are pure for the standard structure J0, so purity is exact.
+    The base is the identity (Hermitian), whose sum with P has eigenvalues
+    in [3/4, 5/4], or the neutral diagonal N0 (Norden), where
+    ``N0 + P = N0 (I + N0 P)`` with ``||N0 P|| <= 1/4`` keeps the (n, n)
+    signature.  Pulled back through a frame ``C^{-1} = Q^{-1} (I - U)``
+    (``_congruent_form``) either gives ``|det| >= (3/4)^d / det(Q)^2``.
     """
-    d = spec.dimension
-    rng = sampling.rng(spec.seed, T_G, d)
-    probe = _probe_points(spec, T_G, probe_pts)
-    frame_inv = J.frame_inv
+    if flavor not in PURITY_SIGN:
+        raise QsgError(f"unknown flavor {flavor!r}")
+    d = len(box)
+    if not isinstance(r, PolyTensorField):
+        r = PolyTensorField.constant(d, (0, 2), r)
     j0 = standard_structure(d)
-    r = random_poly_field(rng, d, (0, 2), spec.degree, 0.3)
     r = (r + r.transpose_02()).scale(0.5)
-    # r + r(J0., J0.): the constant J0 keeps r's basis
-    pure = _congruent_form(r + poly_einsum("ac,ai,cj->ij", r, j0, j0, valence=(0, 2)),
-                           frame_inv)
-    base = _congruent_form(2.0 * np.eye(d), frame_inv)
-    c = 0.5
-    for _ in range(10):
-        g = pure + base.scale(c)
-        if _det_floor_ok(g, probe):
-            return MetricField(g, flavor="hermitian")
-        c *= 2.0
-    raise QsgError("could not reach a nondegenerate Hermitian metric")
+    # r(J0., J0.): the constant J0 keeps r's basis
+    pert = r + poly_einsum("ac,ai,cj->ij", r, j0, j0, valence=(0, 2)).scale(PURITY_SIGN[flavor])
+    bound = _box_norm(pert, box)
+    if bound > PERTURBATION_BOUND:
+        pert = pert.scale(PERTURBATION_BOUND / bound)
+    base = np.eye(d) if flavor == "hermitian" else neutral_diagonal(d)
+    return PolyTensorField.constant(d, (0, 2), base) + pert
 
 
-def gen_norden_metric(spec: GenSpec, J: AlmostComplexStructure,
-                      probe_pts=None) -> MetricField:
-    """Random neutral metric with exact purity: h(JX, Y) = h(X, JY).
-
-    Built as h0 + S - S(J., J.) where S pulls a random symmetric
-    polynomial form back through the inverse frame and h0 is the
-    alternating-sign diagonal in that frame (the canonical neutral pure
-    form, guaranteeing nondegeneracy and the (n, n) signature when S is
-    small enough).  Probe points as for Hermitian metrics.
-    """
+def _paired_metric(spec: GenSpec, J: AlmostComplexStructure, flavor: str, tag: int) -> MetricField:
     d = spec.dimension
-    rng = sampling.rng(spec.seed, T_H, d)
-    probe = _probe_points(spec, T_H, probe_pts)
-    frame_inv = J.frame_inv
-    j0 = standard_structure(d)
-    base = _congruent_form(neutral_diagonal(d), frame_inv)
-    scale = 0.3
-    for _ in range(10):
-        s = random_poly_field(rng, d, (0, 2), spec.degree, scale)
-        s = (s + s.transpose_02()).scale(0.5)
-        h = base + _congruent_form(s - poly_einsum("ac,ai,cj->ij", s, j0, j0, valence=(0, 2)),
-                                   frame_inv)
-        if _det_floor_ok(h, probe) and _neutral_signature(h, probe):
-            return MetricField(h, flavor="norden")
-        scale *= 0.5
-    raise QsgError("could not reach a nondegenerate neutral Norden metric")
+    r = random_poly_field(sampling.rng(spec.seed, tag, d), d, (0, 2), spec.degree, 0.3)
+    form = _paired_form(r, flavor, ChartDomain.cube(d).box)
+    return MetricField(_congruent_form(form, J.frame_inv), flavor=flavor)
 
 
-def _probe_points(spec: GenSpec, tag: int, extra) -> np.ndarray:
-    d = spec.dimension
-    probe = sampling.sample_box([(-0.5, 0.5)] * d, 25, spec.seed, tag, d, 1)
-    return probe if extra is None else np.vstack([probe, extra])
+def gen_hermitian_metric(spec: GenSpec, J: AlmostComplexStructure) -> MetricField:
+    """Random metric with exact purity, g(JX, JY) = g(X, Y), positive
+    definite on the whole chart: the ``_paired_form`` of a random symmetric
+    polynomial form, pulled back through the structure's inverse frame.
+    Averaging over the structure in the constant frame keeps polynomial
+    degrees bounded by ``spec.degree + 2 deg(frame)``."""
+    return _paired_metric(spec, J, "hermitian", T_G)
 
 
-def _congruent_form(form, frame_inv: PolyTensorField) -> PolyTensorField:
+def gen_norden_metric(spec: GenSpec, J: AlmostComplexStructure) -> MetricField:
+    """Random neutral metric with exact purity, h(JX, Y) = h(X, JY), of
+    signature (n, n) on the whole chart: built as
+    ``gen_hermitian_metric`` with the Norden sign and base."""
+    return _paired_metric(spec, J, "norden", T_H)
+
+
+def _congruent_form(form: PolyTensorField, frame_inv: PolyTensorField) -> PolyTensorField:
     """form(C^{-1}., C^{-1}.) = (C^{-1})^a_i (C^{-1})^b_j form_{ab} as an exact
-    polynomial field; ``form`` is a constant matrix or a (0,2) field."""
+    polynomial field."""
     if frame_inv is None:
         raise QsgError("the structure has no frame (frame_inv is None), as one read from a "
                        "model file; compatible metrics are drawn in a generated structure's frame")
-    if not isinstance(form, PolyTensorField):
-        form = PolyTensorField.constant(frame_inv.dimension, (0, 2), form)
     first = poly_einsum("ki,kj->ij", frame_inv, form, valence=(0, 2))
     return poly_einsum("il,lj->ij", first, frame_inv, valence=(0, 2))
-
-
-def _neutral_signature(h: PolyTensorField, pts) -> bool:
-    # locally constant signature: five points suffice on a connected box
-    vals = h.values(pts[:5])
-    signs = np.sign(np.linalg.eigvalsh(vals))
-    return bool(np.all(signs.sum(axis=1) == 0))
 
 
 def gen_constant_structure_model(spec: GenSpec, flavor: str = "hermitian") -> ChartModel:
@@ -285,22 +277,12 @@ def gen_constant_structure_model(spec: GenSpec, flavor: str = "hermitian") -> Ch
     else:
         raise QsgError("could not draw a well-conditioned constant frame")
     qinv = np.linalg.inv(q)
-    jmat = q @ j0 @ qinv
-    r0 = rng.uniform(-0.3, 0.3, size=(d, d))
-    r0 = 0.5 * (r0 + r0.T)
-    if flavor == "hermitian":
-        b0 = r0 + j0.T @ r0 @ j0 + 2.0 * np.eye(d)
-    elif flavor == "norden":
-        b0 = neutral_diagonal(d) + r0 - j0.T @ r0 @ j0
-        if np.abs(np.linalg.det(qinv.T @ b0 @ qinv)) < METRIC_DET_FLOOR:
-            b0 = neutral_diagonal(d)
-    else:
-        raise QsgError(f"unknown flavor {flavor!r}")
-    bmat = qinv.T @ b0 @ qinv
-    J = AlmostComplexStructure(PolyTensorField.constant(d, (1, 1), jmat),
+    domain = ChartDomain.cube(d)
+    form = _paired_form(rng.uniform(-0.3, 0.3, size=(d, d)), flavor, domain.box)
+    J = AlmostComplexStructure(PolyTensorField.constant(d, (1, 1), q @ j0 @ qinv),
                                frame_inv=PolyTensorField.constant(d, (1, 1), qinv))
-    metric = MetricField(PolyTensorField.constant(d, (0, 2), bmat), flavor=flavor)
-    return ChartModel(domain=ChartDomain.cube(d), metric=metric, J=J, conn=None)
+    metric = MetricField(_congruent_form(form, J.frame_inv), flavor=flavor)
+    return ChartModel(domain=domain, metric=metric, J=J, conn=None)
 
 
 def gen_vishnevskii_zero_connection(spec: GenSpec, J: AlmostComplexStructure) -> PolyConnection:
@@ -336,20 +318,10 @@ def gen_kahler_model(spec: GenSpec) -> ChartModel:
     d = spec.dimension
     rng = sampling.rng(spec.seed, T_G, d, 7)
     J = gen_almost_complex(spec, integrable=True)
-    j0 = standard_structure(d)
-    r0 = rng.uniform(-0.3, 0.3, size=(d, d))
-    r0 = 0.5 * (r0 + r0.T)
-    b = r0 + j0.T @ r0 @ j0
-    c = 0.5
     domain = ChartDomain.cube(d)
-    probe = sampling.sample_box(domain.box, 25, spec.seed, T_G, d, 8)
-    for _ in range(10):
-        g = _congruent_form(b + 2.0 * c * np.eye(d), J.frame_inv)
-        if _det_floor_ok(g, probe):
-            metric = MetricField(g, flavor="hermitian")
-            return ChartModel(domain=domain, metric=metric, J=J, conn=None)
-        c *= 2.0
-    raise QsgError("could not build a nondegenerate pulled-back compatible model")
+    form = _paired_form(rng.uniform(-0.3, 0.3, size=(d, d)), "hermitian", domain.box)
+    metric = MetricField(_congruent_form(form, J.frame_inv), flavor="hermitian")
+    return ChartModel(domain=domain, metric=metric, J=J, conn=None)
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,7 @@ class SectionContext:
             # chosen by global name at each call, so wrappers installed on
             # this module's attributes (perfbench/tracing.py) see the call
             gen_metric = gen_hermitian_metric if fl.name == "hermitian" else gen_norden_metric
-            metric = gen_metric(spec, J, probe_pts=self.points(trial))
+            metric = gen_metric(spec, J)
             conn = PolyConnection(
                 random_poly_field(self.rng(trial, fl.tags[1]), self.dim, (1, 2), self.degree, 1.0)
             )
@@ -649,8 +649,10 @@ def _chains(ctx, fl):
             lowered = _tb(td.torsion(b + ("dagger",)), td.pv)
             a1 = ident_res(td.d_metric(b, "partner"), lowered)
             a2 = ident_res(_tb(td.d_J(b + ("star",)), td.bv), lowered)
+            # the structure conjugate through its Klein-equivalent chain: at
+            # b = () the direct one would restate pro4.ii / pro12.ii
             a3 = ident_res(td.d_metric(b, "partner"),
-                           fl.sign * _slot3(td.d_metric(b + ("jconj",), "metric"), td.jv))
+                           fl.sign * _slot3(td.d_metric(b + ("star", "dagger"), "metric"), td.jv))
             out[fl.id("pro5", k)] = _worst([a1, a2, a3])
         return out
     return _identities(ctx, fl, TOLERANCES["identity"], residuals)

@@ -158,24 +158,26 @@ def test_criterion_8_negative_controls(suite):
     _report(ok, "violated hypotheses produce conclusion residuals >= 1e-3 in >= 90% of trials")
 
 
-# dim-4 entries that report the same witness residuals as another entry:
-# pro3 items (iii) and (iv), and their Norden twins, reuse the statement
-# connections of items (i) and (ii) until they get witnesses of their own
+# entries that report the same witness residuals as another entry, at
+# both dims: pro3 items (iii) and (iv), and their Norden twins, reuse the
+# statement connections of items (i) and (ii) until they get witnesses of
+# their own
 KNOWN_DUPLICATES = {frozenset(pair) for pair in (
     ("pro3.i", "pro3.iii"), ("pro3.ii", "pro3.iv"),
     ("antipro3.i", "antipro3.iii"), ("antipro3.ii", "antipro3.iv"))}
 
 
 def test_entries_measure_their_own_statements(suite):
-    # no two dim-4 entries share both residuals unless listed above; dim 2
-    # is left out, where different statements match to rounding
+    # no two entries at one dim share both residuals unless listed above
     groups = {}
     for (prop_id, dim), e in suite.items():
-        if dim == 4 and e["direction"] != "negative-control":
-            groups.setdefault((e["max_residual"], e["hyp_residual"]), set()).add(prop_id)
-    shared = {frozenset(ids) for ids in groups.values() if len(ids) > 1}
-    _report(shared == KNOWN_DUPLICATES, "dim-4 entries sharing both residuals are the known "
-                                         f"duplicates: {sorted(map(sorted, shared))}")
+        if e["direction"] != "negative-control":
+            groups.setdefault((dim, e["max_residual"], e["hyp_residual"]), set()).add(prop_id)
+    shared = {dim: {frozenset(ids) for (d, *_), ids in groups.items() if d == dim and len(ids) > 1}
+              for dim in (2, 4)}
+    _report(all(pairs == KNOWN_DUPLICATES for pairs in shared.values()),
+            "entries sharing both residuals at dims 2 and 4 are the known duplicates: "
+            + "; ".join(f"{dim}: {sorted(map(sorted, pairs))}" for dim, pairs in shared.items()))
 
 
 # the statuses an entry can report (propositions._entry)

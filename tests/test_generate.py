@@ -12,6 +12,7 @@ from qsg.fields import ChartDomain, PolyTensorField
 from qsg.generate import (
     T_S,
     GenSpec,
+    _congruent_form,
     _compressed_rows,
     _kronecker_solve,
     _lstsq,
@@ -26,11 +27,12 @@ from qsg.generate import (
     gen_norden_metric,
     gen_vishnevskii_zero_connection,
     monomial_exponents,
+    random_poly_field,
     synthesize_connection,
     torsion_project_poly,
     valid_constraints,
 )
-from qsg.model import ChartModel, ModelAt, flat_hermitian_model
+from qsg.model import ChartModel, ModelAt, flat_hermitian_model, neutral_diagonal
 from qsg.model_io import canonical_doc, parse_model
 from qsg.predicates import PREDICATES, check
 from qsg.structures import (
@@ -134,7 +136,6 @@ def test_j_invariant_torsion_recipe():
 
 
 def test_torsion_projector_idempotent():
-    from qsg.generate import random_poly_field
 
     spec = GenSpec(seed=2, dimension=4, degree=2)
     J = gen_almost_complex(spec)
@@ -228,15 +229,84 @@ def test_monomial_basis_canonical():
     assert len(exps) == 6
 
 
-def test_hermitian_base_form_doubles_identity():
-    # with the identity frame and the standard block structure, the
-    # nondegeneracy base is exactly twice the identity form
-    from qsg.fields import PolyTensorField
-    from qsg.generate import _congruent_form
+def test_monomial_basis_is_the_brute_force_list():
+    from itertools import product
 
+    for d in range(5):
+        for degree in range(5):
+            brute = sorted(e for e in product(range(degree + 1), repeat=d) if sum(e) <= degree)
+            exps = monomial_exponents(d, degree)
+            assert exps.dtype == np.int64
+            assert exps.tolist() == [list(e) for e in brute], (d, degree)
+
+
+def test_monomial_basis_forms_only_kept_rows():
+    # C(24, 8) rows; walking every (16 + 1)^8 tuple would take hours
+    exps = monomial_exponents(8, 16)
+    assert exps.shape == (735471, 8)
+    assert exps.sum(axis=1).max() == 16
+    # strictly increasing in lexicographic order: the first column in which
+    # two consecutive rows differ grows
+    step = exps[1:] - exps[:-1]
+    assert np.all(step[np.arange(len(step)), np.argmax(step != 0, axis=1)] > 0)
+
+
+def _box_points(d, seed, n=3000):
+    """Sample points of the unit chart box plus its 2^d corners."""
+    corners = np.array(list(np.ndindex(*(2,) * d)), dtype=float) - 0.5
+    return np.vstack([sampling.sample_box(ChartDomain.cube(d).box, n, seed, 401, d), corners])
+
+
+def _generated_pairs(d, seed):
+    spec = GenSpec(seed=seed, dimension=d, degree=2)
+    J = gen_almost_complex(spec)
+    yield "hermitian", gen_hermitian_metric(spec, J), J
+    yield "norden", gen_norden_metric(spec, J), J
+    km = gen_kahler_model(spec)
+    yield "hermitian", km.metric, km.J
+    for flavor in ("hermitian", "norden"):
+        cm = gen_constant_structure_model(spec, flavor)
+        yield flavor, cm.metric, cm.J
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_metric_certificate_holds_on_the_whole_box(d):
+    # every generated compatible metric is pure, positive definite
+    # (Hermitian) or of signature (n, n) (Norden), and has
+    # |det| >= (3/4)^d det(C^{-1})^2 at every point of the chart box
+    for seed in range(3):
+        p = _box_points(d, seed)
+        for flavor, metric, J in _generated_pairs(d, seed):
+            gv = metric.values(p)
+            sign = 1.0 if flavor == "hermitian" else -1.0
+            assert np.abs(purity_values(metric, J, p, sign)).max() <= 1e-12 * np.abs(gv).max()
+            eig = np.linalg.eigvalsh(gv)
+            if flavor == "hermitian":
+                assert eig.min() > 0.0, (seed, flavor)
+            else:
+                assert np.all((eig > 0).sum(axis=1) == d // 2), (seed, flavor)
+                assert np.all((eig < 0).sum(axis=1) == d // 2), (seed, flavor)
+            floor = 0.75 ** d * np.linalg.det(J.frame_inv.values(p)) ** 2
+            assert np.all(np.abs(np.linalg.det(gv)) >= floor * (1 - 1e-9)), (seed, flavor)
+
+
+def test_box_norm_bounds_the_form_and_scales_the_perturbation():
+    from qsg.generate import PERTURBATION_BOUND, _box_norm, _paired_form
+
+    d, box = 4, ChartDomain.cube(4).box
+    r = random_poly_field(sampling.rng(5, 41), d, (0, 2), 2, 0.3)
+    p = _box_points(d, 5)
+    bound = _box_norm(r, box)
+    assert np.linalg.norm(r.values(p), ord=2, axis=(1, 2)).max() <= bound
+    for flavor, base in (("hermitian", np.eye(d)), ("norden", neutral_diagonal(d))):
+        pert = _paired_form(r, flavor, box) - PolyTensorField.constant(d, (0, 2), base)
+        assert _box_norm(pert, box) <= PERTURBATION_BOUND * (1 + 1e-12)
+    # with the identity frame the metric of a zero form is the base itself
     eye_frame = PolyTensorField.constant(2, (1, 1), np.eye(2))
-    base = _congruent_form(2.0 * np.eye(2), eye_frame)
-    assert np.allclose(base.values(pts(2))[0], 2.0 * np.eye(2), atol=0)
+    for flavor, base in (("hermitian", np.eye(2)), ("norden", neutral_diagonal(2))):
+        form = _congruent_form(_paired_form(np.zeros((2, 2)), flavor, ChartDomain.cube(2).box),
+                               eye_frame)
+        assert np.array_equal(form.values(pts(2))[0], base)
 
 
 def test_norden_base_form_path_with_constant_structure():
