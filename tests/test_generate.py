@@ -12,8 +12,8 @@ from qsg.fields import ChartDomain, PolyTensorField
 from qsg.generate import (
     T_S,
     GenSpec,
-    _congruent_form,
     _compressed_rows,
+    _congruent_form,
     _kronecker_solve,
     _lstsq,
     _probe_jacobian,
@@ -136,7 +136,6 @@ def test_j_invariant_torsion_recipe():
 
 
 def test_torsion_projector_idempotent():
-
     spec = GenSpec(seed=2, dimension=4, degree=2)
     J = gen_almost_complex(spec)
     raw = random_poly_field(sampling.rng(2, 40), 4, (1, 2), 2, 1.0)
