@@ -17,7 +17,8 @@ code, stdout, and stderr without its wall-time line.  The runs are
   rendering of the witness-heavy section 3 entries;
 * on each model, ``check`` of every predicate alone, of all of them
   together, and of all that run on the model (those that raise no input
-  error on one point) together;
+  error on one point) together, the last also at ``MANY_POINTS`` samples,
+  the point count of the benchmark's 3600-point check;
 * on each model, ``synthesize`` of every constraint the model can state and
   of ``quasi_statistical_g,d_closed_J``, at ansatz degrees 1 and 2, each
   with ``--out`` under ``witnesses/``, where a found witness is written;
@@ -70,6 +71,7 @@ MD_RUNS = {
                       "--degree", "1", "--out", "witnesses/synthesize-md.json", "--format", "md"],
 }
 DEGREES = (1, 2)
+MANY_POINTS = "3600"
 # file name under broken/ -> its text
 BROKEN_MODELS = {
     "bad-dimension.json": '{"version": 1, "dimension": 3}\n',
@@ -99,6 +101,8 @@ def runs(models: dict) -> list:
         for label, preds in ([(p, p) for p in PREDICATES]
                              + [("all", ",".join(PREDICATES)), ("all-that-run", running)]):
             out.append((f"check-{name}-{label}", ["check", path, "--predicates", preds]))
+        out.append((f"check-{name}-many-points", ["check", path, "--predicates", running,
+                                                  "--samples", MANY_POINTS]))
         for cons in valid_constraints(model) + [PAIR]:
             for degree in DEGREES:
                 run = f"synthesize-{name}-{cons.replace(',', '+')}-{degree}"

@@ -195,14 +195,27 @@ def _canonical_terms(exps: np.ndarray, coefs: np.ndarray):
 
 def _basis_values(exps: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Monomial values ``V[n, r] = prod_k pts[n, k] ** exps[r, k]``, built
-    from one power table per axis (no ``(n, m, d)`` temporary)."""
+    from one power table per axis (no ``(n, m, d)`` temporary).
+
+    Each axis's table is filled by repeated multiplication, ``x^0 = 1`` and
+    ``x^(p+1) = x^p * x``, not by libm ``pow``; its rows are gathered by
+    that axis's exponents and multiplied into the result, axis by axis.  So
+    an entry of total degree t takes at most t - 1 roundings: barring
+    underflow it is within a relative ``(t + d) 2^-53`` of the exact
+    product, and exact at points whose powers and products are
+    representable, such as dyadic points of few bits."""
     if pts.shape[1] != exps.shape[1]:
         raise QsgError("point dimension does not match field")
-    out = np.ones((pts.shape[0], exps.shape[0]))
+    n = pts.shape[0]
+    out = np.ones((n, exps.shape[0]))
     for k, col in enumerate(exps.T):
         top = int(col.max(initial=0))
         if top:
-            out *= (pts[:, k, None] ** np.arange(top + 1))[:, col]
+            table = np.empty((top + 1, n))
+            table[0] = 1.0
+            for p in range(top):
+                np.multiply(table[p], pts[:, k], out=table[p + 1])
+            out *= table[col].T
     return out
 
 

@@ -48,7 +48,7 @@ from .calculus import Connection, ConstantConnection, PolyConnection
 from .connections import BilinearConjugateConnection, JConjugateConnection
 from .contraction import contract
 from .errors import QsgError
-from .fields import ChartDomain, PolyTensorField, poly_einsum
+from .fields import ChartDomain, PolyTensorField, _basis_values, poly_einsum
 from .model import ChartModel, ModelAt, neutral_diagonal, standard_structure
 from .predicates import PREDICATES
 from .structures import (
@@ -596,7 +596,7 @@ def synthesize_connection(model: ChartModel, constraints, ansatz_degree: int = 1
     pts_fit = sampling.sample_box(box, n_fit, seed, T_S, 0)
 
     base, a = _probe_jacobian(eval_all, pts_fit)
-    mon = np.stack([np.prod(pts_fit ** e, axis=1) for e in exps], axis=1)  # (n, k)
+    mon = _basis_values(exps, pts_fit)  # (n, k)
 
     rng = sampling.rng(seed, T_S, 2)
     c0 = np.zeros(r_sym * k)

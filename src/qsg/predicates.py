@@ -177,6 +177,8 @@ def check_many(model: ChartModel, predicates, tol: float = DEFAULT_TOL,
     repeated = [p for i, p in enumerate(predicates) if p in predicates[:i]]
     if repeated:
         raise QsgError(f"predicate {repeated[0]!r} is listed more than once")
+    # writeable, so no field keeps its many-point values and jets (see
+    # fields._memo_frozen): that memory costs more than the repeats it saves
     pts = sampling.sample_box(model.domain.box, samples, seed, _PTS_TAG)
     at = ModelAt(model, pts)
     return [_report(name, PREDICATES[name](at), pts, tol, samples) for name in predicates]

@@ -1,5 +1,8 @@
 """Field engine: exact jets against finite differences, algebra laws."""
 
+from fractions import Fraction
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +14,11 @@ from qsg.fields import (
     ChartDomain,
     PolyExpr,
     PolyTensorField,
+    _basis_values,
     poly_einsum,
 )
 from qsg.generate import random_poly_field
+from qsg.model_io import MAX_DEGREE
 
 
 def test_constant_field_jet():
@@ -193,6 +198,48 @@ def test_canonical_order_for_rows_too_wide_to_pack():
     big = 2 ** 40
     f = PolyExpr(2, [[0, big], [big, 0], [1, 1], [0, 1], [1, 1]], [1.0, 2.0, 3.0, 4.0, 1.0])
     assert f.terms() == [([big, 0], 2.0), ([0, 1], 4.0), ([1, 1], 4.0), ([0, big], 1.0)]
+
+
+def _exact_monomials(exps, pts):
+    """``prod_k pts[n, k] ** exps[r, k]`` in exact rational arithmetic."""
+    return [[prod(Fraction(float(x)) ** int(e) for x, e in zip(row, er)) for er in exps]
+            for row in pts]
+
+
+def _test_exponents(d, rng):
+    """Rows of total degree up to ``MAX_DEGREE``: the constant, every pure
+    power ``x_k^MAX_DEGREE`` and random mixed rows; axis 1 is unused, so
+    its exponent column is all zeros."""
+    used = [k for k in range(d) if k != 1]
+    rows = [np.zeros(d, dtype=np.int64)]
+    rows += [MAX_DEGREE * np.eye(d, dtype=np.int64)[k] for k in used]
+    for t in rng.integers(0, MAX_DEGREE + 1, size=40):
+        row = np.zeros(d, dtype=np.int64)
+        row[used] = rng.multinomial(t, np.full(len(used), 1.0 / len(used)))
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_basis_values_within_the_rounding_bound(d):
+    exps = _test_exponents(d, sampling.rng(11, d))
+    assert not exps[:, 1].any() and exps.sum(axis=1).max() == MAX_DEGREE
+    # Halton points in the box: a relative (total degree + d) 2^-53 of the
+    # exact product
+    pts = sampling.sample_box(ChartDomain.cube(d).box, 16, 11, d)
+    vals = _basis_values(exps, pts)
+    assert vals.shape == (16, exps.shape[0])
+    for n, row in enumerate(_exact_monomials(exps, pts)):
+        for r, exact in enumerate(row):
+            bound = Fraction(int(exps[r].sum()) + d, 2 ** 53) * abs(exact)
+            assert abs(Fraction(vals[n, r]) - exact) <= bound, (n, exps[r])
+    # dyadic points whose powers and products are representable: exact
+    grid = np.arange(-4, 5) / 8.0
+    dyadic = grid[sampling.rng(12, d).integers(0, grid.size, size=(16, d))]
+    vals = _basis_values(exps, dyadic)
+    assert [[Fraction(v) for v in row] for row in vals] == _exact_monomials(exps, dyadic)
+    # no basis rows: no columns
+    assert _basis_values(np.zeros((0, d), dtype=np.int64), pts).shape == (16, 0)
 
 
 def _arrays(out):

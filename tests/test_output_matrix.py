@@ -38,7 +38,9 @@ def test_runs_cover_every_predicate_and_constraint(tmp_path):
         for p in PREDICATES:
             assert runs[f"check-{name}-{p}"] == ["check", path, "--predicates", p]
         assert runs[f"check-{name}-all"][3].split(",") == list(PREDICATES)
-        assert 0 < len(runs[f"check-{name}-all-that-run"][3].split(",")) < len(PREDICATES)
+        running = runs[f"check-{name}-all-that-run"]
+        assert 0 < len(running[3].split(",")) < len(PREDICATES)
+        assert runs[f"check-{name}-many-points"] == running + ["--samples", "3600"]
         for cons in valid_constraints(model) + [output_matrix.PAIR]:
             for degree in (1, 2):
                 run = f"synthesize-{name}-{cons.replace(',', '+')}-{degree}"
