@@ -28,7 +28,13 @@ code, stdout, and stderr without its wall-time line.  The runs are
   schema (exit 2, "model file error"), an unknown predicate and an empty
   ``--only`` list (exit 2), and a degenerate metric (exit 3: ``synthesize``
   of ``conjugate_torsion_sum`` inverts the zero metric of a Hermitian
-  model).  Their model files go under ``broken/``.
+  model), and the three symmetry gates on a metric with one off-diagonal
+  term (exit 2): ``check`` of ``kahler`` on a Hermitian one (its 2-form is
+  not antisymmetric), ``check`` of ``quasi_kahler_norden`` on a Norden one
+  (its Levi-Civita connection needs a symmetric metric) and ``synthesize``
+  of ``conjugate_partner_parallel`` on the Hermitian one (metric
+  conjugation needs a symmetric or antisymmetric form).  Their model files
+  go under ``broken/``.
 
 The predicates and constraints come from ``qsg.predicates.PREDICATES`` and
 ``qsg.generate.valid_constraints``.  Every run calls ``qsg.cli.main`` in
@@ -80,6 +86,22 @@ BROKEN_MODELS = {
                         '[[{"coef": 1.0, "exp": [0, 0]}], []]]}, '
                         '"g": {"components": [[[], []], [[], []]], "flavor": "hermitian"}}, '
                         '"version": 1}\n',
+    # the identity metric plus one off-diagonal term, so neither it nor its
+    # 2-form is symmetric or antisymmetric
+    "skew-hermitian.json": '{"dimension": 2, "domain": [[-0.5, 0.5], [-0.5, 0.5]], "fields": {'
+                           '"J": {"components": [[[], [{"coef": -1.0, "exp": [0, 0]}]], '
+                           '[[{"coef": 1.0, "exp": [0, 0]}], []]]}, '
+                           '"g": {"components": [[[{"coef": 1.0, "exp": [0, 0]}], '
+                           '[{"coef": 0.25, "exp": [0, 0]}]], '
+                           '[[], [{"coef": 1.0, "exp": [0, 0]}]]], "flavor": "hermitian"}}, '
+                           '"version": 1}\n',
+    "skew-norden.json": '{"dimension": 2, "domain": [[-0.5, 0.5], [-0.5, 0.5]], "fields": {'
+                        '"J": {"components": [[[], [{"coef": -1.0, "exp": [0, 0]}]], '
+                        '[[{"coef": 1.0, "exp": [0, 0]}], []]]}, '
+                        '"h": {"components": [[[{"coef": 1.0, "exp": [0, 0]}], '
+                        '[{"coef": 0.25, "exp": [0, 0]}]], '
+                        '[[], [{"coef": -1.0, "exp": [0, 0]}]]], "flavor": "norden"}}, '
+                        '"version": 1}\n',
 }
 ERROR_RUNS = [
     ("error-model-file", ["check", "broken/bad-dimension.json", "--predicates", "kahler"]),
@@ -88,6 +110,11 @@ ERROR_RUNS = [
     ("error-empty-only", ["verify", "--dims", "2", "--trials", "1", "--only", ","]),
     ("error-degenerate-metric", ["synthesize", "broken/zero-metric.json",
                                  "--constraints", "conjugate_torsion_sum", "--degree", "1"]),
+    ("error-skew-two-form", ["check", "broken/skew-hermitian.json", "--predicates", "kahler"]),
+    ("error-skew-metric", ["check", "broken/skew-norden.json",
+                           "--predicates", "quasi_kahler_norden"]),
+    ("error-skew-conjugation", ["synthesize", "broken/skew-hermitian.json",
+                                "--constraints", "conjugate_partner_parallel", "--degree", "1"]),
 ]
 
 

@@ -94,17 +94,20 @@ class LeviCivitaConnection(Connection):
 
     def gammas(self, pts):
         bv, bg = self.metric.jets(pts)
-        _require_symmetric(bv, pts)
+        defect = symmetry_defect(bv, 1.0)
+        if defect > SYMMETRY_TOL:
+            raise QsgError(f"metric is not symmetric (defect {defect:.3e})")
         binv = _checked_inverse(bv, pts)
         # bg[n,i,j,l] = d_l b_{ij}
         r = np.einsum("njli->nlij", bg) + np.einsum("nilj->nlij", bg) - np.einsum("nijl->nlij", bg)
         return 0.5 * contract("nkl,nlij->nkij", binv, r)
 
 
-def _require_symmetric(bv, pts):
-    defect = np.abs(bv - np.swapaxes(bv, 1, 2)).max()
-    if defect > SYMMETRY_TOL:
-        raise QsgError(f"metric is not symmetric (defect {defect:.3e})")
+def symmetry_defect(b: np.ndarray, sign: float) -> float:
+    """max |b_{ij} - sign b_{ji}| over an ``(n, d, d)`` array: its symmetry
+    defect for ``sign = 1`` and its antisymmetry defect for ``sign = -1``;
+    each form is gated at ``SYMMETRY_TOL`` where a formula needs it."""
+    return float(np.abs(b - sign * np.swapaxes(b, 1, 2)).max())
 
 
 def _checked_inverse(bv, pts):
@@ -180,7 +183,7 @@ def exterior_d2_values(omega, pts) -> np.ndarray:
     tests).
     """
     wv, wg = omega.jets(np.atleast_2d(np.asarray(pts, dtype=float)))
-    defect = np.abs(wv + np.swapaxes(wv, 1, 2)).max()
+    defect = symmetry_defect(wv, -1.0)
     if defect > SYMMETRY_TOL:
         raise QsgError(f"2-form is not antisymmetric (defect {defect:.3e})")
     return (

@@ -124,7 +124,7 @@ def _base_report(seed: int) -> dict:
     return {"tool": {"name": "qsg", "version": __version__}, "seed": seed}
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> dict:
     model, doc = load_model(args.model)
     names = _csv(args.predicates)
     report = _base_report(args.seed)
@@ -133,11 +133,10 @@ def cmd_check(args) -> int:
                                   samples=args.samples)
     ok = all(c["pass"] for c in report["checks"])
     report["exit_status"] = EXIT_PASS if ok else EXIT_FAIL
-    _emit(report, args.format)
-    return report["exit_status"]
+    return report
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     try:
         dims = tuple(int(d) for d in _csv(args.dims))
     except ValueError:
@@ -150,11 +149,10 @@ def cmd_verify(args) -> int:
     report = _base_report(args.seed)
     report["suite"] = suite
     report["exit_status"] = EXIT_PASS if suite["pass"] else EXIT_FAIL
-    _emit(report, args.format)
-    return report["exit_status"]
+    return report
 
 
-def cmd_synthesize(args) -> int:
+def cmd_synthesize(args) -> dict:
     if args.degree > MAX_DEGREE:
         raise QsgError(f"--degree {args.degree} exceeds {MAX_DEGREE}, the largest total "
                        "degree a model file holds")
@@ -168,7 +166,7 @@ def cmd_synthesize(args) -> int:
     # the suite's gates: a witness meets its hypothesis tolerance, and a fit
     # above the negative-control threshold is "no witness"
     if fit["residual"] <= TOLERANCES["hypothesis"]:
-        status = EXIT_PASS
+        report["exit_status"] = EXIT_PASS
         if args.out:
             out_model = ChartModel(domain=model.domain, metric=model.metric,
                                    J=model.J, conn=conn)
@@ -178,14 +176,12 @@ def cmd_synthesize(args) -> int:
                 raise QsgError(f"cannot write --out {args.out}: {exc.strerror}") from None
             report["synthesis"]["written"] = args.out
     elif fit["residual"] <= TOLERANCES["negative"]:
-        status = EXIT_LOW_QUALITY
+        report["exit_status"] = EXIT_LOW_QUALITY
         report["synthesis"]["outcome"] = "low-quality witness"
     else:
-        status = EXIT_NO_WITNESS
+        report["exit_status"] = EXIT_NO_WITNESS
         report["synthesis"]["outcome"] = "no witness"
-    report["exit_status"] = status
-    _emit(report, args.format)
-    return status
+    return report
 
 
 def main(argv=None) -> int:
@@ -202,12 +198,10 @@ def main(argv=None) -> int:
             return EXIT_INPUT
     start = time.monotonic()
     try:
-        if args.command == "check":
-            code = cmd_check(args)
-        elif args.command == "verify":
-            code = cmd_verify(args)
-        else:
-            code = cmd_synthesize(args)
+        # each command returns its report, printed here once
+        report = {"check": cmd_check, "verify": cmd_verify,
+                  "synthesize": cmd_synthesize}[args.command](args)
+        _emit(report, args.format)
     except ModelFileError as exc:
         print(f"qsg: model file error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -222,7 +216,7 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     finally:
         print(f"qsg: wall time {time.monotonic() - start:.2f}s", file=sys.stderr)
-    return code
+    return report["exit_status"]
 
 
 if __name__ == "__main__":

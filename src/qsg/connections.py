@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import Connection, _checked_inverse
+from .calculus import SYMMETRY_TOL, Connection, _checked_inverse, symmetry_defect
 from .contraction import contract
 from .errors import QsgError
-from .structures import PURITY_SIGN, AlmostComplexStructure, _jout, purity_values
+from .structures import PURITY_SIGN, AlmostComplexStructure, _jout, ident_res, purity_values
 
-SKEW_OR_SYM_TOL = 1e-10
 PURITY_TOL = 1e-8
 KLEIN_TOL = 1e-8  # the gate on each of the Klein table's nine residuals
 
@@ -45,9 +44,8 @@ class BilinearConjugateConnection(Connection):
 
     def gammas(self, pts):
         bv, bg = self.b.jets(pts)
-        skew = np.abs(bv + np.swapaxes(bv, 1, 2)).max()
-        sym = np.abs(bv - np.swapaxes(bv, 1, 2)).max()
-        if min(skew, sym) > SKEW_OR_SYM_TOL:
+        sym, skew = symmetry_defect(bv, 1.0), symmetry_defect(bv, -1.0)
+        if min(skew, sym) > SYMMETRY_TOL:
             raise QsgError(
                 "conjugation requires a symmetric or antisymmetric form "
                 f"(sym defect {sym:.3e}, skew defect {skew:.3e})"
@@ -117,8 +115,5 @@ def klein_table(at) -> dict:
     if r > PURITY_TOL:
         raise QsgError(f"metric is not {metric.flavor.capitalize()} for this "
                        f"structure (purity {r:.3e})")
-    residuals = {}
-    for name, (a, b) in KLEIN_PAIRS.items():
-        ga, gb = at.conn(a).gammas(at.pts), at.conn(b).gammas(at.pts)
-        residuals[name] = float(np.abs(ga - gb).max() / (1.0 + np.abs(ga).max()))
-    return residuals
+    return {name: ident_res(at.conn(a).gammas(at.pts), at.conn(b).gammas(at.pts))
+            for name, (a, b) in KLEIN_PAIRS.items()}

@@ -38,7 +38,7 @@ The reported residual is measured on a held-out sample set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Collection, NamedTuple
 
 import numpy as np
 
@@ -164,15 +164,8 @@ def gen_almost_complex(spec: GenSpec, integrable: bool = False) -> AlmostComplex
     eye = PolyTensorField.constant(d, (1, 1), np.eye(d))
     p, pinv = eye + u, eye - u
 
-    # constant conjugation factor, resampled until well conditioned
-    j0 = standard_structure(d)
-    for _ in range(10):
-        q = np.eye(d) + rng.uniform(-0.2, 0.2, size=(d, d))
-        if np.linalg.cond(q) < 20.0:
-            break
-    else:
-        raise QsgError("could not draw a well-conditioned constant frame factor")
-    m0 = np.linalg.solve(q.T, (q @ j0).T).T  # q j0 q^{-1}
+    q = _frame_factor(rng, d, 0.2)
+    m0 = np.linalg.solve(q.T, (q @ standard_structure(d)).T).T  # q j0 q^{-1}
 
     jfield = poly_einsum("km,mj->kj", poly_einsum("km,mj->kj", p, m0, valence=(1, 1)), pinv,
                          valence=(1, 1))
@@ -181,6 +174,16 @@ def gen_almost_complex(spec: GenSpec, integrable: bool = False) -> AlmostComplex
     return AlmostComplexStructure(
         jfield, frame_inv=poly_einsum("km,mj->kj", np.linalg.inv(q), pinv, valence=(1, 1)),
     )
+
+
+def _frame_factor(rng, d: int, spread: float) -> np.ndarray:
+    """A constant frame factor ``I + R``, R uniform in ``[-spread, spread]``,
+    redrawn until its condition number is below 20."""
+    for _ in range(10):
+        q = np.eye(d) + rng.uniform(-spread, spread, size=(d, d))
+        if np.linalg.cond(q) < 20.0:
+            return q
+    raise QsgError("could not draw a well-conditioned constant frame factor")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +210,7 @@ def _paired_form(r, flavor: str, box) -> PolyTensorField:
     in [3/4, 5/4], or the neutral diagonal N0 (Norden), where
     ``N0 + P = N0 (I + N0 P)`` with ``||N0 P|| <= 1/4`` keeps the (n, n)
     signature.  Pulled back through a frame ``C^{-1} = Q^{-1} (I - U)``
-    (``_congruent_form``) either gives ``|det| >= (3/4)^d / det(Q)^2``.
+    (``_frame_metric``) either gives ``|det| >= (3/4)^d / det(Q)^2``.
     """
     if flavor not in PURITY_SIGN:
         raise QsgError(f"unknown flavor {flavor!r}")
@@ -225,11 +228,17 @@ def _paired_form(r, flavor: str, box) -> PolyTensorField:
     return PolyTensorField.constant(d, (0, 2), base) + pert
 
 
+def _frame_metric(r, flavor: str, J: AlmostComplexStructure) -> MetricField:
+    """The ``flavor`` metric of ``J`` drawn in its frame: the ``_paired_form``
+    of ``r`` on the unit cube, pulled back through ``J.frame_inv``."""
+    form = _paired_form(r, flavor, ChartDomain.cube(J.dimension).box)
+    return MetricField(_congruent_form(form, J.frame_inv), flavor=flavor)
+
+
 def _paired_metric(spec: GenSpec, J: AlmostComplexStructure, flavor: str, tag: int) -> MetricField:
     d = spec.dimension
     r = random_poly_field(sampling.rng(spec.seed, tag, d), d, (0, 2), spec.degree, 0.3)
-    form = _paired_form(r, flavor, ChartDomain.cube(d).box)
-    return MetricField(_congruent_form(form, J.frame_inv), flavor=flavor)
+    return _frame_metric(r, flavor, J)
 
 
 def gen_hermitian_metric(spec: GenSpec, J: AlmostComplexStructure) -> MetricField:
@@ -269,20 +278,13 @@ def gen_constant_structure_model(spec: GenSpec, flavor: str = "hermitian") -> Ch
     """
     d = spec.dimension
     rng = sampling.rng(spec.seed, T_G, d, 9, sampling.tag(flavor))
-    j0 = standard_structure(d)
-    for _ in range(10):
-        q = np.eye(d) + rng.uniform(-0.3, 0.3, size=(d, d))
-        if np.linalg.cond(q) < 20.0:
-            break
-    else:
-        raise QsgError("could not draw a well-conditioned constant frame")
+    q = _frame_factor(rng, d, 0.3)
     qinv = np.linalg.inv(q)
-    domain = ChartDomain.cube(d)
-    form = _paired_form(rng.uniform(-0.3, 0.3, size=(d, d)), flavor, domain.box)
-    J = AlmostComplexStructure(PolyTensorField.constant(d, (1, 1), q @ j0 @ qinv),
-                               frame_inv=PolyTensorField.constant(d, (1, 1), qinv))
-    metric = MetricField(_congruent_form(form, J.frame_inv), flavor=flavor)
-    return ChartModel(domain=domain, metric=metric, J=J, conn=None)
+    J = AlmostComplexStructure(
+        PolyTensorField.constant(d, (1, 1), q @ standard_structure(d) @ qinv),
+        frame_inv=PolyTensorField.constant(d, (1, 1), qinv))
+    metric = _frame_metric(rng.uniform(-0.3, 0.3, size=(d, d)), flavor, J)
+    return ChartModel(domain=ChartDomain.cube(d), metric=metric, J=J, conn=None)
 
 
 def gen_vishnevskii_zero_connection(spec: GenSpec, J: AlmostComplexStructure) -> PolyConnection:
@@ -318,10 +320,8 @@ def gen_kahler_model(spec: GenSpec) -> ChartModel:
     d = spec.dimension
     rng = sampling.rng(spec.seed, T_G, d, 7)
     J = gen_almost_complex(spec, integrable=True)
-    domain = ChartDomain.cube(d)
-    form = _paired_form(rng.uniform(-0.3, 0.3, size=(d, d)), "hermitian", domain.box)
-    metric = MetricField(_congruent_form(form, J.frame_inv), flavor="hermitian")
-    return ChartModel(domain=domain, metric=metric, J=J, conn=None)
+    metric = _frame_metric(rng.uniform(-0.3, 0.3, size=(d, d)), "hermitian", J)
+    return ChartModel(domain=ChartDomain.cube(d), metric=metric, J=J, conn=None)
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +403,13 @@ class Constraint(NamedTuple):
     each point."""
 
     needs_J: bool
-    flavors: tuple | None  # the metric flavors it takes; None: it reads no metric
+    flavors: Collection | None  # the metric flavors it takes; None: it reads no metric
     residual: Callable
 
 
-_PAIRED = ("hermitian", "norden")
-
 # the five constraints that are also predicates are the predicate functions,
-# bound here so that tracing the predicate table leaves them alone
+# bound here so that tracing the predicate table leaves them alone; the
+# paired flavors are PURITY_SIGN's keys
 CONSTRAINTS = {
     "torsion_free": Constraint(False, None, lambda at: at.torsion()),
     "j_invariant_torsion": Constraint(True, None,
@@ -423,12 +422,12 @@ CONSTRAINTS = {
     "quasi_statistical_g": Constraint(False, ("plain", "hermitian"),
                                       PREDICATES["quasi_statistical"]),
     "quasi_statistical_h": Constraint(False, ("norden",), PREDICATES["quasi_statistical"]),
-    "quasi_statistical_partner": Constraint(True, _PAIRED,
+    "quasi_statistical_partner": Constraint(True, PURITY_SIGN,
                                             lambda at: at.d_metric((), "partner")),
-    "conjugate_partner_parallel": Constraint(True, _PAIRED,
+    "conjugate_partner_parallel": Constraint(True, PURITY_SIGN,
                                              lambda at: at.covd_metric(("star",), "partner")),
     "conjugate_torsion_sum": Constraint(
-        True, _PAIRED, lambda at: at.torsion(("star",)) + at.torsion(("dagger",))),
+        True, PURITY_SIGN, lambda at: at.torsion(("star",)) + at.torsion(("dagger",))),
 }
 
 

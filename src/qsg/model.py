@@ -16,6 +16,7 @@ from .connections import BilinearConjugateConnection, CombinationConnection, JCo
 from .errors import QsgError
 from .fields import ChartDomain, PolyTensorField
 from .structures import (
+    PURITY_SIGN,
     AlmostComplexStructure,
     MetricField,
     d_nabla_J_values,
@@ -56,7 +57,7 @@ class ChartModel:
         the twin metric of a Norden one."""
         if self._partner is None:
             metric, J = self.require("metric"), self.require("J")
-            if metric.flavor not in ("hermitian", "norden"):
+            if metric.flavor not in PURITY_SIGN:
                 raise QsgError("partner form needs a hermitian or norden metric")
             pullback = fundamental_two_form if metric.flavor == "hermitian" else twin_metric
             self._partner = pullback(metric, J)
@@ -73,11 +74,14 @@ class ModelAt:
 
     ``conn`` replaces the model's connection.  Connections are addressed by
     op-tuples applied left to right, e.g. ``("star", "jconj")`` is the
-    structure conjugate of the metric conjugate of the base connection.
-    What does not depend on the connection (the partner form, the Nijenhuis
-    and holomorphicity operators) is shared with every ``with_conn`` copy,
-    and the partner form is kept by the model as given, so evaluators that
-    replace only its connection build it once.  The values of the
+    structure conjugate of the metric conjugate of the base connection;
+    ``conn(ops)`` builds that chain anew on each call: a connection object
+    holds no values, and the torsions and covariant derivatives of its
+    symbols are memoized here by op-tuple.  What does not depend on the
+    connection (the partner form, the Nijenhuis and holomorphicity
+    operators) is shared with every ``with_conn`` copy, and the partner form
+    is kept by the model as given, so evaluators that replace only its
+    connection build it once.  The values of the
     structure, metric and partner are plain field calls: at frozen points
     the fields memoize them themselves.
     """
@@ -86,7 +90,6 @@ class ModelAt:
         self.model = model if conn is None else replace(model, conn=conn)
         self.pts = pts
         self._partner_form = model.partner_form
-        self._conns = {}
         self._cache = {}  # connection-dependent
         self._fixed = {}  # connection-independent, shared with with_conn copies
 
@@ -135,20 +138,16 @@ class ModelAt:
     def conn(self, ops: tuple = ()) -> Connection:
         if not ops:
             return self.model.require("Gamma")
-        if ops not in self._conns:
-            base, op = self.conn(ops[:-1]), ops[-1]
-            if op == "star":
-                c = BilinearConjugateConnection(base, self.model.require("metric"))
-            elif op == "dagger":
-                c = BilinearConjugateConnection(base, self.partner)
-            elif op == "jconj":
-                c = JConjugateConnection(base, self.model.require("J"))
-            elif op == "avg":  # the mean with the structure conjugate; parallelizes J
-                c = CombinationConnection(base, self.conn(ops[:-1] + ("jconj",)))
-            else:
-                raise QsgError(f"unknown connection op {op!r}")
-            self._conns[ops] = c
-        return self._conns[ops]
+        base, op = self.conn(ops[:-1]), ops[-1]
+        if op == "star":
+            return BilinearConjugateConnection(base, self.model.require("metric"))
+        if op == "dagger":
+            return BilinearConjugateConnection(base, self.partner)
+        if op == "jconj":
+            return JConjugateConnection(base, self.model.require("J"))
+        if op == "avg":  # the mean with the structure conjugate; parallelizes J
+            return CombinationConnection(base, self.conn(ops[:-1] + ("jconj",)))
+        raise QsgError(f"unknown connection op {op!r}")
 
     def _form(self, which: str) -> PolyTensorField:
         return self.model.require("metric") if which == "metric" else self.partner

@@ -7,9 +7,10 @@ zero when the condition holds, and the polynomial inputs make true zeros
 resolve near machine precision, so pass/fail margins are wide).
 
 Each predicate maps the model at the sweep's points (``model.ModelAt``) to
-that expression.  The synthesizer's constraints of the same names
-(``generate.CONSTRAINTS``) are these functions, evaluated on its probe and
-holdout points.
+that expression; where ``ModelAt`` already evaluates it (d^D J, the
+covariant derivative of J) the table names that accessor.  The
+synthesizer's constraints of the same names (``generate.CONSTRAINTS``) are
+these functions, evaluated on its probe and holdout points.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .model import ChartModel, ModelAt
 from .structures import (
     PURITY_SIGN,
     codazzi_defect,
-    d_nabla_J_values,
     d_nabla_metric_values,
     purity_values,
     quasi_kahler_norden_sum_values,
@@ -39,13 +39,9 @@ DEFAULT_SAMPLES = 25
 _PTS_TAG = sampling.tag("predicate_sweep")
 
 
-def _needs(model: ChartModel, *names):
-    return [model.require(n) for n in names]
-
-
 def _flavored(at: ModelAt, predicate: str, flavor: str):
     """The model's metric and structure; raises unless the metric is ``flavor``."""
-    metric, J = _needs(at.model, "metric", "J")
+    metric, J = at.model.require("metric"), at.model.require("J")
     if metric.flavor != flavor:
         raise QsgError(f"{predicate} needs a {flavor}-flavored metric")
     return metric, J
@@ -64,18 +60,18 @@ def _almost_complex(at: ModelAt):
 
 
 def _purity(at: ModelAt, flavor: str):
-    metric, J = _needs(at.model, "metric", "J")
+    metric, J = at.model.require("metric"), at.model.require("J")
     return purity_values(metric, J, at.pts, PURITY_SIGN[flavor])
 
 
 def _quasi_statistical(at: ModelAt):
-    metric, conn = _needs(at.model, "metric", "Gamma")
-    return d_nabla_metric_values(covd_values(conn, metric, at.pts), at.bv, at.torsion())
+    metric = at.model.require("metric")
+    return d_nabla_metric_values(covd_values(at.conn(), metric, at.pts), at.bv, at.torsion())
 
 
 def _statistical(at: ModelAt):
-    metric, conn = _needs(at.model, "metric", "Gamma")
-    db = covd_values(conn, metric, at.pts)
+    metric = at.model.require("metric")
+    db = covd_values(at.conn(), metric, at.pts)
     n = at.pts.shape[0]
     return np.concatenate([(db - np.swapaxes(db, 1, 2)).reshape(n, -1),
                            at.torsion().reshape(n, -1)], axis=1)
@@ -92,10 +88,6 @@ def _torsion_compatible(at: ModelAt):
 
 def _integrable(at: ModelAt):
     return at.nijenhuis
-
-
-def _d_closed_J(at: ModelAt):
-    return d_nabla_J_values(at.covd_J(), at.jv, at.torsion())
 
 
 def _kahler(at: ModelAt):
@@ -116,10 +108,6 @@ def _quasi_kahler_norden(at: ModelAt):
     return quasi_kahler_norden_sum_values(lc.covd_J(), at.bv)
 
 
-def _complex_connection(at: ModelAt):
-    return at.covd_J()
-
-
 PREDICATES = {
     "almost_complex": _almost_complex,
     "hermitian": partial(_purity, flavor="hermitian"),
@@ -129,11 +117,11 @@ PREDICATES = {
     "codazzi_J": _codazzi_J,
     "torsion_compatible": _torsion_compatible,
     "integrable": _integrable,
-    "d_closed_J": _d_closed_J,
+    "d_closed_J": ModelAt.d_J,
     "kahler": _kahler,
     "anti_kahler": _anti_kahler,
     "quasi_kahler_norden": _quasi_kahler_norden,
-    "complex_connection": _complex_connection,
+    "complex_connection": ModelAt.covd_J,
 }
 
 

@@ -79,6 +79,7 @@ from .structures import (
     _tb,
     codazzi_defect,
     cyclic_sum_03,
+    ident_res,
     j_invariance_defect,
     quasi_kahler_norden_sum_values,
     torsion_compat,
@@ -209,11 +210,6 @@ verify_section2, verify_section3, verify_section4, verify_negative_controls = ma
 
 # ---------------------------------------------------------------------------
 # residual helpers
-
-
-def ident_res(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Normalized identity residual: max|lhs - rhs| / (1 + max|lhs|)."""
-    return float(np.abs(lhs - rhs).max() / (1.0 + np.abs(lhs).max()))
 
 
 def zero_res(arr: np.ndarray) -> float:
@@ -433,6 +429,13 @@ def _jshift_correction(td: ModelAt, which: str):
     return _swap_lower(td.bv if which == "metric" else td.pv, -_jout(td.jv, td.covd_J(())))
 
 
+def _partner_shift(td: ModelAt, fl: Flavor, ops_p: tuple, ops_b: tuple) -> float:
+    """The partner form's d^D under ``conn(ops_p)`` against ``fl.sign`` times
+    the metric's under ``conn(ops_b)`` with J in the last slot."""
+    return ident_res(td.d_metric(ops_p, "partner"),
+                     fl.sign * _slot3(td.d_metric(ops_b, "metric"), td.jv))
+
+
 def _jshift_residual(td: ModelAt, which: str) -> float:
     """Structure-conjugate shift of the ``which`` form's derivative."""
     return ident_res(td.d_metric(("jconj",), which),
@@ -583,8 +586,7 @@ def _pro3(ctx, fl):
     alt = []
 
     def collapse(ops):
-        return lambda wd: ident_res(wd.d_metric(ops, "partner"),
-                                    fl.sign * _slot3(wd.d_metric(ops, "metric"), wd.jv))
+        return lambda wd: _partner_shift(wd, fl, ops, ops)
 
     def item_i(wd):
         # alternate placement for item (i): hypothesis moved onto the
@@ -638,8 +640,7 @@ def _chains(ctx, fl):
         out = {}
         # partner-vs-metric shifts
         for k, (ops_p, ops_b) in PRO4_POSITIONS.items():
-            shifted = fl.sign * _slot3(td.d_metric(ops_b, "metric"), td.jv)
-            out[fl.id("pro4", k)] = ident_res(td.d_metric(ops_p, "partner"), shifted)
+            out[fl.id("pro4", k)] = _partner_shift(td, fl, ops_p, ops_b)
         # metric derivative of a conjugate equals a lowered torsion
         for k, (ops_d, ops_t) in fl.cor_positions.items():
             out[fl.id("cor", k)] = ident_res(td.d_metric(ops_d, "metric"),
@@ -651,8 +652,7 @@ def _chains(ctx, fl):
             a2 = ident_res(_tb(td.d_J(b + ("star",)), td.bv), lowered)
             # the structure conjugate through its Klein-equivalent chain: at
             # b = () the direct one would restate pro4.ii / pro12.ii
-            a3 = ident_res(td.d_metric(b, "partner"),
-                           fl.sign * _slot3(td.d_metric(b + ("star", "dagger"), "metric"), td.jv))
+            a3 = _partner_shift(td, fl, b, b + ("star", "dagger"))
             out[fl.id("pro5", k)] = _worst([a1, a2, a3])
         return out
     return _identities(ctx, fl, TOLERANCES["identity"], residuals)

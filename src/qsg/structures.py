@@ -128,6 +128,12 @@ def _slot3(a, jv):
     return contract("nija,nak->nijk", a, jv)
 
 
+def ident_res(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Normalized identity residual: max|lhs - rhs| / (1 + max|lhs|); the
+    suite's identities and the Klein table score with it."""
+    return float(np.abs(lhs - rhs).max() / (1.0 + np.abs(lhs).max()))
+
+
 def torsion_compat(a: np.ndarray, jv: np.ndarray) -> np.ndarray:
     """A(J x_i, x_j) + A(x_i, J x_j) for (1,2) arrays ``a[n, k, i, j]``.
 

@@ -51,7 +51,8 @@ def test_runs_cover_every_predicate_and_constraint(tmp_path):
 
 
 def test_runs_cover_every_failure_rendering(tmp_path, monkeypatch):
-    # each way cli.main reports a failure, run from the files the script writes
+    # each way cli.main reports a failure, and each symmetry gate's message,
+    # run from the files the script writes
     matrix = output_matrix.runs(output_matrix.example_models(tmp_path))
     runs = dict(matrix)
     assert matrix[-len(output_matrix.ERROR_RUNS):] == output_matrix.ERROR_RUNS
@@ -59,7 +60,12 @@ def test_runs_cover_every_failure_rendering(tmp_path, monkeypatch):
     want = {"error-model-file": (2, "qsg: model file error: dimension: "),
             "error-unknown-predicate": (2, "qsg: unknown predicate 'not_a_predicate'"),
             "error-empty-only": (2, "qsg: no entry id given"),
-            "error-degenerate-metric": (3, "qsg: degenerate form at point (")}
+            "error-degenerate-metric": (3, "qsg: degenerate form at point ("),
+            "error-skew-two-form": (2, "qsg: 2-form is not antisymmetric (defect 5.000e-01)"),
+            "error-skew-metric": (2, "qsg: metric is not symmetric (defect 2.500e-01)"),
+            "error-skew-conjugation": (2, "qsg: conjugation requires a symmetric or "
+                                          "antisymmetric form (sym defect 2.500e-01, "
+                                          "skew defect 2.000e+00)")}
     for name, (code, stderr) in want.items():
         text = output_matrix.record(runs[name])
         assert f"\nexit: {code}\n--- stdout\n--- stderr\n{stderr}" in text, text

@@ -5,7 +5,13 @@ import pytest
 
 from oracle import comps, from_comps, j_apply, lie_derivative_J_on_fields, nijenhuis_on_fields
 from qsg import sampling
-from qsg.calculus import LeviCivitaConnection, PolyConnection, covd_values, torsion_values
+from qsg.calculus import (
+    LeviCivitaConnection,
+    PolyConnection,
+    covd_values,
+    symmetry_defect,
+    torsion_values,
+)
 from qsg.connections import JConjugateConnection
 from qsg.errors import QsgError
 from qsg.fields import PolyExpr, PolyTensorField, poly_einsum
@@ -26,14 +32,23 @@ from qsg.model import flat_norden_model, standard_structure, neutral_diagonal
 from qsg.structures import (
     AlmostComplexStructure,
     MetricField,
+    _bt,
+    _jfirst,
+    _jout,
+    _slot3,
+    _tb,
+    codazzi_defect,
     cyclic_sum_03,
     d_nabla_J_values,
     d_nabla_metric_values,
     fundamental_two_form,
+    ident_res,
+    j_invariance_defect,
     nijenhuis,
     purity_values,
     quasi_kahler_norden_sum_values,
     tachibana_values,
+    torsion_compat,
     twin_metric,
     vishnevskii_frame_values,
     vishnevskii_jframe_values,
@@ -331,3 +346,91 @@ def test_torsion_compatibility_equivalence():
         g1 = np.einsum("nkaj,nai->nkij", tr, jv) + np.einsum("nkia,naj->nkij", tr, jv)
         g2 = np.einsum("nkab,nai,nbj->nkij", tr, jv, jv) - tr
         assert (np.abs(g1).max() > 1e-3) == (np.abs(g2).max() > 1e-3)
+
+
+# The contraction helpers and the defect operators, exactly: small integer
+# arrays (n = 2 points, d = 4) against explicit index loops, compared with
+# ``==``.  Every product and sum of such entries is an exact float.
+N, D = 2, 4
+R = range(D)
+
+
+def ints(*shape, seed=0):
+    return sampling.rng(seed, 77).integers(-3, 4, size=shape).astype(float)
+
+
+def loops(shape, entry):
+    """The array of ``shape`` (points first) whose entries are ``entry(n, *idx)``."""
+    out = np.zeros(shape)
+    for idx in np.ndindex(*shape):
+        out[idx] = entry(*idx)
+    return out
+
+
+def test_jout_is_j_on_the_upper_slot():
+    jv, a = ints(N, D, D), ints(N, D, D, D, seed=1)
+    want = loops(a.shape, lambda n, k, i, j: sum(jv[n, k, m] * a[n, m, i, j] for m in R))
+    assert np.array_equal(_jout(jv, a), want)
+
+
+def test_jfirst_is_j_in_the_first_lower_slot():
+    a, jv = ints(N, D, D, D), ints(N, D, D, seed=1)
+    want = loops(a.shape, lambda n, k, i, j: sum(a[n, k, m, j] * jv[n, m, i] for m in R))
+    assert np.array_equal(_jfirst(a, jv), want)
+
+
+def test_tb_lowers_the_torsion_into_the_first_slot_of_b():
+    t, bv = ints(N, D, D, D), ints(N, D, D, seed=1)
+    want = loops(t.shape, lambda n, i, j, k: sum(t[n, m, i, j] * bv[n, m, k] for m in R))
+    assert np.array_equal(_tb(t, bv), want)
+
+
+def test_bt_lowers_the_torsion_into_the_second_slot_of_b():
+    bv, t = ints(N, D, D), ints(N, D, D, D, seed=1)
+    want = loops(t.shape, lambda n, a, b, c: sum(bv[n, b, m] * t[n, m, a, c] for m in R))
+    assert np.array_equal(_bt(bv, t), want)
+
+
+def test_slot3_is_j_in_the_third_slot():
+    a, jv = ints(N, D, D, D), ints(N, D, D, seed=1)
+    want = loops(a.shape, lambda n, i, j, k: sum(a[n, i, j, m] * jv[n, m, k] for m in R))
+    assert np.array_equal(_slot3(a, jv), want)
+
+
+def test_torsion_compat_and_j_invariance_defect():
+    a, jv = ints(N, D, D, D), ints(N, D, D, seed=1)
+    compat = loops(a.shape, lambda n, k, i, j: sum(a[n, k, m, j] * jv[n, m, i]
+                                                   + a[n, k, i, m] * jv[n, m, j] for m in R))
+    invariance = loops(a.shape, lambda n, k, i, j: sum(
+        a[n, k, p, q] * jv[n, p, i] * jv[n, q, j] for p in R for q in R) - a[n, k, i, j])
+    assert np.array_equal(torsion_compat(a, jv), compat)
+    assert np.array_equal(j_invariance_defect(a, jv), invariance)
+
+
+def test_codazzi_defect_swaps_the_lower_slots():
+    dl = ints(N, D, D, D)
+    want = loops(dl.shape, lambda n, k, i, j: dl[n, k, i, j] - dl[n, k, j, i])
+    assert np.array_equal(codazzi_defect(dl), want)
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "antisymmetric", "generic"])
+def test_symmetry_defect(kind):
+    b = ints(N, D, D)
+    b = {"symmetric": b + np.swapaxes(b, 1, 2), "antisymmetric": b - np.swapaxes(b, 1, 2),
+         "generic": b}[kind]
+    for sign in (1.0, -1.0):
+        want = max(abs(b[n, i, j] - sign * b[n, j, i]) for n in range(N) for i in R for j in R)
+        assert symmetry_defect(b, sign) == want
+    assert (symmetry_defect(b, 1.0) == 0.0) == (kind == "symmetric")
+    assert (symmetry_defect(b, -1.0) == 0.0) == (kind == "antisymmetric")
+
+
+def test_ident_res_scales_by_the_left_side():
+    # the two sides' largest entries differ, so a denominator read off the
+    # right side shows
+    lhs, rhs = ints(N, D, D), 2.0 * ints(N, D, D, seed=1)
+    assert np.abs(lhs).max() != np.abs(rhs).max()
+    worst_lhs = max(abs(x) for x in lhs.flat)
+    worst_diff = max(abs(x - y) for x, y in zip(lhs.flat, rhs.flat))
+    assert ident_res(lhs, rhs) == worst_diff / (1.0 + worst_lhs)
+    assert ident_res(lhs, lhs) == 0.0
