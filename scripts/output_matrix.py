@@ -28,11 +28,11 @@ code, stdout, and stderr without its wall-time line.  The runs are
   schema (exit 2, "model file error"), an unknown predicate and an empty
   ``--only`` list (exit 2), and a degenerate metric (exit 3: ``synthesize``
   of ``conjugate_torsion_sum`` inverts the zero metric of a Hermitian
-  model), and the three symmetry gates on a metric with one off-diagonal
-  term (exit 2): ``check`` of ``kahler`` on a Hermitian one (its 2-form is
-  not antisymmetric), ``check`` of ``quasi_kahler_norden`` on a Norden one
-  (its Levi-Civita connection needs a symmetric metric) and ``synthesize``
-  of ``conjugate_partner_parallel`` on the Hermitian one (metric
+  model), the load gate on a metric with one off-diagonal term (exit 2,
+  "model file error", for a Hermitian and a Norden file), and the two
+  symmetry gates behind it on a symmetric metric that is not Hermitian for
+  its structure (exit 2): ``check`` of ``kahler`` (its 2-form is not
+  antisymmetric) and ``synthesize`` of ``conjugate_torsion_sum`` (partner
   conjugation needs a symmetric or antisymmetric form).  Their model files
   go under ``broken/``.
 
@@ -86,8 +86,8 @@ BROKEN_MODELS = {
                         '[[{"coef": 1.0, "exp": [0, 0]}], []]]}, '
                         '"g": {"components": [[[], []], [[], []]], "flavor": "hermitian"}}, '
                         '"version": 1}\n',
-    # the identity metric plus one off-diagonal term, so neither it nor its
-    # 2-form is symmetric or antisymmetric
+    # the identity metric plus one off-diagonal term: not symmetric, so
+    # not a metric
     "skew-hermitian.json": '{"dimension": 2, "domain": [[-0.5, 0.5], [-0.5, 0.5]], "fields": {'
                            '"J": {"components": [[[], [{"coef": -1.0, "exp": [0, 0]}]], '
                            '[[{"coef": 1.0, "exp": [0, 0]}], []]]}, '
@@ -102,6 +102,14 @@ BROKEN_MODELS = {
                         '[{"coef": 0.25, "exp": [0, 0]}]], '
                         '[[], [{"coef": -1.0, "exp": [0, 0]}]]], "flavor": "norden"}}, '
                         '"version": 1}\n',
+    # diag(1, 2) with the standard structure: a metric, but not Hermitian,
+    # so its 2-form is neither symmetric nor antisymmetric
+    "impure-hermitian.json": '{"dimension": 2, "domain": [[-0.5, 0.5], [-0.5, 0.5]], "fields": {'
+                             '"J": {"components": [[[], [{"coef": -1.0, "exp": [0, 0]}]], '
+                             '[[{"coef": 1.0, "exp": [0, 0]}], []]]}, '
+                             '"g": {"components": [[[{"coef": 1.0, "exp": [0, 0]}], []], '
+                             '[[], [{"coef": 2.0, "exp": [0, 0]}]]], "flavor": "hermitian"}}, '
+                             '"version": 1}\n',
 }
 ERROR_RUNS = [
     ("error-model-file", ["check", "broken/bad-dimension.json", "--predicates", "kahler"]),
@@ -110,11 +118,13 @@ ERROR_RUNS = [
     ("error-empty-only", ["verify", "--dims", "2", "--trials", "1", "--only", ","]),
     ("error-degenerate-metric", ["synthesize", "broken/zero-metric.json",
                                  "--constraints", "conjugate_torsion_sum", "--degree", "1"]),
-    ("error-skew-two-form", ["check", "broken/skew-hermitian.json", "--predicates", "kahler"]),
+    ("error-asymmetric-metric", ["check", "broken/skew-hermitian.json",
+                                 "--predicates", "hermitian,almost_complex"]),
+    ("error-skew-two-form", ["check", "broken/impure-hermitian.json", "--predicates", "kahler"]),
     ("error-skew-metric", ["check", "broken/skew-norden.json",
                            "--predicates", "quasi_kahler_norden"]),
-    ("error-skew-conjugation", ["synthesize", "broken/skew-hermitian.json",
-                                "--constraints", "conjugate_partner_parallel", "--degree", "1"]),
+    ("error-skew-conjugation", ["synthesize", "broken/impure-hermitian.json",
+                                "--constraints", "conjugate_torsion_sum", "--degree", "1"]),
 ]
 
 

@@ -106,8 +106,9 @@ class LeviCivitaConnection(Connection):
 def symmetry_defect(b: np.ndarray, sign: float) -> float:
     """max |b_{ij} - sign b_{ji}| over an ``(n, d, d)`` array: its symmetry
     defect for ``sign = 1`` and its antisymmetry defect for ``sign = -1``;
-    each form is gated at ``SYMMETRY_TOL`` where a formula needs it."""
-    return float(np.abs(b - sign * np.swapaxes(b, 1, 2)).max())
+    each form is gated at ``SYMMETRY_TOL`` where a formula needs it; 0.0
+    for no rows (a zero field's coefficients)."""
+    return float(np.abs(b - sign * np.swapaxes(b, 1, 2)).max(initial=0.0))
 
 
 def _checked_inverse(bv, pts):

@@ -7,7 +7,7 @@ the torsions, covariant derivatives and conjugates it holds."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -65,53 +65,46 @@ class ChartModel:
 
 
 class ModelAt:
-    """One model at one point array.  Torsions, covariant derivatives and the
-    Nijenhuis and holomorphicity operators are memoized for its life and
-    read-only; d^D J and d^D b, formulas on them, are evaluated per call, so
-    it keeps one array per (connection, field), not two.  Each accessor asks
-    the model for its fields through ``ChartModel.require``, so a missing one
-    raises the same ``QsgError`` whichever command reads it.
+    """One model at one point array, with one memo: torsions, covariant
+    derivatives and the Nijenhuis and holomorphicity operators are memoized
+    for its life and read-only; d^D J and d^D b, formulas on them, are
+    evaluated per call, so it keeps one array per (connection, field), not
+    two.  Each accessor asks the model for its fields through
+    ``ChartModel.require``, so a missing one raises the same ``QsgError``
+    whichever command reads it.
 
-    ``conn`` replaces the model's connection.  Connections are addressed by
-    op-tuples applied left to right, e.g. ``("star", "jconj")`` is the
-    structure conjugate of the metric conjugate of the base connection;
-    ``conn(ops)`` builds that chain anew on each call: a connection object
-    holds no values, and the torsions and covariant derivatives of its
-    symbols are memoized here by op-tuple.  What does not depend on the
-    connection (the partner form, the Nijenhuis and holomorphicity
-    operators) is shared with every ``with_conn`` copy, and the partner form
-    is kept by the model as given, so evaluators that replace only its
-    connection build it once.  The values of the
-    structure, metric and partner are plain field calls: at frozen points
-    the fields memoize them themselves.
+    ``model`` is kept as given, and ``conn``, when given, beside it: the
+    base connection ``conn(())`` is ``conn`` in place of the model's.
+    Connections are addressed by op-tuples applied left to right, e.g.
+    ``("star", "jconj")`` is the structure conjugate of the metric conjugate
+    of the base connection; ``conn(ops)`` builds that chain anew on each
+    call: a connection object holds no values, and the torsions and
+    covariant derivatives of its symbols are memoized here by op-tuple.  The
+    partner form is the one cache on the model, so every evaluator of a
+    model builds it once.  The values of the structure, metric and partner
+    are plain field calls: at frozen points the fields memoize them
+    themselves.
     """
 
     def __init__(self, model: ChartModel, pts: np.ndarray, conn: Connection | None = None):
-        self.model = model if conn is None else replace(model, conn=conn)
-        self.pts = pts
-        self._partner_form = model.partner_form
-        self._cache = {}  # connection-dependent
-        self._fixed = {}  # connection-independent, shared with with_conn copies
+        self.model, self.pts, self._conn = model, pts, conn
+        self._cache = {}
 
     def with_conn(self, conn: Connection) -> "ModelAt":
-        """The same metric, structure and points under ``conn``."""
-        at = ModelAt(self.model, self.pts, conn)
-        at._partner_form = self._partner_form
-        at._fixed = self._fixed
-        return at
+        """The same model and points under ``conn``."""
+        return ModelAt(self.model, self.pts, conn)
 
-    def _memo(self, key, fn, shared: bool = False):
-        store = self._fixed if shared else self._cache
-        if key not in store:
+    def _memo(self, key, fn):
+        if key not in self._cache:
             value = fn()
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-            store[key] = value
-        return store[key]
+            self._cache[key] = value
+        return self._cache[key]
 
     @property
     def partner(self):
-        return self._partner_form()
+        return self.model.partner_form()
 
     @property
     def jv(self):
@@ -128,16 +121,16 @@ class ModelAt:
     @property
     def nijenhuis(self):
         J = self.model.require("J")
-        return self._memo("N", lambda: nijenhuis(J).values(self.pts), shared=True)
+        return self._memo("N", lambda: nijenhuis(J).values(self.pts))
 
     @property
     def tachibana(self):
         J, metric = self.model.require("J"), self.model.require("metric")
-        return self._memo("F", lambda: tachibana_values(J, metric, self.pts), shared=True)
+        return self._memo("F", lambda: tachibana_values(J, metric, self.pts))
 
     def conn(self, ops: tuple = ()) -> Connection:
         if not ops:
-            return self.model.require("Gamma")
+            return self.model.require("Gamma") if self._conn is None else self._conn
         base, op = self.conn(ops[:-1]), ops[-1]
         if op == "star":
             return BilinearConjugateConnection(base, self.model.require("metric"))

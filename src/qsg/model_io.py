@@ -15,11 +15,12 @@ Layout::
 
 where ``poly`` is a list of terms ``{"exp": [e1, ..., ed], "coef": c}``.
 Component arrays are nested lists indexed upper-then-lower, row major.
-Exactly one metric entry is allowed ("g" hermitian/plain or "h" norden);
-JSON booleans are not numbers.  Terms are read into, and written from, the
-dense form of :class:`PolyTensorField` (terms combined, sorted, zeros
-dropped); the model hash is the SHA-256 of the canonical JSON form, so
-identical models hash identically regardless of formatting.
+Exactly one metric entry is allowed ("g" hermitian/plain or "h" norden),
+and its coefficient tensor must be symmetric; JSON booleans are not
+numbers.  Terms are read into, and written from, the dense form of
+:class:`PolyTensorField` (terms combined, sorted, zeros dropped); the
+model hash is the SHA-256 of the canonical JSON form, so identical models
+hash identically regardless of formatting.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .calculus import PolyConnection
+from .calculus import SYMMETRY_TOL, PolyConnection, symmetry_defect
 from .errors import ModelFileError
 from .fields import ChartDomain, PolyTensorField, _canonical_terms
 from .model import ChartModel
@@ -192,6 +193,9 @@ def parse_model(doc: dict) -> ChartModel:
     allowed = ("hermitian", "plain") if mname == "g" else ("norden",)
     _expect(flavor in allowed, f"flavor must be one of {allowed}", f"fields.{mname}.flavor")
     metric = MetricField(_read_field(mnode, dim, (0, 2), f"fields.{mname}"), flavor=flavor)
+    defect = symmetry_defect(metric.coefs, 1.0)
+    _expect(defect <= SYMMETRY_TOL, f"metric is not symmetric (defect {defect:.3e})",
+            f"fields.{mname}.components")
     J = conn = None
     if "J" in fields:
         J = AlmostComplexStructure(_read_field(entry("J", "structure"), dim, (1, 1), "fields.J"))

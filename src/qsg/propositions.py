@@ -27,13 +27,14 @@ A family body is a map from a trial to residuals.  ``_identities`` runs
 ``td -> {id: residual}`` over the random trials and ``_witnesses`` runs
 ``(row, {id: conclusion(witness)})`` over the witness trials, each ``Row``
 built and scored by ``_witness``; what is particular to one result (a
-folded identity, a vanish-together flag, a note) follows the call.  Every
-array a body reads comes from ``model.ModelAt``, the evaluator ``check``
-and ``synthesize`` read through too, here one model at a trial's frozen
-points: it memoizes torsions and derivatives per connection op-tuple, and
-the connection-independent arrays (the Nijenhuis and holomorphicity
-operators) in a memo that its ``with_conn`` copies share.  Memoized
-arrays are read-only.
+folded identity, a vanish-together flag, a note) follows the call, and a
+failed check marks the entry through ``_downgrade``.  Every array a body
+reads, and every conclusion a witness entry scores, comes from
+``model.ModelAt``, the evaluator ``check`` and ``synthesize`` read through
+too, here one model at a trial's frozen points: a witness is the trial's
+model with its own connection beside it, and each evaluator memoizes, in
+its one memo, the torsions and derivatives per connection op-tuple and the
+Nijenhuis and holomorphicity operators.  Memoized arrays are read-only.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .generate import (
     synthesize_connection,
 )
 from .model import ChartModel, ModelAt, flat_hermitian_model
-from .predicates import check as predicate_check
+from .predicates import PREDICATES
 from .structures import (
     PURITY_SIGN,
     _bt,
@@ -404,13 +405,20 @@ def _lead_note(entry: dict, text: str):
     entry["notes"] = f"{text} {entry['notes']}".strip()
 
 
+def _downgrade(entry: dict, ok, reason: str = "", status: str = "fail"):
+    """Unless ``ok``, give the entry ``status`` and add ``reason`` to its notes."""
+    if not ok:
+        entry["status"] = status
+        if reason:
+            entry["notes"] += f"; {reason}"
+
+
 def _fold_identity(entry: dict, residuals, tol):
     """Merge identity residuals into a witness entry: the maximum covers
     both, and a failing or non-finite identity fails the entry."""
     worst = _worst(residuals)
     entry["max_residual"] = _worst([entry["max_residual"], worst])
-    if not worst <= tol:
-        entry["status"] = "fail"
+    _downgrade(entry, worst <= tol)
 
 
 def _swap_lower(bv, a):
@@ -503,9 +511,7 @@ def _compat_equiv(ctx):
                             [r for t in range(ctx.trials) for r in residuals(t)],
                             TOLERANCES["kernel_identity"])
     _lead_note(entry, "projected torsions satisfy both equivalent forms")
-    if not all(agree):
-        entry["status"] = "fail"
-        entry["notes"] += "; the two forms disagreed on a random torsion"
+    _downgrade(entry, all(agree), "the two forms disagreed on a random torsion")
     return [entry]
 
 
@@ -537,7 +543,7 @@ def _vishnevskii(ctx):
 def _jframe_residual(td: ModelAt) -> float:
     """``vishnevskii_jframe_values`` against ``vishnevskii_on_fields`` on
     each pair of a frame field and a structure-twisted frame field."""
-    J, conn, d = td.model.J, td.model.conn, td.model.dimension
+    J, conn, d = td.model.J, td.conn(), td.model.dimension
     frames = [PolyTensorField.constant(d, (1, 0), e) for e in np.eye(d)]
     # J e_j is J's j-th coefficient column
     twisted = [PolyTensorField(d, (1, 0), exps=J.exps, coefs=J.coefs[:, :, j])
@@ -687,32 +693,28 @@ def _cyclic(ctx):
     td0 = ctx.trial(HERMITIAN, 0)
     if zero_res(exterior_d2_values(td0.partner, td0.pts)) > 1e-4:
         hyp0, _ = _witness(ctx, row._replace(base=HERMITIAN, tag=23, degree=2, anchor=0.0), 0)
-        if not hyp0 > TOLERANCES["negative"]:
-            lem3["status"] = "fail"
-            lem3["notes"] += "; contrapositive check failed"
+        _downgrade(lem3, hyp0 > TOLERANCES["negative"], "contrapositive check failed")
     return [cyc, lem3, two_of_three]
 
 
 @family("verify_section3", "teo2")
 def _teo2(ctx):
-    # flat model, torsion-bearing synthesized witnesses, sheared model
-    flat = predicate_check(flat_hermitian_model(ctx.dim), "kahler",
-                           tol=TOLERANCES["conclusion"], seed=ctx.seed)["max_residual"]
+    # flat model, torsion-bearing synthesized witnesses, sheared model,
+    # each scored by the kahler predicate on its own evaluator
+    flat = zero_res(PREDICATES["kahler"](ModelAt(flat_hermitian_model(ctx.dim), ctx.points(0))))
     torsions, hyp = [], ("quasi_statistical_g", "d_closed_J", "j_invariant_torsion")
 
     def kahler(wd):
         torsions.append(zero_res(wd.torsion()))
-        return predicate_check(wd.model, "kahler", tol=TOLERANCES["conclusion"],
-                               seed=ctx.seed)["max_residual"]
+        return zero_res(PREDICATES["kahler"](wd))
     # a constant-structure model, then the sheared Kahler model
     (teo2,) = _witnesses(ctx, TOLERANCES["conclusion"],
                          (Row(SectionContext.constant, hyp, 26), {"teo2": kahler}),
                          (Row(SectionContext.kahler, hyp, 27, anchor=0.3 if ctx.dim == 2 else 0.0),
                           {"teo2": kahler}), given={"teo2": [(0.0, flat)]})
     _lead_note(teo2, f"max witness torsion {_worst(torsions):.2e}")
-    if teo2["status"] == "pass" and _worst(torsions) < 1e-6:
-        teo2["status"] = "inconclusive-witness"
-        teo2["notes"] += "; only torsion-free witnesses found"
+    _downgrade(teo2, teo2["status"] != "pass" or not _worst(torsions) < 1e-6,
+               "only torsion-free witnesses found", "inconclusive-witness")
     return [teo2]
 
 
@@ -791,9 +793,7 @@ def _teo5(ctx):
         lambda spec, base: BilinearConjugateConnection(LeviCivitaConnection(base.partner),
                                                        base.model.metric))), {"teo5": expansion}))
     _lead_note(e5, "witness: metric conjugate of the twin-metric parallel connection")
-    if not all(coupled) and e5["status"] == "pass":
-        e5["status"] = "fail"
-        e5["notes"] += "; vanish-together coupling violated"
+    _downgrade(e5, all(coupled) or e5["status"] != "pass", "vanish-together coupling violated")
     return [e5]
 
 
@@ -824,9 +824,7 @@ def _theolast(ctx):
         return {"theolast": ident_res(s_phi, s_def)}
     (e_tl,) = _identities(ctx, NORDEN, TOLERANCES["identity"], residuals)
     _lead_note(e_tl, "sums also agree termwise under the metric connection")
-    if not all(coupled):
-        e_tl["status"] = "fail"
-        e_tl["notes"] += "; vanish-together coupling violated"
+    _downgrade(e_tl, all(coupled), "vanish-together coupling violated")
     return [e_tl]
 
 

@@ -118,6 +118,12 @@ ERRORS = {
                                  _poly(("g", "components", 1, 1), {"exp": [-2, 0], "coef": 1.0})],
                                 "fields.g.components[1][1][0].exp: "
                                 "exponents must be nonnegative integers"),
+    # a metric's coefficient tensor is symmetric, term by term
+    "asymmetric-metric": ([_poly(("g", "components", 0, 1), {"exp": [0, 0], "coef": 0.25})],
+                          "fields.g.components: metric is not symmetric (defect 2.500e-01)"),
+    "asymmetric-metric-term": ([_poly(("g", "components", 1, 0), {"exp": [1, 0], "coef": -1}),
+                                _poly(("g", "components", 0, 1), {"exp": [0, 1], "coef": -1})],
+                               "fields.g.components: metric is not symmetric (defect 1.000e+00)"),
 }
 
 
@@ -176,8 +182,13 @@ def _random_doc(seed):
         return poly() if rank == 0 else [nested(rank - 1) for _ in range(d)]
 
     metric = "g" if seed % 3 else "h"
+    # a metric file must be symmetric: the lower triangle repeats the upper
+    form = nested(2)
+    for i in range(d):
+        for j in range(i):
+            form[i][j] = list(form[j][i])
     fields = {metric: {"flavor": "hermitian" if metric == "g" else "norden",
-                       "components": nested(2)},
+                       "components": form},
               "J": {"components": nested(2)}, "Gamma": {"components": nested(3)}}
     return {"version": 1, "dimension": d, "domain": [[-0.5, 0.5]] * d, "fields": fields}
 

@@ -51,8 +51,8 @@ def test_runs_cover_every_predicate_and_constraint(tmp_path):
 
 
 def test_runs_cover_every_failure_rendering(tmp_path, monkeypatch):
-    # each way cli.main reports a failure, and each symmetry gate's message,
-    # run from the files the script writes
+    # each way cli.main reports a failure, the metric load gate and each
+    # symmetry gate behind it, run from the files the script writes
     matrix = output_matrix.runs(output_matrix.example_models(tmp_path))
     runs = dict(matrix)
     assert matrix[-len(output_matrix.ERROR_RUNS):] == output_matrix.ERROR_RUNS
@@ -61,11 +61,14 @@ def test_runs_cover_every_failure_rendering(tmp_path, monkeypatch):
             "error-unknown-predicate": (2, "qsg: unknown predicate 'not_a_predicate'"),
             "error-empty-only": (2, "qsg: no entry id given"),
             "error-degenerate-metric": (3, "qsg: degenerate form at point ("),
-            "error-skew-two-form": (2, "qsg: 2-form is not antisymmetric (defect 5.000e-01)"),
-            "error-skew-metric": (2, "qsg: metric is not symmetric (defect 2.500e-01)"),
+            "error-asymmetric-metric": (2, "qsg: model file error: fields.g.components: "
+                                           "metric is not symmetric (defect 2.500e-01)"),
+            "error-skew-two-form": (2, "qsg: 2-form is not antisymmetric (defect 1.000e+00)"),
+            "error-skew-metric": (2, "qsg: model file error: fields.h.components: "
+                                     "metric is not symmetric (defect 2.500e-01)"),
             "error-skew-conjugation": (2, "qsg: conjugation requires a symmetric or "
-                                          "antisymmetric form (sym defect 2.500e-01, "
-                                          "skew defect 2.000e+00)")}
+                                          "antisymmetric form (sym defect 3.000e+00, "
+                                          "skew defect 1.000e+00)")}
     for name, (code, stderr) in want.items():
         text = output_matrix.record(runs[name])
         assert f"\nexit: {code}\n--- stdout\n--- stderr\n{stderr}" in text, text

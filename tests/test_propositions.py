@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qsg import sampling
+from qsg.calculus import PolyConnection
 from qsg.connections import KLEIN_PAIRS
 from qsg.errors import QsgError
 from qsg.fields import ChartDomain
@@ -181,6 +182,82 @@ def test_non_finite_folded_identity_fails(bad):
     assert not np.isfinite(entry["max_residual"])
 
 
+# The status checks that follow a family's witness or identity run, each
+# forced on a one-trial run by patching what it reads: the entry passes
+# without the patch, and with it the check marks the entry and notes why.
+
+
+def _only(prop_id, dim=2):
+    (entry,) = run_full_suite(seed=0, trials=1, dims=(dim,), only=(prop_id,))["entries"]
+    return entry
+
+
+def test_compat_equiv_fails_when_the_two_forms_disagree(monkeypatch):
+    # (in two dimensions every torsion is compatible, so both forms vanish)
+    assert _only("sec2.compat_equiv", dim=4)["status"] == "pass"
+    # a j-invariance defect that reads zero everywhere disagrees with the
+    # compatibility operator on the random torsion
+    monkeypatch.setattr(propositions, "j_invariance_defect", lambda a, jv: np.zeros_like(a))
+    entry = _only("sec2.compat_equiv", dim=4)
+    assert entry["status"] == "fail"
+    assert entry["notes"].endswith("; the two forms disagreed on a random torsion")
+
+
+def test_lem3_fails_when_its_contrapositive_finds_a_witness(monkeypatch):
+    assert _only("lem3", dim=4)["status"] == "pass"
+    real = propositions._witness
+
+    def contrapositive_met(ctx, row, t):
+        # the contrapositive is the lem3 row on a generic trial, tag 23
+        return (0.0, None) if row.tag == 23 else real(ctx, row, t)
+    monkeypatch.setattr(propositions, "_witness", contrapositive_met)
+    entry = _only("lem3", dim=4)
+    assert entry["status"] == "fail"
+    assert entry["notes"].endswith("; contrapositive check failed")
+
+
+def test_teo2_is_inconclusive_on_torsion_free_witnesses(monkeypatch):
+    assert _only("teo2")["status"] == "pass"
+    real = propositions._witness
+
+    def torsion_free(ctx, row, t):
+        hyp, wd = real(ctx, row, t)
+        return hyp, wd.with_conn(PolyConnection.zero(ctx.dim))
+    monkeypatch.setattr(propositions, "_witness", torsion_free)
+    entry = _only("teo2")
+    assert entry["status"] == "inconclusive-witness"
+    assert entry["notes"] == "max witness torsion 0.00e+00; only torsion-free witnesses found"
+
+
+def test_teo5_fails_when_its_two_sides_do_not_vanish_together(monkeypatch):
+    # the expansion read as exact, with a holomorphicity operator that
+    # vanishes where the lowered-torsion / structure-derivative side does not
+    ident_res = propositions.ident_res
+    monkeypatch.setattr(propositions, "ident_res", lambda lhs, rhs: 0.0)
+    assert _only("teo5")["status"] == "pass"
+    monkeypatch.setattr(ModelAt, "tachibana", property(lambda self: np.zeros(1)))
+    entry = _only("teo5")
+    assert entry["status"] == "fail"
+    assert entry["notes"].endswith("; vanish-together coupling violated")
+    # read as it is, the expansion fails the entry itself, and the coupling
+    # check marks only a passing entry
+    monkeypatch.setattr(propositions, "ident_res", ident_res)
+    entry = _only("teo5")
+    assert entry["status"] == "fail" and "coupling" not in entry["notes"]
+
+
+def test_theolast_fails_when_its_sums_do_not_vanish_together(monkeypatch):
+    # the two sums read as equal, with a defining sum that vanishes where
+    # the cyclic holomorphicity sum does not
+    monkeypatch.setattr(propositions, "ident_res", lambda lhs, rhs: 0.0)
+    assert _only("theolast")["status"] == "pass"
+    monkeypatch.setattr(propositions, "quasi_kahler_norden_sum_values",
+                        lambda dj, hv: np.zeros(1))
+    entry = _only("theolast")
+    assert entry["status"] == "fail"
+    assert entry["notes"].endswith("; vanish-together coupling violated")
+
+
 def test_trial_metrics_nondegenerate_at_trial_points():
     # this seed's Hermitian trial 2 metric used to pass the generator's own
     # probe points yet reach |det| = 8e-7 at a suite point, which aborted
@@ -195,8 +272,11 @@ def test_trial_data_memo_is_read_only_and_shared_with_conn_copies():
     ctx = SectionContext(seed=0, dim=2, trials=1)
     td = ctx.trial(HERMITIAN, 0)
     wd = td.with_conn(td.conn(("star",)))
-    # connection-independent arrays are computed once per trial
-    assert wd.jv is td.jv and wd.pv is td.pv and wd.nijenhuis is td.nijenhuis
+    # the copy keeps the model as given, so the fields' values at the
+    # frozen points and the model's partner form are computed once per
+    # trial; each evaluator has its own memo
+    assert wd.model is td.model and wd.jv is td.jv and wd.pv is td.pv
+    assert wd.nijenhuis is not td.nijenhuis and np.array_equal(wd.nijenhuis, td.nijenhuis)
     assert wd.torsion() is not td.torsion()
     for arr in (td.jv, td.pv, td.torsion(), wd.covd_J(), wd.covd_metric(("jconj",), "partner")):
         with pytest.raises(ValueError):
@@ -298,7 +378,7 @@ def test_witness_rows_replay(monkeypatch):
         assert again == hyp, row
         if hyp <= tol:
             met += 1
-            at = ModelAt(wd.model, pts)
+            at = ModelAt(wd.model, pts, wd.conn())
             for name in (h for h in row.hyp if isinstance(h, str)):
                 named += 1
                 assert np.abs(CONSTRAINTS[name].residual(at)).max() <= tol, (row, name)

@@ -25,6 +25,7 @@ from qsg.generate import (
     gen_hermitian_metric,
     gen_kahler_model,
     gen_norden_metric,
+    monomial_exponents,
     random_poly_field,
 )
 from qsg.model_io import canonical_doc, load_model, write_model
@@ -434,3 +435,61 @@ def test_ident_res_scales_by_the_left_side():
     worst_diff = max(abs(x - y) for x, y in zip(lhs.flat, rhs.flat))
     assert ident_res(lhs, rhs) == worst_diff / (1.0 + worst_lhs)
     assert ident_res(lhs, lhs) == 0.0
+
+
+# The formulas on those arrays, exactly, the same way.  Where a formula
+# takes fields, they have small integer coefficients and the points are
+# dyadic, so every value and first derivative is an exact float too.
+
+
+def int_field(valence, seed):
+    """A degree-2 field on D coordinates with integer coefficients in [-3, 3]."""
+    exps = monomial_exponents(D, 2)
+    return PolyTensorField(D, valence, exps=exps,
+                           coefs=ints(len(exps), *(D,) * sum(valence), seed=seed))
+
+
+def dyadic_pts(seed=0):
+    return sampling.rng(seed, 78).integers(-4, 5, size=(N, D)) / 8.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_purity_values_pairs_j_in_either_slot(sign):
+    b, J, p = int_field((0, 2), 1), int_field((1, 1), 2), dyadic_pts()
+    bv, jv = b.values(p), J.values(p)
+    want = loops((N, D, D), lambda n, i, j: sum(jv[n, k, i] * bv[n, k, j]
+                                                + sign * bv[n, i, k] * jv[n, k, j] for k in R))
+    assert np.array_equal(purity_values(b, J, p, sign), want)
+
+
+def test_d_nabla_metric_values():
+    db, bv, t = ints(N, D, D, D), ints(N, D, D, seed=1), ints(N, D, D, D, seed=2)
+    want = loops(db.shape, lambda n, i, j, k: db[n, i, j, k] - db[n, j, i, k]
+                 + sum(t[n, m, i, j] * bv[n, m, k] for m in R))
+    assert np.array_equal(d_nabla_metric_values(db, bv, t), want)
+
+
+def test_cyclic_sum_03():
+    a = ints(N, D, D, D)
+    want = loops(a.shape, lambda n, i, j, k: a[n, i, j, k] + a[n, j, k, i] + a[n, k, i, j])
+    assert np.array_equal(cyclic_sum_03(a), want)
+
+
+def test_quasi_kahler_norden_sum_values():
+    dj, hv = ints(N, D, D, D), ints(N, D, D, seed=1)
+
+    def x(n, a, b, c):  # h((D_a J) x_b, x_c)
+        return sum(dj[n, m, a, b] * hv[n, m, c] for m in R)
+    want = loops(dj.shape, lambda n, a, b, c: x(n, a, b, c) + x(n, b, c, a) + x(n, c, a, b))
+    assert np.array_equal(quasi_kahler_norden_sum_values(dj, hv), want)
+
+
+def test_tachibana_values():
+    J, h, p = int_field((1, 1), 3), int_field((0, 2), 4), dyadic_pts(1)
+    # jg[n, k, j, l] = d_l J^k_j and hg[n, b, c, l] = d_l h_bc
+    (jv, jg), (hv, hg) = J.jets(p), h.jets(p)
+    want = loops((N, D, D, D), lambda n, a, b, c: sum(
+        jv[n, m, a] * hg[n, b, c, m] - jg[n, m, b, a] * hv[n, m, c]
+        - jv[n, m, b] * hg[n, m, c, a] + jg[n, m, a, b] * hv[n, m, c]
+        + hv[n, b, m] * jg[n, m, a, c] for m in R))
+    assert np.array_equal(tachibana_values(J, h, p), want)
