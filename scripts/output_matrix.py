@@ -52,7 +52,7 @@ from qsg import cli
 from qsg.errors import QsgError
 from qsg.generate import valid_constraints
 from qsg.model_io import load_model
-from qsg.predicates import PREDICATES, check
+from qsg.predicates import PREDICATES, check_many
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from make_example_models import write_examples  # noqa: E402
@@ -150,7 +150,7 @@ def runs(models: dict) -> list:
 
 def _runs_on(model, predicate: str) -> bool:
     try:
-        check(model, predicate, samples=1)
+        check_many(model, [predicate], samples=1)
     except QsgError:
         return False
     return True

@@ -26,7 +26,8 @@ import numpy as np
 from .calculus import SYMMETRY_TOL, Connection, _checked_inverse, symmetry_defect
 from .contraction import contract
 from .errors import QsgError
-from .structures import PURITY_SIGN, AlmostComplexStructure, _jout, ident_res, purity_values
+from .structures import (PURITY_SIGN, AlmostComplexStructure, _jout, _twisted_frame_derivative,
+                         ident_res, purity_values)
 
 PURITY_TOL = 1e-8
 KLEIN_TOL = 1e-8  # the gate on each of the Klein table's nine residuals
@@ -66,9 +67,7 @@ class JConjugateConnection(Connection):
 
     def gammas(self, pts):
         jv, jg = self.J.jets(pts)
-        g = self.base.gammas(pts)
-        inner = np.einsum("nmji->nmij", jg) + contract("nmil,nlj->nmij", g, jv)
-        return -_jout(jv, inner)
+        return -_jout(jv, _twisted_frame_derivative(self.base.gammas(pts), jv, jg))
 
 
 class CombinationConnection(Connection):

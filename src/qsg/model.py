@@ -7,7 +7,8 @@ the torsions, covariant derivatives and conjugates it holds."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,6 @@ class ChartModel:
     metric: MetricField | None = None
     J: AlmostComplexStructure | None = None
     conn: Connection | None = None
-    _partner: PolyTensorField | None = dc_field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -52,16 +52,15 @@ class ChartModel:
             raise QsgError(f"model is missing required field {name!r}")
         return value
 
-    def partner_form(self) -> PolyTensorField:
+    @cached_property
+    def partner(self) -> PolyTensorField:
         """The companion (0,2) field: the 2-form of a Hermitian metric or
-        the twin metric of a Norden one."""
-        if self._partner is None:
-            metric, J = self.require("metric"), self.require("J")
-            if metric.flavor not in PURITY_SIGN:
-                raise QsgError("partner form needs a hermitian or norden metric")
-            pullback = fundamental_two_form if metric.flavor == "hermitian" else twin_metric
-            self._partner = pullback(metric, J)
-        return self._partner
+        the twin metric of a Norden one; built once per model."""
+        metric, J = self.require("metric"), self.require("J")
+        if metric.flavor not in PURITY_SIGN:
+            raise QsgError("partner form needs a hermitian or norden metric")
+        pullback = fundamental_two_form if metric.flavor == "hermitian" else twin_metric
+        return pullback(metric, J)
 
 
 class ModelAt:
@@ -104,7 +103,7 @@ class ModelAt:
 
     @property
     def partner(self):
-        return self.model.partner_form()
+        return self.model.partner
 
     @property
     def jv(self):

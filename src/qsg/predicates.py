@@ -171,8 +171,3 @@ def check_many(model: ChartModel, predicates, tol: float = DEFAULT_TOL,
     at = ModelAt(model, pts)
     return [_report(name, PREDICATES[name](at), pts, tol, samples) for name in predicates]
 
-
-def check(model: ChartModel, predicate: str, tol: float = DEFAULT_TOL,
-          seed: int = 0, samples: int = DEFAULT_SAMPLES) -> dict:
-    """Sweep one predicate (see ``check_many``)."""
-    return check_many(model, [predicate], tol=tol, seed=seed, samples=samples)[0]

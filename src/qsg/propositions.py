@@ -510,7 +510,9 @@ def _compat_equiv(ctx):
     entry = _identity_entry("sec2.compat_equiv", ctx.dim, ctx.trials,
                             [r for t in range(ctx.trials) for r in residuals(t)],
                             TOLERANCES["kernel_identity"])
-    _lead_note(entry, "projected torsions satisfy both equivalent forms")
+    _lead_note(entry, "vacuous on two-dimensional charts (tr J = 0 and det J = 1, so every "
+               "torsion satisfies both forms)" if ctx.dim == 2
+               else "projected torsions satisfy both equivalent forms")
     _downgrade(entry, all(agree), "the two forms disagreed on a random torsion")
     return [entry]
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import Connection, DerivedTensorField
+from .calculus import Connection, DerivedTensorField, covd_values
 from .contraction import contract
 from .errors import QsgError
 from .fields import PolyTensorField, poly_einsum
@@ -197,6 +197,13 @@ def quasi_kahler_norden_sum_values(dj: np.ndarray, hv: np.ndarray) -> np.ndarray
     return cyclic_sum_03(_tb(dj, hv))
 
 
+def _twisted_frame_derivative(g: np.ndarray, jv: np.ndarray, jg: np.ndarray) -> np.ndarray:
+    """(D_{x_i}(J x_j))^m = d_i J^m_j + gamma^m_{il} J^l_j at ``[n, m, i, j]``
+    from the symbols, values and jets of J: the structure conjugate and the
+    coupling operator on twisted frames both read it."""
+    return np.swapaxes(jg, 2, 3) + contract("nmil,nlj->nmij", g, jv)
+
+
 def vishnevskii_frame_values(conn: Connection, J: AlmostComplexStructure, pts) -> np.ndarray:
     """Frame array of the coupling operator: Psi(x_i, x_j)^k for frame pairs.
 
@@ -212,30 +219,21 @@ def vishnevskii_frame_values(conn: Connection, J: AlmostComplexStructure, pts) -
 
 
 def vishnevskii_jframe_values(conn: Connection, J: AlmostComplexStructure, pts) -> np.ndarray:
-    """Psi(x_i, J x_j)^k: the operator on (frame, J-twisted frame) pairs.
+    """Psi(x_i, J x_j)^k: the operator on (frame, J-twisted frame) pairs,
+    the frame array's formula with D_{x_i}(J x_j) in place of D_{x_i} x_j.
 
     Together with the frame array this is exactly the argument set on which
     a vanishing operator forces the torsion-coupling identity.
     """
     jv, jg = J.jets(pts)
-    g = conn.gammas(pts)
-    # D_{J x_i}(J x_j) = J^l_i (d_l J^k_j + gamma^k_{lm} J^m_j)
-    t1 = contract("nli,nkjl->nkij", jv, jg + contract("nklm,nmj->nkjl", g, jv))
-    # J (D_{x_i}(J x_j)) = J^k_m (d_i J^m_j + gamma^m_{il} J^l_j)
-    t2 = _jout(jv, np.swapaxes(jg, 2, 3) + contract("nmil,nlj->nmij", g, jv))
-    return t1 - t2
+    u = _twisted_frame_derivative(conn.gammas(pts), jv, jg)
+    return contract("nli,nklj->nkij", jv, u) - _jout(jv, u)
 
 
 def vishnevskii_on_fields(conn: Connection, J: AlmostComplexStructure, X: PolyTensorField, Y: PolyTensorField, pts) -> np.ndarray:
     """Operator evaluation on explicit polynomial fields (first slot is
-    tensorial, second is not)."""
+    tensorial, second is not): D_{JX} Y - J (D_X Y)."""
     JX = poly_einsum("kj,j->k", J, X, valence=(1, 0))
-    jv = J.values(pts)
-    yv, yg = Y.jets(pts)
-    jxv = JX.values(pts)
-    xv = X.values(pts)
-    g = conn.gammas(pts)
-    # D_Z Y = Z^i (d_i Y^k + gamma^k_{ij} Y^j)
-    dy = yg + contract("nkij,nj->nki", g, yv)  # dy[n, k, i] = (D_i Y)^k
-    d_x = contract("ni,nki->nk", xv, dy)
-    return contract("ni,nki->nk", jxv, dy) - contract("nkm,nm->nk", jv, d_x)
+    dy = covd_values(conn, Y, pts)  # dy[n, k, i] = (D_i Y)^k
+    d_x = contract("ni,nki->nk", X.values(pts), dy)
+    return contract("ni,nki->nk", JX.values(pts), dy) - contract("nkm,nm->nk", J.values(pts), d_x)

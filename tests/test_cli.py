@@ -92,7 +92,7 @@ def test_check_unknown_predicate_exits_2(capsys, flat_model_path):
 
 def test_check_reports_each_predicate_as_alone(capsys, tmp_path):
     from qsg.generate import GenSpec, gen_almost_complex, gen_hermitian_metric, random_poly_field
-    from qsg.predicates import check
+    from qsg.predicates import check_many
     from qsg.sampling import rng
 
     spec = GenSpec(seed=3, dimension=4, degree=2)
@@ -107,7 +107,7 @@ def test_check_reports_each_predicate_as_alone(capsys, tmp_path):
              "torsion_compatible", "integrable", "d_closed_J", "kahler", "complex_connection"]
     code, out, _ = run_cli(capsys, "check", str(path), "--predicates", ",".join(names),
                            "--samples", "40", "--seed", "11", "--tol", "1e-6")
-    want = [check(model, n, tol=1e-6, seed=11, samples=40) for n in names]
+    want = [check_many(model, [n], tol=1e-6, seed=11, samples=40)[0] for n in names]
     assert json.loads(out)["checks"] == json.loads(json.dumps(want))
     assert code == (0 if all(w["pass"] for w in want) else 1)
 

@@ -106,9 +106,11 @@ def _all_specs():
     return sorted(specs | _covd_specs() | _product_specs())
 
 
-# two specs no kernel builds any more, kept as planner cases: the left
-# factor is transposed and summed over its first matrix index
-SPECS = sorted(set(_all_specs()) | {"nil,nlkj->njki", "njm,njki->nmki"})
+# specs no kernel builds any more, kept as planner cases: in the first two
+# the left factor is transposed and summed over its first matrix index; in
+# the third it lacks a batch axis of the right one, and the product has
+# both a row and a column axis
+SPECS = sorted(set(_all_specs()) | {"nil,nlkj->njki", "njm,njki->nmki", "nklm,nmj->nkjl"})
 
 
 def _operands(spec, n, make):

@@ -5,8 +5,9 @@ points are dyadic rationals, so every float the kernels produce is exactly
 representable: each result must equal the rational-arithmetic value.  The
 expected values are written as explicit loops over sympy polynomials, not
 through the einsum index strings under test.  Kernels that invert a matrix
-(Levi-Civita, bilinear conjugation) round, so they are compared with the
-exact rational values to a relative 1e-12.
+(Levi-Civita, bilinear conjugation and the Klein table's conjugate chains)
+round, so they are compared with the exact rational values to a relative
+1e-12.
 """
 
 import itertools
@@ -26,8 +27,9 @@ from qsg.calculus import (
     exterior_d2_values,
     torsion_values,
 )
-from qsg.connections import BilinearConjugateConnection, JConjugateConnection
+from qsg.connections import KLEIN_PAIRS, BilinearConjugateConnection, JConjugateConnection
 from qsg.fields import (
+    ChartDomain,
     PolyExpr,
     PolyTensorField,
     _row_keys,
@@ -44,8 +46,16 @@ from qsg.generate import (
     random_poly_field,
     torsion_project_poly,
 )
-from qsg.model import standard_structure
-from qsg.structures import AlmostComplexStructure, d_nabla_J_values, nijenhuis
+from qsg.model import ChartModel, ModelAt, standard_structure
+from qsg.structures import (
+    AlmostComplexStructure,
+    MetricField,
+    d_nabla_J_values,
+    nijenhuis,
+    vishnevskii_frame_values,
+    vishnevskii_jframe_values,
+    vishnevskii_on_fields,
+)
 
 DIMS = (2, 4)
 
@@ -425,34 +435,51 @@ def test_covd_and_torsion_exact(d):
 @pytest.mark.parametrize("d", DIMS)
 def test_structure_kernels_exact(d):
     # J is any integer (1,1) field: the kernels are formulas in J and its
-    # partials and do not use J^2 = -1
+    # partials and do not use J^2 = -1; the coupling operator
+    # Psi_{JX} Y = D_{JX} Y - J (D_X Y) is taken on frame pairs, on (frame,
+    # J-twisted frame) pairs and on explicit fields X, Y
     rng = np.random.default_rng(80 + d)
     pts = dyadic_points(rng, d)
     gamma, eg = int_field(rng, d, (1, 2))
     jf, ej = int_field(rng, d, (1, 1))
+    X, ex = int_field(rng, d, (1, 0))
+    Y, ey = int_field(rng, d, (1, 0))
     J = AlmostComplexStructure(jf)
     conn = PolyConnection(gamma)
     G, _ = exact_jets(eg, pts, d)
     jv, jg = exact_jets(ej, pts, d)
+    xv, _ = exact_jets(ex, pts, d)
+    dy = exact_covd(G, *exact_jets(ey, pts, d), (1, 0), d)  # (D_{x_i} Y)^k at [p, k, i]
     r = range(d)
-    conj = np.empty(G.shape, dtype=object)
-    closed = np.empty(G.shape, dtype=object)
-    nij = np.empty(G.shape, dtype=object)
+    npts = range(len(pts))
+    twist = np.empty(G.shape, dtype=object)  # (D_{x_i}(J x_j))^k at [p, k, i, j]
+    for p, k, i, j in itertools.product(npts, r, r, r):
+        twist[p, k, i, j] = jg[p, k, j, i] + sum(G[p, k, i, l] * jv[p, l, j] for l in r)
+    conj, closed, nij, frame, jframe = (np.empty(G.shape, dtype=object) for _ in range(5))
+    fields = np.empty((len(pts), d), dtype=object)
     dj = exact_covd(G, jv, jg, (1, 1), d)
     tor = exact_torsion(G, d)
-    for p, k, i, j in itertools.product(range(len(pts)), r, r, r):
-        conj[p, k, i, j] = -sum(
-            jv[p, k, m] * (jg[p, m, j, i] + sum(G[p, m, i, l] * jv[p, l, j] for l in r))
-            for m in r)
+    for p, k, i, j in itertools.product(npts, r, r, r):
+        conj[p, k, i, j] = -sum(jv[p, k, m] * twist[p, m, i, j] for m in r)
         closed[p, k, i, j] = (dj[p, k, i, j] - dj[p, k, j, i]
                               + sum(jv[p, k, m] * tor[p, m, i, j] for m in r))
         nij[p, k, i, j] = (sum(jv[p, k, m] * (jg[p, m, j, i] - jg[p, m, i, j]) for m in r)
                            - sum(jv[p, l, i] * jg[p, k, j, l] for l in r)
                            + sum(jv[p, l, j] * jg[p, k, i, l] for l in r))
+        frame[p, k, i, j] = (sum(jv[p, l, i] * G[p, k, l, j] for l in r)
+                             - sum(jv[p, k, m] * G[p, m, i, j] for m in r))
+        jframe[p, k, i, j] = (sum(jv[p, l, i] * twist[p, k, l, j] for l in r)
+                              - sum(jv[p, k, m] * twist[p, m, i, j] for m in r))
+    for p, k in itertools.product(npts, r):
+        fields[p, k] = (sum(jv[p, i, j] * xv[p, j] * dy[p, k, i] for i in r for j in r)
+                        - sum(jv[p, k, m] * xv[p, i] * dy[p, m, i] for m in r for i in r))
     assert_equal_exact(JConjugateConnection(conn, J).gammas(pts), conj)
     assert_equal_exact(d_nabla_J_values(covd_values(conn, J, pts), J.values(pts),
                                         torsion_values(conn, pts)), closed)
     assert_equal_exact(nijenhuis(J).values(pts), nij)
+    assert_equal_exact(vishnevskii_frame_values(conn, J, pts), frame)
+    assert_equal_exact(vishnevskii_jframe_values(conn, J, pts), jframe)
+    assert_equal_exact(vishnevskii_on_fields(conn, J, X, Y, pts), fields)
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -522,3 +549,76 @@ def test_bilinear_conjugate_close_to_exact(d, sign):
             for m in r:
                 want[p, m, k, j] = sol[m]
     assert_close_exact(BilinearConjugateConnection(PolyConnection(gamma), b).gammas(pts), want)
+
+
+def to_field(exact, d, valence):
+    """The field whose components are the sympy polynomials ``exact``."""
+    polys = np.empty(exact.shape, dtype=object)
+    for idx in np.ndindex(exact.shape):
+        terms = exact[idx].terms()
+        polys[idx] = PolyExpr(d, [m for m, _ in terms], [float(c) for _, c in terms])
+    return from_comps(d, valence, polys)
+
+
+def hermitian_pair(rng, d):
+    """Exact J = C J0 C^-1 and g = C^-T C^-1 for a unipotent C = I + N, N an
+    integer linear field on the superdiagonal: J squares to minus the
+    identity, g is Hermitian for it, and both have integer coefficients."""
+    n = zeros_like((d, d), d)
+    for i in range(d - 1):
+        n[i, i + 1] = to_sympy(PolyExpr(d, np.eye(d, dtype=int)[[rng.integers(d)]],
+                                        [float(rng.choice([-2, -1, 1, 2]))]), d)
+    consts = np.vectorize(lambda c: const_poly(c, d), otypes=[object])
+    eye = consts(np.eye(d))
+    inv, power = eye, eye
+    for _ in range(d - 1):
+        power = -power.dot(n)
+        inv = inv + power
+    return (eye + n).dot(consts(standard_structure(d))).dot(inv), inv.T.dot(inv)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_klein_chains_close_to_exact(d):
+    # every op-tuple of the Klein table, as pointwise rational compositions
+    # of the metric, partner (2-form) and structure conjugations
+    rng = np.random.default_rng(170 + d)
+    pts = dyadic_points(rng, d)
+    gamma, eg = int_field(rng, d, (1, 2), degree=1, terms=2)
+    ej, eb = hermitian_pair(rng, d)
+    assert all((p + int(i == j)).is_zero for (i, j), p in np.ndenumerate(ej.dot(ej)))
+    assert all(p.is_zero for p in (ej.T.dot(eb).dot(ej) - eb).flat)
+    ew = ej.T.dot(eb)  # w_ij = J^k_i g_kj
+    model = ChartModel(domain=ChartDomain.cube(d), conn=PolyConnection(gamma),
+                       metric=MetricField(to_field(eb, d, (0, 2)), "hermitian"),
+                       J=AlmostComplexStructure(to_field(ej, d, (1, 1))))
+    at = ModelAt(model, pts)
+    G, _ = exact_jets(eg, pts, d)
+    jv, jg = exact_jets(ej, pts, d)
+    forms = {"star": exact_jets(eb, pts, d), "dagger": exact_jets(ew, pts, d)}
+    r = range(d)
+
+    def conjugate(op, p, g):
+        out = {}
+        if op == "jconj":
+            for k, i, j in itertools.product(r, r, r):
+                out[k, i, j] = -sum(jv[p, k, m] * (jg[p, m, j, i] + sum(
+                    g[m, i, l] * jv[p, l, j] for l in r)) for m in r)
+            return out
+        bv, bg = forms[op]
+        inv = sympy.Matrix(d, d, lambda i, m: bv[p, i, m]).inv()
+        for m, k, j in itertools.product(r, r, r):
+            out[m, k, j] = sum(inv[m, i] * (bg[p, i, j, k] - sum(
+                g[l, k, i] * bv[p, l, j] for l in r)) for i in r)
+        return out
+
+    chains = sorted({ops for pair in KLEIN_PAIRS.values() for ops in pair})
+    assert len(chains) == 13
+    for ops in chains:
+        want = np.empty(G.shape, dtype=object)
+        for p in range(len(pts)):
+            g = {idx: G[(p,) + idx] for idx in itertools.product(r, r, r)}
+            for op in ops:
+                g = conjugate(op, p, g)
+            for idx in itertools.product(r, r, r):
+                want[(p,) + idx] = g[idx]
+        assert_close_exact(at.conn(ops).gammas(pts), want)

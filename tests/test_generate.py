@@ -34,7 +34,7 @@ from qsg.generate import (
 )
 from qsg.model import ChartModel, ModelAt, flat_hermitian_model, neutral_diagonal
 from qsg.model_io import canonical_doc, parse_model
-from qsg.predicates import PREDICATES, check
+from qsg.predicates import PREDICATES, check_many
 from qsg.structures import (
     MetricField,
     nijenhuis,
@@ -50,7 +50,7 @@ def pts(dim, seed=0, n=25):
 def involution_residual(J, seed):
     """max |J J + id| over the ``almost_complex`` predicate's sweep."""
     model = ChartModel(domain=ChartDomain.cube(J.dimension), J=J)
-    return check(model, "almost_complex", seed=seed)["max_residual"]
+    return check_many(model, ["almost_complex"], seed=seed)[0]["max_residual"]
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -164,7 +164,7 @@ def test_kahler_model_properties():
         km = gen_kahler_model(GenSpec(seed=seed, dimension=4, degree=2))
         p = pts(4, seed)
         assert np.abs(nijenhuis(km.J).values(p)).max() <= 1e-10
-        w = km.partner_form()
+        w = km.partner
         assert np.abs(exterior_d2_values(w, p)).max() <= 1e-10
 
 

@@ -10,20 +10,20 @@ from qsg.errors import QsgError
 from qsg.fields import PolyTensorField
 from qsg.generate import GenSpec, gen_almost_complex
 from qsg.model import ChartModel, ModelAt, flat_hermitian_model, flat_norden_model
-from qsg.predicates import PREDICATES, check, check_many
+from qsg.predicates import PREDICATES, check_many
 
 
 def test_flat_hermitian_kahler_zero():
-    rep = check(flat_hermitian_model(2), "kahler")
+    rep = check_many(flat_hermitian_model(2), ["kahler"])[0]
     assert rep["pass"] and rep["max_residual"] == 0.0
-    rep4 = check(flat_hermitian_model(4), "kahler")
+    rep4 = check_many(flat_hermitian_model(4), ["kahler"])[0]
     assert rep4["pass"] and rep4["max_residual"] == 0.0
 
 
 def test_flat_norden_anti_kahler_zero():
-    rep = check(flat_norden_model(2), "anti_kahler")
+    rep = check_many(flat_norden_model(2), ["anti_kahler"])[0]
     assert rep["pass"] and rep["max_residual"] == 0.0
-    assert check(flat_norden_model(4), "quasi_kahler_norden")["max_residual"] == 0.0
+    assert check_many(flat_norden_model(4), ["quasi_kahler_norden"])[0]["max_residual"] == 0.0
 
 
 def test_single_symbol_breaks_quasi_statistical():
@@ -31,7 +31,7 @@ def test_single_symbol_breaks_quasi_statistical():
     gam = np.zeros((2, 2, 2))
     gam[1, 0, 1] = 1.0  # one unit symbol entry
     model.conn = PolyConnection(PolyTensorField.constant(2, (1, 2), gam))
-    rep = check(model, "quasi_statistical")
+    rep = check_many(model, ["quasi_statistical"])[0]
     assert not rep["pass"]
     assert rep["max_residual"] == pytest.approx(1.0)
 
@@ -41,7 +41,7 @@ def test_flat_passes_everything_applicable():
     for name in ("almost_complex", "hermitian", "quasi_statistical", "statistical",
                  "codazzi_J", "torsion_compatible", "integrable", "d_closed_J",
                  "kahler", "complex_connection"):
-        rep = check(model, name)
+        rep = check_many(model, [name])[0]
         assert rep["pass"], name
 
 
@@ -49,7 +49,7 @@ def test_two_dimensional_integrability_canary():
     for seed in range(10):
         J = gen_almost_complex(GenSpec(seed=seed, dimension=2, degree=2))
         model = ChartModel(domain=flat_hermitian_model(2).domain, J=J)
-        assert check(model, "integrable")["pass"]
+        assert check_many(model, ["integrable"])[0]["pass"]
 
 
 @given(st.floats(min_value=1e-10, max_value=1e-2), st.floats(min_value=1.0, max_value=1e4))
@@ -59,39 +59,39 @@ def test_monotone_in_tolerance(tol, factor):
     gam = np.zeros((2, 2, 2))
     gam[1, 0, 1] = 1e-5
     model.conn = PolyConnection(PolyTensorField.constant(2, (1, 2), gam))
-    small = check(model, "quasi_statistical", tol=tol)
-    large = check(model, "quasi_statistical", tol=tol * factor)
+    small = check_many(model, ["quasi_statistical"], tol=tol)[0]
+    large = check_many(model, ["quasi_statistical"], tol=tol * factor)[0]
     if small["pass"]:
         assert large["pass"]
 
 
 def test_determinism_bit_for_bit():
     model = flat_hermitian_model(4)
-    a = check(model, "kahler", seed=7)
-    b = check(model, "kahler", seed=7)
+    a = check_many(model, ["kahler"], seed=7)[0]
+    b = check_many(model, ["kahler"], seed=7)[0]
     assert a == b
 
 
 def test_missing_field_errors():
     model = ChartModel(domain=flat_hermitian_model(2).domain)
     with pytest.raises(QsgError, match="missing required field 'metric'"):
-        check(model, "quasi_statistical")
+        check_many(model, ["quasi_statistical"])
     with pytest.raises(QsgError, match="missing required field 'Gamma'"):
-        check(ChartModel(domain=model.domain, metric=flat_hermitian_model(2).metric),
-              "quasi_statistical")
+        check_many(ChartModel(domain=model.domain, metric=flat_hermitian_model(2).metric),
+                   ["quasi_statistical"])
 
 
 def test_flavor_mismatch_errors():
     model = flat_norden_model(2)
     with pytest.raises(QsgError, match="kahler needs a hermitian-flavored metric"):
-        check(model, "kahler")
+        check_many(model, ["kahler"])
     with pytest.raises(QsgError, match="anti_kahler needs a norden-flavored metric"):
-        check(flat_hermitian_model(2), "anti_kahler")
+        check_many(flat_hermitian_model(2), ["anti_kahler"])
 
 
 def test_unknown_predicate():
     with pytest.raises(QsgError, match="unknown predicate 'nope'"):
-        check(flat_hermitian_model(2), "nope")
+        check_many(flat_hermitian_model(2), ["nope"])
     with pytest.raises(QsgError, match="nope"):
         check_many(flat_hermitian_model(2), ["kahler", "integrable", "nope"])
 
@@ -101,8 +101,8 @@ def test_kahler_decomposes_into_integrability_and_closedness():
 
     for seed in range(3):
         model = gen_kahler_model(GenSpec(seed=seed, dimension=4, degree=2))
-        full = check(model, "kahler")
-        part = check(model, "integrable")
+        full = check_many(model, ["kahler"])[0]
+        part = check_many(model, ["integrable"])[0]
         assert full["pass"]
         assert part["pass"]
         assert part["max_residual"] <= full["max_residual"] + 1e-15
@@ -133,7 +133,7 @@ def test_shared_kernels_run_once_per_call(monkeypatch):
     names = ["almost_complex", "quasi_statistical", "statistical", "codazzi_J",
              "torsion_compatible", "integrable", "d_closed_J", "complex_connection",
              "hermitian", "kahler"]
-    alone = [check(model, n, seed=5, samples=30) for n in names]
+    alone = [check_many(model, [n], seed=5, samples=30)[0] for n in names]
     calls = []
     for module, fn in ((model_module, "covd_values"), (predicates, "covd_values"),
                        (model_module, "torsion_values"), (model_module, "nijenhuis")):

@@ -131,6 +131,15 @@ def test_negative_control_not_applicable_at_degree_0():
     assert report["pass"]
 
 
+def test_compat_equiv_says_it_is_vacuous_in_two_dims():
+    # for J^2 = -1 in two dimensions tr J = 0 and det J = 1, so every torsion
+    # satisfies both forms: the entry passes there and cannot fail
+    report = run_full_suite(seed=0, trials=2, dims=(2, 4), only=("sec2.compat_equiv",))
+    by_dim = {e["dim"]: e for e in report["entries"]}
+    assert "vacuous" in by_dim[2]["notes"] and "vacuous" not in by_dim[4]["notes"]
+    assert by_dim[2]["status"] == by_dim[4]["status"] == "pass"
+
+
 def test_entries_sorted_in_report(smoke_report):
     keys = [(e["id"], e["dim"]) for e in smoke_report["entries"]]
     assert keys == sorted(keys)
